@@ -54,7 +54,6 @@ from .geometry import (
     delta_xbar,
     delta_xi,
     minkowski_to_rindler,
-    q_value,
     rindler_to_minkowski,
     validate_regime,
 )
@@ -72,7 +71,6 @@ from .overlaps import (
     overlap_diagnostics,
 )
 from .specfun import (
-    LambdaGrid,
     bessel_j0,
     bessel_k_imag,
     conical_p,
@@ -92,7 +90,6 @@ __all__ = [
     "ConvergenceRow",
     "CouplingFunction",
     "DetectorSpec",
-    "LambdaGrid",
     "MeasurementBasisVector",
     "OverlapDiagnostics",
     "OverlapResult",
@@ -131,7 +128,6 @@ __all__ = [
     "overlap_diagnostics",
     "paper_example",
     "planck_weight",
-    "q_value",
     "reduced_internal",
     "rindler_to_minkowski",
     "validate_regime",

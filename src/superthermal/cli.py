@@ -28,7 +28,8 @@ Configuration is one JSON file with sections mirroring
 :class:`RunConfig`: ``detector``, ``trajectories``, ``interaction``,
 ``measurement``, ``output``, ``continuum``.  Complex numbers are
 ``[re, im]`` pairs.  Exit codes: 0 success, 2 configuration error,
-3 numerical non-convergence.
+3 numerical failure (a quadrature that does not converge, an overflow or
+division by zero in the formulas, or a ``paper-example`` FAIL verdict).
 
 Identical configuration produces byte-identical files: floats are
 emitted through fixed formats and every iteration order is fixed.
@@ -42,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,13 +63,13 @@ from .detector import (
     paper_example,
     reduced_internal,
 )
-from .geometry import Trajectory, TrajectorySet, WedgeError
+from .geometry import Trajectory, TrajectorySet
 from .io import (
+    _as_complex,
     block_density_to_dict,
-    complex_pair,
     csv_float,
     measured_to_dict,
-    pair_to_complex,
+    parse_trajectories,
     write_csv,
     write_json,
     write_neglog_csv,
@@ -99,9 +100,7 @@ class RunConfig:
     epsilon: float
     T: float
     q_tolerance: float
-    rindler_a: float
     measurement: MeasurementBasisVector | None
-    out_dir: Path
     absolute_scale: bool
 
 
@@ -125,127 +124,101 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
     return data
 
 
-def _section(raw: Mapping[str, Any], name: str, required: bool) -> Mapping[str, Any] | None:
-    if name not in raw:
+def _section(tree: Mapping[str, Any], path: str, required: bool = False) -> Mapping[str, Any] | None:
+    """The object at ``path`` (dotted; its last part is the key in ``tree``)."""
+    name = path.rsplit(".", 1)[-1]
+    if name not in tree:
         if required:
-            raise ConfigError(f"{name}: missing required section")
+            raise ConfigError(f"{path}: missing required section")
         return None
-    value = raw[name]
-    if name == "trajectories":
-        if not isinstance(value, list):
-            raise ConfigError("trajectories: must be a list of trajectory objects")
-        return {"_list": value}
+    value = tree[name]
     if not isinstance(value, Mapping):
-        raise ConfigError(f"{name}: must be a JSON object")
+        raise ConfigError(f"{path}: must be a JSON object")
     return value
 
 
-def _parse_complex_list(values: Any, path: str) -> list[complex]:
+_MISSING = object()
+
+
+def _field(
+    section: Mapping[str, Any] | None,
+    where: str,
+    key: str,
+    convert: Callable[[Any], Any] = float,
+    default: Any = _MISSING,
+) -> Any:
+    """Read ``section[key]`` through ``convert``.
+
+    An absent field yields ``default``, or is an error without one.
+    ``TypeError`` and ``ValueError`` from ``convert`` become a
+    :class:`ConfigError` naming the field path ``where.key``.
+    """
+    if section is None or key not in section:
+        if default is _MISSING:
+            raise ConfigError(f"{where}.{key}: missing required field")
+        return default
+    try:
+        return convert(section[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key}: {exc}") from exc
+
+
+def _positive(value: Any) -> float:
+    value = float(value)
+    if not value > 0.0:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
+def _unit_interval(value: Any) -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"must lie in (0, 1), got {value}")
+    return value
+
+
+def _nonempty_list(value: Any) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValueError("must be a nonempty list")
+    return value
+
+
+def _complex_list(values: Any) -> list[complex]:
     if not isinstance(values, list):
-        raise ConfigError(f"{path}: must be a list")
-    out = []
-    for k, item in enumerate(values):
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            try:
-                out.append(pair_to_complex(item))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}[{k}]: {exc}") from exc
-        else:
-            raise ConfigError(f"{path}[{k}]: expected a number or [re, im] pair")
-    return out
+        raise ValueError("must be a list")
+    return [_as_complex(v) for v in values]
+
+
+def _float_tuple(values: Any) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _float_array(values: Any) -> np.ndarray:
+    return np.asarray(values, dtype=float)
 
 
 def _parse_detector(raw: Mapping[str, Any]) -> DetectorSpec:
     section = _section(raw, "detector", required=True)
-    if "frequencies" not in section:
-        raise ConfigError("detector.frequencies: missing required field")
-    freqs = section["frequencies"]
-    if not isinstance(freqs, list) or not freqs:
-        raise ConfigError("detector.frequencies: must be a nonempty list")
-    couplings = None
-    if "couplings" in section:
-        couplings = _parse_complex_list(section["couplings"], "detector.couplings")
+    freqs = _field(section, "detector", "frequencies", lambda v: _float_tuple(_nonempty_list(v)))
+    couplings = _field(section, "detector", "couplings", _complex_list, None)
     try:
         return DetectorSpec(
-            frequencies=tuple(float(w) for w in freqs),
+            frequencies=freqs,
             couplings=tuple(couplings) if couplings is not None else None,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from exc
 
 
-def _parse_trajectory_list(raw: Mapping[str, Any]) -> TrajectorySet:
-    section = _section(raw, "trajectories", required=True)
-    entries = section["_list"]
-    if not entries:
-        raise ConfigError("trajectories: must contain at least one trajectory")
-    amplitudes: list[complex | None] = []
-    positions = []
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"trajectories[{k}]: must be an object")
-        if "z" not in entry:
-            raise ConfigError(f"trajectories[{k}].z: missing required field")
-        try:
-            z = float(entry["z"])
-            x = float(entry.get("x", 0.0))
-            y = float(entry.get("y", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"trajectories[{k}]: {exc}") from exc
-        if "A" in entry:
-            value = entry["A"]
-            if isinstance(value, (int, float)):
-                amplitudes.append(complex(value))
-            elif isinstance(value, list) and len(value) == 2:
-                amplitudes.append(pair_to_complex(value))
-            else:
-                raise ConfigError(
-                    f"trajectories[{k}].A: expected a number or [re, im] pair"
-                )
-        else:
-            amplitudes.append(None)
-        positions.append((z, x, y))
-    given = [a for a in amplitudes if a is not None]
-    if given and len(given) != len(amplitudes):
-        raise ConfigError(
-            "trajectories: amplitudes A must be given for all trajectories or none"
-        )
-    if not given:
-        uniform = 1.0 / math.sqrt(len(amplitudes))
-        amplitudes = [complex(uniform)] * len(amplitudes)
-    try:
-        trajectories = tuple(
-            Trajectory(z=z, x_perp=(x, y), amplitude=a)
-            for (z, x, y), a in zip(positions, amplitudes)
-        )
-        return TrajectorySet(trajectories)
-    except (WedgeError, ValueError) as exc:
-        raise ConfigError(f"trajectories: {exc}") from exc
-
-
-def _float_field(
-    section: Mapping[str, Any] | None,
-    key: str,
-    path: str,
-    override: float | None,
-    default: float | None,
-) -> float | None:
-    if override is not None:
-        return float(override)
-    if section is not None and key in section:
-        try:
-            return float(section[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return default
+def _scale_name(value: Any) -> str:
+    if value not in ("per_eps2T", "absolute"):
+        raise ValueError(f"expected 'per_eps2T' or 'absolute', got {value!r}")
+    return value
 
 
 def build_run_config(
     raw: Mapping[str, Any],
     *,
-    out_dir: str | None = None,
     epsilon: float | None = None,
     T: float | None = None,
     q_tolerance: float | None = None,
@@ -255,74 +228,56 @@ def build_run_config(
 
     Defaults: ``T`` falls back to the compromise interaction time
     ``1/(epsilon*omega_1)`` (long enough for sharp frequency support,
-    short enough for the perturbative bound), ``q_tolerance`` to
-    ``epsilon``, and ``rindler_a`` to 1.
+    short enough for the perturbative bound) and ``q_tolerance`` to
+    ``epsilon``.
     """
     detector = _parse_detector(raw)
-    trajectories = _parse_trajectory_list(raw)
-    interaction = _section(raw, "interaction", required=False)
-    eps = _float_field(interaction, "epsilon", "interaction.epsilon", epsilon, None)
-    if eps is None:
+    if "trajectories" not in raw:
+        raise ConfigError("trajectories: missing required section")
+    try:
+        trajectories = parse_trajectories(raw["trajectories"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    interaction = dict(_section(raw, "interaction") or {})
+    flags = {"epsilon": epsilon, "T": T, "q_tolerance": q_tolerance}
+    interaction.update((key, value) for key, value in flags.items() if value is not None)
+    if "epsilon" not in interaction:
         raise ConfigError(
             "interaction.epsilon: missing required field (or pass --epsilon)"
         )
-    if not (0.0 < eps < 1.0):
-        raise ConfigError(f"interaction.epsilon: must lie in (0, 1), got {eps}")
-    T_value = _float_field(interaction, "T", "interaction.T", T, None)
-    if T_value is None:
-        T_value = 1.0 / (eps * detector.frequencies[0])
-    if not T_value > 0.0:
-        raise ConfigError(f"interaction.T: must be positive, got {T_value}")
-    tol = _float_field(interaction, "q_tolerance", "interaction.q_tolerance", q_tolerance, eps)
-    if not tol > 0.0:
-        raise ConfigError(f"interaction.q_tolerance: must be positive, got {tol}")
-    a = _float_field(interaction, "rindler_a", "interaction.rindler_a", None, 1.0)
-    if not a > 0.0:
-        raise ConfigError(f"interaction.rindler_a: must be positive, got {a}")
+    eps = _field(interaction, "interaction", "epsilon", _unit_interval)
+    T_value = _field(
+        interaction, "interaction", "T", _positive, 1.0 / (eps * detector.frequencies[0])
+    )
+    tol = _field(interaction, "interaction", "q_tolerance", _positive, eps)
 
     measurement = None
-    meas_section = _section(raw, "measurement", required=False)
+    meas_section = _section(raw, "measurement")
     if meas_section is not None:
-        if "amplitudes" not in meas_section:
-            raise ConfigError("measurement.amplitudes: missing required field")
-        amps = _parse_complex_list(meas_section["amplitudes"], "measurement.amplitudes")
-        try:
-            measurement = MeasurementBasisVector(amplitudes=tuple(amps))
-        except ValueError as exc:
-            raise ConfigError(f"measurement.amplitudes: {exc}") from exc
-        if len(amps) != len(trajectories):
+        measurement = _field(
+            meas_section,
+            "measurement",
+            "amplitudes",
+            lambda v: MeasurementBasisVector(amplitudes=tuple(_complex_list(v))),
+        )
+        if len(measurement.amplitudes) != len(trajectories):
             raise ConfigError(
-                f"measurement.amplitudes: length {len(amps)} does not match "
-                f"{len(trajectories)} trajectories"
+                f"measurement.amplitudes: length {len(measurement.amplitudes)} does "
+                f"not match {len(trajectories)} trajectories"
             )
     elif need_measurement:
         # The measured branch defaults to the preparation amplitudes.
         measurement = MeasurementBasisVector(amplitudes=trajectories.amplitudes)
 
-    output = _section(raw, "output", required=False)
-    directory = out_dir
-    if directory is None and output is not None and "directory" in output:
-        directory = str(output["directory"])
-    if directory is None:
-        directory = "."
-    absolute = False
-    if output is not None and "scale" in output:
-        if output["scale"] == "absolute":
-            absolute = True
-        elif output["scale"] != "per_eps2T":
-            raise ConfigError(
-                f"output.scale: expected 'per_eps2T' or 'absolute', got {output['scale']!r}"
-            )
+    scale = _field(_section(raw, "output"), "output", "scale", _scale_name, "per_eps2T")
     return RunConfig(
         detector=detector,
         trajectories=trajectories,
         epsilon=eps,
         T=T_value,
         q_tolerance=tol,
-        rindler_a=a,
         measurement=measurement,
-        out_dir=Path(directory),
-        absolute_scale=absolute,
+        absolute_scale=scale == "absolute",
     )
 
 
@@ -336,19 +291,19 @@ def _ensure_out_dir(path: Path) -> Path:
     return path
 
 
-def cmd_state(cfg: RunConfig) -> int:
+def cmd_state(cfg: RunConfig, out_dir: Path) -> int:
     """Emit the joint matrix and its internal reduction."""
     rho = joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
     _emit_warnings(rho.warnings)
     emitted = rho.to_absolute(cfg.epsilon, cfg.T) if cfg.absolute_scale else rho
     if cfg.absolute_scale:
         _emit_warnings(emitted.warnings[len(rho.warnings):])
-    out = _ensure_out_dir(cfg.out_dir)
+    out = _ensure_out_dir(out_dir)
     write_json(
         out / "joint_state.json",
         block_density_to_dict(emitted, cfg.detector.frequencies, cfg.trajectories),
     )
-    reduced = reduced_internal(emitted, cfg.trajectories)
+    reduced = reduced_internal(emitted)
     write_json(
         out / "reduced_internal.json",
         {
@@ -362,15 +317,12 @@ def cmd_state(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_measure(cfg: RunConfig) -> int:
+def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
     """Emit the post-measurement internal matrix and its neglog table."""
     rho = joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
     _emit_warnings(rho.warnings)
-    basis = cfg.measurement
-    if basis is None:
-        basis = MeasurementBasisVector(amplitudes=cfg.trajectories.amplitudes)
-    measured = measured_internal(rho, basis, cfg.trajectories, cfg.detector)
-    out = _ensure_out_dir(cfg.out_dir)
+    measured = measured_internal(rho, cfg.measurement)
+    out = _ensure_out_dir(out_dir)
     scale: Any = "per_eps2T"
     emitted = measured
     if cfg.absolute_scale:
@@ -382,7 +334,7 @@ def cmd_measure(cfg: RunConfig) -> int:
             emitted,
             cfg.detector.frequencies,
             cfg.trajectories,
-            basis.amplitudes,
+            cfg.measurement.amplitudes,
             scale=scale,
         ),
     )
@@ -491,34 +443,32 @@ def cmd_paper_example(out_dir: Path) -> int:
         f"{int(np.sum(np.isnan(result.neglog)))} absent",
         f"verdict: {'PASS' if ok else 'FAIL'}",
     ]
-    lines.extend(f"mismatch: {p}" for p in problems)
+    mismatches = [f"mismatch: {p}" for p in problems]
     (out / "paper_example_report.txt").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
+        "\n".join(lines + mismatches) + "\n", encoding="utf-8", newline="\n"
     )
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
-    return 0
+    for line in mismatches:
+        print(line, file=sys.stderr)
+    return 0 if ok else 3
+
+
+def _spacings(value: Any) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError("expected [dx, dy, dz]")
+    return _float_tuple(value)
 
 
 def _parse_amplitude_section(section: Mapping[str, Any]) -> SmearedAmplitude:
-    for key in ("x", "y", "z", "values"):
-        if key not in section:
-            raise ConfigError(f"continuum.amplitude.{key}: missing required field")
-    x = np.asarray(section["x"], dtype=float)
-    y = np.asarray(section["y"], dtype=float)
-    z = np.asarray(section["z"], dtype=float)
-    values = _parse_complex_list(section["values"], "continuum.amplitude.values")
+    where = "continuum.amplitude"
+    x, y, z = (_field(section, where, key, _float_array) for key in ("x", "y", "z"))
+    values = _field(section, where, "values", _complex_list)
     expected = x.size * y.size * z.size
     if len(values) != expected:
         raise ConfigError(
-            f"continuum.amplitude.values: expected {expected} row-major samples, "
-            f"got {len(values)}"
+            f"{where}.values: expected {expected} row-major samples, got {len(values)}"
         )
-    spacings = None
-    if "spacings" in section:
-        spacing_list = section["spacings"]
-        if not isinstance(spacing_list, list) or len(spacing_list) != 3:
-            raise ConfigError("continuum.amplitude.spacings: expected [dx, dy, dz]")
-        spacings = tuple(float(s) for s in spacing_list)
+    spacings = _field(section, where, "spacings", _spacings, None)
     try:
         return SmearedAmplitude(
             x=x,
@@ -528,23 +478,19 @@ def _parse_amplitude_section(section: Mapping[str, Any]) -> SmearedAmplitude:
             spacings=spacings,
         )
     except ValueError as exc:
-        raise ConfigError(f"continuum.amplitude: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_coupling_section(section: Mapping[str, Any]) -> CouplingFunction:
-    for key in ("omega", "values"):
-        if key not in section:
-            raise ConfigError(f"continuum.coupling.{key}: missing required field")
-    omega = np.asarray(section["omega"], dtype=float)
-    values = _parse_complex_list(section["values"], "continuum.coupling.values")
+    where = "continuum.coupling"
+    omega = _field(section, where, "omega", _float_array)
+    values = _field(section, where, "values", _complex_list)
     if omega.size != len(values):
-        raise ConfigError(
-            "continuum.coupling: omega and values must have equal length"
-        )
+        raise ConfigError(f"{where}: omega and values must have equal length")
     try:
         return CouplingFunction(omega=omega, values=np.array(values, dtype=complex))
     except ValueError as exc:
-        raise ConfigError(f"continuum.coupling: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def cmd_continuum(raw: Mapping[str, Any], out_dir: Path) -> int:
@@ -558,20 +504,25 @@ def cmd_continuum(raw: Mapping[str, Any], out_dir: Path) -> int:
     transverse-aggregated spectrum at the fixed height.
     """
     section = _section(raw, "continuum", required=True)
-    if "amplitude" not in section or not isinstance(section["amplitude"], Mapping):
-        raise ConfigError("continuum.amplitude: missing required section")
-    if "coupling" not in section or not isinstance(section["coupling"], Mapping):
-        raise ConfigError("continuum.coupling: missing required section")
-    amplitude = _parse_amplitude_section(section["amplitude"])
-    coupling = _parse_coupling_section(section["coupling"])
-    if "z_fixed" not in section:
-        raise ConfigError("continuum.z_fixed: missing required field")
-    if "omega_grid" not in section:
-        raise ConfigError("continuum.omega_grid: missing required field")
-    z_fixed = float(section["z_fixed"])
-    omega_grid = np.asarray(section["omega_grid"], dtype=float)
-    if omega_grid.ndim != 1 or omega_grid.size == 0 or np.any(omega_grid <= 0.0):
+    amplitude = _parse_amplitude_section(_section(section, "continuum.amplitude", required=True))
+    coupling = _parse_coupling_section(_section(section, "continuum.coupling", required=True))
+
+    def grid_height(value: Any) -> float:
+        height = float(value)
+        amplitude.index_of((amplitude.x[0], amplitude.y[0], height))
+        return height
+
+    z_fixed = _field(section, "continuum", "z_fixed", grid_height)
+    omega_grid = _field(section, "continuum", "omega_grid", _float_array)
+    if omega_grid.ndim != 1 or omega_grid.size == 0 or not np.all(omega_grid > 0.0):
         raise ConfigError("continuum.omega_grid: must be positive frequencies")
+    # The rescaled pass halves both the grid and the table, so this one
+    # check covers it too.
+    lo, hi = float(coupling.omega[0]), float(coupling.omega[-1])
+    if not np.all((omega_grid >= lo) & (omega_grid <= hi)):
+        raise ConfigError(
+            f"continuum.omega_grid: must lie within the coupling table [{lo:g}, {hi:g}]"
+        )
 
     out = _ensure_out_dir(out_dir)
     header = ("q", "x", "y", "z", "xp", "yp", "zp", "re", "im")
@@ -657,39 +608,34 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = load_config(args.config)
-        out_dir = Path(args.out) if args.out is not None else None
+        if args.out is not None:
+            out_dir = Path(args.out)
+        else:
+            out_dir = Path(_field(_section(raw, "output"), "output", "directory", str, "."))
         if args.command in ("state", "measure"):
             cfg = build_run_config(
                 raw,
-                out_dir=args.out,
                 epsilon=args.epsilon,
                 T=args.T,
                 q_tolerance=args.tol,
                 need_measurement=args.command == "measure",
             )
-            return cmd_state(cfg) if args.command == "state" else cmd_measure(cfg)
-        if out_dir is None:
-            output = _section(raw, "output", required=False)
-            if output is not None and "directory" in output:
-                out_dir = Path(str(output["directory"]))
-            else:
-                out_dir = Path(".")
+        if args.command in ("state", "measure", "oracle-validate"):
+            # Only oracle-validate uses the boost rate, but every command
+            # that reads the interaction section rejects a bad one.
+            rindler_a = _field(
+                _section(raw, "interaction"), "interaction", "rindler_a", _positive, 1.0
+            )
+        if args.command == "state":
+            return cmd_state(cfg, out_dir)
+        if args.command == "measure":
+            return cmd_measure(cfg, out_dir)
         if args.command == "lambda-grid":
             steps = args.grid if args.grid is not None else _DEFAULT_GRID_STEPS
             return cmd_lambda_grid(out_dir, _parse_q_list(args.q), steps)
         if args.command == "oracle-validate":
-            interaction = _section(raw, "interaction", required=False)
-            a = _float_field(interaction, "rindler_a", "interaction.rindler_a", None, 1.0)
-            if not a > 0.0:
-                raise ConfigError(f"interaction.rindler_a: must be positive, got {a}")
-            oracle = _section(raw, "oracle", required=False)
-            T_list = _DEFAULT_T_LIST
-            if oracle is not None and "T_list" in oracle:
-                try:
-                    T_list = tuple(float(t) for t in oracle["T_list"])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"oracle.T_list: {exc}") from exc
-            return cmd_oracle_validate(out_dir, a, T_list)
+            T_list = _field(_section(raw, "oracle"), "oracle", "T_list", _float_tuple, _DEFAULT_T_LIST)
+            return cmd_oracle_validate(out_dir, rindler_a, T_list)
         if args.command == "paper-example":
             return cmd_paper_example(out_dir)
         if args.command == "continuum":
@@ -700,6 +646,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import lambda_overlap
+from .geometry import Trajectory, delta_xbar, delta_xi
+from .specfun import _planck_factor, lambda_overlap
 
 __all__ = [
     "SmearedAmplitude",
@@ -183,11 +184,10 @@ def _relative_geometry(
 ) -> tuple[float, float, float, float]:
     x, y, z = (float(c) for c in point)
     xp, yp, zp = (float(c) for c in point_prime)
-    if not (z > 0.0 and zp > 0.0):
-        raise ValueError("both heights must be positive (right wedge)")
-    dxi = math.log(z / zp)
-    dxbar = math.hypot(x - xp, y - yp) * math.sqrt(0.5 * (1.0 / z**2 + 1.0 / zp**2))
-    return z, zp, dxi, dxbar
+    # Trajectory rejects heights outside the right wedge (z <= 0).
+    here = Trajectory(z=z, x_perp=(x, y))
+    there = Trajectory(z=zp, x_perp=(xp, yp))
+    return z, zp, delta_xi(here, there), delta_xbar(here, there)
 
 
 def continuum_offdiag_coefficient(
@@ -212,14 +212,14 @@ def continuum_offdiag_coefficient(
         raise ValueError("omega must be positive")
     z, zp, dxi, dxbar = _relative_geometry(point, point_prime)
     q = omega * z
-    coefficient = (
+    coefficient = _planck_factor(
         math.sqrt(math.cosh(dxi))
         / (zp * math.sqrt(2.0 * math.pi))
         * lambda_overlap(q, dxi, dxbar)
-        * q
-        / math.expm1(2.0 * math.pi * q)
+        * q,
+        2.0 * math.pi * q,
     )
-    return coefficient, omega * z / zp
+    return float(coefficient), omega * z / zp
 
 
 def continuum_joint_kernel(
@@ -249,7 +249,7 @@ def continuum_joint_kernel(
     ap = amplitude.value_at(point_prime)
     zeta = coupling(q / z)
     zeta_p = coupling(q / zp)
-    return (
+    weight = (
         (1.0 / math.sqrt(2.0 * math.pi))
         * ap.conjugate()
         * a
@@ -258,8 +258,8 @@ def continuum_joint_kernel(
         * zeta
         * lambda_overlap(q, dxi, dxbar)
         * (q / math.sqrt(z * zp))
-        / math.expm1(2.0 * math.pi * q)
     )
+    return complex(_planck_factor(weight, 2.0 * math.pi * q))
 
 
 def continuum_spectrum_slice(
@@ -290,11 +290,7 @@ def continuum_spectrum_slice(
         raise ValueError("omega grid must be positive")
     zeta = np.abs(np.asarray(coupling(omegas), dtype=complex)) ** 2
     q = omegas * z_fixed
-    return (
-        (1.0 / math.sqrt(2.0 * math.pi))
-        * transverse
-        * (1.0 / z_fixed)
-        * zeta
-        * omegas
-        / np.expm1(2.0 * math.pi * q)
+    return _planck_factor(
+        (1.0 / math.sqrt(2.0 * math.pi)) * transverse * (1.0 / z_fixed) * zeta * omegas,
+        2.0 * math.pi * q,
     )

@@ -8,13 +8,15 @@ excited sector of the joint (internal :math:`\otimes` branch) state is
 
 .. math::
     \rho_{(j,m),(i,n)} = \frac{1}{2\pi}\,A_n^* A_m\,\zeta_i^*\zeta_j\,
-    \Lambda^{ij}_{nm}\,
-    \frac{\sqrt{\omega_i\omega_j}}{e^{2\pi q_{jm}} - 1},
-    \qquad q_{jm} = \omega_j z_m,
+    \Lambda^{ij}_{nm}\,\sqrt{P_{in} P_{jm}},
+    \qquad P_{jm} = \frac{\omega_j}{e^{2\pi q_{jm}} - 1},
+    \quad q_{jm} = \omega_j z_m,
 
 populated on the diagonal (:math:`n=m,\ i=j`, where
 :math:`\Lambda = 1`) and on cross-branch, cross-level pairs whose boost
 energies align, :math:`|\omega_j z_m - \omega_i z_n| \le \mathrm{tol}`.
+For exactly aligned pairs the Planck factor is
+:math:`\sqrt{\omega_i\omega_j}/(e^{2\pi q_{jm}} - 1)`.
 The diagonal is a Planck distribution at the branch's local Unruh
 temperature; the aligned off-diagonal entries are the coherences that
 distinguish a superposition of thermal states from their mixture.
@@ -35,7 +37,7 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import MU, Trajectory, TrajectorySet, delta_xbar, delta_xi
+from .geometry import MU, Trajectory, TrajectorySet, coherence_condition, delta_xbar, delta_xi
 from .specfun import lambda_overlap, planck_weight
 
 __all__ = [
@@ -234,11 +236,14 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     pairs when the two branches share a height (transverse separation
     only).  Same-branch cross-level pairs never align for a
     nondegenerate spectrum.  Each aligned pair is evaluated once, on the
-    side whose flat index is lower, with the Planck product
-    :math:`q_{jm}` taken from that side, and mirrored by conjugation so
-    the block is exactly Hermitian.  Filling every aligned pair is what
-    keeps the block a Gram matrix of field-state overlaps, hence
-    positive semidefinite, for equal-height branches in particular.
+    side whose flat index is lower, with the :math:`q_{jm}` of the
+    overlap factor taken from that side, and mirrored by conjugation so
+    the block is exactly Hermitian.  The Planck factor of a coherence is
+    the geometric mean of the two diagonal weights, as in
+    :func:`~superthermal.overlaps.offdiag_overlap`.  Filling every aligned
+    pair with it is what keeps the block a Gram matrix of field-state
+    overlaps, hence positive semidefinite, for equal-height branches and
+    for products that differ within ``tol`` in particular.
 
     Branches whose boost-energy product falls below the thermal-regime
     floor :math:`\omega_1 z < \mu` are reported in ``warnings``.
@@ -252,26 +257,23 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
 
     omegas = det.frequencies
     zetas = det.couplings
+    weights = [[planck_weight(w, traj.z) for traj in traj_set] for w in omegas]
     excited = np.zeros((n_lvl * n_traj, n_lvl * n_traj), dtype=complex)
     for j in range(n_lvl):
         for m, traj_m in enumerate(traj_set):
             row = j * n_traj + m
             excited[row, row] = (
-                abs(amps[m]) ** 2
-                * abs(zetas[j]) ** 2
-                * planck_weight(omegas[j], traj_m.z)
-                / (2.0 * math.pi)
+                abs(amps[m]) ** 2 * abs(zetas[j]) ** 2 * weights[j][m] / (2.0 * math.pi)
             )
             for i in range(j, n_lvl):
                 for n, traj_n in enumerate(traj_set):
                     if n == m or (i == j and n <= m):
                         continue
-                    q_jm = omegas[j] * traj_m.z
-                    if abs(q_jm - omegas[i] * traj_n.z) > tol:
+                    if not coherence_condition(omegas[i], traj_n.z, omegas[j], traj_m.z, tol):
                         continue
                     col = i * n_traj + n
                     lam = lambda_overlap(
-                        q_jm, delta_xi(traj_m, traj_n), delta_xbar(traj_m, traj_n)
+                        omegas[j] * traj_m.z, delta_xi(traj_m, traj_n), delta_xbar(traj_m, traj_n)
                     )
                     value = (
                         amps[n].conjugate()
@@ -279,8 +281,8 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
                         * zetas[i].conjugate()
                         * zetas[j]
                         * lam
-                        * math.sqrt(omegas[i] * omegas[j])
-                        / math.expm1(2.0 * math.pi * q_jm)
+                        * math.sqrt(weights[i][n])
+                        * math.sqrt(weights[j][m])
                         / (2.0 * math.pi)
                     )
                     excited[row, col] = value
@@ -302,7 +304,7 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     )
 
 
-def reduced_internal(rho: BlockDensity, traj_set: TrajectorySet) -> np.ndarray:
+def reduced_internal(rho: BlockDensity) -> np.ndarray:
     r"""Internal spectrum after tracing out the branch index: a weighted
     mixture of Planck distributions,
 
@@ -315,20 +317,13 @@ def reduced_internal(rho: BlockDensity, traj_set: TrajectorySet) -> np.ndarray:
     branches), so the result is the diagonal alone, as a real vector
     over levels.
     """
-    if len(traj_set) != rho.traj_count:
-        raise ValueError("trajectory set does not match the state's branch count")
     n = rho.traj_count
     levels = rho.level_count
     blocks = rho.excited_block.reshape(levels, n, levels, n)
     return np.einsum("inin->i", blocks).real.copy()
 
 
-def measured_internal(
-    rho: BlockDensity,
-    basis: MeasurementBasisVector,
-    traj_set: TrajectorySet,
-    det: DetectorSpec,
-) -> np.ndarray:
+def measured_internal(rho: BlockDensity, basis: MeasurementBasisVector) -> np.ndarray:
     r"""Unnormalized internal state conditioned on obtaining branch-basis
     outcome ``B``: entry :math:`(0,0)` is
     :math:`|\sum_n B_n^* A_n|^2` and excited entries are
@@ -336,16 +331,12 @@ def measured_internal(
     .. math::
         \rho^{\mathrm{meas}}_{ji} = \frac{1}{2\pi}\sum_{n,m}
         B_m^* A_n^* B_n A_m\,\zeta_i^*\zeta_j\,\Lambda^{ij}_{nm}\,
-        \frac{\sqrt{\omega_i\omega_j}}{e^{2\pi q_{jm}} - 1},
+        \sqrt{P_{in} P_{jm}},
 
     arranged on the index set {ground} ∪ {levels} as an
     :math:`(L+1)\times(L+1)` Hermitian matrix.  The state is returned
     unnormalized; see :func:`normalize_internal`.
     """
-    if len(traj_set) != rho.traj_count:
-        raise ValueError("trajectory set does not match the state's branch count")
-    if det.level_count != rho.level_count:
-        raise ValueError("detector does not match the state's level count")
     b = basis.vector
     if b.size != rho.traj_count:
         raise ValueError("measurement vector does not match the branch count")
@@ -427,7 +418,7 @@ def paper_example() -> PaperExampleResult:
     basis = MeasurementBasisVector(amplitudes=(third, third, third))
     tol = 1e-12
     state = joint_state(det, traj_set, tol)
-    measured = measured_internal(state, basis, traj_set, det)
+    measured = measured_internal(state, basis)
     return PaperExampleResult(
         detector=det,
         trajectories=traj_set,

@@ -35,7 +35,6 @@ __all__ = [
     "minkowski_to_rindler",
     "delta_xi",
     "delta_xbar",
-    "q_value",
     "coherence_condition",
     "validate_regime",
 ]
@@ -75,6 +74,8 @@ class Trajectory:
         if len(self.x_perp) != 2:
             raise ValueError("x_perp must be a pair (x, y)")
         object.__setattr__(self, "x_perp", (float(self.x_perp[0]), float(self.x_perp[1])))
+        if not all(math.isfinite(c) for c in self.x_perp):
+            raise ValueError(f"x_perp must be finite, got {self.x_perp}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if not (math.isfinite(self.amplitude.real) and math.isfinite(self.amplitude.imag)):
             raise ValueError("amplitude must be finite")
@@ -213,12 +214,6 @@ def delta_xbar(m: Trajectory, n: Trajectory) -> float:
     dx = m.x_perp[0] - n.x_perp[0]
     dy = m.x_perp[1] - n.x_perp[1]
     return math.hypot(dx, dy) * math.sqrt(0.5 * (1.0 / m.z**2 + 1.0 / n.z**2))
-
-
-def q_value(omega: float, z: float) -> float:
-    r"""Dimensionless product :math:`q = \omega z` (frequency times inverse
-    acceleration)."""
-    return omega * z
 
 
 def coherence_condition(

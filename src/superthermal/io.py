@@ -19,6 +19,7 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -40,6 +41,7 @@ __all__ = [
     "pairs_to_matrix",
     "block_density_to_dict",
     "block_density_from_dict",
+    "parse_trajectories",
     "measured_to_dict",
     "measured_from_dict",
     "write_neglog_csv",
@@ -213,19 +215,62 @@ def _parse_scale(field: Any) -> tuple[str, float | None, float | None]:
     raise ValueError(f"unrecognized scale field: {field!r}")
 
 
-def parse_trajectories(entries: Sequence[Mapping[str, Any]]) -> TrajectorySet:
-    """Rebuild a :class:`TrajectorySet` from serialized trajectory entries."""
-    trajectories = [
-        Trajectory(
-            z=float(entry["z"]),
-            x_perp=(float(entry.get("x", 0.0)), float(entry.get("y", 0.0))),
-            amplitude=pair_to_complex(entry["A"])
-            if isinstance(entry.get("A"), Sequence)
-            else complex(entry.get("A", 1.0)),
+def _as_complex(value: Any) -> complex:
+    """A finite JSON number or ``[re, im]`` pair as a complex number."""
+    if isinstance(value, (int, float)):
+        out = complex(value)
+    elif isinstance(value, list):
+        out = pair_to_complex(value)
+    else:
+        raise ValueError("expected a number or [re, im] pair")
+    if not cmath.isfinite(out):
+        raise ValueError(f"must be finite, got {value!r}")
+    return out
+
+
+def parse_trajectories(entries: Any) -> TrajectorySet:
+    """Build a :class:`TrajectorySet` from ``{"z", "x", "y", "A"}`` entries.
+
+    ``x`` and ``y`` default to 0.  The amplitude ``A`` is a number or an
+    ``[re, im]`` pair, given for every entry or for none; without any, the
+    branches form a uniform superposition.  Invalid input raises
+    ``ValueError`` with a message that starts with the offending field
+    path, such as ``trajectories[0].z``.
+    """
+    if not isinstance(entries, list):
+        raise ValueError("trajectories: must be a list of trajectory objects")
+    if not entries:
+        raise ValueError("trajectories: must contain at least one trajectory")
+    positions = []
+    amplitudes = []
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"trajectories[{k}]: must be an object")
+        if "z" not in entry:
+            raise ValueError(f"trajectories[{k}].z: missing required field")
+        fields = {"x": 0.0, "y": 0.0, "A": None}
+        for key, convert in (("z", float), ("x", float), ("y", float), ("A", _as_complex)):
+            if key in entry:
+                try:
+                    fields[key] = convert(entry[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"trajectories[{k}].{key}: {exc}") from exc
+        positions.append((fields["z"], fields["x"], fields["y"]))
+        amplitudes.append(fields["A"])
+    given = sum(a is not None for a in amplitudes)
+    if given not in (0, len(amplitudes)):
+        raise ValueError(
+            "trajectories: amplitudes A must be given for all trajectories or none"
         )
-        for entry in entries
-    ]
-    return TrajectorySet(tuple(trajectories))
+    if not given:
+        amplitudes = [complex(1.0 / math.sqrt(len(amplitudes)))] * len(amplitudes)
+    try:
+        return TrajectorySet(
+            Trajectory(z=z, x_perp=(x, y), amplitude=a)
+            for (z, x, y), a in zip(positions, amplitudes)
+        )
+    except ValueError as exc:
+        raise ValueError(f"trajectories: {exc}") from exc
 
 
 def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list[float], TrajectorySet]:

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Trajectory
-from .specfun import _k_imag_outer, bessel_j0, lambda_overlap, planck_weight
+from .geometry import Trajectory, coherence_condition, delta_xbar, delta_xi
+from .specfun import _k_imag_outer, _panel_nodes, bessel_j0, lambda_overlap, planck_weight
 
 __all__ = [
     "QuadratureError",
@@ -53,8 +53,6 @@ __all__ = [
     "oracle_lambda_quadrature",
     "convergence_report",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 #: Decay (in e-foldings) of the Bessel-product envelope at which the
 #: transverse-momentum integral is truncated (e^-37 ~ 8.5e-17 of peak).
@@ -140,32 +138,22 @@ def offdiag_overlap(
               \langle\omega_j,m|\omega_j,m\rangle}\;
         \Lambda(q, \Delta\xi_{mn}, \Delta\bar{x}_{mn}),
 
-    with :math:`q` the shared product :math:`\omega z`.  The factor is
-    evaluated once in a canonical ordering of the two argument pairs, so
-    swapping ``(omega_i, traj_n)`` with ``(omega_j, traj_m)`` returns the
-    exact conjugate (here: the identical real value) even when the two
-    products differ within the tolerance.
+    with :math:`q` the shared product :math:`\omega z`.  As in
+    :func:`~superthermal.detector.joint_state`, the lexicographically smaller
+    ``(omega, z, x, y)`` side of the pair supplies :math:`q`, so swapping
+    ``(omega_i, traj_n)`` with ``(omega_j, traj_m)`` returns the exact
+    conjugate (here: the identical real value) even when the two products
+    differ within the tolerance.
     """
     if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0):
         raise ValueError("offdiag_overlap requires positive frequencies and T")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if abs(omega_j * traj_m.z - omega_i * traj_n.z) > tol:
+    if not coherence_condition(omega_i, traj_n.z, omega_j, traj_m.z, tol):
         return OverlapResult(value=0j, condition_met=False, q=None)
-    # Canonical orientation: the lexicographically larger (omega, z, x, y)
-    # pair supplies the q at which the overlap factor is evaluated.
-    if _pair_key(omega_i, traj_n) > _pair_key(omega_j, traj_m):
-        omega_hi, traj_hi = omega_i, traj_n
-    else:
-        omega_hi, traj_hi = omega_j, traj_m
-    q = omega_hi * traj_hi.z
-    dxi = math.log(traj_m.z / traj_n.z)
-    dx = traj_m.x_perp[0] - traj_n.x_perp[0]
-    dy = traj_m.x_perp[1] - traj_n.x_perp[1]
-    dxbar = math.hypot(dx, dy) * math.sqrt(0.5 * (1.0 / traj_m.z**2 + 1.0 / traj_n.z**2))
+    omega_lo, traj_lo = min((omega_i, traj_n), (omega_j, traj_m), key=lambda p: _pair_key(*p))
+    q = omega_lo * traj_lo.z
     value = math.sqrt(
         diag_overlap(omega_i, traj_n.z, T) * diag_overlap(omega_j, traj_m.z, T)
-    ) * lambda_overlap(q, dxi, dxbar)
+    ) * lambda_overlap(q, delta_xi(traj_m, traj_n), delta_xbar(traj_m, traj_n))
     return OverlapResult(value=complex(value), condition_met=True, q=q)
 
 
@@ -206,15 +194,6 @@ def overlap_diagnostics(
     if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0 and a > 0.0):
         raise ValueError("overlap_diagnostics requires positive arguments")
     return _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
-
-
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map the 16-point Gauss--Legendre rule onto consecutive panels."""
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
 
 
 def _kbar_grid(

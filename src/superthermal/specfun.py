@@ -34,13 +34,11 @@ exponential envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j0 as _scipy_j0
 
 __all__ = [
-    "LambdaGrid",
     "bessel_j0",
     "bessel_k_imag",
     "conical_p",
@@ -87,16 +85,20 @@ def bessel_j0(x):
     return _scalar_or_array(_scipy_j0(x), x)
 
 
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map the 16-point Gauss--Legendre rule onto consecutive panels."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return nodes, weights
+
+
 def _k_imag_panels(nu_max: float, t_max: float, refine: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss--Legendre nodes and weights on [0, t_max]."""
     width = min(_KPANEL_MAX, math.pi / (4.0 * (nu_max + 1.0))) / refine
     n_panels = max(1, int(math.ceil(t_max / width)))
-    edges = np.linspace(0.0, t_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return t, w
+    return _panel_nodes(np.linspace(0.0, t_max, n_panels + 1))
 
 
 def _k_imag_outer(nu: np.ndarray, x: np.ndarray, refine: float = 1.0) -> np.ndarray:
@@ -315,6 +317,20 @@ def gaussian_ft(omega, T):
     return _scalar_or_array(out, omega)
 
 
+def _planck_factor(x, y):
+    r""":math:`x / (e^y - 1)` for exponents :math:`y > 0`, the Planck factor
+    every population and coherence carries (:math:`y = 2\pi q`).
+
+    Computed as ``x / expm1(y)``; where ``expm1(y)`` overflows (``y`` above
+    about 709.78) the form :math:`x e^{-y}` is used instead, which agrees to
+    a relative :math:`e^{-y}` and keeps subnormal results instead of 0.
+    ``x`` may be complex; scalars give 0-d arrays.
+    """
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        denom = np.expm1(y)
+        return np.where(np.isinf(denom), x * np.exp(-y), x / denom)
+
+
 def planck_weight(omega, z):
     r"""Planckian response weight
     :math:`\omega / (e^{2\pi\omega z} - 1)` for an accelerated system with
@@ -327,61 +343,6 @@ def planck_weight(omega, z):
         raise ValueError("planck_weight requires omega >= 0")
     if not np.all(z_arr > 0.0):
         raise ValueError("planck_weight requires z > 0")
-    with np.errstate(invalid="ignore", divide="ignore", under="ignore", over="ignore"):
-        generic = omega_arr / np.expm1(2.0 * np.pi * omega_arr * z_arr)
+    generic = _planck_factor(omega_arr, 2.0 * np.pi * omega_arr * z_arr)
     out = np.where(omega_arr == 0.0, 1.0 / (2.0 * np.pi * z_arr), generic)
     return _scalar_or_array(out, omega, z)
-
-
-@dataclass(frozen=True)
-class LambdaGrid:
-    """Tabulated :math:`\\Lambda` over a separation rectangle at fixed ``q``.
-
-    ``values[i, j]`` holds ``lambda_overlap(q, xi_samples[i], xbar_samples[j])``.
-    Construction checks the bound :math:`|\\Lambda| \\le 1` (to 1e-9) and,
-    whenever both axes contain 0, the normalization :math:`\\Lambda = 1`
-    at the origin (to 1e-9).
-    """
-
-    q: float
-    xi_samples: np.ndarray
-    xbar_samples: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = float(self.q)
-        if not (q >= 0.0 and math.isfinite(q)):
-            raise ValueError(f"LambdaGrid requires q >= 0, got {q}")
-        xi = np.atleast_1d(np.asarray(self.xi_samples, dtype=float))
-        xbar = np.atleast_1d(np.asarray(self.xbar_samples, dtype=float))
-        values = np.asarray(self.values, dtype=float)
-        if np.any(xbar < 0.0):
-            raise ValueError("xbar_samples must be nonnegative")
-        if values.shape != (xi.size, xbar.size):
-            raise ValueError(
-                f"values shape {values.shape} does not match "
-                f"({xi.size}, {xbar.size}) samples"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid values must be finite")
-        overshoot = float(np.max(np.abs(values))) - 1.0
-        if overshoot > 1e-9:
-            raise ValueError(f"|lambda| exceeds 1 by {overshoot:.3e}")
-        on_xi = np.nonzero(xi == 0.0)[0]
-        on_xbar = np.nonzero(xbar == 0.0)[0]
-        if on_xi.size and on_xbar.size:
-            origin = values[on_xi[0], on_xbar[0]]
-            if abs(origin - 1.0) > 1e-9:
-                raise ValueError(f"lambda at the origin must be 1, got {origin!r}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "xi_samples", xi)
-        object.__setattr__(self, "xbar_samples", xbar)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def compute(cls, q: float, xi_samples, xbar_samples) -> "LambdaGrid":
-        """Evaluate :func:`lambda_overlap` over the tensor grid."""
-        xi = np.atleast_1d(np.asarray(xi_samples, dtype=float))
-        xbar = np.atleast_1d(np.asarray(xbar_samples, dtype=float))
-        values = lambda_overlap(q, xi[:, None], xbar[None, :])
-        return cls(q=q, xi_samples=xi, xbar_samples=xbar, values=np.atleast_2d(values))

@@ -196,7 +196,7 @@ def test_criterion_7_random_states_are_physical(capsys):
             trace = float(np.trace(excited).real)
             assert float(np.min(np.linalg.eigvalsh(excited))) >= -1e-10 * trace
 
-            reduced = reduced_internal(rho, ts)
+            reduced = reduced_internal(rho)
             assert np.all(reduced >= -1e-14)
 
             if branch_count >= 2:
@@ -207,7 +207,7 @@ def test_criterion_7_random_states_are_physical(capsys):
                 probe -= prepared * np.vdot(prepared, probe)
                 probe /= np.linalg.norm(probe)
                 basis = MeasurementBasisVector(amplitudes=tuple(probe))
-                measured = measured_internal(rho, basis, ts, det)
+                measured = measured_internal(rho, basis)
                 # numerically orthogonalized branch: zero up to the
                 # rounding floor of the quadratic form
                 assert abs(measured[0, 0]) <= 1e-14
@@ -220,7 +220,7 @@ def test_criterion_7_random_states_are_physical(capsys):
         det = DetectorSpec(frequencies=(1.0, 2.0))
         rho = joint_state(det, ts, tol=1e-6)
         basis = MeasurementBasisVector(amplitudes=(uniform, -uniform))
-        assert measured_internal(rho, basis, ts, det)[0, 0] == 0.0
+        assert measured_internal(rho, basis)[0, 0] == 0.0
 
 
 def test_criterion_8_single_branch_is_thermal(capsys):
@@ -230,7 +230,7 @@ def test_criterion_8_single_branch_is_thermal(capsys):
         det = DetectorSpec(frequencies=frequencies, couplings=couplings)
         z = 0.8
         ts = TrajectorySet((Trajectory(z=z, x_perp=(0.4, -0.2), amplitude=1.0),))
-        reduced = reduced_internal(joint_state(det, ts, tol=1e-6), ts)
+        reduced = reduced_internal(joint_state(det, ts, tol=1e-6))
         for got, omega, zeta in zip(reduced, frequencies, couplings):
             want = (
                 (1.0 / (2.0 * math.pi))

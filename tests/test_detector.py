@@ -147,7 +147,7 @@ def test_measured_internal_reference_entries():
     det, ts = _three_branch_system()
     rho = joint_state(det, ts, tol=1e-12)
     basis = MeasurementBasisVector(amplitudes=ts.amplitudes)
-    measured = measured_internal(rho, basis, ts, det)
+    measured = measured_internal(rho, basis)
     assert measured.shape == (13, 13)
     assert measured[1, 1].real == pytest.approx(MEASURED_11, rel=1e-13)
     assert measured[1, 2].real == pytest.approx(MEASURED_12, rel=1e-13)
@@ -159,7 +159,7 @@ def test_measured_internal_reference_entries():
 def test_reduced_internal_and_partial_trace_consistency():
     det, ts = _three_branch_system()
     rho = joint_state(det, ts, tol=1e-12)
-    reduced = reduced_internal(rho, ts)
+    reduced = reduced_internal(rho)
     assert reduced.shape == (12,)
     assert reduced[0] == pytest.approx(REDUCED_0, rel=1e-13)
     # summing the measured diagonal over any complete orthonormal branch
@@ -170,7 +170,7 @@ def test_reduced_internal_and_partial_trace_consistency():
     total = np.zeros(12)
     for col in range(3):
         basis = MeasurementBasisVector(amplitudes=tuple(unitary[:, col]))
-        measured = measured_internal(rho, basis, ts, det)
+        measured = measured_internal(rho, basis)
         total += np.diag(measured)[1:].real
     assert np.allclose(total, reduced, rtol=0, atol=1e-12)
 
@@ -183,7 +183,7 @@ def test_measured_orthogonal_basis_kills_ground_term():
     det = DetectorSpec(frequencies=(1.0, 2.0))
     rho = joint_state(det, ts, tol=1e-12)
     perp = MeasurementBasisVector(amplitudes=(amp, -amp))
-    measured = measured_internal(rho, perp, ts, det)
+    measured = measured_internal(rho, perp)
     assert measured[0, 0] == 0j
 
 
@@ -192,7 +192,7 @@ def test_single_trajectory_measured_is_diagonal():
     det = DetectorSpec(frequencies=(1.0, 2.0, 3.5))
     rho = joint_state(det, ts, tol=1e-9)
     basis = MeasurementBasisVector(amplitudes=(1.0,))
-    measured = measured_internal(rho, basis, ts, det)
+    measured = measured_internal(rho, basis)
     excited = measured[1:, 1:]
     assert np.array_equal(excited, np.diag(np.diag(excited)))
 
@@ -201,7 +201,7 @@ def test_neglog_matrix_blanks_and_shapes():
     det, ts = _three_branch_system()
     rho = joint_state(det, ts, tol=1e-12)
     basis = MeasurementBasisVector(amplitudes=ts.amplitudes)
-    measured = measured_internal(rho, basis, ts, det)
+    measured = measured_internal(rho, basis)
     table = neglog_matrix(measured, det.level_count)
     assert table.shape == (12, 12)
     assert table[0, 0] == pytest.approx(NEGLOG_11, rel=1e-12)
@@ -222,7 +222,7 @@ def test_normalize_internal():
     det, ts = _three_branch_system()
     rho = joint_state(det, ts, tol=1e-12)
     basis = MeasurementBasisVector(amplitudes=ts.amplitudes)
-    measured = measured_internal(rho, basis, ts, det)
+    measured = measured_internal(rho, basis)
     normalized, trace = normalize_internal(measured)
     assert trace == pytest.approx(np.trace(measured).real, rel=1e-15)
     assert np.trace(normalized).real == pytest.approx(1.0, rel=1e-14)

@@ -15,7 +15,6 @@ from superthermal.geometry import (
     delta_xbar,
     delta_xi,
     minkowski_to_rindler,
-    q_value,
     rindler_to_minkowski,
     validate_regime,
 )
@@ -100,7 +99,6 @@ def test_alignment_variables():
     # |dx| = 0.5; sqrt((1 + 4)/2) = sqrt(2.5)
     assert delta_xbar(m, n) == pytest.approx(0.5 * math.sqrt(2.5), rel=1e-15)
     assert delta_xbar(n, m) == delta_xbar(m, n)
-    assert q_value(3.0, 0.5) == 1.5
 
 
 def test_coherence_condition():

@@ -3,7 +3,8 @@
 JSON artifacts must round-trip doubles bit-exactly (17 significant
 digits); CSV plot data carries 9.  The command-line driver must emit
 byte-identical files for identical configurations, name the offending
-field on configuration errors, and use exit codes 0/2/3.
+field on configuration errors, and use exit codes 0/2/3 without ending
+in a traceback.
 """
 
 import json
@@ -168,7 +169,7 @@ def test_measured_json_round_trip(tmp_path):
     det, ts = _two_branch_system()
     rho = joint_state(det, ts, tol=1e-9)
     basis = MeasurementBasisVector(amplitudes=ts.amplitudes)
-    measured = measured_internal(rho, basis, ts, det)
+    measured = measured_internal(rho, basis)
     data = measured_to_dict(measured, det.frequencies, ts, basis.amplitudes)
     path = tmp_path / "measured.json"
     write_json(path, data)
@@ -272,9 +273,7 @@ def test_cli_measure_artifacts(tmp_path):
 
     det, ts = _two_branch_system()
     rho = joint_state(det, ts, tol=0.01)
-    expected = measured_internal(
-        rho, MeasurementBasisVector(amplitudes=ts.amplitudes), ts, det
-    )
+    expected = measured_internal(rho, MeasurementBasisVector(amplitudes=ts.amplitudes))
     assert np.array_equal(measured, expected)
 
     table = read_neglog_csv(out / "neglog_matrix.csv")
@@ -373,9 +372,9 @@ def test_cli_paper_example(tmp_path, capsys):
     assert table[7, 11] == pytest.approx(NEGLOG_8_12, rel=1e-8)
 
 
-def test_cli_continuum(tmp_path):
+def _continuum_tree():
     value = 1.0 / math.sqrt(2.0)
-    tree = {
+    return {
         "continuum": {
             "amplitude": {
                 "x": [-0.5, 0.5],
@@ -389,7 +388,11 @@ def test_cli_continuum(tmp_path):
             "omega_grid": [1.0, 2.0],
         }
     }
-    config = _write_config(tmp_path, tree)
+
+
+def test_cli_continuum(tmp_path):
+    value = 1.0 / math.sqrt(2.0)
+    config = _write_config(tmp_path, _continuum_tree())
     out = tmp_path / "out"
     assert main(["continuum", "--config", config, "--out", str(out)]) == 0
 
@@ -450,6 +453,10 @@ def test_cli_continuum(tmp_path):
             "does not match 2 trajectories",
         ),
         (lambda t: t.update(output={"scale": "bogus"}), "output.scale"),
+        (lambda t: t["trajectories"][0].update(A=["a", "b"]), "trajectories[0].A"),
+        (lambda t: t["interaction"].update(rindler_a=0.0), "interaction.rindler_a"),
+        (lambda t: t["detector"].update(couplings=[1.0, math.nan]), "detector.couplings"),
+        (lambda t: t["trajectories"][1].update(x=math.nan), "x_perp must be finite"),
     ],
 )
 def test_cli_config_errors_name_the_field(tmp_path, capsys, mutate, fragment):
@@ -461,6 +468,61 @@ def test_cli_config_errors_name_the_field(tmp_path, capsys, mutate, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda c: c.update(z_fixed="abc"), "continuum.z_fixed"),
+        (lambda c: c.update(z_fixed=0.75), "continuum.z_fixed"),
+        (lambda c: c["amplitude"].update(x=["q"]), "continuum.amplitude.x"),
+        (lambda c: c.update(omega_grid=[1.0, 61.0]), "continuum.omega_grid"),
+    ],
+)
+def test_cli_continuum_config_errors_name_the_field(tmp_path, capsys, mutate, fragment):
+    tree = _continuum_tree()
+    mutate(tree["continuum"])
+    config = _write_config(tmp_path, tree)
+    code = main(["continuum", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "frequencies, heights",
+    [
+        # aligned pair at q = 120: e^{2 pi q} overflows a double
+        ((60.0, 120.0), (1.0, 2.0)),
+        # same-level pair aligned within the default tolerance (epsilon)
+        # but not exactly: the coherence must keep the block PSD
+        ((1.0,), (1.0, 1.001)),
+    ],
+)
+@pytest.mark.parametrize("command", ["state", "measure"])
+def test_cli_legal_edge_systems_succeed(tmp_path, frequencies, heights, command):
+    tree = _base_tree()
+    tree["detector"]["frequencies"] = list(frequencies)
+    tree["trajectories"] = [{"z": z} for z in heights]
+    config = _write_config(tmp_path, tree)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    name = "joint_state.json" if command == "state" else "measured_internal.json"
+    data = read_json(out / name)
+    assert np.all(np.isfinite(pairs_to_matrix(data["excited_block"])))
+
+
+@pytest.mark.parametrize("z", [1e200, 1e-200])
+def test_cli_numerical_failure_exit_code(tmp_path, capsys, z):
+    # the transverse separation of two branches at the same extreme
+    # height overflows (or divides by zero) in z**2
+    tree = _base_tree()
+    tree["trajectories"] = [{"z": z}, {"z": z, "x": 1.0}]
+    config = _write_config(tmp_path, tree)
+    code = main(["state", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_cli_malformed_json_reports_position(tmp_path, capsys):
@@ -485,6 +547,19 @@ def test_cli_flag_errors(tmp_path, capsys):
 def test_cli_unknown_command_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_cli_paper_example_fail_verdict_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "compare_with_reference", lambda neglog: (False, ["entry (1,1): synthetic"])
+    )
+    out = tmp_path / "out"
+    assert main(["paper-example", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "verdict: FAIL" in captured.out
+    assert "mismatch: entry (1,1): synthetic" in captured.err
+    report = (out / "paper_example_report.txt").read_text().splitlines()
+    assert report[2:] == ["verdict: FAIL", "mismatch: entry (1,1): synthetic"]
 
 
 def test_cli_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):

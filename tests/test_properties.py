@@ -1,0 +1,96 @@
+"""Property tests of the joint state over random detectors and branch sets.
+
+Systems draw 1-6 levels and 1-4 branches on a lattice of boost energies
+q = omega z up to 200, so that branches share heights and many pairs
+align; each height is then jittered by a relative amount that keeps
+every aligned pair within a quarter of the tolerance on each side.  The
+expected reduced populations are assembled in mpmath from the Planck
+mixture, independently of the package.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superthermal.detector import DetectorSpec, joint_state, reduced_internal
+from superthermal.geometry import Trajectory, TrajectorySet
+
+_HEIGHT_STEPS = (0.5, 1.0, 1.5, 2.0)
+_MAX_LEVEL_STEP = 12
+
+
+def _unit(draw, n):
+    parts = draw(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    vec = [complex(re, im) for re, im in parts]
+    norm = math.sqrt(sum(abs(v) ** 2 for v in vec))
+    if norm < 1e-3:
+        return [complex(1.0 / math.sqrt(n))] * n
+    return [v / norm for v in vec]
+
+
+@st.composite
+def systems(draw):
+    q_max = draw(st.floats(0.5, 200.0))
+    tol = draw(st.sampled_from((1e-9, 1e-6, 1e-3)))
+    n_lvl = draw(st.integers(1, 6))
+    n_br = draw(st.integers(1, 4))
+    # omega = k f0 and z = h z0 with f0 z0 = q_max / (12 * 2): every
+    # product is a multiple of f0 z0 / 2 and at most q_max.
+    f0 = draw(st.floats(0.1, 10.0))
+    z0 = q_max / (_MAX_LEVEL_STEP * _HEIGHT_STEPS[-1] * f0)
+    steps = draw(
+        st.lists(st.integers(1, _MAX_LEVEL_STEP), min_size=n_lvl, max_size=n_lvl, unique=True)
+    )
+    frequencies = tuple(sorted(k * f0 for k in steps))
+    couplings = tuple(c * draw(st.floats(0.1, 1.0)) for c in _unit(draw, n_lvl))
+    jitter = tol / (4.0 * q_max)
+    positions = set()
+    for _ in range(n_br):
+        h = draw(st.sampled_from(_HEIGHT_STEPS))
+        z = h * z0 * (1.0 + draw(st.floats(-jitter, jitter)))
+        x = draw(st.sampled_from((0.0, 0.0, 0.3, -1.2)))
+        y = draw(st.sampled_from((0.0, 0.4)))
+        positions.add((z, x, y))
+    amps = _unit(draw, len(positions))
+    trajectories = TrajectorySet(
+        Trajectory(z=z, x_perp=(x, y), amplitude=a)
+        for (z, x, y), a in zip(sorted(positions), amps)
+    )
+    return DetectorSpec(frequencies=frequencies, couplings=couplings), trajectories, tol
+
+
+def _planck_mixture(det, trajectories):
+    with mp.workdps(40):
+        out = []
+        for omega, zeta in zip(det.frequencies, det.couplings):
+            total = mp.mpf(0)
+            for traj in trajectories:
+                w = mp.mpf(omega)
+                total += abs(traj.amplitude) ** 2 * abs(zeta) ** 2 * w / mp.expm1(
+                    2 * mp.pi * w * mp.mpf(traj.z)
+                )
+            out.append(float(total / (2 * mp.pi)))
+        return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_joint_state_is_physical_and_reduces_to_planck_mixture(system):
+    det, trajectories, tol = system
+    # BlockDensity construction inside joint_state checks Hermiticity and
+    # positive semidefiniteness.
+    rho = joint_state(det, trajectories, tol)
+    assert np.all(np.isfinite(rho.excited_block))
+    assert np.all(np.isfinite(rho.ground_block))
+    reduced = reduced_internal(rho)
+    for got, want in zip(reduced, _planck_mixture(det, trajectories)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)

@@ -8,11 +8,11 @@ Frozen reference values come from mpmath at 40 decimal digits via
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from superthermal.specfun import (
-    LambdaGrid,
     bessel_j0,
     bessel_k_imag,
     conical_p,
@@ -166,15 +166,11 @@ def test_planck_weight():
     # omega -> 0 limit: 1/(2 pi z)
     assert planck_weight(0.0, 2.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
     assert planck_weight(1e-300, 2.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
-
-
-def test_lambda_grid_container():
-    xi = np.linspace(-2.0, 2.0, 9)
-    xbar = np.linspace(0.0, 4.0, 9)
-    grid = LambdaGrid.compute(1.0, xi, xbar)
-    assert grid.values.shape == (9, 9)
-    assert grid.values[4, 0] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        LambdaGrid(q=1.0, xi_samples=xi, xbar_samples=xbar, values=np.full((9, 9), 2.0))
-    with pytest.raises(ValueError):
-        LambdaGrid.compute(-1.0, xi, xbar)
+    # past the overflow of e^{2 pi omega z} (omega z > 112.97) the weight
+    # is a positive subnormal, not 0
+    for omega, z in ((113.5, 1.0), (60.0, 1.9), (117.9, 1.0), (230.0, 0.5)):
+        got = planck_weight(omega, z)
+        with mp.workdps(40):
+            want = float(mp.mpf(omega) / mp.expm1(2 * mp.pi * mp.mpf(omega) * mp.mpf(z)))
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-312)
