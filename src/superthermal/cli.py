@@ -4,8 +4,9 @@ Subcommands
 -----------
 
 ``state``
-    Assemble the joint detector/branch matrix for a configured system and
-    write ``joint_state.json`` plus ``reduced_internal.json``.
+    Assemble the joint detector/branch state for a configured system and
+    write ``joint_state.json`` (one block per boost-energy shell) plus
+    ``reduced_internal.json``.
 ``measure``
     Project onto a measured branch superposition and write
     ``measured_internal.json`` plus ``neglog_matrix.csv``.
@@ -56,6 +57,7 @@ from .continuum import (
 from .detector import (
     DetectorSpec,
     MeasurementBasisVector,
+    NonPSDShellError,
     compare_with_reference,
     joint_state,
     measured_internal,
@@ -291,9 +293,18 @@ def _ensure_out_dir(path: Path) -> Path:
     return path
 
 
+def _joint_state(cfg: RunConfig):
+    """The configured joint state.  A shell whose pairwise alignments are
+    not transitive at the configured tolerance is a configuration error."""
+    try:
+        return joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
+    except NonPSDShellError as exc:
+        raise ConfigError(f"interaction.q_tolerance: {exc}") from exc
+
+
 def cmd_state(cfg: RunConfig, out_dir: Path) -> int:
     """Emit the joint matrix and its internal reduction."""
-    rho = joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
+    rho = _joint_state(cfg)
     _emit_warnings(rho.warnings)
     emitted = rho.to_absolute(cfg.epsilon, cfg.T) if cfg.absolute_scale else rho
     if cfg.absolute_scale:
@@ -319,7 +330,7 @@ def cmd_state(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
     """Emit the post-measurement internal matrix and its neglog table."""
-    rho = joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
+    rho = _joint_state(cfg)
     _emit_warnings(rho.warnings)
     measured = measured_internal(rho, cfg.measurement)
     out = _ensure_out_dir(out_dir)

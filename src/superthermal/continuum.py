@@ -142,8 +142,9 @@ class SmearedAmplitude:
 class CouplingFunction:
     """Tabulated coupling density ζ(ω), interpolated linearly.
 
-    Samples must satisfy :math:`|\\zeta| \\le 1`; evaluation outside the
-    tabulated range is a domain error rather than an extrapolation.
+    Samples must satisfy :math:`|\\zeta| \\le 1`; evaluation more than
+    4 ulp outside the tabulated range is a domain error rather than an
+    extrapolation, and arguments within 4 ulp of an end take its value.
     """
 
     omega: np.ndarray
@@ -168,11 +169,16 @@ class CouplingFunction:
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
         lo, hi = float(self.omega[0]), float(self.omega[-1])
-        if np.any(w < lo) or np.any(w > hi):
+        # Within 4 ulp of an end counts as the end: round trips such as
+        # (omega z) / z can land one ulp outside the table.
+        slack_lo = lo - 4.0 * abs(float(np.spacing(lo)))
+        slack_hi = hi + 4.0 * abs(float(np.spacing(hi)))
+        if np.any(w < slack_lo) or np.any(w > slack_hi):
             raise ValueError(
                 f"coupling function tabulated on [{lo:g}, {hi:g}] does not "
-                f"cover omega = {w[np.argmax((w < lo) | (w > hi))] if w.ndim else float(w):g}"
+                f"cover omega = {w[np.argmax((w < slack_lo) | (w > slack_hi))] if w.ndim else float(w):g}"
             )
+        w = np.clip(w, lo, hi)
         re = np.interp(w, self.omega, self.values.real)
         im = np.interp(w, self.omega, self.values.imag)
         out = re + 1j * im

@@ -21,6 +21,14 @@ The diagonal is a Planck distribution at the branch's local Unruh
 temperature; the aligned off-diagonal entries are the coherences that
 distinguish a superposition of thermal states from their mixture.
 
+Since only aligned composites couple, the excited sector is exactly
+block-diagonal over boost-energy *shells*: the runs of the sorted products
+:math:`q_{jm}` between gaps wider than ``tol``.  :class:`BlockDensity`
+stores one small Hermitian block per shell and checks each on its own,
+:func:`joint_state` assembles all shells in one vectorised pass, and the
+reductions below work shell by shell.  The dense matrix is built only
+on request (``BlockDensity.excited_block``).
+
 Tracing out the branch index leaves a weighted mixture of Planck spectra
 (:func:`reduced_internal`); conditioning on a branch measurement outcome
 ``B`` instead leaves an internal state whose coherences survive
@@ -32,8 +40,9 @@ published three-branch, twelve-level case and its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +53,8 @@ __all__ = [
     "DetectorSpec",
     "MeasurementBasisVector",
     "BlockDensity",
+    "Shell",
+    "NonPSDShellError",
     "PaperExampleResult",
     "joint_state",
     "reduced_internal",
@@ -121,6 +132,25 @@ class MeasurementBasisVector:
         return np.array(self.amplitudes, dtype=complex)
 
 
+class Shell(NamedTuple):
+    """One boost-energy shell of the excited block: its composite flat
+    indices in ascending order and its Hermitian block over them."""
+
+    members: np.ndarray
+    block: np.ndarray
+
+
+class NonPSDShellError(ValueError):
+    """A shell of the excited block is not positive semidefinite.
+
+    ``members`` holds the shell's composite flat indices.
+    """
+
+    def __init__(self, message: str, members: np.ndarray) -> None:
+        super().__init__(message)
+        self.members = members
+
+
 def _check_hermitian(matrix: np.ndarray, name: str) -> None:
     scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
     dev = float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
@@ -128,15 +158,45 @@ def _check_hermitian(matrix: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
 
 
-@dataclass(frozen=True)
+def _dense_shells(excited: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a dense excited block into the connected components of its
+    nonzero pattern, each with its sub-block."""
+    rows, cols = np.nonzero(excited)
+    labels = np.arange(excited.shape[0])
+    # Spread the smallest index along nonzero entries until every entry
+    # joins equal labels: each component ends up labelled by its minimum.
+    while True:
+        low = np.minimum(labels[rows], labels[cols])
+        spread = labels.copy()
+        np.minimum.at(spread, rows, low)
+        np.minimum.at(spread, cols, low)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    order = np.argsort(labels, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return [(members, excited[np.ix_(members, members)]) for members in runs]
+
+
 class BlockDensity:
     """Block-diagonal joint state: ground and excited sectors.
 
     ``ground_block`` is the branch-space coefficient matrix of the
     unexcited internal state (for a pure branch superposition it is the
-    rank-1 outer product :math:`A A^\\dagger`).  ``excited_block`` lives
+    rank-1 outer product :math:`A A^\\dagger`).  The excited sector lives
     on composite (level, branch) indices, flattened as
-    ``level_index * branch_count + branch_index``.
+    ``level_index * branch_count + branch_index``, and is block-diagonal
+    over boost-energy shells: ``shells`` holds one :class:`Shell` per
+    block, ordered by smallest member, and together the shells partition
+    the composite indices.  ``excited_block`` builds the dense matrix on
+    request.
+
+    The excited sector is given either as ``shells`` (pairs of member
+    indices and blocks) or as a dense ``excited_block``, which is split
+    into the connected components of its nonzero pattern.  Either way
+    each shell is checked for Hermiticity against the largest entry of
+    the whole sector and for positive semidefiniteness against its
+    whole trace.
 
     ``scale`` is either ``"per_eps2T"`` (the default symbolic
     normalization: excited entries per unit :math:`\\varepsilon^2 T`) or
@@ -146,55 +206,72 @@ class BlockDensity:
     are not stored.
     """
 
-    ground_block: np.ndarray
-    excited_block: np.ndarray
-    scale: str = "per_eps2T"
-    epsilon: float | None = None
-    T: float | None = None
-    level_count: int = 0
-    traj_count: int = 0
-    warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        ground = np.array(self.ground_block, dtype=complex)
-        excited = np.array(self.excited_block, dtype=complex)
+    def __init__(
+        self,
+        ground_block,
+        excited_block=None,
+        scale: str = "per_eps2T",
+        epsilon: float | None = None,
+        T: float | None = None,
+        level_count: int = 0,
+        traj_count: int = 0,
+        warnings: tuple[str, ...] = (),
+        *,
+        shells=None,
+    ) -> None:
+        ground = np.array(ground_block, dtype=complex)
         n = ground.shape[0]
-        if ground.shape != (n, n):
+        if ground.ndim != 2 or ground.shape != (n, n):
             raise ValueError("ground_block must be square")
-        if excited.shape[0] != excited.shape[1] or excited.shape[0] % n != 0:
-            raise ValueError(
-                "excited_block must be square over (level, branch) composites"
-            )
-        levels = excited.shape[0] // n
-        if self.level_count and self.level_count != levels:
+        if (excited_block is None) == (shells is None):
+            raise ValueError("give the excited sector as excited_block or as shells")
+        if excited_block is not None:
+            excited = np.asarray(excited_block, dtype=complex)
+            if excited.ndim != 2 or excited.shape[0] != excited.shape[1]:
+                raise ValueError("excited_block must be square")
+            shells = _dense_shells(excited)
+        groups, dim = _group_shells(shells)
+        if n == 0 or dim % n != 0:
+            raise ValueError("excited sector must span (level, branch) composites")
+        levels = dim // n
+        if level_count and level_count != levels:
             raise ValueError("level_count inconsistent with block shapes")
-        if self.traj_count and self.traj_count != n:
+        if traj_count and traj_count != n:
             raise ValueError("traj_count inconsistent with block shapes")
-        if self.scale not in ("per_eps2T", "absolute"):
-            raise ValueError(f"unknown scale {self.scale!r}")
-        if self.scale == "absolute" and not (
-            self.epsilon is not None and self.T is not None
-        ):
+        if scale not in ("per_eps2T", "absolute"):
+            raise ValueError(f"unknown scale {scale!r}")
+        if scale == "absolute" and not (epsilon is not None and T is not None):
             raise ValueError("absolute scale requires epsilon and T")
         _check_hermitian(ground, "ground_block")
-        _check_hermitian(excited, "excited_block")
-        eigs = np.linalg.eigvalsh(excited)
-        trace = float(np.trace(excited).real)
-        if eigs.size and float(eigs[0]) < -_PSD_TOL * max(trace, 0.0):
-            raise ValueError(
-                f"excited_block is not positive semidefinite: min eigenvalue "
-                f"{float(eigs[0]):.3e} against trace {trace:.3e}"
-            )
+        _validate_groups(groups)
         ground.setflags(write=False)
-        excited.setflags(write=False)
-        object.__setattr__(self, "ground_block", ground)
-        object.__setattr__(self, "excited_block", excited)
-        object.__setattr__(self, "level_count", levels)
-        object.__setattr__(self, "traj_count", n)
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+        self.ground_block = ground
+        self.scale = scale
+        self.epsilon = epsilon
+        self.T = T
+        self.level_count = levels
+        self.traj_count = n
+        self.warnings = tuple(warnings)
+        self._groups = groups
+        firsts = sorted(
+            (int(first), g, r)
+            for g, (members, _) in enumerate(groups)
+            for r, first in enumerate(members[:, 0])
+        )
+        self.shells = tuple(Shell(groups[g][0][r], groups[g][1][r]) for _, g, r in firsts)
+
+    @property
+    def excited_block(self) -> np.ndarray:
+        """The dense excited sector, built on each access."""
+        dim = self.level_count * self.traj_count
+        dense = np.zeros((dim, dim), dtype=complex)
+        for members, blocks in self._groups:
+            dense[members[:, :, None], members[:, None, :]] = blocks
+        dense.setflags(write=False)
+        return dense
 
     def to_absolute(self, epsilon: float, T: float) -> "BlockDensity":
-        r"""Multiply the per-unit-:math:`\varepsilon^2 T` excited block out
+        r"""Multiply the per-unit-:math:`\varepsilon^2 T` excited shells out
         to absolute units, re-checking the perturbative-order bound
         :math:`\varepsilon^2 T \cdot \mathrm{entry} \le \varepsilon`
         (violations are attached as warnings, not failures)."""
@@ -205,9 +282,9 @@ class BlockDensity:
         if not T > 0.0:
             raise ValueError("T must be positive")
         factor = epsilon * epsilon * T
-        excited = factor * self.excited_block
+        shells = [(shell.members, factor * shell.block) for shell in self.shells]
         warnings = list(self.warnings)
-        peak = float(np.max(np.abs(excited))) if excited.size else 0.0
+        peak = max(float(np.max(np.abs(block))) for _, block in shells)
         if peak > epsilon:
             warnings.append(
                 f"perturbative-order bound violated: epsilon^2 T x entry = "
@@ -216,17 +293,94 @@ class BlockDensity:
             )
         return BlockDensity(
             ground_block=self.ground_block,
-            excited_block=excited,
             scale="absolute",
             epsilon=epsilon,
             T=T,
             warnings=tuple(warnings),
+            shells=shells,
         )
+
+
+def _group_shells(shells) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+    """Stack ``(members, block)`` pairs by shell size into read-only
+    ``(count, k)`` member and ``(count, k, k)`` block arrays, checking
+    that the shells partition ``range(dim)``; returns the groups and dim."""
+    by_size: dict[int, list[int]] = {}
+    members_list = []
+    blocks_list = []
+    for members, block in shells:
+        members = np.asarray(members)
+        block = np.asarray(block, dtype=complex)
+        k = members.size
+        if members.shape != (k,) or k == 0 or members.dtype.kind not in "iu":
+            raise ValueError("shell members must be a nonempty list of indices")
+        if np.any(np.diff(members) <= 0):
+            raise ValueError("shell members must be strictly increasing")
+        if block.shape != (k, k):
+            raise ValueError(f"shell block must be {k}x{k}, got shape {block.shape}")
+        by_size.setdefault(k, []).append(len(members_list))
+        members_list.append(members.astype(np.int64))
+        blocks_list.append(block)
+    dim = sum(m.size for m in members_list)
+    if not np.array_equal(np.sort(np.concatenate(members_list)), np.arange(dim)):
+        raise ValueError("excited shells must partition the composite indices")
+    groups = []
+    for picks in by_size.values():
+        members = np.stack([members_list[i] for i in picks])
+        blocks = np.stack([blocks_list[i] for i in picks])
+        members.setflags(write=False)
+        blocks.setflags(write=False)
+        groups.append((members, blocks))
+    return groups, dim
+
+
+def _validate_groups(groups) -> None:
+    """Hermiticity and positive semidefiniteness of every shell, with the
+    tolerances scaled by the whole excited sector."""
+    if not all(np.all(np.isfinite(b)) for _, b in groups):
+        raise ValueError("excited_block has non-finite entries")
+    scale = max((float(np.max(np.abs(b))) for _, b in groups), default=0.0)
+    dev = max(
+        (float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) for _, b in groups),
+        default=0.0,
+    )
+    if dev > _HERMITICITY_TOL * max(scale, 1.0):
+        raise ValueError(f"excited_block is not Hermitian: max deviation {dev:.3e}")
+    trace = sum(float(np.trace(b, axis1=1, axis2=2).real.sum()) for _, b in groups)
+    for members, blocks in groups:
+        lowest = np.linalg.eigvalsh(blocks)[:, 0]
+        worst = int(np.argmin(lowest))
+        if float(lowest[worst]) < -_PSD_TOL * max(trace, 0.0):
+            raise NonPSDShellError(
+                f"excited_block is not positive semidefinite: min eigenvalue "
+                f"{float(lowest[worst]):.3e} against trace {trace:.3e}",
+                members[worst],
+            )
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` in the operation order of Python's complex product, which
+    numpy's vectorised product can miss by an ulp (fused multiply-adds)."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _shell_runs(q: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Boost-energy shells: the runs of the stably sorted products ``q``
+    between gaps wider than ``tol``, each as ascending flat indices.
+
+    Neighbours within ``tol`` share a run, so every aligned pair does.
+    """
+    order = np.argsort(q, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(q[order]) > tol) + 1)
+    return [np.sort(run) for run in runs]
 
 
 def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> BlockDensity:
     r"""Assemble the joint (internal, branch) state per unit
-    :math:`\varepsilon^2 T`.
+    :math:`\varepsilon^2 T`, shell by shell.
 
     The ground block is :math:`A A^\dagger`.  Excited entries are filled
     on the diagonal (:math:`n=m,\ i=j`) and on every cross-branch pair
@@ -234,16 +388,23 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     :math:`|\omega_j z_m - \omega_i z_n| \le \mathrm{tol}` — cross-level
     pairs when the height ratio matches the frequency ratio, same-level
     pairs when the two branches share a height (transverse separation
-    only).  Same-branch cross-level pairs never align for a
-    nondegenerate spectrum.  Each aligned pair is evaluated once, on the
-    side whose flat index is lower, with the :math:`q_{jm}` of the
-    overlap factor taken from that side, and mirrored by conjugation so
-    the block is exactly Hermitian.  The Planck factor of a coherence is
-    the geometric mean of the two diagonal weights, as in
-    :func:`~superthermal.overlaps.offdiag_overlap`.  Filling every aligned
-    pair with it is what keeps the block a Gram matrix of field-state
-    overlaps, hence positive semidefinite, for equal-height branches and
-    for products that differ within ``tol`` in particular.
+    only).  Same-branch pairs are never filled.  Each aligned pair is
+    evaluated once, on the side whose flat index is lower, with the
+    :math:`q_{jm}` of the overlap factor taken from that side, and
+    mirrored by conjugation so each block is exactly Hermitian.  The
+    Planck factor of a coherence is the geometric mean of the two
+    diagonal weights, as in :func:`~superthermal.overlaps.offdiag_overlap`.
+    Filling every aligned pair with it is what keeps the block a Gram
+    matrix of field-state overlaps, hence positive semidefinite, for
+    equal-height branches and for products that differ within ``tol`` in
+    particular.
+
+    Aligned pairs lie in one run of the sorted products
+    :math:`q_{jm}` (:func:`_shell_runs`), so only pairs within a run are
+    tested and the state is stored as one block per run.  A run whose
+    pairwise alignments are not transitive (``A~B``, ``B~C``, ``A≁C``)
+    can fail the positive-semidefiniteness check; the
+    :class:`NonPSDShellError` raised then names the run's boost energy.
 
     Branches whose boost-energy product falls below the thermal-regime
     floor :math:`\omega_1 z < \mu` are reported in ``warnings``.
@@ -251,57 +412,79 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n_traj = len(traj_set)
-    n_lvl = det.level_count
     amps = np.array(traj_set.amplitudes, dtype=complex)
     ground = np.outer(amps, amps.conj())
 
-    omegas = det.frequencies
-    zetas = det.couplings
-    weights = [[planck_weight(w, traj.z) for traj in traj_set] for w in omegas]
-    excited = np.zeros((n_lvl * n_traj, n_lvl * n_traj), dtype=complex)
-    for j in range(n_lvl):
-        for m, traj_m in enumerate(traj_set):
-            row = j * n_traj + m
-            excited[row, row] = (
-                abs(amps[m]) ** 2 * abs(zetas[j]) ** 2 * weights[j][m] / (2.0 * math.pi)
-            )
-            for i in range(j, n_lvl):
-                for n, traj_n in enumerate(traj_set):
-                    if n == m or (i == j and n <= m):
-                        continue
-                    if not coherence_condition(omegas[i], traj_n.z, omegas[j], traj_m.z, tol):
-                        continue
-                    col = i * n_traj + n
-                    lam = lambda_overlap(
-                        omegas[j] * traj_m.z, delta_xi(traj_m, traj_n), delta_xbar(traj_m, traj_n)
-                    )
-                    value = (
-                        amps[n].conjugate()
-                        * amps[m]
-                        * zetas[i].conjugate()
-                        * zetas[j]
-                        * lam
-                        * math.sqrt(weights[i][n])
-                        * math.sqrt(weights[j][m])
-                        / (2.0 * math.pi)
-                    )
-                    excited[row, col] = value
-                    excited[col, row] = value.conjugate()
+    omegas = np.array(det.frequencies)
+    heights = np.array(traj_set.heights)
+    zetas = np.array(det.couplings, dtype=complex)
+    q = np.multiply.outer(omegas, heights).ravel()
+    level, branch = np.divmod(np.arange(q.size), n_traj)
+    weights = planck_weight(omegas[:, None], heights[None, :]).ravel()
+    # Python's abs(complex) is hypot, which numpy's complex abs can miss by
+    # an ulp; the populations keep the former.
+    amp2 = np.array([abs(a) ** 2 for a in traj_set.amplitudes])
+    zeta2 = np.array([abs(c) ** 2 for c in det.couplings])
+    diag = amp2[branch] * zeta2[level] * weights / (2.0 * math.pi)
+
+    # Candidate pairs: the upper triangle of each run, stacked by run size.
+    groups = {}
+    for run in _shell_runs(q, tol):
+        groups.setdefault(run.size, []).append(run)
+    members = [np.stack(runs) for runs in groups.values()]
+    kept = []
+    for stacked in members:
+        a, b = np.triu_indices(stacked.shape[1], 1)
+        row, col = stacked[:, a], stacked[:, b]
+        aligned = coherence_condition(
+            omegas[level[col]], heights[branch[col]], omegas[level[row]], heights[branch[row]], tol
+        )
+        shell, pair = np.nonzero((branch[row] != branch[col]) & aligned)
+        kept.append((shell, a[pair], b[pair]))
+    row = np.concatenate([stacked[s, a] for stacked, (s, a, _) in zip(members, kept)])
+    col = np.concatenate([stacked[s, b] for stacked, (s, _, b) in zip(members, kept)])
+    m, n = branch[row], branch[col]
+    # Separations depend on the branch pair alone: one scalar call each.
+    codes, inverse = np.unique(m * n_traj + n, return_inverse=True)
+    ends = [(traj_set[int(c) // n_traj], traj_set[int(c) % n_traj]) for c in codes]
+    dxi = np.array([delta_xi(tm, tn) for tm, tn in ends], dtype=float)[inverse]
+    dxbar = np.array([delta_xbar(tm, tn) for tm, tn in ends], dtype=float)[inverse]
+    lam = lambda_overlap(q[row], dxi, dxbar)
+    phase = _cmul(_cmul(_cmul(amps[n].conj(), amps[m]), zetas[level[col]].conj()), zetas[level[row]])
+    values = phase * lam * np.sqrt(weights[col]) * np.sqrt(weights[row]) / (2.0 * math.pi)
+
+    shells = []
+    start = 0
+    for stacked, (shell, a, b) in zip(members, kept):
+        k = stacked.shape[1]
+        blocks = np.zeros((len(stacked), k, k), dtype=complex)
+        blocks[:, np.arange(k), np.arange(k)] = diag[stacked]
+        part = values[start : start + shell.size]
+        blocks[shell, a, b] = part
+        blocks[shell, b, a] = part.conj()
+        start += shell.size
+        shells.extend(zip(stacked, blocks))
 
     warnings = []
-    floor = min(omegas[0] * traj.z for traj in traj_set)
+    floor = float(omegas[0] * heights.min())
     if floor < MU:
         warnings.append(
             f"thermal-regime floor violated: min omega_1 z = {floor:.6g} is "
             f"below mu = {MU:.6g}; the Planckian form of the diagonal is "
             "unreliable for the lowest level on the fastest branch"
         )
-    return BlockDensity(
-        ground_block=ground,
-        excited_block=excited,
-        scale="per_eps2T",
-        warnings=tuple(warnings),
-    )
+    try:
+        return BlockDensity(
+            ground_block=ground, scale="per_eps2T", warnings=tuple(warnings), shells=shells
+        )
+    except NonPSDShellError as exc:
+        shell_q = q[exc.members]
+        raise NonPSDShellError(
+            f"boost-energy shell q = {shell_q.min():.6g} to {shell_q.max():.6g} "
+            f"({shell_q.size} composites): {exc}; its pairwise alignments at "
+            f"tolerance {tol:g} are not transitive, lower the tolerance",
+            exc.members,
+        ) from exc
 
 
 def reduced_internal(rho: BlockDensity) -> np.ndarray:
@@ -315,12 +498,13 @@ def reduced_internal(rho: BlockDensity) -> np.ndarray:
     Off-diagonal internal coherences vanish exactly under this trace
     (each surviving excited entry pairs two *different*, orthogonal
     branches), so the result is the diagonal alone, as a real vector
-    over levels.
+    over levels, summed from the shell diagonals.
     """
-    n = rho.traj_count
-    levels = rho.level_count
-    blocks = rho.excited_block.reshape(levels, n, levels, n)
-    return np.einsum("inin->i", blocks).real.copy()
+    diag = np.empty(rho.level_count * rho.traj_count)
+    for members, blocks in rho._groups:
+        diag[members] = np.diagonal(blocks, axis1=1, axis2=2).real
+    # A running sum adds the branches in index order.
+    return np.cumsum(diag.reshape(rho.level_count, rho.traj_count), axis=1)[:, -1]
 
 
 def measured_internal(rho: BlockDensity, basis: MeasurementBasisVector) -> np.ndarray:
@@ -334,17 +518,22 @@ def measured_internal(rho: BlockDensity, basis: MeasurementBasisVector) -> np.nd
         \sqrt{P_{in} P_{jm}},
 
     arranged on the index set {ground} ∪ {levels} as an
-    :math:`(L+1)\times(L+1)` Hermitian matrix.  The state is returned
-    unnormalized; see :func:`normalize_internal`.
+    :math:`(L+1)\times(L+1)` Hermitian matrix, accumulated shell by
+    shell.  The state is returned unnormalized; see
+    :func:`normalize_internal`.
     """
     b = basis.vector
     if b.size != rho.traj_count:
         raise ValueError("measurement vector does not match the branch count")
-    levels, n = rho.level_count, rho.traj_count
+    levels = rho.level_count
     out = np.zeros((levels + 1, levels + 1), dtype=complex)
     out[0, 0] = b.conj() @ rho.ground_block @ b
-    blocks = rho.excited_block.reshape(levels, n, levels, n)
-    out[1:, 1:] = np.einsum("m,jmin,n->ji", b.conj(), blocks, b)
+    for members, blocks in rho._groups:
+        level, branch = np.divmod(members, rho.traj_count)
+        terms = b[branch].conj()[:, :, None] * blocks * b[branch][:, None, :]
+        # A shell can hold two branches of one level, so the same output
+        # cell may recur within a block: add.at accumulates every term.
+        np.add.at(out, (1 + level[:, :, None], 1 + level[:, None, :]), terms)
     return out
 
 

@@ -7,11 +7,17 @@ Two fixed float formats are used everywhere:
 * CSV plot data carries 9 significant digits, a readability compromise
   for files meant to be fed to external plotting tools.
 
-Density matrices are written as JSON objects with fields ``scale``,
-``levels``, ``trajectories``, ``ground_block`` and ``excited_block``;
-complex numbers appear as two-element ``[re, im]`` arrays and matrices
-as row-major arrays of those pairs.  Negative-log magnitude tables are
-written as CSV with empty cells for absent (exactly zero) entries.
+Joint states are written as JSON objects in the sparse layout
+``"format": "joint_state/2"``: fields ``scale``, ``levels``,
+``trajectories``, ``ground_block`` and ``excited_shells``, a list of
+``{"members": [flat indices], "block": matrix}`` objects, one per
+boost-energy shell and ordered by smallest member (flat index
+``level_index * branch_count + branch_index``).  Post-measurement
+internal matrices keep dense ``ground_block`` and ``excited_block``
+fields.  Complex numbers appear as two-element ``[re, im]`` arrays and
+matrices as row-major arrays of those pairs.  Negative-log magnitude
+tables are written as CSV with empty cells for absent (exactly zero)
+entries.
 
 Every writer emits keys in a fixed order with ``\\n`` line endings, so
 identical inputs produce byte-identical files.
@@ -22,8 +28,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -49,6 +56,7 @@ __all__ = [
 ]
 
 _JSON_FLOAT = "%.17g"
+_JOINT_STATE_FORMAT = "joint_state/2"
 _CSV_FLOAT = "%.9g"
 
 
@@ -60,7 +68,7 @@ def _json_float(value: float) -> str:
     text = _JSON_FLOAT % value
     # Keep the token a float so parsers return a float (and preserve the
     # sign of zero) rather than collapsing integral values to int.
-    if not any(c in text for c in ".eE"):
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 
@@ -81,6 +89,10 @@ def format_json(obj: Any, indent: int = 0) -> str:
     bytes are stable across Python versions.  Mapping keys keep their
     insertion order.
     """
+    # Floats, the bulk of a state file, are tested first: the abstract
+    # Mapping and Sequence checks below are slow.
+    if isinstance(obj, (float, np.floating)):
+        return _json_float(float(obj))
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, Mapping):
@@ -99,8 +111,6 @@ def format_json(obj: Any, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _json_float(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         raise TypeError("serialize complex values as [re, im] pairs explicitly")
     if isinstance(obj, np.ndarray):
@@ -192,17 +202,22 @@ def block_density_to_dict(
     frequencies: Sequence[float],
     traj_set: TrajectorySet,
 ) -> dict[str, Any]:
-    """Build the JSON object for a two-block density matrix."""
+    """Build the ``joint_state/2`` JSON object for a two-block density
+    matrix: the ground block plus one entry per excited shell."""
     if len(frequencies) != rho.level_count:
         raise ValueError("frequency list does not match the stored level count")
     if len(traj_set) != rho.traj_count:
         raise ValueError("trajectory set does not match the stored branch count")
     return {
+        "format": _JOINT_STATE_FORMAT,
         "scale": _scale_field(rho),
         "levels": [float(w) for w in frequencies],
         "trajectories": _trajectory_entries(traj_set),
         "ground_block": matrix_to_pairs(rho.ground_block),
-        "excited_block": matrix_to_pairs(rho.excited_block),
+        "excited_shells": [
+            {"members": shell.members.tolist(), "block": matrix_to_pairs(shell.block)}
+            for shell in rho.shells
+        ],
     }
 
 
@@ -274,24 +289,32 @@ def parse_trajectories(entries: Any) -> TrajectorySet:
 
 
 def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list[float], TrajectorySet]:
-    """Parse the JSON object written by :func:`block_density_to_dict`.
+    """Parse the ``joint_state/2`` object written by :func:`block_density_to_dict`.
 
     Returns the density matrix together with the level frequencies and
-    the trajectory set recorded alongside it.
+    the trajectory set recorded alongside it.  A missing field, including
+    the ``format`` tag that dense files lack, raises ``ValueError``
+    naming it.
     """
+    for key in ("format", "scale", "levels", "trajectories", "ground_block", "excited_shells"):
+        if key not in data:
+            raise ValueError(f"{key}: missing field of a {_JOINT_STATE_FORMAT} file")
+    if data["format"] != _JOINT_STATE_FORMAT:
+        raise ValueError(f"format: expected {_JOINT_STATE_FORMAT!r}, got {data['format']!r}")
     scale, epsilon, T = _parse_scale(data["scale"])
     levels = [float(w) for w in data["levels"]]
     traj_set = parse_trajectories(data["trajectories"])
-    ground = pairs_to_matrix(data["ground_block"])
-    excited = pairs_to_matrix(data["excited_block"])
     rho = BlockDensity(
-        ground_block=ground,
-        excited_block=excited,
+        ground_block=pairs_to_matrix(data["ground_block"]),
         scale=scale,
         epsilon=epsilon,
         T=T,
         level_count=len(levels),
         traj_count=len(traj_set),
+        shells=[
+            (np.array(shell["members"]), pairs_to_matrix(shell["block"]))
+            for shell in data["excited_shells"]
+        ],
     )
     return rho, levels, traj_set
 

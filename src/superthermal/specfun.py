@@ -170,13 +170,39 @@ def bessel_k_imag(nu, x):
     return _scalar_or_array(out.reshape(shape), nu, x)
 
 
+#: Above this u - 1 the hyperbolic separation is taken in log form, where
+#: d (d + 2) would overflow (from d ~ 1.3e154).
+_ALPHA_LOG_FORM = 1e150
+
+
 def _alpha_from_geometry(dxi: np.ndarray, dxbar: np.ndarray) -> np.ndarray:
     r"""Hyperbolic separation :math:`\alpha = \operatorname{arccosh} u` without
     cancellation: :math:`u - 1 = 2\sinh^2(\Delta\xi/2) +
     \tfrac{\Delta\bar{x}^2}{2}\operatorname{sech}\Delta\xi` is a sum of
-    nonnegative terms."""
-    d = 2.0 * np.sinh(0.5 * dxi) ** 2 + 0.5 * dxbar**2 / np.cosh(dxi)
-    return np.log1p(d + np.sqrt(d * (d + 2.0)))
+    nonnegative terms.
+
+    Where :math:`d = u - 1` exceeds ``_ALPHA_LOG_FORM`` (or overflows),
+    :math:`\alpha = \log 2d` to within :math:`1/d`, and
+    :math:`\log 2d` is summed from the logs of its two terms,
+    :math:`4\sinh^2(\Delta\xi/2)` and
+    :math:`\Delta\bar{x}^2\operatorname{sech}\Delta\xi`, so that no
+    intermediate overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 2.0 * np.sinh(0.5 * dxi) ** 2 + 0.5 * dxbar**2 / np.cosh(dxi)
+        far = ~(d <= _ALPHA_LOG_FORM)  # NaN from inf / inf goes to the log form too
+        alpha = np.log1p(d + np.sqrt(d * (d + 2.0)))
+    if not np.any(far):
+        return alpha
+    xi = np.abs(np.broadcast_to(dxi, far.shape)[far])
+    xbar = np.broadcast_to(dxbar, far.shape)[far]
+    with np.errstate(divide="ignore"):
+        log_long = xi + 2.0 * np.log(-np.expm1(-xi))
+        log_cosh = xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0)
+        log_trans = 2.0 * np.log(xbar) - log_cosh
+    alpha = np.array(alpha, dtype=float)
+    alpha[far] = np.logaddexp(log_long, log_trans)
+    return alpha
 
 
 def _x_over_sinh(alpha: np.ndarray) -> np.ndarray:

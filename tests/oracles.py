@@ -73,3 +73,57 @@ def diag(omega, z, T, dps: int = 40):
         return (mp.mpf(T) / (2 * mp.pi)) * mp.mpf(omega) / mp.expm1(
             2 * mp.pi * mp.mpf(omega) * mp.mpf(z)
         )
+
+
+def joint_state_dense(frequencies, couplings, trajectories, tol):
+    """Brute-force dense excited block in double precision, entry by entry.
+
+    Follows the formula of the ``superthermal.detector`` docstring with
+    the ``math`` module only: rho[(j,m),(i,n)] = A_n^* A_m zeta_i^* zeta_j
+    Lambda(q, dxi, dxbar) sqrt(P_in P_jm) / (2 pi) on the diagonal and on
+    every cross-branch pair with |omega_j z_m - omega_i z_n| <= tol, with
+    q taken from the lower flat index and the upper entry conjugated.
+    ``trajectories`` are (z, x, y, amplitude) tuples in branch order.
+    """
+    import math
+
+    n_traj = len(trajectories)
+    size = len(frequencies) * n_traj
+
+    def planck(omega, z):
+        y = 2.0 * math.pi * omega * z
+        return omega * math.exp(-y) if y > 709.0 else omega / math.expm1(y)
+
+    def overlap(q, dxi, dxbar):
+        d = 2.0 * math.sinh(dxi / 2.0) ** 2 + dxbar**2 / (2.0 * math.cosh(dxi))
+        alpha = math.log1p(d + math.sqrt(d * (d + 2.0)))
+        core = 1.0 if alpha == 0.0 else (
+            alpha / math.sinh(alpha) if q == 0.0 else math.sin(q * alpha) / (q * math.sinh(alpha))
+        )
+        return core / math.sqrt(math.cosh(dxi))
+
+    out = [[0j] * size for _ in range(size)]
+    for row in range(size):
+        j, m = divmod(row, n_traj)
+        z_m, x_m, y_m, a_m = trajectories[m]
+        for col in range(row, size):
+            i, n = divmod(col, n_traj)
+            z_n, x_n, y_n, a_n = trajectories[n]
+            if row == col:
+                lam = 1.0
+            elif m != n and abs(frequencies[j] * z_m - frequencies[i] * z_n) <= tol:
+                dxbar = math.hypot(x_m - x_n, y_m - y_n) * math.sqrt(
+                    (1.0 / z_m**2 + 1.0 / z_n**2) / 2.0
+                )
+                lam = overlap(frequencies[j] * z_m, math.log(z_m / z_n), dxbar)
+            else:
+                continue
+            value = (
+                a_n.conjugate() * a_m * couplings[i].conjugate() * couplings[j] * lam
+                * math.sqrt(planck(frequencies[i], z_n))
+                * math.sqrt(planck(frequencies[j], z_m))
+                / (2.0 * math.pi)
+            )
+            out[row][col] = value
+            out[col][row] = value.conjugate()
+    return out

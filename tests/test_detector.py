@@ -6,6 +6,7 @@ branch pairs at 40 digits).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,81 @@ def test_block_density_rejects_non_hermitian_and_non_psd():
             level_count=good.level_count,
             traj_count=good.traj_count,
         )
+
+
+def test_block_density_dense_input_gives_the_same_shells():
+    det, ts = _three_branch_system()
+    rho = joint_state(det, ts, tol=1e-12)
+    assert len(rho.shells) > 1 and max(s.members.size for s in rho.shells) > 1
+    dense = BlockDensity(ground_block=rho.ground_block, excited_block=rho.excited_block)
+    assert len(dense.shells) == len(rho.shells)
+    for got, want in zip(dense.shells, rho.shells):
+        assert np.array_equal(got.members, want.members)
+        assert np.array_equal(got.block, want.block)
+    # the shells partition the composites, ordered by smallest member
+    firsts = [int(s.members[0]) for s in rho.shells]
+    assert firsts == sorted(firsts)
+    members = np.sort(np.concatenate([s.members for s in rho.shells]))
+    assert np.array_equal(members, np.arange(36))
+
+
+def test_block_density_shells_input_is_validated():
+    good = joint_state(*_two_branch(), tol=1e-9)
+    shells = [(s.members, s.block) for s in good.shells]
+    rebuilt = BlockDensity(ground_block=good.ground_block, shells=shells)
+    assert np.array_equal(rebuilt.excited_block, good.excited_block)
+    with pytest.raises(ValueError, match="partition"):
+        BlockDensity(ground_block=good.ground_block, shells=shells + shells[:1])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        BlockDensity(
+            ground_block=good.ground_block,
+            shells=[(m, -b) for m, b in shells],
+        )
+    with pytest.raises(ValueError):
+        BlockDensity(ground_block=good.ground_block)
+
+
+def test_same_branch_levels_in_one_shell_stay_uncoupled():
+    # omega = 1 and 1.001 on one branch: both products fall in one shell
+    # at tol = 0.01, but a branch never pairs with itself.
+    ts = TrajectorySet((Trajectory(z=1.0, amplitude=1.0),))
+    det = DetectorSpec(frequencies=(1.0, 1.001))
+    rho = joint_state(det, ts, tol=0.01)
+    assert [list(s.members) for s in rho.shells] == [[0, 1]]
+    excited = rho.excited_block
+    assert excited[0, 1] == excited[1, 0] == 0.0
+    assert excited[0, 0] > 0.0 and excited[1, 1] > 0.0
+
+
+def test_lattice_state_at_dimension_1e4_stays_small():
+    # 149 equally spaced levels on 67 branches at four lattice heights:
+    # products omega_i z_m coincide in many-member shells.  The dense
+    # excited block alone would take 1.6 GB.
+    levels, branches = 149, 67
+    w0, z0 = 100.0 / (levels * 4 * 0.6), 0.6
+    rng = np.random.default_rng(9983)
+    amps = rng.normal(size=branches) + 1j * rng.normal(size=branches)
+    amps /= np.linalg.norm(amps)
+    ts = TrajectorySet(
+        Trajectory(z=z0 * (n % 4 + 1), x_perp=(0.01 * n, 0.0), amplitude=a)
+        for n, a in enumerate(amps)
+    )
+    det = DetectorSpec(frequencies=tuple(w0 * (i + 1) for i in range(levels)))
+    basis = MeasurementBasisVector(amplitudes=ts.amplitudes)
+    tracemalloc.start()
+    try:
+        rho = joint_state(det, ts, tol=1e-9)
+        reduced = reduced_internal(rho)
+        measured = measured_internal(rho, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.level_count * rho.traj_count == 9983
+    assert max(s.members.size for s in rho.shells) > 10
+    assert peak < 100e6
+    assert np.all(np.isfinite(reduced)) and np.all(np.isfinite(measured))
+    assert np.allclose(np.diag(measured).real[1:].sum() + measured[0, 0].real,
+                       np.trace(measured).real, rtol=1e-12)
 
 
 def _two_branch():

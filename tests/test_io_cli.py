@@ -165,6 +165,39 @@ def test_block_density_json_round_trip(tmp_path):
     assert np.array_equal(rho3.excited_block, absolute.excited_block)
 
 
+def test_block_density_json_shell_layout(tmp_path):
+    det = DetectorSpec(frequencies=tuple(float(i) for i in range(1, 7)))
+    amp = 1.0 / math.sqrt(3.0)
+    ts = TrajectorySet(
+        Trajectory(z=z, x_perp=(0.2 * k, 0.0), amplitude=amp * 1j**k)
+        for k, z in enumerate((0.5, 1.0, 1.5))
+    )
+    rho = joint_state(det, ts, tol=1e-12).to_absolute(0.05, 30.0)
+    data = block_density_to_dict(rho, det.frequencies, ts)
+    assert list(data) == [
+        "format", "scale", "levels", "trajectories", "ground_block", "excited_shells"
+    ]
+    assert data["format"] == "joint_state/2"
+    firsts = [shell["members"][0] for shell in data["excited_shells"]]
+    assert firsts == sorted(firsts)
+    path = tmp_path / "state.json"
+    write_json(path, data)
+    back, _, _ = block_density_from_dict(read_json(path))
+    assert back.scale == "absolute" and (back.epsilon, back.T) == (0.05, 30.0)
+    assert len(back.shells) == len(rho.shells)
+    for got, want in zip(back.shells, rho.shells):
+        assert np.array_equal(got.members, want.members)
+        assert np.array_equal(got.block, want.block)  # bit-exact
+
+    dense = {key: data[key] for key in ("scale", "levels", "trajectories", "ground_block")}
+    dense["excited_block"] = matrix_to_pairs(rho.excited_block)
+    with pytest.raises(ValueError, match="^format: missing field"):
+        block_density_from_dict(dense)
+    dense["format"] = "joint_state/2"
+    with pytest.raises(ValueError, match="^excited_shells: missing field"):
+        block_density_from_dict(dense)
+
+
 def test_measured_json_round_trip(tmp_path):
     det, ts = _two_branch_system()
     rho = joint_state(det, ts, tol=1e-9)
@@ -430,6 +463,22 @@ def test_cli_continuum(tmp_path):
         assert v == pytest.approx(expected, rel=1e-8)
 
 
+def test_cli_continuum_accepts_the_table_end_after_round_trip(tmp_path):
+    # omega -> q = omega z_fixed -> q / z_fixed lands one ulp above 60
+    z_fixed = 0.3310655327663832
+    assert (60.0 * z_fixed) / z_fixed > 60.0
+    tree = _continuum_tree()
+    tree["continuum"]["amplitude"].update(
+        x=[-0.5, 0.5], y=[0.0], z=[z_fixed], values=[[1.0, 0.0]] * 2
+    )
+    tree["continuum"].update(z_fixed=z_fixed, omega_grid=[60.0])
+    config = _write_config(tmp_path, tree)
+    out = tmp_path / "out"
+    assert main(["continuum", "--config", config, "--out", str(out)]) == 0
+    rows = (out / "continuum_spectrum.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("60,")
+
+
 # ---------------------------------------------------------------------------
 # CLI: failure paths
 
@@ -508,9 +557,51 @@ def test_cli_legal_edge_systems_succeed(tmp_path, frequencies, heights, command)
     config = _write_config(tmp_path, tree)
     out = tmp_path / "out"
     assert main([command, "--config", config, "--out", str(out)]) == 0
-    name = "joint_state.json" if command == "state" else "measured_internal.json"
-    data = read_json(out / name)
-    assert np.all(np.isfinite(pairs_to_matrix(data["excited_block"])))
+    if command == "state":
+        # the shells partition the composites, so together they hold
+        # every stored entry
+        shells = read_json(out / "joint_state.json")["excited_shells"]
+        members = sorted(i for shell in shells for i in shell["members"])
+        assert members == list(range(len(frequencies) * len(heights)))
+        blocks = [pairs_to_matrix(shell["block"]) for shell in shells]
+    else:
+        blocks = [pairs_to_matrix(read_json(out / "measured_internal.json")["excited_block"])]
+    assert all(np.all(np.isfinite(block)) for block in blocks)
+
+
+@pytest.mark.parametrize("command", ["state", "measure"])
+def test_cli_far_transverse_branch_succeeds(tmp_path, command):
+    # Delta xbar = 1e308: the overlap factor takes its log form instead of
+    # overflowing to NaN
+    tree = _base_tree()
+    tree["trajectories"] = [{"z": 1.0}, {"z": 1.0, "x": 1e308}]
+    config = _write_config(tmp_path, tree)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    if command == "state":
+        rho, _, _ = block_density_from_dict(read_json(out / "joint_state.json"))
+        excited = rho.excited_block
+        assert np.all(np.isfinite(excited))
+        assert excited[0, 1] == 0.0 or abs(excited[0, 1]) < 1e-300
+    else:
+        measured, _ = measured_from_dict(read_json(out / "measured_internal.json"))
+        assert np.all(np.isfinite(measured))
+
+
+@pytest.mark.parametrize("command", ["state", "measure"])
+def test_cli_non_transitive_alignment_chain_is_a_config_error(tmp_path, capsys, command):
+    # q = 1.0, 1.3, 1.6 at tolerance 0.35: the outer pair is the only one
+    # not aligned, and the shell's block is not positive semidefinite
+    tree = _base_tree(q_tolerance=0.35)
+    tree["detector"]["frequencies"] = [1.0]
+    tree["trajectories"] = [{"z": 1.0}, {"z": 1.3}, {"z": 1.6}]
+    config = _write_config(tmp_path, tree)
+    code = main([command, "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: interaction.q_tolerance:")
+    assert "boost-energy shell q = 1 to 1.6" in err
+    assert "not positive semidefinite" in err
 
 
 @pytest.mark.parametrize("z", [1e200, 1e-200])

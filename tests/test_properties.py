@@ -5,7 +5,8 @@ q = omega z up to 200, so that branches share heights and many pairs
 align; each height is then jittered by a relative amount that keeps
 every aligned pair within a quarter of the tolerance on each side.  The
 expected reduced populations are assembled in mpmath from the Planck
-mixture, independently of the package.
+mixture, and the expected excited block entry by entry in plain floats
+(``oracles.joint_state_dense``), independently of the package.
 """
 
 import math
@@ -14,8 +15,15 @@ import mpmath as mp
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import joint_state_dense
 
-from superthermal.detector import DetectorSpec, joint_state, reduced_internal
+from superthermal.detector import (
+    DetectorSpec,
+    MeasurementBasisVector,
+    joint_state,
+    measured_internal,
+    reduced_internal,
+)
 from superthermal.geometry import Trajectory, TrajectorySet
 
 _HEIGHT_STEPS = (0.5, 1.0, 1.5, 2.0)
@@ -94,3 +102,37 @@ def test_joint_state_is_physical_and_reduces_to_planck_mixture(system):
     reduced = reduced_internal(rho)
     for got, want in zip(reduced, _planck_mixture(det, trajectories)):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
+
+    # The shells are the runs of the sorted products omega_j z_m between
+    # gaps wider than tol, and the brute-force block is zero across them.
+    q = np.multiply.outer(det.frequencies, trajectories.heights).ravel()
+    order = np.argsort(q, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(q[order]) > tol) + 1)
+    assert sorted(tuple(np.sort(r)) for r in runs) == [tuple(s.members) for s in rho.shells]
+    label = np.empty(q.size, dtype=int)
+    for k, shell in enumerate(rho.shells):
+        label[shell.members] = k
+    across = label[:, None] != label[None, :]
+    brute = np.array(
+        joint_state_dense(
+            det.frequencies,
+            det.couplings,
+            [(t.z, *t.x_perp, t.amplitude) for t in trajectories],
+            tol,
+        ),
+        dtype=complex,
+    )
+    excited = rho.excited_block
+    assert np.all(brute[across] == 0.0) and np.all(excited[across] == 0.0)
+    scale = np.max(np.abs(brute))
+    assert np.max(np.abs(excited - brute)) <= 1e-15 * scale
+
+    # Both reductions agree with the dense contractions of the brute block.
+    n_lvl, n_br = det.level_count, len(trajectories)
+    blocks = brute.reshape(n_lvl, n_br, n_lvl, n_br)
+    assert np.allclose(reduced, np.einsum("inin->i", blocks).real, rtol=0, atol=1e-15 * scale)
+    basis = MeasurementBasisVector(amplitudes=trajectories.amplitudes[::-1])
+    b = basis.vector
+    measured = measured_internal(rho, basis)[1:, 1:]
+    want = np.einsum("m,jmin,n->ji", b.conj(), blocks, b)
+    assert np.max(np.abs(measured - want)) <= 1e-15 * scale

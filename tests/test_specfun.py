@@ -11,6 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import lam
 
 from superthermal.specfun import (
     bessel_j0,
@@ -95,6 +96,35 @@ def test_lambda_reference_values():
     for q, dxi, dxbar, want in LAMBDA_REFERENCE:
         got = lambda_overlap(q, dxi, dxbar)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (q, dxi, dxbar)
+
+
+def _lambda_envelope(q, dxi, dxbar):
+    """Amplitude of the oscillation in Lambda: |sinc(q alpha)| <= min(1, 1/(q alpha))."""
+    with mp.workdps(40):
+        dxi, dxbar = mp.mpf(dxi), mp.mpf(dxbar)
+        alpha = mp.acosh(1 + 2 * mp.sinh(dxi / 2) ** 2 + dxbar**2 / (2 * mp.cosh(dxi)))
+        sinc_bound = 1 if q * alpha <= 1 else 1 / (q * alpha)
+        return sinc_bound * alpha / (mp.sinh(alpha) * mp.sqrt(mp.cosh(dxi)))
+
+
+@pytest.mark.parametrize("dxbar", [1e77, 1e150, 1e300])
+def test_lambda_finite_at_huge_transverse_separation(dxbar):
+    # u - 1 ~ dxbar^2 / 2 makes d (d + 2) overflow from dxbar ~ 1.6e77;
+    # the log form of alpha takes over above u - 1 = 1e150.  The phase
+    # q alpha reaches ~7000 here, and its rounding alone (~1e-13) rules out
+    # a relative bound near zeros of sin(q alpha), so errors are measured
+    # against the oscillation's amplitude.
+    for q in (0.0, 1.0, 10.0):
+        for dxi in (-2.0, -0.7, 0.0, 0.3, 2.0):
+            got = lambda_overlap(q, dxi, dxbar)
+            want = lam(q, dxi, dxbar)
+            assert math.isfinite(got)
+            bound = 1e-12 * _lambda_envelope(q, dxi, dxbar) + mp.mpf(1e-300)
+            assert abs(mp.mpf(got) - want) <= bound, (q, dxi)
+    grid = lambda_overlap(np.array([0.0, 1.0, 10.0]), 0.5, np.array([1.0, dxbar, 1.0]))
+    assert grid[0] == lambda_overlap(0.0, 0.5, 1.0)
+    assert grid[2] == lambda_overlap(10.0, 0.5, 1.0)
+    assert np.all(np.isfinite(grid))
 
 
 def test_lambda_normalization_and_bound():
