@@ -15,8 +15,9 @@ Subcommands
     requested ``q`` plus the two on-axis CSVs.
 ``oracle-validate``
     Cross-check closed forms against the independent quadrature oracles
-    and write ``convergence.csv``, ``lambda_oracle_diff.csv`` and
-    ``a_sweep.csv``.
+    and write ``convergence.csv``, ``lambda_oracle_diff.csv``,
+    ``a_sweep.csv`` and ``oracle_refinement.csv`` (the change each oracle
+    call's grid refinement made, against its target).
 ``paper-example``
     Run the built-in three-trajectory demonstration, write its 12x12
     negative-log table and a comparison report against the embedded
@@ -76,7 +77,14 @@ from .io import (
     write_json,
     write_neglog_csv,
 )
-from .overlaps import QuadratureError, convergence_report, oracle_lambda_quadrature, oracle_overlap_finite_t
+from .overlaps import (
+    _FINITE_T_TARGET,
+    _LAMBDA_TARGET,
+    QuadratureError,
+    _lambda_quadrature,
+    _overlap_finite_t,
+    convergence_report,
+)
 from .specfun import lambda_axis_xbar, lambda_axis_xi, lambda_overlap
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "build_run_config", "main"]
@@ -417,11 +425,20 @@ def cmd_oracle_validate(out_dir: Path, rindler_a: float, T_list: Sequence[float]
         ("T", "M", "oracle", "asymptotic", "rel_error"),
         [(r.T, r.M, r.oracle, r.asymptotic, r.rel_error) for r in report.rows],
     )
+    # One row per oracle call: q, dxi, dxbar, then T and a (finite-duration
+    # calls only; their pair is omega = 1 on one branch at z = 1).
+    same_branch = (1.0, 0.0, "0")
+    refinement = [
+        ("finite_t", *same_branch, r.T, rindler_a, r.change, _FINITE_T_TARGET * r.T)
+        for r in report.rows
+    ]
 
     rows = []
+    dxbar_cell = " ".join(csv_float(dxb) for dxb in _ORACLE_DIFF_DXBAR)
     for q in _DEFAULT_Q_LIST:
         for dxi in _ORACLE_DIFF_DXI:
-            quad = oracle_lambda_quadrature(q, dxi, np.array(_ORACLE_DIFF_DXBAR))
+            quad, change = _lambda_quadrature(q, dxi, _ORACLE_DIFF_DXBAR)
+            refinement.append(("lambda_quadrature", q, dxi, dxbar_cell, "", "", change, _LAMBDA_TARGET))
             for dxb, quad_value in zip(_ORACLE_DIFF_DXBAR, quad):
                 closed = float(lambda_overlap(q, dxi, dxb))
                 rows.append((q, dxi, dxb, closed, quad_value, quad_value - closed))
@@ -435,9 +452,15 @@ def cmd_oracle_validate(out_dir: Path, rindler_a: float, T_list: Sequence[float]
     T_ref = float(T_list[-1])
     sweep_rows = []
     for a in _A_SWEEP_VALUES:
-        value = oracle_overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a=a)
-        sweep_rows.append((a, T_ref, value.real))
+        value, change = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
+        refinement.append(("finite_t", *same_branch, T_ref, a, change, _FINITE_T_TARGET * T_ref))
+        sweep_rows.append((a, T_ref, value))
     write_csv(out / "a_sweep.csv", ("a", "T", "oracle"), sweep_rows)
+    write_csv(
+        out / "oracle_refinement.csv",
+        ("oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"),
+        refinement,
+    )
     return 0
 
 

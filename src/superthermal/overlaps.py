@@ -251,7 +251,7 @@ def _lambda_quadrature_once(
     )
     nu = np.array([q])
     k_plus = _k_imag_outer(nu, kbar * s_plus, refine)[0]
-    k_minus = _k_imag_outer(nu, kbar * s_minus, refine)[0]
+    k_minus = k_plus if s_minus == s_plus else _k_imag_outer(nu, kbar * s_minus, refine)[0]
     core = weights * kbar * k_plus * k_minus
     integrals = bessel_j0(np.outer(dxbar, kbar)) @ core
     if q == 0.0:
@@ -259,6 +259,34 @@ def _lambda_quadrature_once(
     else:
         prefactor = 2.0 * math.sinh(math.pi * q) / (math.pi * q)
     return prefactor * math.sqrt(math.cosh(dxi)) * integrals
+
+
+#: Absolute refinement target of :func:`oracle_lambda_quadrature`.
+_LAMBDA_TARGET = 1e-8
+
+#: Absolute refinement target of :func:`oracle_overlap_finite_t`, per unit T.
+_FINITE_T_TARGET = 1e-10
+
+
+def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float]:
+    """:func:`oracle_lambda_quadrature` on an array of ``dxbar``, with the
+    largest change the grid refinement made."""
+    if not (q >= 0.0 and math.isfinite(q)):
+        raise ValueError(f"oracle_lambda_quadrature requires q >= 0, got {q}")
+    if math.pi * q > 700.0:
+        raise ValueError("q too large for the quadrature representation")
+    dxbar_arr = np.atleast_1d(np.asarray(dxbar, dtype=float))
+    if not np.all(dxbar_arr >= 0.0):
+        raise ValueError("oracle_lambda_quadrature requires dxbar >= 0")
+    base = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0)
+    fine = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5)
+    change = float(np.max(np.abs(fine - base)))
+    if change > _LAMBDA_TARGET:
+        raise QuadratureError(
+            f"lambda quadrature did not converge at q={q}, dxi={dxi}: "
+            f"grid refinement moved the result by {change:.3e} (target {_LAMBDA_TARGET:.0e})"
+        )
+    return fine, change
 
 
 def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
@@ -280,25 +308,10 @@ def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
     Target absolute accuracy 1e-8, enforced by comparing against a
     refined grid; disagreement raises :class:`QuadratureError`.
     """
-    if not (q >= 0.0 and math.isfinite(q)):
-        raise ValueError(f"oracle_lambda_quadrature requires q >= 0, got {q}")
-    if math.pi * q > 700.0:
-        raise ValueError("q too large for the quadrature representation")
-    dxbar_arr = np.atleast_1d(np.asarray(dxbar, dtype=float))
-    if not np.all(dxbar_arr >= 0.0):
-        raise ValueError("oracle_lambda_quadrature requires dxbar >= 0")
-    base = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0)
-    fine = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5)
-    worst = float(np.max(np.abs(fine - base)))
-    if worst > 1e-8:
-        raise QuadratureError(
-            f"lambda quadrature did not converge at q={q}, dxi={dxi}: "
-            f"grid refinement moved the result by {worst:.3e} (target 1e-8)"
-        )
-    out = fine
+    values, _ = _lambda_quadrature(q, dxi, dxbar)
     if np.ndim(dxbar) == 0:
-        return float(out[0])
-    return out
+        return float(values[0])
+    return values
 
 
 def _finite_t_once(
@@ -345,11 +358,37 @@ def _finite_t_once(
         refine=refine,
     )
     k_m = _k_imag_outer(nu, k_nodes * zm, refine)
-    k_n = _k_imag_outer(nu, k_nodes * zn, refine)
+    k_n = k_m if zn == zm else _k_imag_outer(nu, k_nodes * zn, refine)
     inner = np.einsum("s,sk,sk->k", inner_weight, k_m, k_n)
     integral = float(np.dot(k_weights * k_nodes * bessel_j0(k_nodes * dxperp), inner))
     prefactor = T * T * math.exp(-par.suppression) / (math.sqrt(2.0 * math.pi**5) * a)
     return prefactor * integral
+
+
+def _overlap_finite_t(
+    omega_i: float,
+    traj_n: Trajectory,
+    omega_j: float,
+    traj_m: Trajectory,
+    T: float,
+    a: float,
+) -> tuple[float, float]:
+    """:func:`oracle_overlap_finite_t` with the change the grid refinement
+    made (0 for a suppressed pair)."""
+    if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0 and a > 0.0):
+        raise ValueError("oracle_overlap_finite_t requires positive arguments")
+    par = _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
+    if par.suppression > 800.0:
+        return 0.0, 0.0
+    base = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0)
+    fine = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5)
+    change = abs(fine - base)
+    if change > _FINITE_T_TARGET * T:
+        raise QuadratureError(
+            "finite-duration overlap quadrature did not converge: refinement "
+            f"moved the result by {change:.3e} (target {_FINITE_T_TARGET * T:.1e})"
+        )
+    return fine, change
 
 
 def oracle_overlap_finite_t(
@@ -386,30 +425,20 @@ def oracle_overlap_finite_t(
     partial value.  Strongly suppressed pairs (:math:`C > 800`, value
     below the double-precision underflow scale) return exactly 0.
     """
-    if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0 and a > 0.0):
-        raise ValueError("oracle_overlap_finite_t requires positive arguments")
-    par = _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
-    if par.suppression > 800.0:
-        return 0.0
-    base = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0)
-    fine = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5)
-    if abs(fine - base) > 1e-10 * T:
-        raise QuadratureError(
-            "finite-duration overlap quadrature did not converge: refinement "
-            f"moved the result by {abs(fine - base):.3e} (target {1e-10 * T:.1e})"
-        )
-    return fine
+    return _overlap_finite_t(omega_i, traj_n, omega_j, traj_m, T, a)[0]
 
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One duration sample of the oracle-vs-asymptotic comparison."""
+    """One duration sample of the oracle-vs-asymptotic comparison;
+    ``change`` is the oracle's achieved refinement change."""
 
     T: float
     M: float
     oracle: float
     asymptotic: float
     rel_error: float
+    change: float
 
 
 @dataclass(frozen=True)
@@ -453,7 +482,7 @@ def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceR
                 "switching transients dominate and the asymptotic comparison "
                 "is unreliable"
             )
-        oracle = oracle_overlap_finite_t(omega, traj, omega, traj, T, a)
+        oracle, change = _overlap_finite_t(omega, traj, omega, traj, T, a)
         asymptotic = diag_overlap(omega, z, T)
         rows.append(
             ConvergenceRow(
@@ -462,6 +491,7 @@ def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceR
                 oracle=oracle,
                 asymptotic=asymptotic,
                 rel_error=abs(oracle - asymptotic) / asymptotic,
+                change=change,
             )
         )
     slope = math.nan

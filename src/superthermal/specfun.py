@@ -26,9 +26,15 @@ evaluated from its integral representation
 .. math::
     K_{i\nu}(x) = \int_0^\infty e^{-x\cosh t}\cos(\nu t)\,dt
 
-by composite Gauss--Legendre quadrature with panel widths chosen to
-resolve both the oscillation scale :math:`1/\nu` and the decay of the
-exponential envelope.
+by composite 16-point Gauss--Legendre quadrature on panels of one fixed
+width, which resolves both the oscillation scale :math:`1/\nu` and the
+decay of the exponential envelope.  A batch of arguments shares one
+t-grid, sized for its smallest argument; the sorted arguments are taken
+in bands that grow by at most a factor 4, and each band integrates only
+the panels its smallest argument needs before the envelope drops below
+:math:`e^{-x-43}`.  With few orders each argument's integrand is summed
+over t by numpy's pairwise reduction; many orders share one matmul per
+band.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ _KTAIL_DECAY = 43.0
 #: scale pi/(4(nu+1)) is smaller.
 _KPANEL_MAX = 0.12
 
-#: Largest x-batch evaluated against one shared t-grid.
+#: Most arguments in one band of ``_k_imag_outer``.
 _KCHUNK = 2048
 
 
@@ -94,39 +100,47 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _k_imag_panels(nu_max: float, t_max: float, refine: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss--Legendre nodes and weights on [0, t_max]."""
-    width = min(_KPANEL_MAX, math.pi / (4.0 * (nu_max + 1.0))) / refine
-    n_panels = max(1, int(math.ceil(t_max / width)))
-    return _panel_nodes(np.linspace(0.0, t_max, n_panels + 1))
-
-
 def _k_imag_outer(nu: np.ndarray, x: np.ndarray, refine: float = 1.0) -> np.ndarray:
     """``K_imag`` on the grid ``nu[:, None] x [None, :]``; ``x`` sorted ascending.
 
+    One t-grid serves the whole call: panels of the fixed width
+    ``min(_KPANEL_MAX, pi/(4(nu_max + 1)))/refine`` from t = 0, as many as
+    ``x[0]`` needs, with ``cosh t`` and the weighted ``cos(nu t)`` formed
+    once.  The sorted ``x`` are walked in bands ``[x_min, 4 x_min]`` of at
+    most ``_KCHUNK`` points; a band integrates only the prefix of panels
+    covering ``acosh(1 + _KTAIL_DECAY/x_min)``, beyond which the envelope
+    is below ``exp(-x - _KTAIL_DECAY)`` for every x of the band.
+
     For large :math:`\\nu` the oscillatory integrand cancels down to a result
     of order :math:`e^{-\\pi\\nu/2}`, so the reduction over t must not lose
-    absolute accuracy: with few orders the sum is taken with numpy's pairwise
-    reduction (error growth ~ log of the node count) instead of a BLAS matmul
-    whose blocked accumulation order is not guaranteed.
+    absolute accuracy: with few orders each row of the (x, t) envelope is
+    summed along its contiguous t axis by numpy's pairwise reduction (error
+    growth ~ log of the node count); many orders go through one BLAS matmul
+    per band.
     """
     out = np.empty((nu.size, x.size))
     nu_max = float(nu.max()) if nu.size else 0.0
-    for start in range(0, x.size, _KCHUNK):
-        chunk = x[start : start + _KCHUNK]
-        # The envelope exp(-x cosh t) is below exp(-x_min - _KTAIL_DECAY)
-        # beyond t_max, uniformly over the chunk.
-        t_max = math.acosh(1.0 + _KTAIL_DECAY / float(chunk[0]))
-        t, w = _k_imag_panels(nu_max, t_max, refine)
-        with np.errstate(over="ignore", under="ignore"):
-            env = np.exp(-np.outer(np.cosh(t), chunk))
+    width = min(_KPANEL_MAX, math.pi / (4.0 * (nu_max + 1.0))) / refine
+
+    def n_panels(x_min: float) -> int:
+        return max(1, math.ceil(math.acosh(1.0 + _KTAIL_DECAY / x_min) / width))
+
+    t, w = _panel_nodes(width * np.arange(n_panels(float(x[0])) + 1))
+    cosh_t = np.cosh(t)
+    coeff = w * np.cos(np.outer(nu, t))
+    start = 0
+    while start < x.size:
+        x_min = float(x[start])
+        stop = min(start + _KCHUNK, int(np.searchsorted(x, 4.0 * x_min, side="right")))
+        n = _GL_NODES.size * n_panels(x_min)
+        with np.errstate(under="ignore"):
+            env = np.exp(-np.outer(x[start:stop], cosh_t[:n]))
         if nu.size <= 4:
             for i in range(nu.size):
-                coeff = w * np.cos(nu[i] * t)
-                out[i, start : start + _KCHUNK] = np.sum(coeff[:, None] * env, axis=0)
+                out[i, start:stop] = np.sum(env * coeff[i, :n], axis=1)
         else:
-            cos_mat = np.cos(np.outer(nu, t)) * w[None, :]
-            out[:, start : start + _KCHUNK] = cos_mat @ env
+            out[:, start:stop] = (env @ coeff[:, :n].T).T
+        start = stop
     return out
 
 
@@ -159,7 +173,7 @@ def bessel_k_imag(nu, x):
     nu_flat = nu_b.ravel()
     x_flat = x_b.ravel()
     out = np.empty(x_flat.size)
-    # Group by order so each group shares one t-grid and one matmul.
+    # Group by order so each group shares one t-grid.
     uniq, inverse = np.unique(nu_flat, return_inverse=True)
     for k, nu_val in enumerate(uniq):
         sel = np.nonzero(inverse == k)[0]
@@ -263,22 +277,25 @@ def lambda_overlap(q, dxi, dxbar):
     dxi : array_like
         Longitudinal separation :math:`\log(z_m/z_n)`; any real value.
     dxbar : array_like
-        Nonnegative scaled transverse separation.
+        Nonnegative scaled transverse separation; ``+inf`` (branches
+        infinitely far apart) gives exactly 0, the limit.
     """
     q_arr = _as_float_array(q, "q")
     dxi_arr = _as_float_array(dxi, "dxi")
-    dxbar_arr = _as_float_array(dxbar, "dxbar")
+    dxbar_arr = np.asarray(dxbar, dtype=float)
     if not np.all(q_arr >= 0.0):
         raise ValueError("lambda_overlap requires q >= 0")
-    if not np.all(dxbar_arr >= 0.0):
+    if not np.all(dxbar_arr >= 0.0):  # NaN fails this too
         raise ValueError("lambda_overlap requires dxbar >= 0")
+    far = dxbar_arr == np.inf
     alpha = _alpha_from_geometry(dxi_arr, dxbar_arr)
-    out = (
-        np.sinc(q_arr * alpha / np.pi)
-        * _x_over_sinh(alpha)
-        / np.sqrt(np.cosh(dxi_arr))
-    )
-    return _scalar_or_array(out, q, dxi, dxbar)
+    with np.errstate(invalid="ignore"):
+        out = (
+            np.sinc(q_arr * alpha / np.pi)
+            * _x_over_sinh(alpha)
+            / np.sqrt(np.cosh(dxi_arr))
+        )
+    return _scalar_or_array(np.where(far, 0.0, out), q, dxi, dxbar)
 
 
 def lambda_axis_xi(q, dxi):

@@ -388,6 +388,21 @@ def test_cli_oracle_validate(tmp_path):
     assert len(diffs) == 4 * 3 * 3
     assert max(diffs) < 1e-6
 
+    # one row per oracle call: two durations, 4 q x 3 dxi, three a values
+    refinement = [line.split(",") for line in (out / "oracle_refinement.csv").read_text().splitlines()]
+    assert refinement[0] == ["oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"]
+    calls = refinement[1:]
+    assert [row[0] for row in calls] == ["finite_t"] * 2 + ["lambda_quadrature"] * 12 + ["finite_t"] * 3
+    assert [row[4] for row in calls[:2]] == ["5", "10"]
+    assert {row[3] for row in calls[2:14]} == {"0 1 2.5"}
+    assert [row[5] for row in calls[14:]] == ["0.5", "1", "2"]
+    for row in calls:
+        change, target = float(row[6]), float(row[7])
+        assert 0.0 <= change <= target
+        assert target == (1e-8 if row[0] == "lambda_quadrature" else 1e-10 * float(row[4]))
+    # at q = 10 the refined grid moves the result well above rounding
+    assert all(float(row[6]) > 1e-14 for row in calls if row[1] == "10")
+
 
 def test_cli_paper_example(tmp_path, capsys):
     out = tmp_path / "out"
@@ -586,6 +601,26 @@ def test_cli_far_transverse_branch_succeeds(tmp_path, command):
     else:
         measured, _ = measured_from_dict(read_json(out / "measured_internal.json"))
         assert np.all(np.isfinite(measured))
+
+
+def test_cli_infinite_transverse_separation_gives_zero_coherence(tmp_path):
+    # x = -1e308 and 1e308 are 2e308 apart: Delta xbar overflows to inf,
+    # where Lambda takes its limit 0
+    tree = _base_tree()
+    tree["detector"]["frequencies"] = [1.0]
+    tree["trajectories"] = [{"z": 1.0, "x": -1e308}, {"z": 1.0, "x": 1e308}]
+    config = _write_config(tmp_path, tree)
+    assert main(["state", "--config", config, "--out", str(tmp_path / "state")]) == 0
+    (shell,) = read_json(tmp_path / "state" / "joint_state.json")["excited_shells"]
+    excited = pairs_to_matrix(shell["block"])
+    assert excited[0, 1] == 0.0 and excited[1, 0] == 0.0
+    assert excited[0, 0] == excited[1, 1] > 0.0
+
+    assert main(["measure", "--config", config, "--out", str(tmp_path / "measure")]) == 0
+    measured, _ = measured_from_dict(read_json(tmp_path / "measure" / "measured_internal.json"))
+    # equal-weight measurement of two incoherent branches: the mean of the
+    # diagonal weights, with no interference term
+    assert measured[1, 1] == pytest.approx(0.5 * (excited[0, 0] + excited[1, 1]), rel=1e-14)
 
 
 @pytest.mark.parametrize("command", ["state", "measure"])

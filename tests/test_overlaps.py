@@ -151,6 +151,15 @@ def test_lambda_quadrature_vector_and_q_zero():
         oracle_lambda_quadrature(250.0, 0.0, 0.0)  # sinh(pi q) overflows
 
 
+def test_lambda_quadrature_even_in_dxi():
+    # dxi -> -dxi swaps the two Bessel arguments s_+ and s_-
+    dxbar = np.array([0.0, 1.0, 2.5])
+    for q in (0.0, 2.0, 10.0):
+        plus = oracle_lambda_quadrature(q, 1.5, dxbar)
+        minus = oracle_lambda_quadrature(q, -1.5, dxbar)
+        assert np.max(np.abs(plus - minus)) <= 1e-12, q
+
+
 def test_finite_t_oracle_approaches_diag_with_1_over_M():
     T = 50.0
     traj = Trajectory(z=1.0)
@@ -212,6 +221,7 @@ def test_convergence_report_structure():
         assert row.rel_error == pytest.approx(
             abs(row.oracle - row.asymptotic) / row.asymptotic, rel=1e-12
         )
+        assert 0.0 <= row.change <= 1e-10 * row.T
     assert report.rows[1].rel_error < report.rows[0].rel_error
     assert report.slope == pytest.approx(-1.0, abs=0.3)
     assert not report.warnings

@@ -14,6 +14,7 @@ import pytest
 from oracles import lam
 
 from superthermal.specfun import (
+    _k_imag_outer,
     bessel_j0,
     bessel_k_imag,
     conical_p,
@@ -71,6 +72,29 @@ def test_bessel_k_imag_positive_order_zero_matches_scipy():
     assert np.allclose(got, kv(0, xs), rtol=1e-12, atol=0)
 
 
+# K_imag arguments: log-spaced over the small-x band structure and the
+# decaying range, 40 points per order
+K_IMAG_XS = np.concatenate([np.geomspace(1e-7, 0.1, 20), np.geomspace(0.1, 60.0, 21)[1:]])
+
+
+@pytest.mark.parametrize("nu", [0.0, 2.0, 10.0, 20.0, 40.0])
+def test_k_imag_outer_matches_mpmath(nu):
+    got = _k_imag_outer(np.array([nu]), K_IMAG_XS)[0]
+    with mp.workdps(30):
+        want = np.array([float(mp.re(mp.besselk(1j * nu, x))) for x in K_IMAG_XS])
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("nu", [0.0, 2.0, 10.0, 20.0, 40.0])
+def test_k_imag_outer_band_invariance(nu):
+    # A batched x shares its band's t-grid, which reaches further out than
+    # x alone needs; the extra panels lie below the tail bound, so only
+    # rounding may differ (one ulp of K_0 near x = 1e-7 is 3.6e-15).
+    batched = _k_imag_outer(np.array([nu]), K_IMAG_XS)[0]
+    alone = np.array([_k_imag_outer(np.array([nu]), np.array([x]))[0, 0] for x in K_IMAG_XS])
+    assert np.all(np.abs(alone - batched) <= 1e-15 * np.maximum(1.0, np.abs(batched)))
+
+
 def test_bessel_j0_matches_scipy():
     from scipy.special import j0
 
@@ -125,6 +149,20 @@ def test_lambda_finite_at_huge_transverse_separation(dxbar):
     assert grid[0] == lambda_overlap(0.0, 0.5, 1.0)
     assert grid[2] == lambda_overlap(10.0, 0.5, 1.0)
     assert np.all(np.isfinite(grid))
+
+
+def test_lambda_is_zero_at_infinite_transverse_separation():
+    # the limit of the log form: alpha -> inf, so Lambda -> 0
+    for q in (0.0, 1.0, 10.0):
+        for dxi in (-2.0, 0.0, 0.3):
+            assert lambda_overlap(q, dxi, math.inf) == 0.0
+    finite = np.array([0.0, 1.0, 1e300])
+    mixed = lambda_overlap(2.0, 0.5, np.array([0.0, 1.0, math.inf, 1e300]))
+    assert mixed[2] == 0.0
+    assert np.array_equal(mixed[[0, 1, 3]], lambda_overlap(2.0, 0.5, finite))
+    for bad in (math.nan, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="dxbar"):
+            lambda_overlap(1.0, 0.0, bad)
 
 
 def test_lambda_normalization_and_bound():
