@@ -66,9 +66,10 @@ from .detector import (
     paper_example,
     reduced_internal,
 )
-from .geometry import Trajectory, TrajectorySet
+from .geometry import Trajectory, TrajectorySet, validate_regime
 from .io import (
     _as_complex,
+    _scale_field,
     block_density_to_dict,
     csv_float,
     measured_to_dict,
@@ -111,7 +112,7 @@ class RunConfig:
     T: float
     q_tolerance: float
     measurement: MeasurementBasisVector | None
-    absolute_scale: bool
+    scale: str
 
 
 def load_config(path: str | Path | None) -> dict[str, Any]:
@@ -175,8 +176,8 @@ def _field(
 
 def _positive(value: Any) -> float:
     value = float(value)
-    if not value > 0.0:
-        raise ValueError(f"must be positive, got {value}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -237,9 +238,10 @@ def build_run_config(
     """Resolve the config tree plus flag overrides into a :class:`RunConfig`.
 
     Defaults: ``T`` falls back to the compromise interaction time
-    ``1/(epsilon*omega_1)`` (long enough for sharp frequency support,
-    short enough for the perturbative bound) and ``q_tolerance`` to
-    ``epsilon``.
+    ``t_recommended`` of :func:`~superthermal.geometry.validate_regime`
+    (long enough for sharp frequency support, short enough for the
+    perturbative bound; ``OverflowError`` where it overflows) and
+    ``q_tolerance`` to ``epsilon``.
     """
     detector = _parse_detector(raw)
     if "trajectories" not in raw:
@@ -256,9 +258,13 @@ def build_run_config(
             "interaction.epsilon: missing required field (or pass --epsilon)"
         )
     eps = _field(interaction, "interaction", "epsilon", _unit_interval)
-    T_value = _field(
-        interaction, "interaction", "T", _positive, 1.0 / (eps * detector.frequencies[0])
-    )
+    T_value = _field(interaction, "interaction", "T", _positive, None)
+    if T_value is None:
+        T_value = validate_regime(detector, trajectories, eps).t_recommended
+        if math.isinf(T_value):
+            raise OverflowError(
+                f"interaction.T: the default 1/(epsilon*omega_1) overflows at epsilon = {eps:g}"
+            )
     tol = _field(interaction, "interaction", "q_tolerance", _positive, eps)
 
     measurement = None
@@ -279,7 +285,6 @@ def build_run_config(
         # The measured branch defaults to the preparation amplitudes.
         measurement = MeasurementBasisVector(amplitudes=trajectories.amplitudes)
 
-    scale = _field(_section(raw, "output"), "output", "scale", _scale_name, "per_eps2T")
     return RunConfig(
         detector=detector,
         trajectories=trajectories,
@@ -287,7 +292,7 @@ def build_run_config(
         T=T_value,
         q_tolerance=tol,
         measurement=measurement,
-        absolute_scale=scale == "absolute",
+        scale=_field(_section(raw, "output"), "output", "scale", _scale_name, "per_eps2T"),
     )
 
 
@@ -302,21 +307,20 @@ def _ensure_out_dir(path: Path) -> Path:
 
 
 def _joint_state(cfg: RunConfig):
-    """The configured joint state.  A shell whose pairwise alignments are
-    not transitive at the configured tolerance is a configuration error."""
+    """The configured joint state and its regime report, whose warnings the
+    commands print last, so that a failed run prints only its error.  A shell
+    whose pairwise alignments are not transitive is a configuration error."""
     try:
-        return joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
+        rho = joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
     except NonPSDShellError as exc:
         raise ConfigError(f"interaction.q_tolerance: {exc}") from exc
+    return rho, validate_regime(cfg.detector, cfg.trajectories, cfg.epsilon, cfg.T, rho.max_entry)
 
 
 def cmd_state(cfg: RunConfig, out_dir: Path) -> int:
     """Emit the joint matrix and its internal reduction."""
-    rho = _joint_state(cfg)
-    _emit_warnings(rho.warnings)
-    emitted = rho.to_absolute(cfg.epsilon, cfg.T) if cfg.absolute_scale else rho
-    if cfg.absolute_scale:
-        _emit_warnings(emitted.warnings[len(rho.warnings):])
+    rho, report = _joint_state(cfg)
+    emitted = rho.to_absolute(cfg.epsilon, cfg.T) if cfg.scale == "absolute" else rho
     out = _ensure_out_dir(out_dir)
     write_json(
         out / "joint_state.json",
@@ -326,27 +330,26 @@ def cmd_state(cfg: RunConfig, out_dir: Path) -> int:
     write_json(
         out / "reduced_internal.json",
         {
-            "scale": "per_eps2T" if not cfg.absolute_scale else {
-                "absolute": {"epsilon": cfg.epsilon, "T": cfg.T}
-            },
+            "scale": _scale_field(emitted.scale, emitted.epsilon, emitted.T),
             "levels": [float(w) for w in cfg.detector.frequencies],
             "values": [float(v) for v in reduced],
         },
     )
+    _emit_warnings(report.violations)
     return 0
 
 
 def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
     """Emit the post-measurement internal matrix and its neglog table."""
-    rho = _joint_state(cfg)
-    _emit_warnings(rho.warnings)
+    rho, report = _joint_state(cfg)
     measured = measured_internal(rho, cfg.measurement)
-    out = _ensure_out_dir(out_dir)
-    scale: Any = "per_eps2T"
     emitted = measured
-    if cfg.absolute_scale:
-        emitted = measured * (cfg.epsilon**2 * cfg.T)
-        scale = {"absolute": {"epsilon": cfg.epsilon, "T": cfg.T}}
+    if cfg.scale == "absolute":
+        factor = cfg.epsilon**2 * cfg.T
+        if not math.isfinite(factor * float(np.max(np.abs(measured)))):
+            raise OverflowError(f"epsilon^2 T x measured entry overflows at T = {cfg.T:g}")
+        emitted = measured * factor
+    out = _ensure_out_dir(out_dir)
     write_json(
         out / "measured_internal.json",
         measured_to_dict(
@@ -354,7 +357,7 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
             cfg.detector.frequencies,
             cfg.trajectories,
             cfg.measurement.amplitudes,
-            scale=scale,
+            scale=_scale_field(cfg.scale, cfg.epsilon, cfg.T),
         ),
     )
     # The negative-log display is always per unit eps^2 T, the convention
@@ -363,6 +366,7 @@ def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
         out / "neglog_matrix.csv",
         neglog_matrix(measured, cfg.detector.level_count),
     )
+    _emit_warnings(report.violations)
     return 0
 
 
@@ -610,14 +614,17 @@ def cmd_continuum(raw: Mapping[str, Any], out_dir: Path) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--tol", metavar="X", type=float, help="frequency-alignment tolerance")
-    common.add_argument("--epsilon", metavar="X", type=float, help="coupling strength in (0,1)")
-    common.add_argument("--T", metavar="X", type=float, help="interaction window width")
-    common.add_argument("--q", metavar="LIST", help="comma-separated q values")
-    common.add_argument("--grid", metavar="N", type=int, help="grid steps per axis")
+    # Each subcommand takes only the flags it reads.
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", metavar="PATH", help="JSON configuration file")
+    base.add_argument("--out", metavar="DIR", help="output directory")
+    pipeline = argparse.ArgumentParser(add_help=False, parents=[base])
+    pipeline.add_argument("--tol", metavar="X", type=float, help="frequency-alignment tolerance")
+    pipeline.add_argument("--epsilon", metavar="X", type=float, help="coupling strength in (0,1)")
+    pipeline.add_argument("--T", metavar="X", type=float, help="interaction window width")
+    grid = argparse.ArgumentParser(add_help=False, parents=[base])
+    grid.add_argument("--q", metavar="LIST", help="comma-separated q values")
+    grid.add_argument("--grid", metavar="N", type=int, help="grid steps per axis")
 
     parser = argparse.ArgumentParser(
         prog="superthermal",
@@ -627,12 +634,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("state", parents=[common], help="emit the joint matrix and its reduction")
-    sub.add_parser("measure", parents=[common], help="emit the post-measurement matrix")
-    sub.add_parser("lambda-grid", parents=[common], help="tabulate the overlap factor")
-    sub.add_parser("oracle-validate", parents=[common], help="run quadrature cross-checks")
-    sub.add_parser("paper-example", parents=[common], help="run the three-trajectory demonstration")
-    sub.add_parser("continuum", parents=[common], help="emit continuum kernel slices")
+    sub.add_parser("state", parents=[pipeline], help="emit the joint matrix and its reduction")
+    sub.add_parser("measure", parents=[pipeline], help="emit the post-measurement matrix")
+    sub.add_parser("lambda-grid", parents=[grid], help="tabulate the overlap factor")
+    sub.add_parser("oracle-validate", parents=[base], help="run quadrature cross-checks")
+    sub.add_parser("paper-example", parents=[base], help="run the three-trajectory demonstration")
+    sub.add_parser("continuum", parents=[base], help="emit continuum kernel slices")
     return parser
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import MU, Trajectory, TrajectorySet, coherence_condition, delta_xbar, delta_xi
+from .geometry import Trajectory, TrajectorySet, coherence_condition, delta_xbar, delta_xi
 from .specfun import lambda_overlap, planck_weight
 
 __all__ = [
@@ -151,13 +151,6 @@ class NonPSDShellError(ValueError):
         self.members = members
 
 
-def _check_hermitian(matrix: np.ndarray, name: str) -> None:
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    dev = float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
-    if dev > _HERMITICITY_TOL * max(scale, 1.0):
-        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
-
-
 def _dense_shells(excited: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a dense excited block into the connected components of its
     nonzero pattern, each with its sub-block."""
@@ -195,8 +188,9 @@ class BlockDensity:
     indices and blocks) or as a dense ``excited_block``, which is split
     into the connected components of its nonzero pattern.  Either way
     each shell is checked for Hermiticity against the largest entry of
-    the whole sector and for positive semidefiniteness against its
-    whole trace.
+    the whole sector, ``max_entry``, and for positive semidefiniteness
+    against its whole trace; the ground block gets the same finiteness
+    and Hermiticity check.
 
     ``scale`` is either ``"per_eps2T"`` (the default symbolic
     normalization: excited entries per unit :math:`\\varepsilon^2 T`) or
@@ -213,9 +207,6 @@ class BlockDensity:
         scale: str = "per_eps2T",
         epsilon: float | None = None,
         T: float | None = None,
-        level_count: int = 0,
-        traj_count: int = 0,
-        warnings: tuple[str, ...] = (),
         *,
         shells=None,
     ) -> None:
@@ -233,25 +224,19 @@ class BlockDensity:
         groups, dim = _group_shells(shells)
         if n == 0 or dim % n != 0:
             raise ValueError("excited sector must span (level, branch) composites")
-        levels = dim // n
-        if level_count and level_count != levels:
-            raise ValueError("level_count inconsistent with block shapes")
-        if traj_count and traj_count != n:
-            raise ValueError("traj_count inconsistent with block shapes")
         if scale not in ("per_eps2T", "absolute"):
             raise ValueError(f"unknown scale {scale!r}")
         if scale == "absolute" and not (epsilon is not None and T is not None):
             raise ValueError("absolute scale requires epsilon and T")
-        _check_hermitian(ground, "ground_block")
-        _validate_groups(groups)
+        _hermitian_peak([ground[None]], "ground_block")
+        self.max_entry = _validate_groups(groups)
         ground.setflags(write=False)
         self.ground_block = ground
         self.scale = scale
         self.epsilon = epsilon
         self.T = T
-        self.level_count = levels
+        self.level_count = dim // n
         self.traj_count = n
-        self.warnings = tuple(warnings)
         self._groups = groups
         firsts = sorted(
             (int(first), g, r)
@@ -272,32 +257,23 @@ class BlockDensity:
 
     def to_absolute(self, epsilon: float, T: float) -> "BlockDensity":
         r"""Multiply the per-unit-:math:`\varepsilon^2 T` excited shells out
-        to absolute units, re-checking the perturbative-order bound
-        :math:`\varepsilon^2 T \cdot \mathrm{entry} \le \varepsilon`
-        (violations are attached as warnings, not failures)."""
+        to absolute units.  This only rescales; an entry that overflows
+        raises ``OverflowError``."""
         if self.scale != "per_eps2T":
             raise ValueError("to_absolute requires a per_eps2T input")
         if not (0.0 < epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if not T > 0.0:
-            raise ValueError("T must be positive")
+        if not (T > 0.0 and math.isfinite(T)):
+            raise ValueError("T must be positive and finite")
         factor = epsilon * epsilon * T
-        shells = [(shell.members, factor * shell.block) for shell in self.shells]
-        warnings = list(self.warnings)
-        peak = max(float(np.max(np.abs(block))) for _, block in shells)
-        if peak > epsilon:
-            warnings.append(
-                f"perturbative-order bound violated: epsilon^2 T x entry = "
-                f"{peak:.3e} exceeds epsilon = {epsilon:.3e}; first-order "
-                "treatment is unreliable for these parameters"
-            )
+        if not math.isfinite(factor * self.max_entry):
+            raise OverflowError(f"epsilon^2 T x entry overflows at T = {T:g}")
         return BlockDensity(
             ground_block=self.ground_block,
             scale="absolute",
             epsilon=epsilon,
             T=T,
-            warnings=tuple(warnings),
-            shells=shells,
+            shells=[(shell.members, factor * shell.block) for shell in self.shells],
         )
 
 
@@ -334,18 +310,23 @@ def _group_shells(shells) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     return groups, dim
 
 
-def _validate_groups(groups) -> None:
+def _hermitian_peak(stacks, name: str) -> float:
+    """Check that the ``(count, k, k)`` stacks are finite and Hermitian,
+    against a tolerance scaled by their largest entry; returns that entry."""
+    if not all(np.all(np.isfinite(b)) for b in stacks):
+        raise ValueError(f"{name} has non-finite entries")
+    peak = max(float(np.max(np.abs(b))) for b in stacks)
+    dev = max(float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) for b in stacks)
+    if dev > _HERMITICITY_TOL * max(peak, 1.0):
+        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
+    return peak
+
+
+def _validate_groups(groups) -> float:
     """Hermiticity and positive semidefiniteness of every shell, with the
-    tolerances scaled by the whole excited sector."""
-    if not all(np.all(np.isfinite(b)) for _, b in groups):
-        raise ValueError("excited_block has non-finite entries")
-    scale = max((float(np.max(np.abs(b))) for _, b in groups), default=0.0)
-    dev = max(
-        (float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) for _, b in groups),
-        default=0.0,
-    )
-    if dev > _HERMITICITY_TOL * max(scale, 1.0):
-        raise ValueError(f"excited_block is not Hermitian: max deviation {dev:.3e}")
+    tolerances scaled by the whole excited sector; returns its largest
+    entry magnitude."""
+    peak = _hermitian_peak([b for _, b in groups], "excited_block")
     trace = sum(float(np.trace(b, axis1=1, axis2=2).real.sum()) for _, b in groups)
     for members, blocks in groups:
         lowest = np.linalg.eigvalsh(blocks)[:, 0]
@@ -356,6 +337,7 @@ def _validate_groups(groups) -> None:
                 f"{float(lowest[worst]):.3e} against trace {trace:.3e}",
                 members[worst],
             )
+    return peak
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -405,9 +387,6 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     pairwise alignments are not transitive (``A~B``, ``B~C``, ``A≁C``)
     can fail the positive-semidefiniteness check; the
     :class:`NonPSDShellError` raised then names the run's boost energy.
-
-    Branches whose boost-energy product falls below the thermal-regime
-    floor :math:`\omega_1 z < \mu` are reported in ``warnings``.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -418,7 +397,10 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     omegas = np.array(det.frequencies)
     heights = np.array(traj_set.heights)
     zetas = np.array(det.couplings, dtype=complex)
-    q = np.multiply.outer(omegas, heights).ravel()
+    with np.errstate(over="ignore"):
+        q = np.multiply.outer(omegas, heights).ravel()
+    if np.any(np.isinf(q)):
+        raise OverflowError("boost energy omega*z exceeds the float range")
     level, branch = np.divmod(np.arange(q.size), n_traj)
     weights = planck_weight(omegas[:, None], heights[None, :]).ravel()
     # Python's abs(complex) is hypot, which numpy's complex abs can miss by
@@ -465,18 +447,8 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
         start += shell.size
         shells.extend(zip(stacked, blocks))
 
-    warnings = []
-    floor = float(omegas[0] * heights.min())
-    if floor < MU:
-        warnings.append(
-            f"thermal-regime floor violated: min omega_1 z = {floor:.6g} is "
-            f"below mu = {MU:.6g}; the Planckian form of the diagonal is "
-            "unreliable for the lowest level on the fastest branch"
-        )
     try:
-        return BlockDensity(
-            ground_block=ground, scale="per_eps2T", warnings=tuple(warnings), shells=shells
-        )
+        return BlockDensity(ground_block=ground, scale="per_eps2T", shells=shells)
     except NonPSDShellError as exc:
         shell_q = q[exc.members]
         raise NonPSDShellError(

@@ -141,10 +141,10 @@ class RegimeReport:
     ``t_recommended`` is the compromise interaction time
     :math:`T \\sim 1/(\\varepsilon\\,\\omega_1)` (long enough for the
     quasi-stationary overlap formulas, short enough for first-order
-    perturbation theory).  ``violations`` carries human-readable warnings
-    tagged ``time-too-short``, ``time-too-long`` or ``acceleration-too-high``;
-    the bounds are order-of-magnitude statements, so violations warn
-    rather than fail.
+    perturbation theory; ``inf`` where it overflows).  ``violations``
+    carries human-readable warnings, each starting with its code; the
+    bounds are order-of-magnitude statements, so violations warn rather
+    than fail.
     """
 
     t_recommended: float
@@ -231,9 +231,9 @@ def coherence_condition(
     return abs(omega_j * z_m - omega_i * z_n) <= tol
 
 
-def validate_regime(det, traj_set: TrajectorySet, epsilon: float, T: float | None = None) -> RegimeReport:
+def validate_regime(det, traj_set: TrajectorySet, epsilon: float, T: float | None = None, peak: float | None = None) -> RegimeReport:
     r"""Order-of-magnitude validity checks for the perturbative, quasi-stationary
-    treatment.
+    treatment; the one home of every run-validity rule.
 
     Parameters
     ----------
@@ -246,14 +246,19 @@ def validate_regime(det, traj_set: TrajectorySet, epsilon: float, T: float | Non
     T : float, optional
         User-chosen interaction time; if given, it is compared against the
         recommended compromise value.
+    peak : float, optional
+        Largest excited entry per unit :math:`\varepsilon^2 T`
+        (``BlockDensity.max_entry``); with ``T`` it checks the first-order bound.
 
     Returns
     -------
     RegimeReport
-        ``t_recommended = 1/(epsilon * omega_1)`` plus warnings: the
-        largest acceleration must keep :math:`\omega_1 z_1 \ge \mu` with
-        :math:`\mu = \frac{1}{2\pi}\log(\frac{1}{2\pi}+1)`, and a supplied
-        ``T`` should stay within a factor 10 of the recommendation.
+        ``t_recommended = 1/(epsilon * omega_1)`` plus warnings coded
+        ``acceleration-too-high`` (:math:`\omega_1 z_1 < \mu` with
+        :math:`\mu = \frac{1}{2\pi}\log(\frac{1}{2\pi}+1)`),
+        ``time-too-short``/``time-too-long`` (``T`` more than a factor 10
+        from the recommendation) and ``perturbative-bound``
+        (:math:`\varepsilon^2 T \cdot \mathrm{peak} > \varepsilon`).
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -262,7 +267,7 @@ def validate_regime(det, traj_set: TrajectorySet, epsilon: float, T: float | Non
         raise ValueError("detector spectrum is empty")
     omega_1 = frequencies[0]
     z_1 = traj_set[0].z
-    t_recommended = 1.0 / (epsilon * omega_1)
+    t_recommended = 1.0 / (epsilon * omega_1) if epsilon * omega_1 > 0.0 else math.inf
     violations: list[str] = []
     q_min = omega_1 * z_1
     if q_min < MU:
@@ -283,5 +288,11 @@ def validate_regime(det, traj_set: TrajectorySet, epsilon: float, T: float | Non
                 f"time-too-long: T = {T:.6g} is more than 10x above the "
                 f"recommended 1/(epsilon*omega_1) = {t_recommended:.6g}; "
                 "first-order perturbation theory degrades"
+            )
+        if peak is not None and epsilon * epsilon * T * peak > epsilon:
+            violations.append(
+                f"perturbative-bound: epsilon^2 T x entry = "
+                f"{epsilon * epsilon * T * peak:.3e} exceeds epsilon = {epsilon:.3e}; "
+                "first-order treatment is unreliable for these parameters"
             )
     return RegimeReport(t_recommended=t_recommended, violations=tuple(violations))

@@ -179,10 +179,11 @@ def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
     )
 
 
-def _scale_field(rho: BlockDensity) -> Any:
-    if rho.scale == "per_eps2T":
+def _scale_field(scale: str, epsilon: float | None, T: float | None) -> Any:
+    """An artifact's ``"per_eps2T"`` or ``{"absolute": {"epsilon", "T"}}`` scale."""
+    if scale == "per_eps2T":
         return "per_eps2T"
-    return {"absolute": {"epsilon": float(rho.epsilon), "T": float(rho.T)}}
+    return {"absolute": {"epsilon": float(epsilon), "T": float(T)}}
 
 
 def _trajectory_entries(traj_set: TrajectorySet) -> list[dict[str, Any]]:
@@ -210,7 +211,7 @@ def block_density_to_dict(
         raise ValueError("trajectory set does not match the stored branch count")
     return {
         "format": _JOINT_STATE_FORMAT,
-        "scale": _scale_field(rho),
+        "scale": _scale_field(rho.scale, rho.epsilon, rho.T),
         "levels": [float(w) for w in frequencies],
         "trajectories": _trajectory_entries(traj_set),
         "ground_block": matrix_to_pairs(rho.ground_block),
@@ -309,13 +310,13 @@ def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list
         scale=scale,
         epsilon=epsilon,
         T=T,
-        level_count=len(levels),
-        traj_count=len(traj_set),
         shells=[
             (np.array(shell["members"]), pairs_to_matrix(shell["block"]))
             for shell in data["excited_shells"]
         ],
     )
+    if (rho.level_count, rho.traj_count) != (len(levels), len(traj_set)):
+        raise ValueError("excited_shells: blocks do not span the levels x trajectories")
     return rho, levels, traj_set
 
 
@@ -340,7 +341,7 @@ def measured_to_dict(
             f"got {matrix.shape}"
         )
     return {
-        "scale": scale if scale == "per_eps2T" else dict(scale),
+        "scale": scale,
         "levels": levels,
         "trajectories": _trajectory_entries(traj_set),
         "measurement": [complex_pair(b) for b in basis_amplitudes],

@@ -211,9 +211,10 @@ def _kbar_grid(
     :math:`\nu`), followed by linear panels whose width adapts to the local
     oscillation rate :math:`\nu/k` of the Bessel phases, the rate
     ``osc_max`` of the :math:`J_0` factor, and the exponential decay
-    ``decay_rate`` of the envelope.
+    ``decay_rate`` of the envelope.  The floor ``1e-7/refine`` lets the
+    refinement change include the piece below the base pass's floor.
     """
-    k_floor = 1e-7
+    k_floor = 1e-7 / refine
     k_log_end = min(0.1, 0.5 * kbar_max)
     u_lo, u_hi = math.log(k_floor), math.log(k_log_end)
     width_u = math.pi / (4.0 * (nu_max + k_log_end * osc_max + 1.0)) / refine
@@ -472,6 +473,8 @@ def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceR
         raise ValueError("T_list must be non-empty")
     if any(t2 <= t1 for t1, t2 in zip(T_values, T_values[1:])) or T_values[0] <= 0.0:
         raise ValueError("T_list must be strictly increasing and positive")
+    if not all(math.isfinite(T) for T in T_values):
+        raise ValueError(f"T_list must be finite, got {T_values}")
     traj = Trajectory(z=z)
     warnings: list[str] = []
     rows = []

@@ -378,7 +378,9 @@ def planck_weight(omega, z):
     r"""Planckian response weight
     :math:`\omega / (e^{2\pi\omega z} - 1)` for an accelerated system with
     gap :math:`\omega` at inverse acceleration :math:`z`; the continuous
-    limit :math:`1/(2\pi z)` is used at :math:`\omega = 0`.
+    limit :math:`1/(2\pi z)` is used at :math:`\omega = 0`.  An exponent
+    :math:`2\pi\omega z` past the float range gives 0; a weight past it
+    (:math:`z` below about 1e-309) raises ``OverflowError``.
     """
     omega_arr = _as_float_array(omega, "omega")
     z_arr = _as_float_array(z, "z")
@@ -386,6 +388,9 @@ def planck_weight(omega, z):
         raise ValueError("planck_weight requires omega >= 0")
     if not np.all(z_arr > 0.0):
         raise ValueError("planck_weight requires z > 0")
-    generic = _planck_factor(omega_arr, 2.0 * np.pi * omega_arr * z_arr)
-    out = np.where(omega_arr == 0.0, 1.0 / (2.0 * np.pi * z_arr), generic)
+    with np.errstate(over="ignore"):
+        generic = _planck_factor(omega_arr, 2.0 * np.pi * omega_arr * z_arr)
+        out = np.where(omega_arr == 0.0, 1.0 / (2.0 * np.pi * z_arr), generic)
+    if np.any(np.isinf(out)):
+        raise OverflowError("planck_weight overflows: omega/(e^(2 pi omega z) - 1) is past the float range")
     return _scalar_or_array(out, omega, z)

@@ -24,7 +24,7 @@ from superthermal.detector import (
     paper_example,
     reduced_internal,
 )
-from superthermal.geometry import Trajectory, TrajectorySet
+from superthermal.geometry import MU, Trajectory, TrajectorySet, validate_regime
 from superthermal.specfun import lambda_overlap, planck_weight
 
 RNG = np.random.default_rng(515253)
@@ -237,40 +237,58 @@ def test_to_absolute_scaling_and_bound_warning():
     assert np.allclose(absolute.excited_block, factor * rho.excited_block, rtol=1e-15)
     assert np.allclose(absolute.ground_block, rho.ground_block, rtol=0, atol=0)
     assert absolute.scale == "absolute"
-    assert not any("perturbative" in w for w in absolute.warnings)
+    assert absolute.max_entry == pytest.approx(factor * rho.max_entry, rel=1e-15)
+    assert rho.max_entry == np.max(np.abs(rho.excited_block))
     with pytest.raises(ValueError):
         absolute.to_absolute(epsilon=0.01, T=100.0)
-    # a huge T pushes entries past the first-order bound
-    loud = rho.to_absolute(epsilon=0.2, T=1e6)
-    assert any("perturbative-order bound" in w for w in loud.warnings)
+    # the first-order bound epsilon^2 T x entry <= epsilon is a regime rule
+    quiet = validate_regime(det, ts, 0.01, T=100.0, peak=rho.max_entry)
+    assert not any(v.startswith("perturbative-bound") for v in quiet.violations)
+    # a huge T pushes entries past it
+    loud = validate_regime(det, ts, 0.2, T=1e6, peak=rho.max_entry)
+    bound = [v for v in loud.violations if v.startswith("perturbative-bound:")]
+    assert len(bound) == 1 and f"{0.04 * 1e6 * rho.max_entry:.3e}" in bound[0]
+    # to_absolute only rescales; an entry it would overflow is an error
+    hot = joint_state(det, TrajectorySet((Trajectory(z=1e-300, amplitude=1.0),)), tol=1e-9)
+    with pytest.raises(OverflowError, match="epsilon\\^2 T x entry overflows"):
+        hot.to_absolute(epsilon=0.9, T=1e308)
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        rho.to_absolute(epsilon=0.01, T=math.inf)
 
 
 def test_thermal_floor_warning():
     ts = TrajectorySet((Trajectory(z=0.01, amplitude=1.0),))
     det = DetectorSpec(frequencies=(1.0, 2.0))
     rho = joint_state(det, ts, tol=1e-9)
-    assert any("thermal-regime floor" in w for w in rho.warnings)
+    report = validate_regime(det, ts, 0.01, T=100.0, peak=rho.max_entry)
+    floor = [v for v in report.violations if v.startswith("acceleration-too-high:")]
+    assert len(floor) == 1 and f"omega_1*z_1 = 0.01 < mu = {MU:.6g}" in floor[0]
+    # at the floor the rule is silent
+    ts = TrajectorySet((Trajectory(z=MU, amplitude=1.0),))
+    assert not validate_regime(det, ts, 0.01).violations
 
 
 def test_block_density_rejects_non_hermitian_and_non_psd():
     good = joint_state(*_two_branch(), tol=1e-9)
     skew = good.excited_block.copy()
     skew[0, 1] += 1e-6
-    with pytest.raises(ValueError):
-        BlockDensity(
-            ground_block=good.ground_block,
-            excited_block=skew,
-            level_count=good.level_count,
-            traj_count=good.traj_count,
-        )
+    with pytest.raises(ValueError, match="excited_block is not Hermitian"):
+        BlockDensity(ground_block=good.ground_block, excited_block=skew)
     negative = -good.excited_block
-    with pytest.raises(ValueError):
-        BlockDensity(
-            ground_block=good.ground_block,
-            excited_block=negative,
-            level_count=good.level_count,
-            traj_count=good.traj_count,
-        )
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        BlockDensity(ground_block=good.ground_block, excited_block=negative)
+    # the ground block goes through the same finiteness and Hermiticity check
+    ground = good.ground_block.copy()
+    ground[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="ground_block is not Hermitian"):
+        BlockDensity(ground_block=ground, excited_block=good.excited_block)
+    ground[0, 1] = np.nan
+    with pytest.raises(ValueError, match="ground_block has non-finite entries"):
+        BlockDensity(ground_block=ground, excited_block=good.excited_block)
+    infinite = good.excited_block.copy()
+    infinite[0, 0] = np.inf
+    with pytest.raises(ValueError, match="excited_block has non-finite entries"):
+        BlockDensity(ground_block=good.ground_block, excited_block=infinite)
 
 
 def test_block_density_dense_input_gives_the_same_shells():

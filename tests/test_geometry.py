@@ -131,3 +131,9 @@ def test_regime_report_flags():
     hot = TrajectorySet((Trajectory(z=0.01, amplitude=1.0),))
     report = validate_regime(det, hot, epsilon=0.01)
     assert any("acceleration-too-high" in v for v in report.violations)
+
+    # epsilon * omega_1 underflows to 0: the recommendation is infinite
+    far = TrajectorySet((Trajectory(z=1e9, amplitude=1.0),))
+    tiny = validate_regime(DetectorSpec(frequencies=(1e-10,)), far, epsilon=1e-320, T=1.0)
+    assert tiny.t_recommended == math.inf
+    assert [v.split(":")[0] for v in tiny.violations] == ["time-too-short"]

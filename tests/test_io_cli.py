@@ -197,6 +197,11 @@ def test_block_density_json_shell_layout(tmp_path):
     with pytest.raises(ValueError, match="^excited_shells: missing field"):
         block_density_from_dict(dense)
 
+    # the recorded levels and branches must match the blocks' shape
+    short = dict(data, levels=data["levels"][:-1])
+    with pytest.raises(ValueError, match="^excited_shells: blocks do not span"):
+        block_density_from_dict(short)
+
 
 def test_measured_json_round_trip(tmp_path):
     det, ts = _two_branch_system()
@@ -283,12 +288,17 @@ def test_cli_state_absolute_scale_default_T_and_warnings(tmp_path, capsys):
     assert joint["scale"]["absolute"]["epsilon"] == 0.01
     assert joint["scale"]["absolute"]["T"] == 100.0
 
+    assert capsys.readouterr().err == ""
+
     # a wildly long window triggers a perturbative-bound warning
     tree["interaction"]["T"] = 1e6
     config = _write_config(tmp_path, tree, name="long.json")
     assert main(["state", "--config", config, "--out", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert "warning:" in err
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[:2] for line in err] == [
+        ["warning", " time-too-long"],
+        ["warning", " perturbative-bound"],
+    ]
 
 
 def test_cli_measure_artifacts(tmp_path):
@@ -698,3 +708,162 @@ def test_cli_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical non-convergence:")
     assert "synthetic failure" in err
+
+
+# ---------------------------------------------------------------------------
+# Regime warnings, non-finite inputs and overflow
+
+
+def _hot_long_tree():
+    # omega_1 z_1 = 0.01 < mu, and T = 1e6 against the recommended 100
+    tree = _base_tree(T=1e6)
+    tree["trajectories"] = [{"z": 0.01}, {"z": 1.0}]
+    return tree
+
+
+def test_cli_state_and_measure_print_the_same_regime_warnings(tmp_path, capsys):
+    seen = []
+    for scale in ("per_eps2T", "absolute"):
+        tree = _hot_long_tree()
+        tree["output"] = {"scale": scale}
+        config = _write_config(tmp_path, tree, name=f"{scale}.json")
+        for command in ("state", "measure"):
+            assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+            seen.append(capsys.readouterr().err)
+    assert len(set(seen)) == 1
+    tags = [line.split(":")[1].strip() for line in seen[0].splitlines()]
+    assert tags == ["acceleration-too-high", "time-too-long", "perturbative-bound"]
+    assert all(line.startswith("warning: ") for line in seen[0].splitlines())
+
+
+def test_cli_short_window_warns(tmp_path, capsys):
+    config = _write_config(tmp_path, _base_tree(T=5.0))
+    assert main(["measure", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: time-too-short: T = 5 is more than 10x below")
+
+
+def _absolute_tree(**interaction):
+    tree = _base_tree(**interaction)
+    tree["output"] = {"scale": "absolute"}
+    return tree
+
+
+def _tiny_epsilon_tree():
+    tree = _absolute_tree(epsilon=1e-320)
+    del tree["interaction"]["T"]
+    return tree
+
+
+def _planck_overflow_tree(scale):
+    tree = _base_tree()
+    tree["trajectories"] = [{"z": 1e-310}, {"z": 1.0}]
+    tree["output"] = {"scale": scale}
+    return tree
+
+
+def _boost_overflow_tree():
+    # omega z = 2 x 1e308 on the upper level of the far branch
+    tree = _base_tree()
+    tree["trajectories"] = [{"z": 1.0}, {"z": 1e308}]
+    return tree
+
+
+def _absolute_overflow_tree():
+    tree = _absolute_tree(epsilon=0.9, T=1e308)
+    tree["trajectories"] = [{"z": 1e-300}, {"z": 1.0}]
+    return tree
+
+
+@pytest.mark.parametrize("command", ["state", "measure"])
+@pytest.mark.parametrize(
+    "make_tree, message",
+    [
+        (_absolute_overflow_tree, "epsilon^2 T x"),
+        (lambda: _planck_overflow_tree("per_eps2T"), "planck_weight overflows"),
+        (lambda: _planck_overflow_tree("absolute"), "planck_weight overflows"),
+        (_tiny_epsilon_tree, "interaction.T: the default 1/(epsilon*omega_1) overflows"),
+        (_boost_overflow_tree, "boost energy omega*z exceeds the float range"),
+    ],
+    ids=["eps2T-entry", "planck-per_eps2T", "planck-absolute", "default-T", "boost-energy"],
+)
+def test_cli_overflow_is_a_numerical_failure(tmp_path, capsys, command, make_tree, message):
+    config = _write_config(tmp_path, make_tree())
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: OverflowError: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv_tail, tree, field",
+    [
+        ([], _absolute_tree(T=math.inf), "interaction.T: must be positive and finite"),
+        (["--T", "inf"], _absolute_tree(), "interaction.T: must be positive and finite"),
+        (["--tol", "inf"], _base_tree(), "interaction.q_tolerance: must be positive and finite"),
+    ],
+)
+@pytest.mark.parametrize("command", ["state", "measure"])
+def test_cli_non_finite_interaction_is_a_config_error(
+    tmp_path, capsys, command, argv_tail, tree, field
+):
+    config = _write_config(tmp_path, tree)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out"), *argv_tail]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+
+def test_cli_non_finite_oracle_duration_is_a_config_error(tmp_path, capsys):
+    config = _write_config(tmp_path, {"oracle": {"T_list": [10.0, math.inf]}})
+    assert main(["oracle-validate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: oracle.T_list: T_list must be finite")
+
+
+def test_cli_huge_frequency_runs_without_warnings(tmp_path, capsys):
+    # 2 pi omega z overflows to inf, and the Planck weight is exactly 0
+    tree = _base_tree()
+    del tree["interaction"]["T"]  # the recommended T, so no time warning
+    tree["detector"]["frequencies"] = [1e308]
+    config = _write_config(tmp_path, tree)
+    assert main(["state", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    reduced = read_json(tmp_path / "out" / "reduced_internal.json")
+    assert reduced["values"] == [0.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paper-example", "--q", "abc", "--grid", "0"],
+        ["lambda-grid", "--epsilon", "7"],
+        ["lambda-grid", "--tol", "1"],
+        ["oracle-validate", "--T", "1"],
+        ["oracle-validate", "--grid", "4"],
+        ["continuum", "--epsilon", "0.1"],
+        ["state", "--q", "1"],
+        ["measure", "--grid", "4"],
+    ],
+)
+def test_cli_foreign_flags_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_flag_slots_match_what_each_subcommand_reads():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    flags = {
+        name: sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, parser in sub.choices.items()
+    }
+    pipeline = ["--T", "--config", "--epsilon", "--out", "--tol"]
+    assert flags == {
+        "state": pipeline,
+        "measure": pipeline,
+        "lambda-grid": ["--config", "--grid", "--out", "--q"],
+        "oracle-validate": ["--config", "--out"],
+        "paper-example": ["--config", "--out"],
+        "continuum": ["--config", "--out"],
+    }

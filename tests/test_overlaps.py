@@ -13,6 +13,7 @@ from superthermal.geometry import Trajectory
 from superthermal.overlaps import (
     OverlapResult,
     QuadratureError,
+    _lambda_quadrature,
     convergence_report,
     diag_overlap,
     offdiag_overlap,
@@ -149,6 +150,18 @@ def test_lambda_quadrature_vector_and_q_zero():
     assert np.max(np.abs(got - want)) < 2e-8
     with pytest.raises(ValueError):
         oracle_lambda_quadrature(250.0, 0.0, 0.0)  # sinh(pi q) overflows
+
+
+@pytest.mark.parametrize("dxi", [-1.5, 0.0, 1.5])
+def test_lambda_quadrature_change_bounds_its_error_at_q_zero(dxi):
+    # At q = 0, K_0^2 grows like log^2 k, so the piece of the integral
+    # below the base pass's k-bar floor is the largest error; the refined
+    # pass starts lower, and its reported change must cover that error.
+    # (At q >= 1 the residual is rounding, which the change need not cover.)
+    dxbar = np.array([0.0, 1.0, 2.5])
+    values, change = _lambda_quadrature(0.0, dxi, dxbar)
+    error = float(np.max(np.abs(values - lambda_overlap(0.0, dxi, dxbar))))
+    assert error <= change <= 1e-8
 
 
 def test_lambda_quadrature_even_in_dxi():
