@@ -40,7 +40,6 @@ from .detector import (
     load_reference_matrix,
     measured_internal,
     neglog_matrix,
-    normalize_internal,
     paper_example,
     reduced_internal,
 )
@@ -74,7 +73,6 @@ from .specfun import (
     bessel_j0,
     bessel_k_imag,
     conical_p,
-    gaussian_ft,
     lambda_axis_xbar,
     lambda_axis_xi,
     lambda_overlap,
@@ -112,7 +110,6 @@ __all__ = [
     "delta_xbar",
     "delta_xi",
     "diag_overlap",
-    "gaussian_ft",
     "joint_state",
     "lambda_axis_xbar",
     "lambda_axis_xi",
@@ -121,7 +118,6 @@ __all__ = [
     "measured_internal",
     "minkowski_to_rindler",
     "neglog_matrix",
-    "normalize_internal",
     "offdiag_overlap",
     "oracle_lambda_quadrature",
     "oracle_overlap_finite_t",

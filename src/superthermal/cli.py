@@ -26,11 +26,15 @@ Subcommands
     Evaluate continuous-spectrum kernel slices on configured grids and
     write them as CSV.
 
-Configuration is one JSON file with sections mirroring
-:class:`RunConfig`: ``detector``, ``trajectories``, ``interaction``,
-``measurement``, ``output``, ``continuum``.  Complex numbers are
-``[re, im]`` pairs.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure (a quadrature that does not converge, an overflow or
+Configuration is one JSON file with sections ``detector``,
+``trajectories``, ``interaction``, ``measurement``, ``output``,
+``continuum`` and ``oracle``; complex numbers are ``[re, im]`` pairs.  A
+flag overrides the field :data:`_FLAGS` names (``--out`` is
+``output.directory``), and every configuration error names its field.
+Each command computes all of its results before it creates the output
+directory, so a failed run writes nothing.  Exit codes: 0 success,
+2 configuration error (an unusable output directory too), 3 numerical
+failure (a quadrature that does not converge, an overflow, NaN or
 division by zero in the formulas, or a ``paper-example`` FAIL verdict).
 
 Identical configuration produces byte-identical files: floats are
@@ -97,6 +101,22 @@ _ORACLE_DIFF_DXI = (-1.5, 0.0, 1.5)
 _ORACLE_DIFF_DXBAR = (0.0, 1.0, 2.5)
 _A_SWEEP_VALUES = (0.5, 1.0, 2.0)
 
+_ALL = ("state", "measure", "lambda-grid", "oracle-validate", "paper-example", "continuum")
+_PIPELINE = ("state", "measure")
+
+#: One row per flag: the flag, the config field it overrides (``None``:
+#: a command-line value only), its type, metavar and help, and the
+#: subcommands that take it.
+_FLAGS = (
+    ("--config", None, str, "PATH", "JSON configuration file", _ALL),
+    ("--out", "output.directory", str, "DIR", "output directory", _ALL),
+    ("--tol", "interaction.q_tolerance", float, "X", "frequency-alignment tolerance", _PIPELINE),
+    ("--epsilon", "interaction.epsilon", float, "X", "coupling strength in (0,1)", _PIPELINE),
+    ("--T", "interaction.T", float, "X", "interaction window width", _PIPELINE),
+    ("--q", None, str, "LIST", "comma-separated q values", ("lambda-grid",)),
+    ("--grid", None, int, "N", "grid steps per axis", ("lambda-grid",)),
+)
+
 
 class ConfigError(Exception):
     """Invalid or missing configuration; messages name the field."""
@@ -127,51 +147,41 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        ) from exc
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return data
 
 
-def _section(tree: Mapping[str, Any], path: str, required: bool = False) -> Mapping[str, Any] | None:
-    """The object at ``path`` (dotted; its last part is the key in ``tree``)."""
-    name = path.rsplit(".", 1)[-1]
-    if name not in tree:
-        if required:
-            raise ConfigError(f"{path}: missing required section")
-        return None
-    value = tree[name]
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{path}: must be a JSON object")
-    return value
-
-
 _MISSING = object()
 
 
-def _field(
-    section: Mapping[str, Any] | None,
-    where: str,
-    key: str,
-    convert: Callable[[Any], Any] = float,
-    default: Any = _MISSING,
-) -> Any:
-    """Read ``section[key]`` through ``convert``.
+def _get(tree: Mapping[str, Any], path: str, convert: Callable[[Any], Any] = float,
+         default: Any = _MISSING) -> Any:
+    """Read the field at the dotted ``path`` through ``convert``.
 
-    An absent field yields ``default``, or is an error without one.
-    ``TypeError`` and ``ValueError`` from ``convert`` become a
-    :class:`ConfigError` naming the field path ``where.key``.
+    An absent field or section yields ``default``, or is an error without
+    one.  ``TypeError`` and ``ValueError`` from ``convert`` become a
+    :class:`ConfigError` naming ``path``.
     """
-    if section is None or key not in section:
-        if default is _MISSING:
-            raise ConfigError(f"{where}.{key}: missing required field")
-        return default
+    parts = path.split(".")
+    node = tree
+    for depth, key in enumerate(parts, 1):
+        if not isinstance(node, Mapping):
+            raise ConfigError(f"{'.'.join(parts[:depth - 1])}: must be a JSON object")
+        if key not in node:
+            if default is not _MISSING:
+                return default
+            for flag, field_path, *_ in _FLAGS:
+                if field_path == path:
+                    raise ConfigError(f"{path}: missing required field (or pass {flag})")
+            kind = "field" if depth == len(parts) else "section"
+            raise ConfigError(f"{'.'.join(parts[:depth])}: missing required {kind}")
+        node = node[key]
     try:
-        return convert(section[key])
+        return convert(node)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _positive(value: Any) -> float:
@@ -188,10 +198,10 @@ def _unit_interval(value: Any) -> float:
     return value
 
 
-def _nonempty_list(value: Any) -> list:
+def _float_list(value: Any) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ValueError("must be a nonempty list")
-    return value
+    return tuple(float(v) for v in value)
 
 
 def _complex_list(values: Any) -> list[complex]:
@@ -200,25 +210,8 @@ def _complex_list(values: Any) -> list[complex]:
     return [_as_complex(v) for v in values]
 
 
-def _float_tuple(values: Any) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
 def _float_array(values: Any) -> np.ndarray:
     return np.asarray(values, dtype=float)
-
-
-def _parse_detector(raw: Mapping[str, Any]) -> DetectorSpec:
-    section = _section(raw, "detector", required=True)
-    freqs = _field(section, "detector", "frequencies", lambda v: _float_tuple(_nonempty_list(v)))
-    couplings = _field(section, "detector", "couplings", _complex_list, None)
-    try:
-        return DetectorSpec(
-            frequencies=freqs,
-            couplings=tuple(couplings) if couplings is not None else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from exc
 
 
 def _scale_name(value: Any) -> str:
@@ -227,53 +220,43 @@ def _scale_name(value: Any) -> str:
     return value
 
 
-def build_run_config(
-    raw: Mapping[str, Any],
-    *,
-    epsilon: float | None = None,
-    T: float | None = None,
-    q_tolerance: float | None = None,
-    need_measurement: bool = False,
-) -> RunConfig:
-    """Resolve the config tree plus flag overrides into a :class:`RunConfig`.
+def build_run_config(raw: Mapping[str, Any]) -> RunConfig:
+    """Resolve the (flag-merged) config tree into a :class:`RunConfig`.
 
     Defaults: ``T`` falls back to the compromise interaction time
     ``t_recommended`` of :func:`~superthermal.geometry.validate_regime`
     (long enough for sharp frequency support, short enough for the
     perturbative bound; ``OverflowError`` where it overflows) and
-    ``q_tolerance`` to ``epsilon``.
+    ``q_tolerance`` to ``epsilon``.  Without a ``measurement`` section,
+    ``measurement`` is ``None``.
     """
-    detector = _parse_detector(raw)
+    freqs = _get(raw, "detector.frequencies", _float_list)
+    couplings = _get(raw, "detector.couplings", _complex_list, None)
+    try:
+        detector = DetectorSpec(freqs, tuple(couplings) if couplings is not None else None)
+    except ValueError as exc:
+        raise ConfigError(f"detector: {exc}") from exc
     if "trajectories" not in raw:
         raise ConfigError("trajectories: missing required section")
     try:
         trajectories = parse_trajectories(raw["trajectories"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    interaction = dict(_section(raw, "interaction") or {})
-    flags = {"epsilon": epsilon, "T": T, "q_tolerance": q_tolerance}
-    interaction.update((key, value) for key, value in flags.items() if value is not None)
-    if "epsilon" not in interaction:
-        raise ConfigError(
-            "interaction.epsilon: missing required field (or pass --epsilon)"
-        )
-    eps = _field(interaction, "interaction", "epsilon", _unit_interval)
-    T_value = _field(interaction, "interaction", "T", _positive, None)
+    eps = _get(raw, "interaction.epsilon", _unit_interval)
+    T_value = _get(raw, "interaction.T", _positive, None)
     if T_value is None:
         T_value = validate_regime(detector, trajectories, eps).t_recommended
         if math.isinf(T_value):
             raise OverflowError(
                 f"interaction.T: the default 1/(epsilon*omega_1) overflows at epsilon = {eps:g}"
             )
-    tol = _field(interaction, "interaction", "q_tolerance", _positive, eps)
+    tol = _get(raw, "interaction.q_tolerance", _positive, eps)
 
     measurement = None
-    meas_section = _section(raw, "measurement")
-    if meas_section is not None:
-        measurement = _field(
-            meas_section,
-            "measurement",
-            "amplitudes",
+    if "measurement" in raw:
+        measurement = _get(
+            raw,
+            "measurement.amplitudes",
             lambda v: MeasurementBasisVector(amplitudes=tuple(_complex_list(v))),
         )
         if len(measurement.amplitudes) != len(trajectories):
@@ -281,19 +264,11 @@ def build_run_config(
                 f"measurement.amplitudes: length {len(measurement.amplitudes)} does "
                 f"not match {len(trajectories)} trajectories"
             )
-    elif need_measurement:
-        # The measured branch defaults to the preparation amplitudes.
-        measurement = MeasurementBasisVector(amplitudes=trajectories.amplitudes)
-
-    return RunConfig(
-        detector=detector,
-        trajectories=trajectories,
-        epsilon=eps,
-        T=T_value,
-        q_tolerance=tol,
-        measurement=measurement,
-        scale=_field(_section(raw, "output"), "output", "scale", _scale_name, "per_eps2T"),
-    )
+    scale = _get(raw, "output.scale", _scale_name, "per_eps2T")
+    # Only oracle-validate uses the boost rate, but every command that
+    # reads the interaction section rejects a bad one.
+    _get(raw, "interaction.rindler_a", _positive, 1.0)
+    return RunConfig(detector, trajectories, eps, T_value, tol, measurement, scale)
 
 
 def _emit_warnings(warnings: Sequence[str]) -> None:
@@ -301,9 +276,21 @@ def _emit_warnings(warnings: Sequence[str]) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _ensure_out_dir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
+def _ensure_out_dir(tree: Mapping[str, Any]) -> Path:
+    """Create ``output.directory``; called only once every result exists."""
+    path = _get(tree, "output.directory", Path, Path("."))
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.directory: {exc}") from exc
     return path
+
+
+def _write_csvs(tree: Mapping[str, Any], tables) -> None:
+    """Create the output directory and write each ``(name, header, rows)``."""
+    out = _ensure_out_dir(tree)
+    for name, header, rows in tables:
+        write_csv(out / name, header, rows)
 
 
 def _joint_state(cfg: RunConfig):
@@ -317,55 +304,45 @@ def _joint_state(cfg: RunConfig):
     return rho, validate_regime(cfg.detector, cfg.trajectories, cfg.epsilon, cfg.T, rho.max_entry)
 
 
-def cmd_state(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_state(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Emit the joint matrix and its internal reduction."""
+    cfg = build_run_config(tree)
     rho, report = _joint_state(cfg)
     emitted = rho.to_absolute(cfg.epsilon, cfg.T) if cfg.scale == "absolute" else rho
-    out = _ensure_out_dir(out_dir)
-    write_json(
-        out / "joint_state.json",
-        block_density_to_dict(emitted, cfg.detector.frequencies, cfg.trajectories),
-    )
     reduced = reduced_internal(emitted)
-    write_json(
-        out / "reduced_internal.json",
-        {
-            "scale": _scale_field(emitted.scale, emitted.epsilon, emitted.T),
-            "levels": [float(w) for w in cfg.detector.frequencies],
-            "values": [float(v) for v in reduced],
-        },
-    )
+    out = _ensure_out_dir(tree)
+    joint = block_density_to_dict(emitted, cfg.detector.frequencies, cfg.trajectories)
+    write_json(out / "joint_state.json", joint)
+    write_json(out / "reduced_internal.json", {
+        "scale": _scale_field(emitted.scale, emitted.epsilon, emitted.T),
+        "levels": [float(w) for w in cfg.detector.frequencies],
+        "values": [float(v) for v in reduced],
+    })
     _emit_warnings(report.violations)
     return 0
 
 
-def cmd_measure(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_measure(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Emit the post-measurement internal matrix and its neglog table."""
+    cfg = build_run_config(tree)
+    # The measured branch defaults to the preparation amplitudes.
+    basis = cfg.measurement or MeasurementBasisVector(amplitudes=cfg.trajectories.amplitudes)
     rho, report = _joint_state(cfg)
-    measured = measured_internal(rho, cfg.measurement)
+    measured = measured_internal(rho, basis)
     emitted = measured
     if cfg.scale == "absolute":
         factor = cfg.epsilon**2 * cfg.T
         if not math.isfinite(factor * float(np.max(np.abs(measured)))):
             raise OverflowError(f"epsilon^2 T x measured entry overflows at T = {cfg.T:g}")
         emitted = measured * factor
-    out = _ensure_out_dir(out_dir)
-    write_json(
-        out / "measured_internal.json",
-        measured_to_dict(
-            emitted,
-            cfg.detector.frequencies,
-            cfg.trajectories,
-            cfg.measurement.amplitudes,
-            scale=_scale_field(cfg.scale, cfg.epsilon, cfg.T),
-        ),
-    )
     # The negative-log display is always per unit eps^2 T, the convention
     # in which the reference table is expressed.
-    write_neglog_csv(
-        out / "neglog_matrix.csv",
-        neglog_matrix(measured, cfg.detector.level_count),
-    )
+    neglog = neglog_matrix(measured, cfg.detector.level_count)
+    out = _ensure_out_dir(tree)
+    scale = _scale_field(cfg.scale, cfg.epsilon, cfg.T)
+    write_json(out / "measured_internal.json", measured_to_dict(
+        emitted, cfg.detector.frequencies, cfg.trajectories, basis.amplitudes, scale=scale))
+    write_neglog_csv(out / "neglog_matrix.csv", neglog)
     _emit_warnings(report.violations)
     return 0
 
@@ -381,6 +358,8 @@ def _parse_q_list(text: str | None) -> tuple[float, ...]:
         raise ConfigError("--q: expected a comma-separated list of values")
     if any(q < 0.0 for q in values):
         raise ConfigError("--q: values must be nonnegative")
+    if not all(math.isfinite(q) for q in values):
+        raise ConfigError("--q: values must be finite")
     return values
 
 
@@ -389,46 +368,42 @@ def _q_tag(q: float) -> str:
     return text.replace("-", "m").replace("+", "")
 
 
-def cmd_lambda_grid(out_dir: Path, q_list: tuple[float, ...], steps: int) -> int:
+def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Tabulate the overlap factor over separation grids."""
+    q_list = _parse_q_list(args.q)
+    steps = _DEFAULT_GRID_STEPS if args.grid is None else args.grid
     if steps < 2:
         raise ConfigError(f"--grid: need at least 2 steps per axis, got {steps}")
-    out = _ensure_out_dir(out_dir)
     xi = np.linspace(-3.0, 3.0, steps)
     xbar = np.linspace(0.0, 5.0, steps)
+    tables = []
     for q in q_list:
         values = lambda_overlap(q, xi[:, None], xbar[None, :])
         rows = []
         for i, dxi in enumerate(xi):
             for j, dxb in enumerate(xbar):
                 rows.append((dxi, dxb, values[i, j]))
-        write_csv(out / f"lambda_grid_q{_q_tag(q)}.csv", ("dxi", "dxbar", "lambda"), rows)
-    axis_rows = []
-    for q in q_list:
-        values = lambda_axis_xi(q, xi)
-        axis_rows.extend((q, dxi, v) for dxi, v in zip(xi, values))
-    write_csv(out / "lambda_axis_xi.csv", ("q", "dxi", "lambda"), axis_rows)
-    axis_rows = []
-    for q in q_list:
-        values = lambda_axis_xbar(q, xbar)
-        axis_rows.extend((q, dxb, v) for dxb, v in zip(xbar, values))
-    write_csv(out / "lambda_axis_xbar.csv", ("q", "dxbar", "lambda"), axis_rows)
+        tables.append((f"lambda_grid_q{_q_tag(q)}.csv", ("dxi", "dxbar", "lambda"), rows))
+    for name, axis, closed_form in (
+        ("xi", xi, lambda_axis_xi),
+        ("xbar", xbar, lambda_axis_xbar),
+    ):
+        axis_rows = []
+        for q in q_list:
+            axis_rows.extend((q, d, v) for d, v in zip(axis, closed_form(q, axis)))
+        tables.append((f"lambda_axis_{name}.csv", ("q", f"d{name}", "lambda"), axis_rows))
+    _write_csvs(tree, tables)
     return 0
 
 
-def cmd_oracle_validate(out_dir: Path, rindler_a: float, T_list: Sequence[float]) -> int:
+def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Cross-check closed forms against the quadrature oracles."""
-    out = _ensure_out_dir(out_dir)
+    rindler_a = _get(tree, "interaction.rindler_a", _positive, 1.0)
+    T_list = _get(tree, "oracle.T_list", _float_list, _DEFAULT_T_LIST)
     try:
         report = convergence_report(omega=1.0, z=1.0, a=rindler_a, T_list=T_list)
     except ValueError as exc:
         raise ConfigError(f"oracle.T_list: {exc}") from exc
-    _emit_warnings(report.warnings)
-    write_csv(
-        out / "convergence.csv",
-        ("T", "M", "oracle", "asymptotic", "rel_error"),
-        [(r.T, r.M, r.oracle, r.asymptotic, r.rel_error) for r in report.rows],
-    )
     # One row per oracle call: q, dxi, dxbar, then T and a (finite-duration
     # calls only; their pair is omega = 1 on one branch at z = 1).
     same_branch = (1.0, 0.0, "0")
@@ -446,33 +421,29 @@ def cmd_oracle_validate(out_dir: Path, rindler_a: float, T_list: Sequence[float]
             for dxb, quad_value in zip(_ORACLE_DIFF_DXBAR, quad):
                 closed = float(lambda_overlap(q, dxi, dxb))
                 rows.append((q, dxi, dxb, closed, quad_value, quad_value - closed))
-    write_csv(
-        out / "lambda_oracle_diff.csv",
-        ("q", "dxi", "dxbar", "closed", "quadrature", "diff"),
-        rows,
-    )
 
     traj = Trajectory(z=1.0)
-    T_ref = float(T_list[-1])
+    T_ref = T_list[-1]
     sweep_rows = []
     for a in _A_SWEEP_VALUES:
         value, change = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
         refinement.append(("finite_t", *same_branch, T_ref, a, change, _FINITE_T_TARGET * T_ref))
         sweep_rows.append((a, T_ref, value))
-    write_csv(out / "a_sweep.csv", ("a", "T", "oracle"), sweep_rows)
-    write_csv(
-        out / "oracle_refinement.csv",
-        ("oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"),
-        refinement,
-    )
+    _write_csvs(tree, [
+        ("convergence.csv", ("T", "M", "oracle", "asymptotic", "rel_error"),
+         [(r.T, r.M, r.oracle, r.asymptotic, r.rel_error) for r in report.rows]),
+        ("lambda_oracle_diff.csv", ("q", "dxi", "dxbar", "closed", "quadrature", "diff"), rows),
+        ("a_sweep.csv", ("a", "T", "oracle"), sweep_rows),
+        ("oracle_refinement.csv", ("oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"),
+         refinement),
+    ])
+    _emit_warnings(report.warnings)
     return 0
 
 
-def cmd_paper_example(out_dir: Path) -> int:
+def cmd_paper_example(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Run the three-trajectory demonstration and compare to the reference."""
     result = paper_example()
-    out = _ensure_out_dir(out_dir)
-    write_neglog_csv(out / "neglog_matrix.csv", result.neglog)
     ok, problems = compare_with_reference(result.neglog)
     lines = [
         "three-trajectory demonstration: 12 levels, z = (0.5, 1.0, 1.5)",
@@ -482,6 +453,8 @@ def cmd_paper_example(out_dir: Path) -> int:
         f"verdict: {'PASS' if ok else 'FAIL'}",
     ]
     mismatches = [f"mismatch: {p}" for p in problems]
+    out = _ensure_out_dir(tree)
+    write_neglog_csv(out / "neglog_matrix.csv", result.neglog)
     (out / "paper_example_report.txt").write_text(
         "\n".join(lines + mismatches) + "\n", encoding="utf-8", newline="\n"
     )
@@ -494,138 +467,116 @@ def cmd_paper_example(out_dir: Path) -> int:
 def _spacings(value: Any) -> tuple[float, float, float]:
     if not isinstance(value, list) or len(value) != 3:
         raise ValueError("expected [dx, dy, dz]")
-    return _float_tuple(value)
+    return tuple(float(v) for v in value)
 
 
-def _parse_amplitude_section(section: Mapping[str, Any]) -> SmearedAmplitude:
-    where = "continuum.amplitude"
-    x, y, z = (_field(section, where, key, _float_array) for key in ("x", "y", "z"))
-    values = _field(section, where, "values", _complex_list)
+def _parse_continuum(tree: Mapping[str, Any]):
+    """The ``continuum`` section as two ``(amplitude, coupling, z_fixed,
+    omega_grid)`` systems: the configured one and its exact scale
+    transformation (lengths doubled, frequencies halved), which must be
+    representable too."""
+    x, y, z = (_get(tree, f"continuum.amplitude.{key}", _float_array) for key in "xyz")
+    values = _get(tree, "continuum.amplitude.values", _complex_list)
     expected = x.size * y.size * z.size
     if len(values) != expected:
         raise ConfigError(
-            f"{where}.values: expected {expected} row-major samples, got {len(values)}"
+            f"continuum.amplitude.values: expected {expected} row-major samples, got {len(values)}"
         )
-    spacings = _field(section, where, "spacings", _spacings, None)
+    spacings = _get(tree, "continuum.amplitude.spacings", _spacings, None)
     try:
-        return SmearedAmplitude(
-            x=x,
-            y=y,
-            z=z,
-            values=np.array(values, dtype=complex).reshape(x.size, y.size, z.size),
-            spacings=spacings,
-        )
+        grid_values = np.array(values, dtype=complex).reshape(x.size, y.size, z.size)
+        amplitude = SmearedAmplitude(x, y, z, grid_values, spacings)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_coupling_section(section: Mapping[str, Any]) -> CouplingFunction:
-    where = "continuum.coupling"
-    omega = _field(section, where, "omega", _float_array)
-    values = _field(section, where, "values", _complex_list)
-    if omega.size != len(values):
-        raise ConfigError(f"{where}: omega and values must have equal length")
+        raise ConfigError(f"continuum.amplitude: {exc}") from exc
+    omega = _get(tree, "continuum.coupling.omega", _float_array)
+    coupling_values = _get(tree, "continuum.coupling.values", _complex_list)
+    if omega.size != len(coupling_values):
+        raise ConfigError("continuum.coupling: omega and values must have equal length")
     try:
-        return CouplingFunction(omega=omega, values=np.array(values, dtype=complex))
+        coupling = CouplingFunction(omega=omega, values=np.array(coupling_values, dtype=complex))
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def cmd_continuum(raw: Mapping[str, Any], out_dir: Path) -> int:
-    """Emit diagonal kernel slices for a configured continuum system.
-
-    ``continuum_slice.csv`` holds the diagonal kernel at every transverse
-    grid point for each requested frequency; the ``_rescaled`` companion
-    holds the same system after the exact scale transformation (grid
-    doubled, frequencies halved), whose entries differ by the constant
-    grid-measure factor.  ``continuum_spectrum.csv`` holds the
-    transverse-aggregated spectrum at the fixed height.
-    """
-    section = _section(raw, "continuum", required=True)
-    amplitude = _parse_amplitude_section(_section(section, "continuum.amplitude", required=True))
-    coupling = _parse_coupling_section(_section(section, "continuum.coupling", required=True))
+        raise ConfigError(f"continuum.coupling: {exc}") from exc
+    try:
+        with np.errstate(over="ignore"):  # an infinite doubled grid is rejected
+            scaled = SmearedAmplitude(
+                2.0 * amplitude.x, 2.0 * amplitude.y, 2.0 * amplitude.z,
+                amplitude.values / math.sqrt(8.0), tuple(2.0 * s for s in amplitude.spacings),
+            )
+        scaled_coupling = CouplingFunction(omega=0.5 * coupling.omega, values=coupling.values)
+    except ValueError as exc:
+        raise ConfigError(
+            f"continuum: rescaled system (lengths doubled, frequencies halved): {exc}"
+        ) from exc
 
     def grid_height(value: Any) -> float:
         height = float(value)
         amplitude.index_of((amplitude.x[0], amplitude.y[0], height))
         return height
 
-    z_fixed = _field(section, "continuum", "z_fixed", grid_height)
-    omega_grid = _field(section, "continuum", "omega_grid", _float_array)
+    z_fixed = _get(tree, "continuum.z_fixed", grid_height)
+    omega_grid = _get(tree, "continuum.omega_grid", _float_array)
     if omega_grid.ndim != 1 or omega_grid.size == 0 or not np.all(omega_grid > 0.0):
         raise ConfigError("continuum.omega_grid: must be positive frequencies")
-    # The rescaled pass halves both the grid and the table, so this one
+    # The rescaled system halves both the grid and the table, so this one
     # check covers it too.
     lo, hi = float(coupling.omega[0]), float(coupling.omega[-1])
     if not np.all((omega_grid >= lo) & (omega_grid <= hi)):
         raise ConfigError(
             f"continuum.omega_grid: must lie within the coupling table [{lo:g}, {hi:g}]"
         )
+    return (
+        (amplitude, coupling, z_fixed, omega_grid),
+        (scaled, scaled_coupling, 2.0 * z_fixed, 0.5 * omega_grid),
+    )
 
-    out = _ensure_out_dir(out_dir)
+
+def _diagonal_rows(amp: SmearedAmplitude, zeta: CouplingFunction, zf: float, omegas):
+    rows = []
+    for omega in omegas:
+        q = float(omega) * zf
+        for xv in amp.x:
+            for yv in amp.y:
+                point = (float(xv), float(yv), zf)
+                value = continuum_joint_kernel(q, point, point, amp, zeta)
+                rows.append((q, point[0], point[1], zf, point[0], point[1], zf, value.real, value.imag))
+    return rows
+
+
+def cmd_continuum(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
+    """Emit diagonal kernel slices for a configured continuum system.
+
+    ``continuum_slice.csv`` holds the diagonal kernel at every transverse
+    grid point for each requested frequency; the ``_rescaled`` companion
+    holds the same system after the exact scale transformation (grid
+    doubled, frequencies halved), whose entries differ by the constant
+    grid-measure factor and nothing else, so corresponding rows of the
+    two files have a fixed ratio.  ``continuum_spectrum.csv`` holds the
+    transverse-aggregated spectrum at the fixed height.
+    """
+    system, rescaled = _parse_continuum(tree)
+    _, _, z_fixed, omega_grid = system
     header = ("q", "x", "y", "z", "xp", "yp", "zp", "re", "im")
-
-    def _diagonal_rows(amp: SmearedAmplitude, zeta: CouplingFunction, zf: float, omegas):
-        rows = []
-        for omega in omegas:
-            q = float(omega) * zf
-            for xv in amp.x:
-                for yv in amp.y:
-                    point = (float(xv), float(yv), zf)
-                    value = continuum_joint_kernel(q, point, point, amp, zeta)
-                    rows.append(
-                        (q, point[0], point[1], zf, point[0], point[1], zf,
-                         value.real, value.imag)
-                    )
-        return rows
-
-    write_csv(
-        out / "continuum_slice.csv",
-        header,
-        _diagonal_rows(amplitude, coupling, z_fixed, omega_grid),
-    )
-
-    # Exact scale transformation: lengths doubled, frequencies halved.
-    # Kernel entries pick up the constant grid-measure factor and nothing
-    # else, so corresponding rows of the two files have a fixed ratio.
-    scaled_amp = SmearedAmplitude(
-        x=2.0 * amplitude.x,
-        y=2.0 * amplitude.y,
-        z=2.0 * amplitude.z,
-        values=amplitude.values / math.sqrt(8.0),
-        spacings=tuple(2.0 * s for s in amplitude.spacings),
-    )
-    scaled_coupling = CouplingFunction(
-        omega=0.5 * coupling.omega, values=coupling.values
-    )
-    write_csv(
-        out / "continuum_slice_rescaled.csv",
-        header,
-        _diagonal_rows(scaled_amp, scaled_coupling, 2.0 * z_fixed, 0.5 * omega_grid),
-    )
-
-    spectrum = continuum_spectrum_slice(amplitude, coupling, z_fixed, omega_grid)
-    write_csv(
-        out / "continuum_spectrum.csv",
-        ("omega", "q", "value"),
-        [(w, w * z_fixed, v) for w, v in zip(omega_grid, spectrum)],
-    )
+    spectrum = continuum_spectrum_slice(*system)
+    _write_csvs(tree, [
+        ("continuum_slice.csv", header, _diagonal_rows(*system)),
+        ("continuum_slice_rescaled.csv", header, _diagonal_rows(*rescaled)),
+        ("continuum_spectrum.csv", ("omega", "q", "value"),
+         [(w, w * z_fixed, v) for w, v in zip(omega_grid, spectrum)]),
+    ])
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # Each subcommand takes only the flags it reads.
-    base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    base.add_argument("--out", metavar="DIR", help="output directory")
-    pipeline = argparse.ArgumentParser(add_help=False, parents=[base])
-    pipeline.add_argument("--tol", metavar="X", type=float, help="frequency-alignment tolerance")
-    pipeline.add_argument("--epsilon", metavar="X", type=float, help="coupling strength in (0,1)")
-    pipeline.add_argument("--T", metavar="X", type=float, help="interaction window width")
-    grid = argparse.ArgumentParser(add_help=False, parents=[base])
-    grid.add_argument("--q", metavar="LIST", help="comma-separated q values")
-    grid.add_argument("--grid", metavar="N", type=int, help="grid steps per axis")
+_COMMANDS = {
+    "state": (cmd_state, "emit the joint matrix and its reduction"),
+    "measure": (cmd_measure, "emit the post-measurement matrix"),
+    "lambda-grid": (cmd_lambda_grid, "tabulate the overlap factor"),
+    "oracle-validate": (cmd_oracle_validate, "run quadrature cross-checks"),
+    "paper-example": (cmd_paper_example, "run the three-trajectory demonstration"),
+    "continuum": (cmd_continuum, "emit continuum kernel slices"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superthermal",
         description=(
@@ -634,54 +585,31 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("state", parents=[pipeline], help="emit the joint matrix and its reduction")
-    sub.add_parser("measure", parents=[pipeline], help="emit the post-measurement matrix")
-    sub.add_parser("lambda-grid", parents=[grid], help="tabulate the overlap factor")
-    sub.add_parser("oracle-validate", parents=[base], help="run quadrature cross-checks")
-    sub.add_parser("paper-example", parents=[base], help="run the three-trajectory demonstration")
-    sub.add_parser("continuum", parents=[base], help="emit continuum kernel slices")
+    for command, (_, text) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=text)
+        # Each subcommand takes only the flags it reads.
+        for flag, _, kind, metavar, flag_help, commands in _FLAGS:
+            if command in commands:
+                subparser.add_argument(flag, metavar=metavar, type=kind, help=flag_help)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        raw = load_config(args.config)
-        if args.out is not None:
-            out_dir = Path(args.out)
-        else:
-            out_dir = Path(_field(_section(raw, "output"), "output", "directory", str, "."))
-        if args.command in ("state", "measure"):
-            cfg = build_run_config(
-                raw,
-                epsilon=args.epsilon,
-                T=args.T,
-                q_tolerance=args.tol,
-                need_measurement=args.command == "measure",
-            )
-        if args.command in ("state", "measure", "oracle-validate"):
-            # Only oracle-validate uses the boost rate, but every command
-            # that reads the interaction section rejects a bad one.
-            rindler_a = _field(
-                _section(raw, "interaction"), "interaction", "rindler_a", _positive, 1.0
-            )
-        if args.command == "state":
-            return cmd_state(cfg, out_dir)
-        if args.command == "measure":
-            return cmd_measure(cfg, out_dir)
-        if args.command == "lambda-grid":
-            steps = args.grid if args.grid is not None else _DEFAULT_GRID_STEPS
-            return cmd_lambda_grid(out_dir, _parse_q_list(args.q), steps)
-        if args.command == "oracle-validate":
-            T_list = _field(_section(raw, "oracle"), "oracle", "T_list", _float_tuple, _DEFAULT_T_LIST)
-            return cmd_oracle_validate(out_dir, rindler_a, T_list)
-        if args.command == "paper-example":
-            return cmd_paper_example(out_dir)
-        if args.command == "continuum":
-            return cmd_continuum(raw, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        tree = load_config(args.config)
+        for flag, path, *_ in _FLAGS:
+            value = getattr(args, flag[2:], None)
+            if path is not None and value is not None:
+                section, key = path.split(".")
+                node = tree.setdefault(section, {})
+                if isinstance(node, dict):  # otherwise reading the field reports the section
+                    node[key] = value
+        # An overflow, NaN or division by zero in the formulas is a
+        # numerical failure, not a warning next to a wrong number.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command][0](tree, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -100,8 +100,9 @@ class SmearedAmplitude:
         if values.shape != shape:
             raise ValueError(f"values shape {values.shape} != grid shape {shape}")
         volume = spac[0] * spac[1] * spac[2]
-        norm = float(np.sum(np.abs(values) ** 2) * volume)
-        if abs(norm - 1.0) > _NORMALIZATION_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails below
+            norm = float(np.sum(np.abs(values) ** 2) * volume)
+        if not abs(norm - 1.0) <= _NORMALIZATION_TOL:
             raise ValueError(
                 f"amplitude is not normalized: sum |A|^2 dV = {norm!r}"
             )

@@ -59,7 +59,6 @@ __all__ = [
     "joint_state",
     "reduced_internal",
     "measured_internal",
-    "normalize_internal",
     "neglog_matrix",
     "paper_example",
     "load_reference_matrix",
@@ -491,8 +490,7 @@ def measured_internal(rho: BlockDensity, basis: MeasurementBasisVector) -> np.nd
 
     arranged on the index set {ground} ∪ {levels} as an
     :math:`(L+1)\times(L+1)` Hermitian matrix, accumulated shell by
-    shell.  The state is returned unnormalized; see
-    :func:`normalize_internal`.
+    shell.  The state is returned unnormalized.
     """
     b = basis.vector
     if b.size != rho.traj_count:
@@ -507,16 +505,6 @@ def measured_internal(rho: BlockDensity, basis: MeasurementBasisVector) -> np.nd
         # cell may recur within a block: add.at accumulates every term.
         np.add.at(out, (1 + level[:, :, None], 1 + level[:, None, :]), terms)
     return out
-
-
-def normalize_internal(rho_internal: np.ndarray) -> tuple[np.ndarray, float]:
-    """Divide an internal density matrix by its trace; returns the
-    normalized matrix and the normalization constant."""
-    matrix = np.asarray(rho_internal, dtype=complex)
-    constant = float(np.trace(matrix).real)
-    if constant <= 0.0:
-        raise ValueError(f"trace must be positive to normalize, got {constant!r}")
-    return matrix / constant, constant
 
 
 def neglog_matrix(rho_internal: np.ndarray, level_count: int) -> np.ndarray:

@@ -282,7 +282,7 @@ def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float]:
     base = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0)
     fine = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5)
     change = float(np.max(np.abs(fine - base)))
-    if change > _LAMBDA_TARGET:
+    if not change <= _LAMBDA_TARGET:  # NaN fails this too
         raise QuadratureError(
             f"lambda quadrature did not converge at q={q}, dxi={dxi}: "
             f"grid refinement moved the result by {change:.3e} (target {_LAMBDA_TARGET:.0e})"
@@ -363,7 +363,10 @@ def _finite_t_once(
     inner = np.einsum("s,sk,sk->k", inner_weight, k_m, k_n)
     integral = float(np.dot(k_weights * k_nodes * bessel_j0(k_nodes * dxperp), inner))
     prefactor = T * T * math.exp(-par.suppression) / (math.sqrt(2.0 * math.pi**5) * a)
-    return prefactor * integral
+    value = prefactor * integral
+    if not math.isfinite(value):
+        raise FloatingPointError(f"finite-duration overlap is not finite at T = {T:g}, a = {a:g}")
+    return value
 
 
 def _overlap_finite_t(
@@ -384,7 +387,7 @@ def _overlap_finite_t(
     base = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0)
     fine = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5)
     change = abs(fine - base)
-    if change > _FINITE_T_TARGET * T:
+    if not change <= _FINITE_T_TARGET * T:  # NaN fails this too
         raise QuadratureError(
             "finite-duration overlap quadrature did not converge: refinement "
             f"moved the result by {change:.3e} (target {_FINITE_T_TARGET * T:.1e})"

@@ -51,7 +51,6 @@ __all__ = [
     "lambda_overlap",
     "lambda_axis_xi",
     "lambda_axis_xbar",
-    "gaussian_ft",
     "planck_weight",
 ]
 
@@ -334,30 +333,6 @@ def lambda_axis_xbar(q, dxbar):
     g = 2.0 * np.arcsinh(0.5 * dxbar_arr)
     out = np.sinc(q_arr * g / np.pi) * _x_over_sinh(g)
     return _scalar_or_array(out, q, dxbar)
-
-
-def gaussian_ft(omega, T):
-    r"""Fourier transform of the normalized Gaussian window: for the window
-    :math:`\chi(\tau) = (2\pi)^{-1/4} e^{-\tau^2/(4T^2)}` (which satisfies
-    :math:`\int \chi^2\,d\tau = T`),
-
-    .. math::
-        \bar\chi(\Omega) = \left(\frac{2}{\pi}\right)^{1/4} T\,
-            e^{-\Omega^2 T^2}.
-
-    Parameters
-    ----------
-    omega : array_like
-        Frequency argument.
-    T : float
-        Window duration, strictly positive.
-    """
-    omega_arr = _as_float_array(omega, "omega")
-    if not (np.ndim(T) == 0 and T > 0.0 and math.isfinite(float(T))):
-        raise ValueError(f"gaussian_ft requires scalar T > 0, got {T!r}")
-    with np.errstate(under="ignore"):
-        out = (2.0 / np.pi) ** 0.25 * float(T) * np.exp(-(omega_arr**2) * float(T) ** 2)
-    return _scalar_or_array(out, omega)
 
 
 def _planck_factor(x, y):

@@ -1,11 +1,15 @@
-"""Exit-code property of the ``state`` and ``measure`` commands.
+"""Exit-code property of every subcommand.
 
 A valid config has one or two of its fields mutated: a value replaced by
 0, -1, 1e-310, 1e308, +-Infinity, NaN, a string, a list or null, or the
-field dropped.  Whatever the mutation, ``main`` must return 0, 2 or 3
-without raising or leaking a numpy ``RuntimeWarning``; stderr starts with
-``config error:`` for 2 and ``numerical failure:`` for 3, and holds only
-``warning:`` lines for 0.
+field dropped (``lambda-grid`` draws its ``--q`` and ``--grid`` values
+instead).  Whatever the mutation, ``main`` must return 0, 2 or 3 without
+raising or leaking a numpy ``RuntimeWarning``; stderr starts with
+``config error:`` for 2 and ``numerical failure:`` (or ``numerical
+non-convergence:``) for 3, and holds only ``warning:`` lines for 0.  A
+nonzero exit leaves no ``--out`` directory behind, and a run that
+succeeds exits 2 with ``config error: output.directory:`` once its
+``--out`` lies under a regular file.
 """
 
 import contextlib
@@ -17,6 +21,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +39,23 @@ BASE = {
     "output": {"scale": "per_eps2T"},
 }
 
+CONTINUUM = {
+    "continuum": {
+        "amplitude": {
+            "x": [-0.5, 0.5],
+            "y": [0.0],
+            "z": [0.5, 1.0],
+            "values": [[0.5, 0.5], [0.5, -0.5], [0.0, 0.7071067811865476], 0.7071067811865476],
+            "spacings": [1.0, 1.0, 0.5],
+        },
+        "coupling": {"omega": [0.05, 1.0, 60.0], "values": [1.0, [0.6, 0.8], 0.5]},
+        "z_fixed": 1.0,
+        "omega_grid": [1.0, 2.0],
+    }
+}
+
+ORACLE = {"interaction": {"rindler_a": 1.0}, "oracle": {"T_list": [5.0, 10.0]}}
+
 _DROP = "<drop>"
 MUTATIONS = (0, -1, 1e-310, 1e308, math.inf, -math.inf, math.nan, "abc", [1.0], None, _DROP)
 
@@ -50,9 +72,6 @@ def _paths(node, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-PATHS = tuple(_paths(BASE))
-
-
 def _mutate(tree, path, value) -> None:
     """Apply one mutation; a path an earlier mutation removed is skipped."""
     node = tree
@@ -63,7 +82,7 @@ def _mutate(tree, path, value) -> None:
             return
     key = path[-1]
     present = key in node if isinstance(node, dict) else (
-        isinstance(node, list) and key < len(node)
+        isinstance(node, list) and isinstance(key, int) and key < len(node)
     )
     if not present:
         return
@@ -73,33 +92,115 @@ def _mutate(tree, path, value) -> None:
         node[key] = copy.deepcopy(value)
 
 
+def _mutated(base, mutations):
+    tree = copy.deepcopy(base)
+    for path, value in mutations:
+        _mutate(tree, path, value)
+    return tree
+
+
+def _main(argv):
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+def _check_exit_contract(args, tree=None):
+    """Run one command and check the exit-code contract; returns the code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if tree is not None:
+            config = tmp / "config.json"
+            config.write_text(json.dumps(tree), encoding="utf-8")
+            args = [*args, "--config", str(config)]
+        out = tmp / "out"
+        code, text = _main([*args, "--out", str(out)])
+        if code == 0:
+            assert all(line.startswith("warning: ") for line in text.splitlines()), text
+            blocker = tmp / "afile"
+            blocker.write_text("", encoding="utf-8")
+            code, text = _main([*args, "--out", str(blocker / "out")])
+            assert code == 2, (code, text)
+            assert text.startswith("config error: output.directory:"), text
+            return 0
+        assert not out.exists(), (code, text)
+        if code == 2:
+            assert text.startswith("config error:"), text
+        else:
+            assert code == 3, (code, text)
+            assert text.startswith(("numerical failure:", "numerical non-convergence:")), text
+        return code
+
+
+def _mutation_lists(paths):
+    return st.lists(
+        st.tuples(st.sampled_from(paths), st.sampled_from(MUTATIONS)), min_size=1, max_size=2
+    )
+
+
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(
     command=st.sampled_from(("state", "measure")),
     scale=st.sampled_from(("per_eps2T", "absolute")),
-    mutations=st.lists(
-        st.tuples(st.sampled_from(PATHS), st.sampled_from(MUTATIONS)), min_size=1, max_size=2
-    ),
+    mutations=_mutation_lists(tuple(_paths(BASE))),
 )
 def test_mutated_configs_exit_0_2_or_3(command, scale, mutations):
-    tree = copy.deepcopy(BASE)
-    tree["output"]["scale"] = scale
-    for path, value in mutations:
-        _mutate(tree, path, value)
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(tree), encoding="utf-8")
-        argv = [command, "--config", str(config), "--out", str(Path(tmp) / "out")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-    text = err.getvalue()
-    if code == 0:
-        assert all(line.startswith("warning: ") for line in text.splitlines()), text
-    elif code == 2:
-        assert text.startswith("config error:"), text
-    else:
-        assert code == 3, (code, text)
-        assert text.startswith("numerical failure:"), text
+    base = copy.deepcopy(BASE)
+    base["output"]["scale"] = scale
+    _check_exit_contract([command], _mutated(base, mutations))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(mutations=_mutation_lists(tuple(_paths(CONTINUUM))))
+def test_mutated_continuum_configs_exit_0_2_or_3(mutations):
+    _check_exit_contract(["continuum"], _mutated(CONTINUUM, mutations))
+
+
+# Huge --grid values are left out: lambda-grid allocates steps^2 floats per q.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    q=st.one_of(
+        st.none(),
+        st.sampled_from(("0", "1.5", "0,2,10", "", ",", "abc", "1,,2", "-1", "-inf", "nan",
+                         "inf", "1e308", "1e-310", "0,1e308", "1e300", "5e-324")),
+    ),
+    grid=st.one_of(st.none(), st.sampled_from((-1, 0, 1, 2, 3, 7))),
+)
+def test_lambda_grid_flags_exit_0_2_or_3(q, grid):
+    args = ["lambda-grid"]
+    if q is not None:
+        args.append(f"--q={q}")
+    if grid is not None:
+        args.append(f"--grid={grid}")
+    _check_exit_contract(args)
+
+
+# Dropping any of these fields, or a T_list of [1.0], leaves a valid
+# config, whose run costs seconds; test_io_cli covers the valid run.
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param(path, value, id=f"{'.'.join(map(str, path))}={value!r}")
+        for path in (("oracle", "T_list"), ("oracle", "T_list", 0), ("oracle", "T_list", 1),
+                     ("interaction", "rindler_a"))
+        for value in MUTATIONS
+        if value != _DROP and (path, value) != (("oracle", "T_list"), [1.0])
+    ],
+)
+def test_mutated_oracle_configs_exit_2_or_3(path, value):
+    assert _check_exit_contract(["oracle-validate"], _mutated(ORACLE, [(path, value)])) in (2, 3)
+
+
+@pytest.mark.parametrize("directory", ["<blocked>", 5, None, ["out"]], ids=repr)
+def test_paper_example_bad_output_directory_exits_2(tmp_path, directory):
+    if directory == "<blocked>":
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        directory = str(tmp_path / "afile" / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output": {"directory": directory}}), encoding="utf-8")
+    code, text = _main(["paper-example", "--config", str(config)])
+    assert code == 2
+    assert text.startswith("config error: output.directory:"), text

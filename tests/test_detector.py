@@ -20,7 +20,6 @@ from superthermal.detector import (
     load_reference_matrix,
     measured_internal,
     neglog_matrix,
-    normalize_internal,
     paper_example,
     reduced_internal,
 )
@@ -217,16 +216,6 @@ def test_neglog_matrix_blanks_and_shapes():
     )
     with pytest.raises(ValueError):
         neglog_matrix(measured[:5, :5], det.level_count)
-
-
-def test_normalize_internal():
-    det, ts = _three_branch_system()
-    rho = joint_state(det, ts, tol=1e-12)
-    basis = MeasurementBasisVector(amplitudes=ts.amplitudes)
-    measured = measured_internal(rho, basis)
-    normalized, trace = normalize_internal(measured)
-    assert trace == pytest.approx(np.trace(measured).real, rel=1e-15)
-    assert np.trace(normalized).real == pytest.approx(1.0, rel=1e-14)
 
 
 def test_to_absolute_scaling_and_bound_warning():

@@ -819,6 +819,78 @@ def test_cli_non_finite_oracle_duration_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: oracle.T_list: T_list must be finite")
 
 
+def test_cli_unusable_output_directory_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    config = _write_config(tmp_path, _base_tree())
+    assert main(["state", "--config", config, "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("config error: output.directory: ")
+
+
+def test_cli_config_error_leaves_no_output_directory(tmp_path, capsys):
+    config = _write_config(tmp_path, {"oracle": {"T_list": [20.0, 10.0]}})
+    out = tmp_path / "out"
+    assert main(["oracle-validate", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: oracle.T_list: T_list must be strictly")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["nan", "inf", "1,nan"])
+def test_cli_non_finite_q_is_a_config_error(tmp_path, capsys, q):
+    out = tmp_path / "out"
+    assert main(["lambda-grid", "--out", str(out), f"--q={q}", "--grid", "4"]) == 2
+    assert capsys.readouterr().err == "config error: --q: values must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, tree, message",
+    [
+        (["lambda-grid", "--q", "1e308", "--grid", "4"], None, "FloatingPointError: overflow"),
+        (["oracle-validate"], {"oracle": {"T_list": [10.0, 1e308]}}, "FloatingPointError: invalid"),
+        (
+            ["oracle-validate"],
+            {"interaction": {"rindler_a": 1e-310}},
+            "FloatingPointError: finite-duration overlap is not finite at T = 10, a = 1e-310",
+        ),
+    ],
+    ids=["q-1e308", "T-1e308", "a-1e-310"],
+)
+def test_cli_non_finite_results_are_numerical_failures(tmp_path, capsys, argv, tree, message):
+    out = tmp_path / "out"
+    if tree is not None:
+        argv = [*argv, "--config", _write_config(tmp_path, tree)]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda c: c["amplitude"].update(y=[1e308]),
+            "continuum: rescaled system (lengths doubled, frequencies halved): "
+            "y axis must be non-empty and finite",
+        ),
+        (
+            lambda c: c["amplitude"]["values"].__setitem__(0, 1e308),
+            "continuum.amplitude: amplitude is not normalized: sum |A|^2 dV = inf",
+        ),
+    ],
+    ids=["doubled-grid-overflows", "normalisation-overflows"],
+)
+def test_cli_continuum_overflowing_input_is_a_config_error(tmp_path, capsys, mutate, message):
+    tree = _continuum_tree()
+    mutate(tree["continuum"])
+    out = tmp_path / "out"
+    assert main(["continuum", "--config", _write_config(tmp_path, tree), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_huge_frequency_runs_without_warnings(tmp_path, capsys):
     # 2 pi omega z overflows to inf, and the Planck weight is exactly 0
     tree = _base_tree()

@@ -18,7 +18,6 @@ from superthermal.specfun import (
     bessel_j0,
     bessel_k_imag,
     conical_p,
-    gaussian_ft,
     lambda_axis_xbar,
     lambda_axis_xi,
     lambda_overlap,
@@ -218,15 +217,6 @@ def test_lambda_decays_along_both_axes():
         assert along_xi[-1] < 0.25
         along_xbar = [abs(float(lambda_axis_xbar(q, x))) for x in (0.0, 2.0, 5.0)]
         assert along_xbar[-1] < along_xbar[0]
-
-
-def test_gaussian_ft():
-    # (2/pi)^{1/4} T e^{-Omega^2 T^2}
-    T = 3.0
-    pref = (2.0 / math.pi) ** 0.25 * T
-    assert gaussian_ft(0.0, T) == pytest.approx(pref, rel=1e-15)
-    assert gaussian_ft(0.5, T) == pytest.approx(pref * math.exp(-0.25 * 9.0), rel=1e-14)
-    assert gaussian_ft(100.0, 1.0) == 0.0  # underflows cleanly
 
 
 def test_planck_weight():
