@@ -33,8 +33,9 @@ flag overrides the field :data:`_FLAGS` names (``--out`` is
 ``output.directory``), and every configuration error names its field.
 Each command computes all of its results before it creates the output
 directory, so a failed run writes nothing.  Exit codes: 0 success,
-2 configuration error (an unusable output directory too), 3 numerical
-failure (a quadrature that does not converge, an overflow, NaN or
+2 configuration error (an output directory that cannot be created or
+written into too), 3 numerical failure (a quadrature that does not
+converge or whose grids would pass their size cap, an overflow, NaN or
 division by zero in the formulas, or a ``paper-example`` FAIL verdict).
 
 Identical configuration produces byte-identical files: floats are
@@ -276,21 +277,25 @@ def _emit_warnings(warnings: Sequence[str]) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _ensure_out_dir(tree: Mapping[str, Any]) -> Path:
-    """Create ``output.directory``; called only once every result exists."""
-    path = _get(tree, "output.directory", Path, Path("."))
+def _write_outputs(tree: Mapping[str, Any], files) -> None:
+    """Create ``output.directory`` and write each ``(name, writer, *args)``
+    into it as ``writer(directory / name, *args)``; called only once every
+    result exists.  An ``OSError`` there is a configuration error that
+    names the directory, and the file it could not write."""
+    out = _get(tree, "output.directory", Path, Path("."))
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output.directory: {exc}") from exc
-    return path
+    for name, writer, *args in files:
+        try:
+            writer(out / name, *args)
+        except OSError as exc:
+            raise ConfigError(f"output.directory: cannot write {name}: {exc}") from exc
 
 
-def _write_csvs(tree: Mapping[str, Any], tables) -> None:
-    """Create the output directory and write each ``(name, header, rows)``."""
-    out = _ensure_out_dir(tree)
-    for name, header, rows in tables:
-        write_csv(out / name, header, rows)
+def _write_text(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _joint_state(cfg: RunConfig):
@@ -310,14 +315,15 @@ def cmd_state(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     rho, report = _joint_state(cfg)
     emitted = rho.to_absolute(cfg.epsilon, cfg.T) if cfg.scale == "absolute" else rho
     reduced = reduced_internal(emitted)
-    out = _ensure_out_dir(tree)
     joint = block_density_to_dict(emitted, cfg.detector.frequencies, cfg.trajectories)
-    write_json(out / "joint_state.json", joint)
-    write_json(out / "reduced_internal.json", {
-        "scale": _scale_field(emitted.scale, emitted.epsilon, emitted.T),
-        "levels": [float(w) for w in cfg.detector.frequencies],
-        "values": [float(v) for v in reduced],
-    })
+    _write_outputs(tree, [
+        ("joint_state.json", write_json, joint),
+        ("reduced_internal.json", write_json, {
+            "scale": _scale_field(emitted.scale, emitted.epsilon, emitted.T),
+            "levels": [float(w) for w in cfg.detector.frequencies],
+            "values": [float(v) for v in reduced],
+        }),
+    ])
     _emit_warnings(report.violations)
     return 0
 
@@ -338,11 +344,12 @@ def cmd_measure(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     # The negative-log display is always per unit eps^2 T, the convention
     # in which the reference table is expressed.
     neglog = neglog_matrix(measured, cfg.detector.level_count)
-    out = _ensure_out_dir(tree)
     scale = _scale_field(cfg.scale, cfg.epsilon, cfg.T)
-    write_json(out / "measured_internal.json", measured_to_dict(
-        emitted, cfg.detector.frequencies, cfg.trajectories, basis.amplitudes, scale=scale))
-    write_neglog_csv(out / "neglog_matrix.csv", neglog)
+    _write_outputs(tree, [
+        ("measured_internal.json", write_json, measured_to_dict(
+            emitted, cfg.detector.frequencies, cfg.trajectories, basis.amplitudes, scale=scale)),
+        ("neglog_matrix.csv", write_neglog_csv, neglog),
+    ])
     _emit_warnings(report.violations)
     return 0
 
@@ -383,7 +390,7 @@ def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
         for i, dxi in enumerate(xi):
             for j, dxb in enumerate(xbar):
                 rows.append((dxi, dxb, values[i, j]))
-        tables.append((f"lambda_grid_q{_q_tag(q)}.csv", ("dxi", "dxbar", "lambda"), rows))
+        tables.append((f"lambda_grid_q{_q_tag(q)}.csv", write_csv, ("dxi", "dxbar", "lambda"), rows))
     for name, axis, closed_form in (
         ("xi", xi, lambda_axis_xi),
         ("xbar", xbar, lambda_axis_xbar),
@@ -391,8 +398,8 @@ def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
         axis_rows = []
         for q in q_list:
             axis_rows.extend((q, d, v) for d, v in zip(axis, closed_form(q, axis)))
-        tables.append((f"lambda_axis_{name}.csv", ("q", f"d{name}", "lambda"), axis_rows))
-    _write_csvs(tree, tables)
+        tables.append((f"lambda_axis_{name}.csv", write_csv, ("q", f"d{name}", "lambda"), axis_rows))
+    _write_outputs(tree, tables)
     return 0
 
 
@@ -429,13 +436,14 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
         value, change = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
         refinement.append(("finite_t", *same_branch, T_ref, a, change, _FINITE_T_TARGET * T_ref))
         sweep_rows.append((a, T_ref, value))
-    _write_csvs(tree, [
-        ("convergence.csv", ("T", "M", "oracle", "asymptotic", "rel_error"),
+    _write_outputs(tree, [
+        ("convergence.csv", write_csv, ("T", "M", "oracle", "asymptotic", "rel_error"),
          [(r.T, r.M, r.oracle, r.asymptotic, r.rel_error) for r in report.rows]),
-        ("lambda_oracle_diff.csv", ("q", "dxi", "dxbar", "closed", "quadrature", "diff"), rows),
-        ("a_sweep.csv", ("a", "T", "oracle"), sweep_rows),
-        ("oracle_refinement.csv", ("oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"),
-         refinement),
+        ("lambda_oracle_diff.csv", write_csv,
+         ("q", "dxi", "dxbar", "closed", "quadrature", "diff"), rows),
+        ("a_sweep.csv", write_csv, ("a", "T", "oracle"), sweep_rows),
+        ("oracle_refinement.csv", write_csv,
+         ("oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"), refinement),
     ])
     _emit_warnings(report.warnings)
     return 0
@@ -453,11 +461,10 @@ def cmd_paper_example(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
         f"verdict: {'PASS' if ok else 'FAIL'}",
     ]
     mismatches = [f"mismatch: {p}" for p in problems]
-    out = _ensure_out_dir(tree)
-    write_neglog_csv(out / "neglog_matrix.csv", result.neglog)
-    (out / "paper_example_report.txt").write_text(
-        "\n".join(lines + mismatches) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_outputs(tree, [
+        ("neglog_matrix.csv", write_neglog_csv, result.neglog),
+        ("paper_example_report.txt", _write_text, "\n".join(lines + mismatches) + "\n"),
+    ])
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
     for line in mismatches:
         print(line, file=sys.stderr)
@@ -557,10 +564,10 @@ def cmd_continuum(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     _, _, z_fixed, omega_grid = system
     header = ("q", "x", "y", "z", "xp", "yp", "zp", "re", "im")
     spectrum = continuum_spectrum_slice(*system)
-    _write_csvs(tree, [
-        ("continuum_slice.csv", header, _diagonal_rows(*system)),
-        ("continuum_slice_rescaled.csv", header, _diagonal_rows(*rescaled)),
-        ("continuum_spectrum.csv", ("omega", "q", "value"),
+    _write_outputs(tree, [
+        ("continuum_slice.csv", write_csv, header, _diagonal_rows(*system)),
+        ("continuum_slice_rescaled.csv", write_csv, header, _diagonal_rows(*rescaled)),
+        ("continuum_spectrum.csv", write_csv, ("omega", "q", "value"),
          [(w, w * z_fixed, v) for w, v in zip(omega_grid, spectrum)]),
     ])
     return 0

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Trajectory, coherence_condition, delta_xbar, delta_xi
-from .specfun import _k_imag_outer, _panel_nodes, bessel_j0, lambda_overlap, planck_weight
+from .specfun import _GL_NODES, _k_imag_outer, _panel_nodes, bessel_j0, lambda_overlap, planck_weight
 
 __all__ = [
     "QuadratureError",
@@ -57,6 +57,13 @@ __all__ = [
 #: Decay (in e-foldings) of the Bessel-product envelope at which the
 #: transverse-momentum integral is truncated (e^-37 ~ 8.5e-17 of peak).
 _ENVELOPE_DECAY = 37.0
+
+#: Most K_inu values (orders x k nodes) one finite-duration grid may need,
+#: about 32 MiB per array of them.  The default durations need at most
+#: 0.36 million and T = 1/omega 0.68 million; T far below 1/omega widens
+#: the boost-frequency window, and with it the orders and the k grid,
+#: without bound.
+_FINITE_T_MAX_VALUES = 2**22
 
 
 class QuadratureError(RuntimeError):
@@ -202,7 +209,8 @@ def _kbar_grid(
     decay_rate: float,
     kbar_max: float,
     refine: float,
-) -> tuple[np.ndarray, np.ndarray]:
+    max_nodes: float = math.inf,
+) -> tuple[np.ndarray, np.ndarray] | None:
     r"""Quadrature grid for :math:`\int_0^{k_{max}} dk\,k\,J_0(k\,\cdot)\,
     K_{i\nu}(k s_+) K_{i\nu}(k s_-)`.
 
@@ -213,18 +221,25 @@ def _kbar_grid(
     ``osc_max`` of the :math:`J_0` factor, and the exponential decay
     ``decay_rate`` of the envelope.  The floor ``1e-7/refine`` lets the
     refinement change include the piece below the base pass's floor.
+    A grid that would need more than ``max_nodes`` nodes is not built:
+    the result is then ``None``.
     """
     k_floor = 1e-7 / refine
     k_log_end = min(0.1, 0.5 * kbar_max)
     u_lo, u_hi = math.log(k_floor), math.log(k_log_end)
     width_u = math.pi / (4.0 * (nu_max + k_log_end * osc_max + 1.0)) / refine
     n_log = max(1, int(math.ceil((u_hi - u_lo) / width_u)))
+    max_panels = max_nodes / _GL_NODES.size
+    if n_log > max_panels:
+        return None
     log_nodes, log_weights = _panel_nodes(np.linspace(u_lo, u_hi, n_log + 1))
     k_log = np.exp(log_nodes)
     w_log = log_weights * k_log  # du measure -> dk measure
 
     edges = [k_log_end]
     while edges[-1] < kbar_max:
+        if n_log + len(edges) > max_panels:
+            return None
         k = edges[-1]
         width = min(
             math.pi / (4.0 * (nu_max / k + osc_max + 1.0)),
@@ -236,9 +251,24 @@ def _kbar_grid(
     return np.concatenate([k_log, lin_nodes]), np.concatenate([w_log, lin_weights])
 
 
+def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float):
+    """``K_imag`` at both argument sets with its series error bounds: the
+    products ``K_a K_b`` and a bound on their error, per (nu, node)."""
+    err_a = np.empty((nu.size, x_a.size))
+    k_a = _k_imag_outer(nu, x_a, refine, err=err_a)
+    if x_b is x_a:
+        k_b, err_b = k_a, err_a
+    else:
+        err_b = np.empty_like(err_a)
+        k_b = _k_imag_outer(nu, x_b, refine, err=err_b)
+    return k_a * k_b, np.abs(k_a) * err_b + err_a * np.abs(k_b) + err_a * err_b
+
+
 def _lambda_quadrature_once(
     q: float, dxi: float, dxbar: np.ndarray, refine: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quadrature of :func:`oracle_lambda_quadrature` on one grid, and a
+    bound on the error the series part of ``K_iq`` puts into it."""
     s_plus = math.sqrt(0.5 * (math.exp(2.0 * dxi) + 1.0))
     s_minus = math.sqrt(0.5 * (math.exp(-2.0 * dxi) + 1.0))
     decay = s_plus + s_minus
@@ -250,16 +280,18 @@ def _lambda_quadrature_once(
         kbar_max=kbar_max,
         refine=refine,
     )
-    nu = np.array([q])
-    k_plus = _k_imag_outer(nu, kbar * s_plus, refine)[0]
-    k_minus = k_plus if s_minus == s_plus else _k_imag_outer(nu, kbar * s_minus, refine)[0]
-    core = weights * kbar * k_plus * k_minus
-    integrals = bessel_j0(np.outer(dxbar, kbar)) @ core
+    x_plus = kbar * s_plus
+    x_minus = x_plus if s_minus == s_plus else kbar * s_minus
+    product, product_err = _k_products(np.array([q]), x_plus, x_minus, refine)
+    j0 = bessel_j0(np.outer(dxbar, kbar))
+    measure = weights * kbar
     if q == 0.0:
         prefactor = 2.0
     else:
         prefactor = 2.0 * math.sinh(math.pi * q) / (math.pi * q)
-    return prefactor * math.sqrt(math.cosh(dxi)) * integrals
+    scale = prefactor * math.sqrt(math.cosh(dxi))
+    value = scale * (j0 @ (measure * product[0]))
+    return value, scale * (np.abs(j0) @ (measure * product_err[0]))
 
 
 #: Absolute refinement target of :func:`oracle_lambda_quadrature`.
@@ -270,8 +302,9 @@ _FINITE_T_TARGET = 1e-10
 
 
 def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float]:
-    """:func:`oracle_lambda_quadrature` on an array of ``dxbar``, with the
-    largest change the grid refinement made."""
+    """:func:`oracle_lambda_quadrature` on an array of ``dxbar``, with its
+    largest change: what the grid refinement moved plus the bound on the
+    K series error, which a finer grid does not reduce."""
     if not (q >= 0.0 and math.isfinite(q)):
         raise ValueError(f"oracle_lambda_quadrature requires q >= 0, got {q}")
     if math.pi * q > 700.0:
@@ -279,13 +312,14 @@ def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float]:
     dxbar_arr = np.atleast_1d(np.asarray(dxbar, dtype=float))
     if not np.all(dxbar_arr >= 0.0):
         raise ValueError("oracle_lambda_quadrature requires dxbar >= 0")
-    base = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0)
-    fine = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5)
-    change = float(np.max(np.abs(fine - base)))
+    base, _ = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0)
+    fine, series_err = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5)
+    change = float(np.max(np.abs(fine - base) + series_err))
     if change > _LAMBDA_TARGET:
         raise QuadratureError(
             f"lambda quadrature did not converge at q={q}, dxi={dxi}: "
-            f"grid refinement moved the result by {change:.3e} (target {_LAMBDA_TARGET:.0e})"
+            f"grid refinement plus the K series bound changed the result by {change:.3e} "
+            f"(target {_LAMBDA_TARGET:.0e})"
         )
     return fine, change
 
@@ -307,7 +341,8 @@ def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
     once and shared across all transverse separations.
 
     Target absolute accuracy 1e-8, enforced by comparing against a
-    refined grid; disagreement raises :class:`QuadratureError`.
+    refined grid (the change also counts the bound on the K series
+    error); disagreement raises :class:`QuadratureError`.
     """
     values, _ = _lambda_quadrature(q, dxi, dxbar)
     if np.ndim(dxbar) == 0:
@@ -323,7 +358,9 @@ def _finite_t_once(
     T: float,
     a: float,
     refine: float,
-) -> float:
+) -> tuple[float, float]:
+    """The quadrature of :func:`oracle_overlap_finite_t` on one grid, and a
+    bound on the error the series part of ``K_iν`` puts into it."""
     par = _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
     zm, zn = traj_m.z, traj_n.z
     dx = traj_m.x_perp[0] - traj_n.x_perp[0]
@@ -340,33 +377,43 @@ def _finite_t_once(
     s_nodes, s_weights = _panel_nodes(np.linspace(s_lo, s_hi, n_panels + 1))
     omega_pp = s_nodes * par.omega_bar
     nu = omega_pp / a
+
+    # Size the k grid before anything of its size is allocated.
+    nu_max = float(nu.max())
+    k_max = max(
+        (_ENVELOPE_DECAY + math.pi * nu_max) / (zm + zn),
+        37.5 / min(zm, zn),
+    )
+    grid = _kbar_grid(
+        nu_max=nu_max,
+        osc_max=dxperp,
+        decay_rate=zm + zn,
+        kbar_max=k_max,
+        refine=refine,
+        max_nodes=_FINITE_T_MAX_VALUES / nu.size,
+    )
+    if grid is None:
+        raise QuadratureError(
+            f"finite-duration overlap at T = {T:g} needs more than {_FINITE_T_MAX_VALUES} "
+            f"K_inu values ({nu.size} orders up to {nu_max:.4g}); T far below 1/omega "
+            "widens the boost-frequency window without bound"
+        )
+    k_nodes, k_weights = grid
     with np.errstate(under="ignore"):
         gauss = np.exp(-math.pi * nu - par.sharpness * (s_nodes - 1.0) ** 2) + np.exp(
             math.pi * nu - par.sharpness * (s_nodes + 1.0) ** 2
         )
     inner_weight = s_weights * par.omega_bar * gauss
 
-    nu_max = float(nu.max())
-    k_max = max(
-        (_ENVELOPE_DECAY + math.pi * nu_max) / (zm + zn),
-        37.5 / min(zm, zn),
-    )
-    k_nodes, k_weights = _kbar_grid(
-        nu_max=nu_max,
-        osc_max=dxperp,
-        decay_rate=zm + zn,
-        kbar_max=k_max,
-        refine=refine,
-    )
-    k_m = _k_imag_outer(nu, k_nodes * zm, refine)
-    k_n = k_m if zn == zm else _k_imag_outer(nu, k_nodes * zn, refine)
-    inner = np.einsum("s,sk,sk->k", inner_weight, k_m, k_n)
-    integral = float(np.dot(k_weights * k_nodes * bessel_j0(k_nodes * dxperp), inner))
+    x_m = k_nodes * zm
+    product, product_err = _k_products(nu, x_m, x_m if zn == zm else k_nodes * zn, refine)
+    outer = k_weights * k_nodes * bessel_j0(k_nodes * dxperp)
+    integral = float(outer @ (inner_weight @ product))
     prefactor = T * T * math.exp(-par.suppression) / (math.sqrt(2.0 * math.pi**5) * a)
     value = prefactor * integral
     if not math.isfinite(value):
         raise FloatingPointError(f"finite-duration overlap is not finite at T = {T:g}, a = {a:g}")
-    return value
+    return value, prefactor * float(np.abs(outer) @ (inner_weight @ product_err))
 
 
 def _overlap_finite_t(
@@ -377,20 +424,21 @@ def _overlap_finite_t(
     T: float,
     a: float,
 ) -> tuple[float, float]:
-    """:func:`oracle_overlap_finite_t` with the change the grid refinement
-    made (0 for a suppressed pair)."""
+    """:func:`oracle_overlap_finite_t` with its change: what the grid
+    refinement moved plus the bound on the K series error (0 for a
+    suppressed pair)."""
     if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0 and a > 0.0):
         raise ValueError("oracle_overlap_finite_t requires positive arguments")
     par = _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
     if par.suppression > 800.0:
         return 0.0, 0.0
-    base = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0)
-    fine = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5)
-    change = abs(fine - base)
+    base, _ = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0)
+    fine, series_err = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5)
+    change = abs(fine - base) + series_err
     if change > _FINITE_T_TARGET * T:
         raise QuadratureError(
-            "finite-duration overlap quadrature did not converge: refinement "
-            f"moved the result by {change:.3e} (target {_FINITE_T_TARGET * T:.1e})"
+            "finite-duration overlap quadrature did not converge: refinement plus the "
+            f"K series bound changed the result by {change:.3e} (target {_FINITE_T_TARGET * T:.1e})"
         )
     return fine, change
 
@@ -424,10 +472,13 @@ def oracle_overlap_finite_t(
     auxiliary parameter ``a`` must not affect the value; nodes are placed
     covariantly so it cancels to rounding accuracy.
 
-    Absolute accuracy target ``1e-10 * T``, enforced by grid refinement;
-    failure raises :class:`QuadratureError` rather than returning a
-    partial value.  Strongly suppressed pairs (:math:`C > 800`, value
-    below the double-precision underflow scale) return exactly 0.
+    Absolute accuracy target ``1e-10 * T``, enforced by grid refinement
+    (the change also counts the bound on the K series error); failure
+    raises :class:`QuadratureError` rather than returning a partial
+    value, and so do grids that would need more than
+    ``_FINITE_T_MAX_VALUES`` K values (T far below :math:`1/\omega`).
+    Strongly suppressed pairs (:math:`C > 800`, value below the
+    double-precision underflow scale) return exactly 0.
     """
     return _overlap_finite_t(omega_i, traj_n, omega_j, traj_m, T, a)[0]
 

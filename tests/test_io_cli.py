@@ -9,11 +9,16 @@ in a traceback.
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superthermal
 from superthermal import cli
 from superthermal.cli import main
 from superthermal.detector import (
@@ -847,7 +852,6 @@ def test_cli_non_finite_q_is_a_config_error(tmp_path, capsys, q):
 @pytest.mark.parametrize(
     "argv, tree, message",
     [
-        (["lambda-grid", "--q", "1e308", "--grid", "4"], None, "FloatingPointError: overflow"),
         (["oracle-validate"], {"oracle": {"T_list": [10.0, 1e308]}}, "FloatingPointError: invalid"),
         (
             ["oracle-validate"],
@@ -855,7 +859,7 @@ def test_cli_non_finite_q_is_a_config_error(tmp_path, capsys, q):
             "FloatingPointError: finite-duration overlap is not finite at T = 10, a = 1e-310",
         ),
     ],
-    ids=["q-1e308", "T-1e308", "a-1e-310"],
+    ids=["T-1e308", "a-1e-310"],
 )
 def test_cli_non_finite_results_are_numerical_failures(tmp_path, capsys, argv, tree, message):
     out = tmp_path / "out"
@@ -864,6 +868,61 @@ def test_cli_non_finite_results_are_numerical_failures(tmp_path, capsys, argv, t
     assert main([*argv, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_lambda_grid_writes_the_limit_where_q_alpha_overflows(tmp_path):
+    # q alpha overflows on most of the grid; |Lambda| <= 1/(q alpha) makes
+    # 0 the value there, and only the origin of the xbar axis (alpha = 0)
+    # keeps Lambda = 1.
+    out = tmp_path / "out"
+    assert main(["lambda-grid", "--q", "1e308", "--grid", "4", "--out", str(out)]) == 0
+    for name, count in (
+        ("lambda_grid_q1e308.csv", 16),
+        ("lambda_axis_xi.csv", 4),
+        ("lambda_axis_xbar.csv", 4),
+    ):
+        values = [float(line.split(",")[-1]) for line in (out / name).read_text().splitlines()[1:]]
+        assert len(values) == count
+        assert values == [1.0 if name == "lambda_axis_xbar.csv" and i == 0 else 0.0 for i in range(count)]
+
+
+def test_cli_unwritable_artifact_is_a_config_error(tmp_path, capsys):
+    # --out exists, but holds a directory where the first artifact goes
+    out = tmp_path / "out"
+    (out / "joint_state.json").mkdir(parents=True)
+    config = _write_config(tmp_path, _base_tree())
+    assert main(["state", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: output.directory: cannot write joint_state.json: "
+    )
+
+
+@pytest.mark.parametrize("t_list", [[0.03, 10.0], [1e-3, 10.0]], ids=["T-0.03", "T-1e-3"])
+def test_cli_oracle_durations_far_below_one_over_omega_stop_before_allocating(tmp_path, t_list):
+    # Far below T = 1/omega the finite-duration grids widen without bound;
+    # the oracle sizes them first and stops at its cap, inside a 3 GB
+    # address space and without a traceback.
+    config = _write_config(tmp_path, {"oracle": {"T_list": t_list}})
+    src = str(Path(superthermal.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = 3 * 10**9
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "superthermal.cli", "oracle-validate",
+         "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=300,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"numerical non-convergence: finite-duration overlap at T = {t_list[0]:g} needs more than"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

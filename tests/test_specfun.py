@@ -1,6 +1,6 @@
-"""Special functions: Macdonald K of imaginary order, conical P, the
-overlap factor and its closed on-axis forms, window transform, thermal
-weight.
+"""Special functions: Macdonald K of imaginary order (power series up to
+the crossover, quadrature above), conical P, the overlap factor and its
+closed on-axis forms, window transform, thermal weight.
 
 Frozen reference values come from mpmath at 40 decimal digits via
 ``tests/oracles.py``.
@@ -11,9 +11,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import lam
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import k_imag, lam
 
 from superthermal.specfun import (
+    _KSERIES_X,
     _k_imag_outer,
     bessel_j0,
     bessel_k_imag,
@@ -76,7 +79,7 @@ def test_bessel_k_imag_positive_order_zero_matches_scipy():
 K_IMAG_XS = np.concatenate([np.geomspace(1e-7, 0.1, 20), np.geomspace(0.1, 60.0, 21)[1:]])
 
 
-@pytest.mark.parametrize("nu", [0.0, 2.0, 10.0, 20.0, 40.0])
+@pytest.mark.parametrize("nu", [0.0, 1e-12, 1e-6, 1e-3, 0.05, 2.0, 10.0, 20.0, 40.0])
 def test_k_imag_outer_matches_mpmath(nu):
     got = _k_imag_outer(np.array([nu]), K_IMAG_XS)[0]
     with mp.workdps(30):
@@ -92,6 +95,55 @@ def test_k_imag_outer_band_invariance(nu):
     batched = _k_imag_outer(np.array([nu]), K_IMAG_XS)[0]
     alone = np.array([_k_imag_outer(np.array([nu]), np.array([x]))[0, 0] for x in K_IMAG_XS])
     assert np.all(np.abs(alone - batched) <= 1e-15 * np.maximum(1.0, np.abs(batched)))
+
+
+def _k_mpmath(nu, xs):
+    return np.array([float(k_imag(nu, x, dps=30)) for x in xs])
+
+
+# Arguments the power series serves, log-spaced up to the crossover.
+K_SERIES_XS = np.geomspace(1e-7, _KSERIES_X, 45)
+
+
+@pytest.mark.parametrize("nu", [10.0, 20.0])
+def test_k_imag_outer_relative_error_below_crossover(nu):
+    # K_{i nu} is of order e^{-pi nu/2} here, so an absolute bound says
+    # little; the quadrature alone is off by 9e-7 (nu = 10) and 1.6
+    # (nu = 20) relative.  None of these x lies near a zero of K.
+    got = _k_imag_outer(np.array([nu]), K_SERIES_XS)[0]
+    want = _k_mpmath(nu, K_SERIES_XS)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [[0.0], [1e-9], [0.05], [3.0], [20.0], np.linspace(0.0, 40.0, 6)],
+    ids=["0", "1e-9", "0.05", "3", "20", "0-40-by-8"],
+)
+def test_k_imag_outer_error_bound_covers_mpmath(nu):
+    # The bound the oracles add to their refinement change: it must cover
+    # the actual error below the crossover, on the Horner path (one
+    # order) and the matmul path (many), and is 0 above it.
+    nu = np.asarray(nu)
+    xs = np.concatenate([K_SERIES_XS[::3], [4.5, 9.0]])
+    err = np.empty((nu.size, xs.size))
+    got = _k_imag_outer(nu, xs, err=err)
+    want = np.array([_k_mpmath(v, xs) for v in nu])
+    series = xs <= _KSERIES_X
+    assert np.all(np.abs(got - want)[:, series] <= err[:, series])
+    assert np.all(err[:, ~series] == 0.0)
+    assert np.all(err[:, series] <= 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(min_value=0.0, max_value=40.0))
+def test_k_imag_outer_is_continuous_across_the_crossover(nu):
+    # The series serves x_c and the quadrature the next double.  Both sum
+    # terms of the size of K_0(x_c) = 0.0112 (mpmath), which sets the
+    # scale of the jump they may leave; K itself moves by ~1e-17 there.
+    x = np.array([_KSERIES_X, np.nextafter(_KSERIES_X, math.inf)])
+    below, above = _k_imag_outer(np.array([nu]), x)[0]
+    assert abs(below - above) <= 1e-12 * 0.0112
 
 
 def test_bessel_j0_matches_scipy():
@@ -162,6 +214,20 @@ def test_lambda_is_zero_at_infinite_transverse_separation():
     for bad in (math.nan, -math.inf, -1.0):
         with pytest.raises(ValueError, match="dxbar"):
             lambda_overlap(1.0, 0.0, bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lambda_is_zero_where_q_alpha_overflows():
+    # |Lambda| <= 1/(q alpha) is below the smallest normal double once
+    # q alpha passes 1/2.2e-308, and q alpha overflows at q = 1e308 here.
+    assert lambda_overlap(1e308, 1.0, 2.0) == 0.0
+    assert lambda_axis_xi(1e308, -3.0) == 0.0
+    assert lambda_axis_xbar(1e308, 5.0) == 0.0
+    assert conical_p(1e308, 3.0) == 0.0
+    assert lambda_overlap(1e308, 0.0, 0.0) == 1.0
+    assert lambda_axis_xbar(1e308, 0.0) == 1.0
+    grid = lambda_overlap(np.array([1e308, 1.0]), 1.0, 2.0)
+    assert grid[0] == 0.0 and grid[1] == lambda_overlap(1.0, 1.0, 2.0)
 
 
 def test_lambda_normalization_and_bound():
