@@ -21,6 +21,14 @@ entries.
 
 Every writer emits keys in a fixed order with ``\\n`` line endings, so
 identical inputs produce byte-identical files.
+
+Numbers become text in a few C-level passes per artifact, not one call
+per number.  :func:`format_json` gathers the floats of the object in
+document order, checks them and picks each one's %-format in one
+float64 array pass, then writes each rectangular nest of floats (a pair
+matrix, a float list) with one ``%`` pass over a template of its
+innermost lists, and one layout pass per level above them.  The CSV
+writers fill one %-template per file.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from collections.abc import Mapping, Sequence
+import operator
+from collections.abc import Iterator, Mapping, Sequence
+from itertools import chain, compress, islice, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -58,71 +69,172 @@ __all__ = [
 _JSON_FLOAT = "%.17g"
 _JOINT_STATE_FORMAT = "joint_state/2"
 _CSV_FLOAT = "%.9g"
+# Each number's %-format is picked by a flag.  JSON appends ".0" where
+# %.17g prints neither "." nor "e" (an integral value below 1e17 in
+# magnitude), so parsers return a float and keep the sign of zero.  A
+# blank CSV cell is "%.0s", which consumes its NaN and prints nothing.
+_JSON_FORMATS = (_JSON_FLOAT, _JSON_FLOAT + ".0")
+_CSV_FORMATS = (_CSV_FLOAT, "%.0s")
+# A list is written on one line when every element is at most this long
+# and has no newline.
+_INLINE_WIDTH = 24
 
 
-def _json_float(value: float) -> str:
-    """Render one finite float for JSON output."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"JSON output requires finite numbers, got {value}")
-    text = _JSON_FLOAT % value
-    # Keep the token a float so parsers return a float (and preserve the
-    # sign of zero) rather than collapsing integral values to int.
-    if "." not in text and "e" not in text:
-        text += ".0"
-    return text
+def _json_formats(values: list[float]) -> Iterator[str]:
+    """The %-format of each JSON float, from one float64 array; every
+    value must be finite."""
+    array = np.array(values, dtype=float)
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"JSON output requires finite numbers, got {float(array[~finite][0])}")
+    point = np.trunc(array) == array
+    point &= np.abs(array) < 1e17
+    # One byte (0 or 1) per value picks its format.
+    return map(_JSON_FORMATS.__getitem__, point.tobytes())
+
+
+def _csv_formats(values: list[Any], blank_nan: bool = False) -> list[str]:
+    """The %-format of each CSV number; NaN is a blank cell if
+    ``blank_nan``, else an error."""
+    nan = list(map(math.isnan, values))
+    if not blank_nan and any(nan):
+        raise ValueError("CSV numeric fields must not be NaN; use an empty cell")
+    return list(map(_CSV_FORMATS.__getitem__, nan))
+
+
+def _literal(text: str) -> str:
+    """``text`` as a piece of a %-template that prints it verbatim."""
+    return text.replace("%", "%%")
 
 
 def csv_float(value: float) -> str:
     """Render one float for CSV plot data (9 significant digits)."""
     value = float(value)
-    if math.isnan(value):
-        raise ValueError("CSV numeric fields must not be NaN; use an empty cell")
-    return _CSV_FLOAT % value
+    return _csv_formats([value])[0] % value
+
+
+def _float_nest(obj: list) -> tuple[list[float], tuple[int, ...]] | None:
+    """The leaves in row-major order and the shape of ``obj`` if it is a
+    rectangular nest of lists of floats, else None."""
+    leaves, shape = [obj], []
+    while True:
+        kinds = set(map(type, leaves))
+        if kinds == {list}:
+            widths = set(map(len, leaves))
+            if len(widths) != 1 or 0 in widths:
+                return None
+            shape.append(widths.pop())
+            leaves = list(chain.from_iterable(leaves))
+        elif kinds == {float}:
+            return leaves, tuple(shape)
+        else:
+            return None
+
+
+def _skeleton(obj: Any, leaves: list[float]) -> Any:
+    """``obj`` with its text decided except for the floats, which are
+    appended to ``leaves`` in document order.  A float or a float nest
+    becomes ``(shape, obj)``, a mapping a dict of quoted keys, a sequence a
+    list and any other value its JSON text."""
+    if isinstance(obj, (float, np.floating)):
+        leaves.append(obj)
+        return (), obj
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
+    if isinstance(obj, list):
+        nest = _float_nest(obj)
+        if nest is None:
+            return [_skeleton(val, leaves) for val in obj]
+        leaves.extend(nest[0])
+        return nest[1], obj
+    if isinstance(obj, np.ndarray):
+        return _skeleton(obj.tolist(), leaves)
+    if isinstance(obj, Mapping):
+        return {encode_basestring_ascii(str(key)): _skeleton(val, leaves) for key, val in obj.items()}
+    if isinstance(obj, (complex, np.complexfloating)):
+        raise TypeError("serialize complex values as [re, im] pairs explicitly")
+    if isinstance(obj, Sequence):
+        return [_skeleton(val, leaves) for val in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _lists(items: list[str], width: int, indent: int) -> list[str]:
+    """Each run of ``width`` rendered items as one JSON list at ``indent``:
+    on one line when every item is at most 24 characters long and has no
+    newline, else one item per line."""
+    pad = "  " * indent
+    inner = pad + "  "
+    layouts = ("[\n" + inner, ",\n" + inner, "\n" + pad + "]"), ("[", ", ", "]")
+    lists = []
+    for start in range(0, len(items), width):
+        group = items[start:start + width]
+        fits = max(map(len, group)) <= _INLINE_WIDTH and not any(map(operator.contains, group, repeat("\n")))
+        head, sep, tail = layouts[fits]
+        lists.append(head + sep.join(group) + tail)
+    return lists
+
+
+def _render_nest(shape: tuple[int, ...], nest: Any, indent: int, formats: Iterator[str]) -> str:
+    """The JSON text of a float nest: one ``%`` pass writes its innermost
+    lists, then :func:`_lists` lays out each level above them."""
+    for _ in shape[1:]:
+        nest = chain.from_iterable(nest)
+    # A float's text is at most 24 characters (sign, 17 digits, point and
+    # exponent), so every innermost list fits on one line.
+    rows = map(", ".join, zip(*[islice(formats, math.prod(shape))] * shape[-1]))
+    items = (("[" + "]\0[".join(rows) + "]") % tuple(nest)).split("\0")
+    for level in reversed(range(len(shape) - 1)):
+        items = _lists(items, shape[level], indent + level)
+    return items[0]
+
+
+def _render(node: Any, indent: int, formats: Iterator[str]) -> str:
+    """The JSON text of a :func:`_skeleton` node; its floats take the next
+    formats in document order."""
+    if isinstance(node, str):
+        return node
+    if isinstance(node, tuple):
+        shape, nest = node
+        if not shape:
+            return next(formats) % nest
+        return _render_nest(shape, nest, indent, formats)
+    if not node:
+        return "{}" if isinstance(node, dict) else "[]"
+    if isinstance(node, dict):
+        inner = "  " * (indent + 1)
+        parts = [f"{inner}{key}: {_render(val, indent + 1, formats)}" for key, val in node.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
+    rendered = [_render(val, indent + 1, formats) for val in node]
+    return _lists(rendered, len(node), indent)[0]
 
 
 def format_json(obj: Any, indent: int = 0) -> str:
     """Serialize ``obj`` to JSON text with fixed float formatting.
 
     Standard ``json.dumps`` delegates float formatting to ``repr``; this
-    recursive emitter pins it to 17 significant digits instead so output
-    bytes are stable across Python versions.  Mapping keys keep their
-    insertion order.
+    writer pins it to 17 significant digits instead so output bytes are
+    stable across Python versions.  Mapping keys keep their insertion
+    order.  A list is written on one line when every element is at most
+    24 characters long and has no newline, else one element per line.
+
+    The floats of ``obj`` are checked (finite, else ``ValueError``) in one
+    array pass, and each rectangular nest of floats, such as a ``[re, im]``
+    pair matrix, is written by one ``%`` pass and one layout pass per
+    level above its innermost lists, not by one call per number.
     """
-    # Floats, the bulk of a state file, are tested first: the abstract
-    # Mapping and Sequence checks below are slow.
-    if isinstance(obj, (float, np.floating)):
-        return _json_float(float(obj))
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(key))}: {format_json(val, indent + 1)}"
-            for key, val in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        raise TypeError("serialize complex values as [re, im] pairs explicitly")
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, Sequence):
-        if not obj:
-            return "[]"
-        rendered = [format_json(val, indent + 1) for val in obj]
-        if all(len(r) <= 24 and "\n" not in r for r in rendered):
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+    leaves: list[float] = []
+    tree = _skeleton(obj, leaves)
+    formats = _json_formats(leaves)
+    # Each nest gives its floats again when it is written, so the
+    # artifact's flat copy is freed before any text is built.
+    del leaves
+    return _render(tree, indent, formats)
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -139,18 +251,20 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[A
     """Write a CSV file with a header line and 9-digit numeric cells.
 
     Cells that are already strings pass through verbatim; numbers are
-    formatted with :func:`csv_float`.  Line endings are ``\\n``.
+    formatted as by :func:`csv_float`, all by one ``%`` pass.  Line endings
+    are ``\\n``.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            else:
-                cells.append(csv_float(cell))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    cells = list(chain.from_iterable(rows))
+    textual = list(map(isinstance, cells, repeat(str)))
+    numbers = list(compress(cells, map(operator.not_, textual)))
+    pieces = _csv_formats(numbers)
+    if any(textual):
+        formats = iter(pieces)
+        pieces = [_literal(cell) if is_text else next(formats) for cell, is_text in zip(cells, textual)]
+    pieces = iter(pieces)
+    lines = [_literal(",".join(header)), *(",".join(islice(pieces, len(row))) for row in rows)]
+    text = ("\n".join(lines) + "\n") % tuple(numbers)
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def complex_pair(value: complex) -> list[float]:
@@ -168,8 +282,8 @@ def pair_to_complex(pair: Sequence[float]) -> complex:
 
 def matrix_to_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
     """Convert a complex matrix to row-major nested ``[re, im]`` pairs."""
-    matrix = np.asarray(matrix, dtype=complex)
-    return [[complex_pair(cell) for cell in row] for row in matrix]
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    return matrix.view(np.float64).reshape(*matrix.shape, 2).tolist()
 
 
 def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
@@ -370,10 +484,11 @@ def write_neglog_csv(path: str | Path, matrix: np.ndarray) -> None:
     NaN marks an exactly-zero source entry and becomes an empty cell.
     """
     matrix = np.asarray(matrix, dtype=float)
-    lines = []
-    for row in matrix:
-        lines.append(",".join("" if math.isnan(v) else csv_float(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    values = matrix.ravel().tolist()
+    formats = iter(_csv_formats(values, blank_nan=True))
+    lines = [",".join(islice(formats, matrix.shape[1])) for _ in range(matrix.shape[0])]
+    text = ("\n".join(lines) + "\n") % tuple(values)
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def read_neglog_csv(path: str | Path) -> np.ndarray:

@@ -58,12 +58,14 @@ __all__ = [
 #: transverse-momentum integral is truncated (e^-37 ~ 8.5e-17 of peak).
 _ENVELOPE_DECAY = 37.0
 
-#: Most K_inu values (orders x k nodes) one finite-duration grid may need,
-#: about 32 MiB per array of them.  The default durations need at most
-#: 0.36 million and T = 1/omega 0.68 million; T far below 1/omega widens
-#: the boost-frequency window, and with it the orders and the k grid,
-#: without bound.
-_FINITE_T_MAX_VALUES = 2**22
+#: Most values one oracle grid may need per array, about 32 MiB each: K_inu
+#: values (orders x k nodes) in the finite-duration oracle, J_0 values
+#: (separations x k nodes) in the Lambda oracle.  The default durations
+#: need at most 0.36 million and T = 1/omega 0.68 million; T far below
+#: 1/omega widens the boost-frequency window, and with it the orders and
+#: the k grid, without bound.  The k grid of the Lambda oracle grows
+#: linearly in the largest separation.
+_MAX_GRID_VALUES = 2**22
 
 
 class QuadratureError(RuntimeError):
@@ -251,38 +253,50 @@ def _kbar_grid(
     return np.concatenate([k_log, lin_nodes]), np.concatenate([w_log, lin_weights])
 
 
-def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float):
-    """``K_imag`` at both argument sets with its series error bounds: the
-    products ``K_a K_b`` and a bound on their error, per (nu, node)."""
-    err_a = np.empty((nu.size, x_a.size))
+def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float, bound: bool):
+    """``K_imag`` at both argument sets: the products ``K_a K_b`` per
+    (nu, node) and, if ``bound``, a bound on the error the K series puts
+    into them (else None)."""
+    err_a = np.empty((nu.size, x_a.size)) if bound else None
     k_a = _k_imag_outer(nu, x_a, refine, err=err_a)
     if x_b is x_a:
         k_b, err_b = k_a, err_a
     else:
-        err_b = np.empty_like(err_a)
+        err_b = None if err_a is None else np.empty_like(err_a)
         k_b = _k_imag_outer(nu, x_b, refine, err=err_b)
+    if err_a is None:
+        return k_a * k_b, None
     return k_a * k_b, np.abs(k_a) * err_b + err_a * np.abs(k_b) + err_a * err_b
 
 
 def _lambda_quadrature_once(
-    q: float, dxi: float, dxbar: np.ndarray, refine: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The quadrature of :func:`oracle_lambda_quadrature` on one grid, and a
-    bound on the error the series part of ``K_iq`` puts into it."""
+    q: float, dxi: float, dxbar: np.ndarray, refine: float, bound: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The quadrature of :func:`oracle_lambda_quadrature` on one grid and,
+    if ``bound``, a bound on the error the series part of ``K_iq`` puts
+    into it (else None)."""
     s_plus = math.sqrt(0.5 * (math.exp(2.0 * dxi) + 1.0))
     s_minus = math.sqrt(0.5 * (math.exp(-2.0 * dxi) + 1.0))
     decay = s_plus + s_minus
     kbar_max = (_ENVELOPE_DECAY + math.pi * q) / decay
-    kbar, weights = _kbar_grid(
+    osc_max = float(dxbar.max())
+    grid = _kbar_grid(
         nu_max=q,
-        osc_max=float(dxbar.max()),
+        osc_max=osc_max,
         decay_rate=decay,
         kbar_max=kbar_max,
         refine=refine,
+        max_nodes=_MAX_GRID_VALUES / dxbar.size,
     )
+    if grid is None:
+        raise QuadratureError(
+            f"lambda quadrature at dxbar = {osc_max:g} needs more than {_MAX_GRID_VALUES} "
+            "J_0 values (separations x k nodes); its k grid grows linearly in dxbar"
+        )
+    kbar, weights = grid
     x_plus = kbar * s_plus
     x_minus = x_plus if s_minus == s_plus else kbar * s_minus
-    product, product_err = _k_products(np.array([q]), x_plus, x_minus, refine)
+    product, product_err = _k_products(np.array([q]), x_plus, x_minus, refine, bound)
     j0 = bessel_j0(np.outer(dxbar, kbar))
     measure = weights * kbar
     if q == 0.0:
@@ -291,6 +305,8 @@ def _lambda_quadrature_once(
         prefactor = 2.0 * math.sinh(math.pi * q) / (math.pi * q)
     scale = prefactor * math.sqrt(math.cosh(dxi))
     value = scale * (j0 @ (measure * product[0]))
+    if product_err is None:
+        return value, None
     return value, scale * (np.abs(j0) @ (measure * product_err[0]))
 
 
@@ -312,8 +328,10 @@ def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float]:
     dxbar_arr = np.atleast_1d(np.asarray(dxbar, dtype=float))
     if not np.all(dxbar_arr >= 0.0):
         raise ValueError("oracle_lambda_quadrature requires dxbar >= 0")
-    base, _ = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0)
-    fine, series_err = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5)
+    # The refined grid is the larger, so it meets the size cap first; only
+    # its pass needs the K series bound.
+    fine, series_err = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5, bound=True)
+    base, _ = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0, bound=False)
     change = float(np.max(np.abs(fine - base) + series_err))
     if change > _LAMBDA_TARGET:
         raise QuadratureError(
@@ -358,9 +376,11 @@ def _finite_t_once(
     T: float,
     a: float,
     refine: float,
-) -> tuple[float, float]:
-    """The quadrature of :func:`oracle_overlap_finite_t` on one grid, and a
-    bound on the error the series part of ``K_iν`` puts into it."""
+    bound: bool,
+) -> tuple[float, float | None]:
+    """The quadrature of :func:`oracle_overlap_finite_t` on one grid and, if
+    ``bound``, a bound on the error the series part of ``K_iν`` puts into
+    it (else None)."""
     par = _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
     zm, zn = traj_m.z, traj_n.z
     dx = traj_m.x_perp[0] - traj_n.x_perp[0]
@@ -390,11 +410,11 @@ def _finite_t_once(
         decay_rate=zm + zn,
         kbar_max=k_max,
         refine=refine,
-        max_nodes=_FINITE_T_MAX_VALUES / nu.size,
+        max_nodes=_MAX_GRID_VALUES / nu.size,
     )
     if grid is None:
         raise QuadratureError(
-            f"finite-duration overlap at T = {T:g} needs more than {_FINITE_T_MAX_VALUES} "
+            f"finite-duration overlap at T = {T:g} needs more than {_MAX_GRID_VALUES} "
             f"K_inu values ({nu.size} orders up to {nu_max:.4g}); T far below 1/omega "
             "widens the boost-frequency window without bound"
         )
@@ -406,13 +426,15 @@ def _finite_t_once(
     inner_weight = s_weights * par.omega_bar * gauss
 
     x_m = k_nodes * zm
-    product, product_err = _k_products(nu, x_m, x_m if zn == zm else k_nodes * zn, refine)
+    product, product_err = _k_products(nu, x_m, x_m if zn == zm else k_nodes * zn, refine, bound)
     outer = k_weights * k_nodes * bessel_j0(k_nodes * dxperp)
     integral = float(outer @ (inner_weight @ product))
     prefactor = T * T * math.exp(-par.suppression) / (math.sqrt(2.0 * math.pi**5) * a)
     value = prefactor * integral
     if not math.isfinite(value):
         raise FloatingPointError(f"finite-duration overlap is not finite at T = {T:g}, a = {a:g}")
+    if product_err is None:
+        return value, None
     return value, prefactor * float(np.abs(outer) @ (inner_weight @ product_err))
 
 
@@ -432,8 +454,9 @@ def _overlap_finite_t(
     par = _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
     if par.suppression > 800.0:
         return 0.0, 0.0
-    base, _ = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0)
-    fine, series_err = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5)
+    # As in _lambda_quadrature: the refined pass first, the bound only there.
+    fine, series_err = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5, bound=True)
+    base, _ = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0, bound=False)
     change = abs(fine - base) + series_err
     if change > _FINITE_T_TARGET * T:
         raise QuadratureError(
@@ -476,7 +499,7 @@ def oracle_overlap_finite_t(
     (the change also counts the bound on the K series error); failure
     raises :class:`QuadratureError` rather than returning a partial
     value, and so do grids that would need more than
-    ``_FINITE_T_MAX_VALUES`` K values (T far below :math:`1/\omega`).
+    ``_MAX_GRID_VALUES`` K values (T far below :math:`1/\omega`).
     Strongly suppressed pairs (:math:`C > 800`, value below the
     double-precision underflow scale) return exactly 0.
     """

@@ -13,10 +13,13 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import superthermal
 from superthermal import cli
@@ -42,6 +45,7 @@ from superthermal.io import (
     pairs_to_matrix,
     read_json,
     read_neglog_csv,
+    write_csv,
     write_json,
     write_neglog_csv,
 )
@@ -65,6 +69,23 @@ def _write_config(tmp_path, tree, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(tree), encoding="utf-8")
     return str(path)
+
+
+def _lattice_tree():
+    """Five levels on four heights whose boost energies omega z coincide
+    across branches (1 x 1 = 2 x 0.5, ...), so that several shells hold
+    more than one member; with offsets, amplitudes and a measurement."""
+    return {
+        "detector": {"frequencies": [1.0, 2.0, 3.0, 4.0, 6.0]},
+        "trajectories": [
+            {"z": 0.5, "x": 0.1, "A": [0.5, 0.1]},
+            {"z": 1.0, "y": 0.3, "A": [0.4, -0.2]},
+            {"z": 1.5, "A": [0.3, 0.0]},
+            {"z": 2.0, "x": -0.7, "A": [0.6, 0.3]},
+        ],
+        "interaction": {"epsilon": 0.01, "T": 50.0},
+        "measurement": {"amplitudes": [[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.4, 0.3]]},
+    }
 
 
 def _base_tree(**interaction):
@@ -95,10 +116,19 @@ def test_format_json_numbers_and_structure():
     assert format_json([1.0, 2.0]) == "[1.0, 2.0]"
     nested = format_json({"k": [1.0, 2.0]})
     assert nested == '{\n  "k": [1.0, 2.0]\n}'
-    with pytest.raises(ValueError):
-        format_json(math.inf)
-    with pytest.raises(ValueError):
-        format_json(math.nan)
+    # integers stay integers, also beside floats; arrays become lists
+    assert format_json({"members": [0, 3, 7]}) == '{\n  "members": [0, 3, 7]\n}'
+    assert format_json([1, 2.5]) == "[1, 2.5]"
+    assert format_json([[1.0], [2]]) == "[[1.0], [2]]"
+    assert format_json([True, 1.0]) == "[true, 1.0]"
+    assert format_json([np.float64(0.5), np.int64(3)]) == "[0.5, 3]"
+    assert format_json(np.array([[1.0, -0.0]])) == "[[1.0, -0.0]]"
+    # a short element with a newline still puts its list on many lines
+    assert format_json([{"a": 1}, 2.0]) == '[\n  {\n    "a": 1\n  },\n  2.0\n]'
+    for bad in (math.inf, -math.inf, math.nan):
+        for obj in (bad, [0.5, bad], {"block": [[[0.5, 0.0]], [[0.0, bad]]]}):
+            with pytest.raises(ValueError, match="finite"):
+                format_json(obj)
     with pytest.raises(TypeError):
         format_json(1 + 2j)
     with pytest.raises(TypeError):
@@ -135,6 +165,105 @@ def test_csv_float_format_and_nan():
     assert csv_float(-2.5e-7) == "-2.5e-07"
     with pytest.raises(ValueError):
         csv_float(math.nan)
+
+
+# Reference renderers: each artifact format as specified, one number at a
+# time.  The writers must produce exactly their bytes.
+
+
+def _reference_json(obj, indent=0):
+    """%.17g floats with ".0" where that prints neither "." nor "e"; a list
+    inline when every element is at most 24 characters without a newline."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, float):
+        text = "%.17g" % obj
+        return text if "." in text or "e" in text else text + ".0"
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{inner}{json.dumps(k)}: {_reference_json(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    items = [_reference_json(v, indent + 1) for v in obj]
+    if not items:
+        return "[]"
+    if all(len(item) <= 24 and "\n" not in item for item in items):
+        return "[" + ", ".join(items) + "]"
+    return "[\n" + ",\n".join(inner + item for item in items) + "\n" + pad + "]"
+
+
+def _reference_csv(lines):
+    """Rows of cells: strings verbatim, blanks for NaN, else %.9g."""
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        return "" if math.isnan(value) else "%.9g" % value
+
+    return "".join(",".join(map(cell, line)) + "\n" for line in lines)
+
+
+# Integral values near 1e15-1e17 print without "." up to 1e17; 1e14 and
+# 1e15 beside 0.5 make pairs of exactly 24 and 25 characters.
+_EDGE_FLOATS = [
+    0.0, -0.0, 0.5, -0.25, 1.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+    1e14, 1e15, -1e15, 1e16, 99999999999999984.0, 1e17, -1e17, 123456789012345680.0,
+]
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(10**17) - 4, max_value=10**17 + 4).map(float),
+    st.sampled_from(_EDGE_FLOATS),
+)
+
+
+@st.composite
+def _complex_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(_FLOATS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(complex).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=_complex_matrices(), values=st.lists(_FLOATS, max_size=6))
+@example(matrix=np.array([[1e14 + 0.5j, 1e15 + 0.5j]]), values=[1e14, 0.5])
+@example(matrix=np.zeros((2, 2), dtype=complex), values=[-0.0])
+@example(matrix=np.full((1, 3), -0.0 + 0.5j), values=[])
+def test_format_json_matches_the_reference_renderer(matrix, values):
+    obj = {
+        "block": matrix_to_pairs(matrix),
+        "pair": complex_pair(matrix[0, 0]),
+        "values": values,
+        "members": list(range(len(values))),
+        "nested": [{"z": v, "empty": []} for v in values],
+    }
+    text = format_json(obj)
+    assert text == _reference_json(obj)
+    # every float comes back bit for bit (repr tells -0.0 from 0.0), and
+    # every integer as an integer
+    assert repr(json.loads(text)) == repr(obj)
+
+
+_CSV_CELLS = st.one_of(_FLOATS, st.just(math.inf), st.integers(-(10**6), 10**6), st.text("ab%_ ", max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.lists(_CSV_CELLS, min_size=3, max_size=3), max_size=5),
+    table=st.lists(st.lists(st.one_of(_FLOATS, st.just(math.nan)), min_size=3, max_size=3), max_size=4),
+)
+def test_csv_writers_match_the_reference_renderer(rows, table):
+    header = ("a", "b%", "c")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_csv(path, header, rows)
+        assert path.read_text(encoding="utf-8") == _reference_csv([header, *rows])
+        write_neglog_csv(path, np.array(table, dtype=float).reshape(len(table), 3))
+        assert path.read_text(encoding="utf-8") == _reference_csv(table or [[]])
+        with pytest.raises(ValueError, match="NaN"):
+            write_csv(path, header, [*rows, ("x", math.nan, 1.0)])
+    for cell in rows[0] if rows else ():
+        if not isinstance(cell, str):
+            assert csv_float(cell) == "%.9g" % cell
 
 
 def test_complex_pair_round_trip():
@@ -280,6 +409,35 @@ def test_cli_state_byte_identical_reruns(tmp_path):
     assert main(["state", "--config", config, "--out", str(out2)]) == 0
     for name in ("joint_state.json", "reduced_internal.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_measure_byte_identical_reruns(tmp_path):
+    config = _write_config(tmp_path, _lattice_tree())
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["measure", "--config", config, "--out", str(out1)]) == 0
+    assert main(["measure", "--config", config, "--out", str(out2)]) == 0
+    for name in ("measured_internal.json", "neglog_matrix.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_artifacts_match_the_reference_renderer(tmp_path):
+    tree = _lattice_tree()
+    config = _write_config(tmp_path, tree)
+    out = tmp_path / "out"
+    assert main(["state", "--config", config, "--out", str(out)]) == 0
+    assert main(["measure", "--config", config, "--out", str(out)]) == 0
+    cfg = cli.build_run_config(tree)
+    rho = joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
+    joint = block_density_to_dict(rho, cfg.detector.frequencies, cfg.trajectories)
+    assert max(len(shell["members"]) for shell in joint["excited_shells"]) > 1
+    measured = measured_to_dict(
+        measured_internal(rho, cfg.measurement),
+        cfg.detector.frequencies,
+        cfg.trajectories,
+        cfg.measurement.amplitudes,
+    )
+    for name, obj in (("joint_state.json", joint), ("measured_internal.json", measured)):
+        assert (out / name).read_text(encoding="utf-8") == _reference_json(obj) + "\n"
 
 
 def test_cli_state_absolute_scale_default_T_and_warnings(tmp_path, capsys):

@@ -5,6 +5,7 @@ at 40 digits, the k-bar integral at 25 digits.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ def test_lambda_quadrature_vector_and_q_zero():
     assert np.max(np.abs(got - want)) < 2e-8
     with pytest.raises(ValueError):
         oracle_lambda_quadrature(250.0, 0.0, 0.0)  # sinh(pi q) overflows
+
+
+def test_lambda_quadrature_caps_its_grid():
+    # J_0 oscillates at the rate dxbar, so the k grid grows linearly in it;
+    # past the cap both oracles share, the call fails fast, naming dxbar.
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="dxbar = 10000 needs more than"):
+        oracle_lambda_quadrature(1.0, 0.0, 1e4)
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("dxi", [-1.5, 0.0, 1.5])

@@ -128,6 +128,8 @@ def test_k_imag_outer_error_bound_covers_mpmath(nu):
     xs = np.concatenate([K_SERIES_XS[::3], [4.5, 9.0]])
     err = np.empty((nu.size, xs.size))
     got = _k_imag_outer(nu, xs, err=err)
+    # The oracles' base passes ask for no bound and get the same values.
+    assert np.array_equal(got, _k_imag_outer(nu, xs))
     want = np.array([_k_mpmath(v, xs) for v in nu])
     series = xs <= _KSERIES_X
     assert np.all(np.abs(got - want)[:, series] <= err[:, series])
@@ -238,6 +240,21 @@ def test_lambda_normalization_and_bound():
     dxbars = RNG.uniform(0.0, 5.0, size=300)
     values = lambda_overlap(qs, dxis, dxbars)
     assert np.all(np.abs(values) <= 1.0 + 1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.floats(min_value=0.0, max_value=1e308),
+    dxi=st.floats(min_value=-50.0, max_value=50.0),
+    dxbar=st.floats(min_value=0.0, allow_infinity=True),
+)
+def test_lambda_is_finite_and_bounded_everywhere(q, dxi, dxbar):
+    # Every legal argument, up to q = 1e308 and dxbar = inf, gives a finite
+    # overlap factor of at most 1 in magnitude: the state stays physical.
+    value = lambda_overlap(q, dxi, dxbar)
+    assert math.isfinite(value)
+    assert abs(value) <= 1.0
 
 
 def test_lambda_symmetry_in_dxi():
