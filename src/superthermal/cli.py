@@ -34,9 +34,11 @@ flag overrides the field :data:`_FLAGS` names (``--out`` is
 Each command computes all of its results before it creates the output
 directory, so a failed run writes nothing.  Exit codes: 0 success,
 2 configuration error (an output directory that cannot be created or
-written into too), 3 numerical failure (a quadrature that does not
-converge or whose grids would pass their size cap, an overflow, NaN or
-division by zero in the formulas, or a ``paper-example`` FAIL verdict).
+written into too, and a ``lambda-grid`` run of more than
+:data:`_MAX_GRID_CELLS` cells, q values x ``--grid`` squared), 3
+numerical failure (a quadrature that does not converge or whose grids
+would pass their size cap, an overflow, NaN or division by zero in the
+formulas, or a ``paper-example`` FAIL verdict).
 
 Identical configuration produces byte-identical files: floats are
 emitted through fixed formats and every iteration order is fixed.
@@ -83,14 +85,7 @@ from .io import (
     write_json,
     write_neglog_csv,
 )
-from .overlaps import (
-    _FINITE_T_TARGET,
-    _LAMBDA_TARGET,
-    QuadratureError,
-    _lambda_quadrature,
-    _overlap_finite_t,
-    convergence_report,
-)
+from .overlaps import QuadratureError, _lambda_quadrature, _overlap_finite_t, convergence_report
 from .specfun import lambda_axis_xbar, lambda_axis_xi, lambda_overlap
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "build_run_config", "main"]
@@ -101,6 +96,10 @@ _DEFAULT_T_LIST = (10.0, 20.0, 40.0, 80.0)
 _ORACLE_DIFF_DXI = (-1.5, 0.0, 1.5)
 _ORACLE_DIFF_DXBAR = (0.0, 1.0, 2.5)
 _A_SWEEP_VALUES = (0.5, 1.0, 2.0)
+
+#: Most cells (q values x steps^2) one lambda-grid run tabulates: one q at
+#: --grid 1024, which costs about 3 s and 0.5 GB (0.4 KB per cell).
+_MAX_GRID_CELLS = 2**20
 
 _ALL = ("state", "measure", "lambda-grid", "oracle-validate", "paper-example", "continuum")
 _PIPELINE = ("state", "measure")
@@ -381,6 +380,9 @@ def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     steps = _DEFAULT_GRID_STEPS if args.grid is None else args.grid
     if steps < 2:
         raise ConfigError(f"--grid: need at least 2 steps per axis, got {steps}")
+    if len(q_list) * steps * steps > _MAX_GRID_CELLS:
+        raise ConfigError(f"--grid: {len(q_list)} q values x {steps}^2 steps pass the cap of "
+                          f"{_MAX_GRID_CELLS} cells")
     xi = np.linspace(-3.0, 3.0, steps)
     xbar = np.linspace(0.0, 5.0, steps)
     tables = []
@@ -415,7 +417,7 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
     # calls only; their pair is omega = 1 on one branch at z = 1).
     same_branch = (1.0, 0.0, "0")
     refinement = [
-        ("finite_t", *same_branch, r.T, rindler_a, r.change, _FINITE_T_TARGET * r.T)
+        ("finite_t", *same_branch, r.T, rindler_a, r.change, r.target)
         for r in report.rows
     ]
 
@@ -423,8 +425,8 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
     dxbar_cell = " ".join(csv_float(dxb) for dxb in _ORACLE_DIFF_DXBAR)
     for q in _DEFAULT_Q_LIST:
         for dxi in _ORACLE_DIFF_DXI:
-            quad, change = _lambda_quadrature(q, dxi, _ORACLE_DIFF_DXBAR)
-            refinement.append(("lambda_quadrature", q, dxi, dxbar_cell, "", "", change, _LAMBDA_TARGET))
+            quad, change, target = _lambda_quadrature(q, dxi, _ORACLE_DIFF_DXBAR)
+            refinement.append(("lambda_quadrature", q, dxi, dxbar_cell, "", "", change, target))
             for dxb, quad_value in zip(_ORACLE_DIFF_DXBAR, quad):
                 closed = float(lambda_overlap(q, dxi, dxb))
                 rows.append((q, dxi, dxb, closed, quad_value, quad_value - closed))
@@ -433,8 +435,8 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
     T_ref = T_list[-1]
     sweep_rows = []
     for a in _A_SWEEP_VALUES:
-        value, change = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
-        refinement.append(("finite_t", *same_branch, T_ref, a, change, _FINITE_T_TARGET * T_ref))
+        value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
+        refinement.append(("finite_t", *same_branch, T_ref, a, change, target))
         sweep_rows.append((a, T_ref, value))
     _write_outputs(tree, [
         ("convergence.csv", write_csv, ("T", "M", "oracle", "asymptotic", "rel_error"),

@@ -582,19 +582,11 @@ def paper_example() -> PaperExampleResult:
 def load_reference_matrix() -> np.ndarray:
     """Published two-significant-figure magnitude table for the
     three-branch example, as a 12x12 array with NaN for omitted cells."""
-    text = (
-        resources.files("superthermal")
-        .joinpath("data/three_trajectory_reference.csv")
-        .read_text(encoding="utf-8")
-    )
-    rows = []
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        rows.append(
-            [float(cell) if cell.strip() else math.nan for cell in line.split(",")]
-        )
-    matrix = np.array(rows, dtype=float)
+    from .io import read_neglog_csv  # io imports this module
+
+    table = resources.files("superthermal").joinpath("data/three_trajectory_reference.csv")
+    with resources.as_file(table) as path:
+        matrix = read_neglog_csv(path)
     if matrix.shape != (12, 12):
         raise ValueError(f"reference table must be 12x12, got {matrix.shape}")
     return matrix

@@ -25,9 +25,13 @@ quadrature routes used to validate them:
   :math:`\bar{k}`-integral representation of :math:`\Lambda` in terms of
   a product of modified Bessel functions of imaginary order.
 
-Both refuse to return silently inaccurate numbers: each evaluation is
-repeated on a refined grid and a :class:`QuadratureError` is raised if
-the two disagree beyond the stated target.
+Both refuse to return silently inaccurate numbers.  One routine,
+:func:`_converged`, runs each oracle on a refined grid and on its base
+grid and raises :class:`QuadratureError` when their difference, plus a
+bound on the error of the :math:`K_{i\nu}` series, passes the oracle's
+target.  The private entries :func:`_lambda_quadrature` and
+:func:`_overlap_finite_t` return that change and the target together
+with the value, so callers report both without knowing the targets.
 """
 
 from __future__ import annotations
@@ -166,9 +170,22 @@ def offdiag_overlap(
     return OverlapResult(value=complex(value), condition_met=True, q=q)
 
 
-def _finite_t_parameters(
-    omega_i: float, traj_n: Trajectory, omega_j: float, traj_m: Trajectory, T: float, a: float
+def overlap_diagnostics(
+    omega_i: float,
+    traj_n: Trajectory,
+    omega_j: float,
+    traj_m: Trajectory,
+    T: float,
+    a: float = 1.0,
 ) -> OverlapDiagnostics:
+    r"""Expose the finite-duration Gaussian parameters
+    (:math:`C`, :math:`M`, :math:`\bar\omega`, width) for a pair of
+    excitations, so borderline degeneracies can be judged quantitatively
+    instead of through the binary condition alone; the finite-duration
+    oracle integrates over the same Gaussian.
+    """
+    if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0 and a > 0.0):
+        raise ValueError("the finite-duration overlap requires omega_i, omega_j, T, a > 0")
     zm, zn = traj_m.z, traj_n.z
     zz = zm * zm + zn * zn
     q_row = omega_j * zm
@@ -187,32 +204,15 @@ def _finite_t_parameters(
     )
 
 
-def overlap_diagnostics(
-    omega_i: float,
-    traj_n: Trajectory,
-    omega_j: float,
-    traj_m: Trajectory,
-    T: float,
-    a: float = 1.0,
-) -> OverlapDiagnostics:
-    r"""Expose the finite-duration Gaussian parameters
-    (:math:`C`, :math:`M`, :math:`\bar\omega`, width) for a pair of
-    excitations, so borderline degeneracies can be judged quantitatively
-    instead of through the binary condition alone.
-    """
-    if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0 and a > 0.0):
-        raise ValueError("overlap_diagnostics requires positive arguments")
-    return _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
-
-
 def _kbar_grid(
     nu_max: float,
     osc_max: float,
     decay_rate: float,
     kbar_max: float,
     refine: float,
-    max_nodes: float = math.inf,
-) -> tuple[np.ndarray, np.ndarray] | None:
+    max_nodes: float,
+    too_large: str,
+) -> tuple[np.ndarray, np.ndarray]:
     r"""Quadrature grid for :math:`\int_0^{k_{max}} dk\,k\,J_0(k\,\cdot)\,
     K_{i\nu}(k s_+) K_{i\nu}(k s_-)`.
 
@@ -224,7 +224,7 @@ def _kbar_grid(
     ``decay_rate`` of the envelope.  The floor ``1e-7/refine`` lets the
     refinement change include the piece below the base pass's floor.
     A grid that would need more than ``max_nodes`` nodes is not built:
-    the result is then ``None``.
+    :class:`QuadratureError` is raised with the caller's ``too_large`` text.
     """
     k_floor = 1e-7 / refine
     k_log_end = min(0.1, 0.5 * kbar_max)
@@ -233,7 +233,7 @@ def _kbar_grid(
     n_log = max(1, int(math.ceil((u_hi - u_lo) / width_u)))
     max_panels = max_nodes / _GL_NODES.size
     if n_log > max_panels:
-        return None
+        raise QuadratureError(too_large)
     log_nodes, log_weights = _panel_nodes(np.linspace(u_lo, u_hi, n_log + 1))
     k_log = np.exp(log_nodes)
     w_log = log_weights * k_log  # du measure -> dk measure
@@ -241,7 +241,7 @@ def _kbar_grid(
     edges = [k_log_end]
     while edges[-1] < kbar_max:
         if n_log + len(edges) > max_panels:
-            return None
+            raise QuadratureError(too_large)
         k = edges[-1]
         width = min(
             math.pi / (4.0 * (nu_max / k + osc_max + 1.0)),
@@ -280,20 +280,16 @@ def _lambda_quadrature_once(
     decay = s_plus + s_minus
     kbar_max = (_ENVELOPE_DECAY + math.pi * q) / decay
     osc_max = float(dxbar.max())
-    grid = _kbar_grid(
+    kbar, weights = _kbar_grid(
         nu_max=q,
         osc_max=osc_max,
         decay_rate=decay,
         kbar_max=kbar_max,
         refine=refine,
         max_nodes=_MAX_GRID_VALUES / dxbar.size,
+        too_large=f"lambda quadrature at dxbar = {osc_max:g} needs more than {_MAX_GRID_VALUES} "
+        "J_0 values (separations x k nodes); its k grid grows linearly in dxbar",
     )
-    if grid is None:
-        raise QuadratureError(
-            f"lambda quadrature at dxbar = {osc_max:g} needs more than {_MAX_GRID_VALUES} "
-            "J_0 values (separations x k nodes); its k grid grows linearly in dxbar"
-        )
-    kbar, weights = grid
     x_plus = kbar * s_plus
     x_minus = x_plus if s_minus == s_plus else kbar * s_minus
     product, product_err = _k_products(np.array([q]), x_plus, x_minus, refine, bound)
@@ -317,10 +313,29 @@ _LAMBDA_TARGET = 1e-8
 _FINITE_T_TARGET = 1e-10
 
 
-def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float]:
+def _converged(one_pass, target: float, what: str):
+    """Run ``one_pass(refine, bound)`` on the refined grid, with the bound on
+    the K series error, and then on the base grid.  Returns the refined
+    value, its change (what the refinement moved plus that bound, which a
+    finer grid does not reduce; the largest entry for an array) and
+    ``target``; a change past ``target`` raises :class:`QuadratureError`
+    naming ``what``."""
+    # The refined grid is the larger, so it meets the size cap first; only
+    # its pass needs the K series bound.
+    fine, series_err = one_pass(1.5, True)
+    base, _ = one_pass(1.0, False)
+    change = float(np.max(np.abs(fine - base) + series_err))
+    if change > target:
+        raise QuadratureError(
+            f"{what} did not converge: grid refinement plus the K series bound "
+            f"changed the result by {change:.3e} (target {target:.1e})"
+        )
+    return fine, change, target
+
+
+def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float, float]:
     """:func:`oracle_lambda_quadrature` on an array of ``dxbar``, with its
-    largest change: what the grid refinement moved plus the bound on the
-    K series error, which a finer grid does not reduce."""
+    change and target (see :func:`_converged`)."""
     if not (q >= 0.0 and math.isfinite(q)):
         raise ValueError(f"oracle_lambda_quadrature requires q >= 0, got {q}")
     if math.pi * q > 700.0:
@@ -328,18 +343,11 @@ def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float]:
     dxbar_arr = np.atleast_1d(np.asarray(dxbar, dtype=float))
     if not np.all(dxbar_arr >= 0.0):
         raise ValueError("oracle_lambda_quadrature requires dxbar >= 0")
-    # The refined grid is the larger, so it meets the size cap first; only
-    # its pass needs the K series bound.
-    fine, series_err = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.5, bound=True)
-    base, _ = _lambda_quadrature_once(q, dxi, dxbar_arr, refine=1.0, bound=False)
-    change = float(np.max(np.abs(fine - base) + series_err))
-    if change > _LAMBDA_TARGET:
-        raise QuadratureError(
-            f"lambda quadrature did not converge at q={q}, dxi={dxi}: "
-            f"grid refinement plus the K series bound changed the result by {change:.3e} "
-            f"(target {_LAMBDA_TARGET:.0e})"
-        )
-    return fine, change
+    return _converged(
+        lambda refine, bound: _lambda_quadrature_once(q, dxi, dxbar_arr, refine, bound),
+        _LAMBDA_TARGET,
+        f"lambda quadrature at q={q}, dxi={dxi}",
+    )
 
 
 def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
@@ -362,26 +370,24 @@ def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
     refined grid (the change also counts the bound on the K series
     error); disagreement raises :class:`QuadratureError`.
     """
-    values, _ = _lambda_quadrature(q, dxi, dxbar)
+    values = _lambda_quadrature(q, dxi, dxbar)[0]
     if np.ndim(dxbar) == 0:
         return float(values[0])
     return values
 
 
 def _finite_t_once(
-    omega_i: float,
+    par: OverlapDiagnostics,
     traj_n: Trajectory,
-    omega_j: float,
     traj_m: Trajectory,
     T: float,
     a: float,
     refine: float,
     bound: bool,
 ) -> tuple[float, float | None]:
-    """The quadrature of :func:`oracle_overlap_finite_t` on one grid and, if
-    ``bound``, a bound on the error the series part of ``K_iν`` puts into
-    it (else None)."""
-    par = _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
+    """The quadrature of :func:`oracle_overlap_finite_t`, whose Gaussian
+    parameters are ``par``, on one grid and, if ``bound``, a bound on the
+    error the series part of ``K_iν`` puts into it (else None)."""
     zm, zn = traj_m.z, traj_n.z
     dx = traj_m.x_perp[0] - traj_n.x_perp[0]
     dy = traj_m.x_perp[1] - traj_n.x_perp[1]
@@ -404,21 +410,17 @@ def _finite_t_once(
         (_ENVELOPE_DECAY + math.pi * nu_max) / (zm + zn),
         37.5 / min(zm, zn),
     )
-    grid = _kbar_grid(
+    k_nodes, k_weights = _kbar_grid(
         nu_max=nu_max,
         osc_max=dxperp,
         decay_rate=zm + zn,
         kbar_max=k_max,
         refine=refine,
         max_nodes=_MAX_GRID_VALUES / nu.size,
+        too_large=f"finite-duration overlap at T = {T:g} needs more than {_MAX_GRID_VALUES} "
+        f"K_inu values ({nu.size} orders up to {nu_max:.4g}); T far below 1/omega "
+        "widens the boost-frequency window without bound",
     )
-    if grid is None:
-        raise QuadratureError(
-            f"finite-duration overlap at T = {T:g} needs more than {_MAX_GRID_VALUES} "
-            f"K_inu values ({nu.size} orders up to {nu_max:.4g}); T far below 1/omega "
-            "widens the boost-frequency window without bound"
-        )
-    k_nodes, k_weights = grid
     with np.errstate(under="ignore"):
         gauss = np.exp(-math.pi * nu - par.sharpness * (s_nodes - 1.0) ** 2) + np.exp(
             math.pi * nu - par.sharpness * (s_nodes + 1.0) ** 2
@@ -445,25 +447,18 @@ def _overlap_finite_t(
     traj_m: Trajectory,
     T: float,
     a: float,
-) -> tuple[float, float]:
-    """:func:`oracle_overlap_finite_t` with its change: what the grid
-    refinement moved plus the bound on the K series error (0 for a
-    suppressed pair)."""
-    if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0 and a > 0.0):
-        raise ValueError("oracle_overlap_finite_t requires positive arguments")
-    par = _finite_t_parameters(omega_i, traj_n, omega_j, traj_m, T, a)
+) -> tuple[float, float, float]:
+    """:func:`oracle_overlap_finite_t` with its change and target (see
+    :func:`_converged`); the change is 0 for a suppressed pair."""
+    par = overlap_diagnostics(omega_i, traj_n, omega_j, traj_m, T, a)
+    target = _FINITE_T_TARGET * T
     if par.suppression > 800.0:
-        return 0.0, 0.0
-    # As in _lambda_quadrature: the refined pass first, the bound only there.
-    fine, series_err = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.5, bound=True)
-    base, _ = _finite_t_once(omega_i, traj_n, omega_j, traj_m, T, a, refine=1.0, bound=False)
-    change = abs(fine - base) + series_err
-    if change > _FINITE_T_TARGET * T:
-        raise QuadratureError(
-            "finite-duration overlap quadrature did not converge: refinement plus the "
-            f"K series bound changed the result by {change:.3e} (target {_FINITE_T_TARGET * T:.1e})"
-        )
-    return fine, change
+        return 0.0, 0.0, target
+    return _converged(
+        lambda refine, bound: _finite_t_once(par, traj_n, traj_m, T, a, refine, bound),
+        target,
+        f"finite-duration overlap quadrature at T = {T:g}",
+    )
 
 
 def oracle_overlap_finite_t(
@@ -509,7 +504,8 @@ def oracle_overlap_finite_t(
 @dataclass(frozen=True)
 class ConvergenceRow:
     """One duration sample of the oracle-vs-asymptotic comparison;
-    ``change`` is the oracle's achieved refinement change."""
+    ``change`` is the oracle's achieved refinement change and ``target``
+    the bound it was held to."""
 
     T: float
     M: float
@@ -517,6 +513,7 @@ class ConvergenceRow:
     asymptotic: float
     rel_error: float
     change: float
+    target: float
 
 
 @dataclass(frozen=True)
@@ -562,7 +559,7 @@ def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceR
                 "switching transients dominate and the asymptotic comparison "
                 "is unreliable"
             )
-        oracle, change = _overlap_finite_t(omega, traj, omega, traj, T, a)
+        oracle, change, target = _overlap_finite_t(omega, traj, omega, traj, T, a)
         asymptotic = diag_overlap(omega, z, T)
         rows.append(
             ConvergenceRow(
@@ -572,6 +569,7 @@ def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceR
                 asymptotic=asymptotic,
                 rel_error=abs(oracle - asymptotic) / asymptotic,
                 change=change,
+                target=target,
             )
         )
     slope = math.nan

@@ -319,42 +319,46 @@ def bessel_k_imag(nu, x):
 _ALPHA_LOG_FORM = 1e150
 
 
+def _arccosh_1p(d, log_2d) -> np.ndarray:
+    r""":math:`\operatorname{arccosh}(1 + d)` for :math:`d \ge 0`.  Where ``d``
+    passes ``_ALPHA_LOG_FORM`` (or is NaN, as inf / inf is), it is
+    :math:`\log 2d` to within :math:`1/d`, which ``log_2d(far)`` gives on
+    that mask in a form that does not overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = ~(d <= _ALPHA_LOG_FORM)
+        alpha = np.log1p(d + np.sqrt(d * (d + 2.0)))
+    if not np.any(far):
+        return alpha
+    alpha = np.array(alpha, dtype=float)
+    alpha[far] = log_2d(far)
+    return alpha
+
+
 def _alpha_from_geometry(dxi: np.ndarray, dxbar: np.ndarray) -> np.ndarray:
     r"""Hyperbolic separation :math:`\alpha = \operatorname{arccosh} u` without
     cancellation: :math:`u - 1 = 2\sinh^2(\Delta\xi/2) +
     \tfrac{\Delta\bar{x}^2}{2}\operatorname{sech}\Delta\xi` is a sum of
     nonnegative terms.
 
-    Where :math:`d = u - 1` exceeds ``_ALPHA_LOG_FORM`` (or overflows),
-    :math:`\alpha = \log 2d` to within :math:`1/d`, and
-    :math:`\log 2d` is summed from the logs of its two terms,
+    In the log form of :func:`_arccosh_1p`, :math:`\log 2d` is summed from
+    the logs of the two terms of :math:`2d`,
     :math:`4\sinh^2(\Delta\xi/2)` and
     :math:`\Delta\bar{x}^2\operatorname{sech}\Delta\xi`, so that no
     intermediate overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = 2.0 * np.sinh(0.5 * dxi) ** 2 + 0.5 * dxbar**2 / np.cosh(dxi)
-        far = ~(d <= _ALPHA_LOG_FORM)  # NaN from inf / inf goes to the log form too
-        alpha = np.log1p(d + np.sqrt(d * (d + 2.0)))
-    if not np.any(far):
-        return alpha
-    xi = np.abs(np.broadcast_to(dxi, far.shape)[far])
-    xbar = np.broadcast_to(dxbar, far.shape)[far]
-    with np.errstate(divide="ignore"):
-        log_long = xi + 2.0 * np.log(-np.expm1(-xi))
-        log_cosh = xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0)
-        log_trans = 2.0 * np.log(xbar) - log_cosh
-    alpha = np.array(alpha, dtype=float)
-    alpha[far] = np.logaddexp(log_long, log_trans)
-    return alpha
 
+    def log_2d(far):
+        xi = np.abs(np.broadcast_to(dxi, far.shape)[far])
+        xbar = np.broadcast_to(dxbar, far.shape)[far]
+        with np.errstate(divide="ignore"):
+            log_long = xi + 2.0 * np.log(-np.expm1(-xi))
+            log_cosh = xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0)
+            log_trans = 2.0 * np.log(xbar) - log_cosh
+        return np.logaddexp(log_long, log_trans)
 
-def _x_over_sinh(alpha: np.ndarray) -> np.ndarray:
-    r""":math:`\alpha/\sinh\alpha`, stable at both ends."""
-    alpha = np.asarray(alpha, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        generic = 2.0 * alpha * np.exp(-alpha) / (-np.expm1(-2.0 * alpha))
-    return np.where(alpha < 1e-6, 1.0 - alpha**2 / 6.0, generic)
+    return _arccosh_1p(d, log_2d)
 
 
 #: Past this phase q alpha, |Lambda| <= 1/(q alpha) is below the smallest
@@ -377,7 +381,9 @@ def conical_p(q, u):
 
     Vanishes like :math:`\sqrt{2\alpha/\pi}` as :math:`u \to 1^+`; the
     ratio ``conical_p(q, u) / (u**2 - 1)**0.25`` tends to
-    :math:`\sqrt{2/\pi}` there.
+    :math:`\sqrt{2/\pi}` there.  Finite and at most 1 in magnitude for
+    every finite ``u >= 1``, up to the largest double: above
+    ``u - 1 = 1e150`` :math:`\alpha` is taken as :math:`\log 2(u - 1)`.
 
     Parameters
     ----------
@@ -392,12 +398,24 @@ def conical_p(q, u):
         raise ValueError("conical_p requires q >= 0")
     if not np.all(u_arr >= 1.0):
         raise ValueError("conical_p requires u >= 1")
-    d = u_arr - 1.0
-    alpha = np.log1p(d + np.sqrt(d * (d + 2.0)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        amplitude = alpha * np.sqrt(2.0 / (np.pi * np.sinh(alpha)))
+    d = np.asarray(u_arr - 1.0)
+    alpha = _arccosh_1p(d, lambda far: np.log(d[far]) + math.log(2.0))
+    with np.errstate(invalid="ignore", divide="ignore"):  # sinh alpha = sqrt(d (d + 2))
+        amplitude = alpha * math.sqrt(2.0 / math.pi) / np.sqrt(np.sqrt(d) * np.sqrt(d + 2.0))
     out = np.where(alpha == 0.0, 0.0, amplitude * _sinc_of_phase(q_arr, alpha))
     return _scalar_or_array(out, q, u)
+
+
+def _lambda_of_alpha(q: np.ndarray, alpha, dxi) -> np.ndarray:
+    r""":math:`\Lambda` from its hyperbolic separation :math:`\alpha`:
+    :math:`\operatorname{sinc}(q\alpha)\,(\alpha/\sinh\alpha)
+    /\sqrt{\cosh\Delta\xi}`, with :math:`\alpha/\sinh\alpha` stable at
+    both ends."""
+    alpha = np.asarray(alpha, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x_over_sinh = 2.0 * alpha * np.exp(-alpha) / (-np.expm1(-2.0 * alpha))
+        x_over_sinh = np.where(alpha < 1e-6, 1.0 - alpha**2 / 6.0, x_over_sinh)
+        return _sinc_of_phase(q, alpha) * x_over_sinh / np.sqrt(np.cosh(dxi))
 
 
 def lambda_overlap(q, dxi, dxbar):
@@ -434,13 +452,7 @@ def lambda_overlap(q, dxi, dxbar):
     if not np.all(dxbar_arr >= 0.0):  # NaN fails this too
         raise ValueError("lambda_overlap requires dxbar >= 0")
     far = dxbar_arr == np.inf
-    alpha = _alpha_from_geometry(dxi_arr, dxbar_arr)
-    with np.errstate(invalid="ignore"):
-        out = (
-            _sinc_of_phase(q_arr, alpha)
-            * _x_over_sinh(alpha)
-            / np.sqrt(np.cosh(dxi_arr))
-        )
+    out = _lambda_of_alpha(q_arr, _alpha_from_geometry(dxi_arr, dxbar_arr), dxi_arr)
     return _scalar_or_array(np.where(far, 0.0, out), q, dxi, dxbar)
 
 
@@ -455,13 +467,7 @@ def lambda_axis_xi(q, dxi):
     dxi_arr = _as_float_array(dxi, "dxi")
     if not np.all(q_arr >= 0.0):
         raise ValueError("lambda_axis_xi requires q >= 0")
-    mag = np.abs(dxi_arr)
-    out = (
-        _sinc_of_phase(q_arr, mag)
-        * _x_over_sinh(mag)
-        / np.sqrt(np.cosh(dxi_arr))
-    )
-    return _scalar_or_array(out, q, dxi)
+    return _scalar_or_array(_lambda_of_alpha(q_arr, np.abs(dxi_arr), dxi_arr), q, dxi)
 
 
 def lambda_axis_xbar(q, dxbar):
@@ -478,8 +484,7 @@ def lambda_axis_xbar(q, dxbar):
     if not np.all(dxbar_arr >= 0.0):
         raise ValueError("lambda_axis_xbar requires dxbar >= 0")
     g = 2.0 * np.arcsinh(0.5 * dxbar_arr)
-    out = _sinc_of_phase(q_arr, g) * _x_over_sinh(g)
-    return _scalar_or_array(out, q, dxbar)
+    return _scalar_or_array(_lambda_of_alpha(q_arr, g, 0.0), q, dxbar)
 
 
 def _planck_factor(x, y):

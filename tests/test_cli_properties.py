@@ -18,6 +18,7 @@ import io
 import json
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -159,7 +160,7 @@ def test_mutated_continuum_configs_exit_0_2_or_3(mutations):
     _check_exit_contract(["continuum"], _mutated(CONTINUUM, mutations))
 
 
-# Huge --grid values are left out: lambda-grid allocates steps^2 floats per q.
+# Huge --grid values must fail fast, before steps^2 floats per q are allocated.
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     q=st.one_of(
@@ -167,7 +168,7 @@ def test_mutated_continuum_configs_exit_0_2_or_3(mutations):
         st.sampled_from(("0", "1.5", "0,2,10", "", ",", "abc", "1,,2", "-1", "-inf", "nan",
                          "inf", "1e308", "1e-310", "0,1e308", "1e300", "5e-324")),
     ),
-    grid=st.one_of(st.none(), st.sampled_from((-1, 0, 1, 2, 3, 7))),
+    grid=st.one_of(st.none(), st.sampled_from((-1, 0, 1, 2, 3, 7, 10**4, 10**6, 2**31))),
 )
 def test_lambda_grid_flags_exit_0_2_or_3(q, grid):
     args = ["lambda-grid"]
@@ -175,7 +176,21 @@ def test_lambda_grid_flags_exit_0_2_or_3(q, grid):
         args.append(f"--q={q}")
     if grid is not None:
         args.append(f"--grid={grid}")
-    _check_exit_contract(args)
+    start = time.perf_counter()
+    code = _check_exit_contract(args)
+    if grid is not None and grid >= 10**4:
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [["--grid=1025", "--q=1"], ["--grid=513"]], ids=["1q", "4q"])
+def test_lambda_grid_past_the_cell_cap_is_a_config_error(tmp_path, argv):
+    # 2**20 cells in all: one q at --grid 1024, or the four default q at 512.
+    code, text = _main(["lambda-grid", *argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert text.startswith("config error: --grid:"), text
+    assert "1048576" in text
+    assert not (tmp_path / "out").exists()
 
 
 # Dropping any of these fields, or a T_list of [1.0], leaves a valid

@@ -14,7 +14,9 @@ from superthermal.geometry import Trajectory
 from superthermal.overlaps import (
     OverlapResult,
     QuadratureError,
+    _converged,
     _lambda_quadrature,
+    _overlap_finite_t,
     convergence_report,
     diag_overlap,
     offdiag_overlap,
@@ -162,6 +164,34 @@ def test_lambda_quadrature_caps_its_grid():
     assert time.perf_counter() - start < 2.0
 
 
+def test_oracles_return_their_targets_from_one_convergence_check():
+    values, change, target = _lambda_quadrature(1.0, 0.4, [0.0, 1.2])
+    assert np.array_equal(values, oracle_lambda_quadrature(1.0, 0.4, [0.0, 1.2]))
+    assert target == 1e-8 and 0.0 <= change <= target
+    traj = Trajectory(z=1.0)
+    value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 20.0, 1.0)
+    assert value == oracle_overlap_finite_t(1.0, traj, 1.0, traj, 20.0)
+    assert target == 1e-10 * 20.0 and 0.0 < change <= target
+    # a suppressed pair keeps its target
+    assert _overlap_finite_t(3.0, traj, 1.0, traj, 200.0, 1.0) == (0.0, 0.0, 1e-10 * 200.0)
+    assert convergence_report(1.0, 1.0, 1.0, [10.0]).rows[0].target == 1e-10 * 10.0
+
+    # The refined pass runs first with the K series bound, the base pass
+    # without; their difference plus the bound is held to the target.
+    calls = []
+
+    def one_pass(refine, bound):
+        calls.append((refine, bound))
+        return np.array([1.0, 1.0 + refine * 1e-8]), (np.full(2, 1e-9) if bound else None)
+
+    fine, change, target = _converged(one_pass, 1e-8, "test")
+    assert np.array_equal(fine, [1.0, 1.0 + 1.5e-8])
+    assert change == pytest.approx(6e-9) and target == 1e-8
+    assert calls == [(1.5, True), (1.0, False)]
+    with pytest.raises(QuadratureError, match="test did not converge: .* by 6.000e-09 "):
+        _converged(one_pass, 5e-9, "test")
+
+
 @pytest.mark.parametrize("dxi", [-1.5, 0.0, 1.5])
 def test_lambda_quadrature_change_bounds_its_error_at_q_zero(dxi):
     # At q = 0, K_0^2 grows like log^2 k, so the piece of the integral
@@ -169,7 +199,7 @@ def test_lambda_quadrature_change_bounds_its_error_at_q_zero(dxi):
     # pass starts lower, and its reported change must cover that error.
     # (At q >= 1 the residual is rounding, which the change need not cover.)
     dxbar = np.array([0.0, 1.0, 2.5])
-    values, change = _lambda_quadrature(0.0, dxi, dxbar)
+    values, change, _ = _lambda_quadrature(0.0, dxi, dxbar)
     error = float(np.max(np.abs(values - lambda_overlap(0.0, dxi, dxbar))))
     assert error <= change <= 1e-8
 

@@ -257,6 +257,53 @@ def test_lambda_is_finite_and_bounded_everywhere(q, dxi, dxbar):
     assert abs(value) <= 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.floats(min_value=0.0, max_value=1e308),
+    u=st.floats(min_value=1.0, max_value=1.79e308),
+)
+def test_conical_is_finite_and_bounded_everywhere(q, u):
+    # d (d + 2) overflows from u - 1 ~ 1.3e154 and 2 (u - 1) near the
+    # largest double; neither may reach the result.
+    value = conical_p(q, u)
+    assert math.isfinite(value)
+    assert abs(value) <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.floats(min_value=0.0, max_value=50.0), dxbar=st.floats(min_value=0.0, max_value=1e6))
+def test_conical_is_lambda_on_the_transverse_axis(q, dxbar):
+    # At dxi = 0, u = 1 + dxbar^2 / 2 and Lambda = sinc(q alpha) alpha / sinh alpha,
+    # so conical_p = Lambda sqrt(2 sinh(alpha) / pi).  The routes round alpha
+    # differently, by a few ulp of alpha, which moves the phase q alpha and the
+    # factor e^(-alpha / 2) of the envelope alpha sqrt(2 / (pi sinh alpha)); the
+    # bound is a few ulp of the envelope, scaled by both.
+    u = 1.0 + 0.5 * dxbar**2
+    alpha = math.acosh(u)
+    got = conical_p(q, u)
+    want = lambda_overlap(q, 0.0, math.sqrt(2.0 * (u - 1.0))) * math.sqrt(2.0 * math.sinh(alpha) / math.pi)
+    envelope = alpha * math.sqrt(2.0 / (math.pi * math.sinh(alpha))) if alpha > 0.0 else 0.0
+    assert abs(got - want) <= 8.0 * np.finfo(float).eps * (1.0 + (q + 1.0) * alpha) * envelope
+
+
+# (q, P^{-1/2}_{-1/2 + iq}(1e200)): mpmath, sqrt(2/(pi sinh alpha)) sin(q alpha)/q at
+# alpha = acosh(1e200) = 461.21016577936908208, 40 digits
+CONICAL_FAR = [(0.0, 3.679924705606886265881e-98), (1.0, 4.531199774440052344943e-101)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_conical_far_from_the_endpoint():
+    # The log form alpha = log 2(u - 1) takes over; alpha itself is a double,
+    # so the phase q alpha carries half an ulp of alpha (~3e-14 here).
+    alpha = 461.21016577936908208
+    for q, want in CONICAL_FAR:
+        got = conical_p(q, 1e200)
+        envelope = math.sqrt(2.0 / (math.pi * math.sinh(alpha))) * alpha
+        assert abs(got - want) <= 4.0 * np.finfo(float).eps * (1.0 + q * alpha) * envelope, q
+    assert 0.0 < conical_p(0.0, 1.7976931348623157e308) < 1e-151
+
+
 def test_lambda_symmetry_in_dxi():
     # Lambda depends on the branch pair only through the invariant
     # separation, which is even in dxi.
