@@ -13,7 +13,6 @@ decay, and the independent quadrature it is checked against.
 import numpy as np
 
 from superthermal import (
-    conical_p,
     lambda_axis_xbar,
     lambda_axis_xi,
     lambda_overlap,
@@ -44,8 +43,9 @@ for q in (0.5, 2.0):
 # 2. The two on-axis closed forms
 #
 # Along each axis the general expression collapses to a simpler shape:
-# sech/sinc along the boost direction, a conical (Mehler) function along
-# the transverse direction.  Both must agree with the general formula.
+# sech/sinc along the boost direction, sin(q g)/(q sinh g) with
+# g = 2 arcsinh(d_xbar/2) along the transverse direction.  Both must agree
+# with the general formula.
 
 q = 1.5
 xi = np.linspace(-2.0, 2.0, 5)
@@ -53,10 +53,6 @@ xbar = np.linspace(0.0, 4.0, 5)
 print("\non-axis versus general formula (should be identical):")
 print("  d_xi axis:   max |diff| =", float(np.max(np.abs(lambda_axis_xi(q, xi) - lambda_overlap(q, xi, 0.0)))))
 print("  d_xbar axis: max |diff| =", float(np.max(np.abs(lambda_axis_xbar(q, xbar) - lambda_overlap(q, 0.0, xbar)))))
-
-# The transverse axis is a conical Legendre function in disguise; its
-# argument u = 1 + d_xbar^2/2 starts at the degenerate endpoint u = 1.
-print("  conical function at the endpoint: P(q=2, u=1) =", conical_p(2.0, 1.0))
 
 # ---------------------------------------------------------------------------
 # 3. Basic structure: normalization, bound, parity

@@ -72,7 +72,6 @@ from .overlaps import (
 from .specfun import (
     bessel_j0,
     bessel_k_imag,
-    conical_p,
     lambda_axis_xbar,
     lambda_axis_xi,
     lambda_overlap,
@@ -102,7 +101,6 @@ __all__ = [
     "bessel_k_imag",
     "coherence_condition",
     "compare_with_reference",
-    "conical_p",
     "continuum_joint_kernel",
     "continuum_offdiag_coefficient",
     "continuum_spectrum_slice",

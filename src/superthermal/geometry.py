@@ -200,20 +200,36 @@ def delta_xi(m: Trajectory, n: Trajectory) -> float:
     r"""Longitudinal relative quantity :math:`\Delta\xi_{mn} = \log(z_m/z_n)`.
 
     Antisymmetric under swapping the two trajectories; zero iff the two
-    heights coincide.
+    heights coincide.  Finite for every pair of legal heights: where the
+    ratio overflows or underflows to 0, it is ``log(z_m) - log(z_n)``.
     """
-    return math.log(m.z / n.z)
+    ratio = m.z / n.z
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    return math.log(m.z) - math.log(n.z)
 
 
 def delta_xbar(m: Trajectory, n: Trajectory) -> float:
     r"""Transverse relative quantity
     :math:`\Delta\bar{x}_{mn} = |\Delta x^\perp|\sqrt{(1/z_m^2 + 1/z_n^2)/2}`.
 
-    Symmetric under swapping the two trajectories and nonnegative.
+    Symmetric under swapping the two trajectories and nonnegative; exactly
+    0 without a transverse offset.  Where :math:`z^2` or :math:`1/z^2`
+    overflows, the smaller height :math:`z_<` is factored out:
+    :math:`|\Delta x^\perp|/z_<\cdot\sqrt{(1 + (z_</z_>)^2)/2}`, which
+    overflows only where the separation itself is past the float range.
     """
-    dx = m.x_perp[0] - n.x_perp[0]
-    dy = m.x_perp[1] - n.x_perp[1]
-    return math.hypot(dx, dy) * math.sqrt(0.5 * (1.0 / m.z**2 + 1.0 / n.z**2))
+    offset = math.hypot(m.x_perp[0] - n.x_perp[0], m.x_perp[1] - n.x_perp[1])
+    if offset == 0.0:
+        return 0.0
+    try:
+        xbar = offset * math.sqrt(0.5 * (1.0 / m.z**2 + 1.0 / n.z**2))
+    except (OverflowError, ZeroDivisionError):  # z**2 past the float range
+        xbar = math.inf
+    if math.isfinite(xbar):
+        return xbar
+    low, high = sorted((m.z, n.z))
+    return offset / low * math.sqrt(0.5 * (1.0 + (low / high) ** 2))
 
 
 def coherence_condition(

@@ -16,11 +16,11 @@ imaginary order :math:`K_{i\nu}(x)`, and the geometric overlap factor
 which multiplies each thermal coherence between two accelerated
 branches.  :math:`\Lambda` is bounded by one, equals one at
 :math:`\Delta\xi = \Delta\bar{x} = 0`, and reduces to simple closed
-forms on the two axes.  The same combination can be written through a
-conical (Mehler-type) function of degree :math:`-\tfrac12 + iq`, exposed
-here as :func:`conical_p`.
+forms on the two axes.
 
-``scipy`` provides :math:`J_0` but not :math:`K_{i\nu}`.  Up to the
+``scipy`` provides :math:`J_0` but not :math:`K_{i\nu}`.  It is imported
+inside :func:`bessel_j0` and the series for :math:`K_{i\nu}`, which only
+the quadrature oracles call, so the pipeline never loads it.  Up to the
 crossover :math:`x_c = 4` it is summed from the power series of
 :math:`I_{i\nu}` (DLMF 10.25.2, 10.27.3),
 
@@ -59,13 +59,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import digamma, gammaln, loggamma
-from scipy.special import j0 as _scipy_j0
 
 __all__ = [
     "bessel_j0",
     "bessel_k_imag",
-    "conical_p",
     "lambda_overlap",
     "lambda_axis_xi",
     "lambda_axis_xbar",
@@ -119,8 +116,10 @@ def _scalar_or_array(out: np.ndarray, *inputs) -> np.ndarray | float:
 
 def bessel_j0(x):
     r"""Bessel function :math:`J_0(x)`, vectorized."""
+    from scipy.special import j0
+
     x = np.asarray(x, dtype=float)
-    return _scalar_or_array(_scipy_j0(x), x)
+    return _scalar_or_array(j0(x), x)
 
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,6 +174,8 @@ def _k_series(nu: np.ndarray, x: np.ndarray, err: np.ndarray | None) -> np.ndarr
     :math:`|\sin(\nu L - \phi_k)/\nu|` by
     :math:`\min(|L| + |\phi_k/\nu|, 1/\nu)`.
     """
+    from scipy.special import digamma, gammaln, loggamma
+
     n = _KSERIES_TERMS
     k = np.arange(n + 1, dtype=float)
     log_gamma = loggamma(k + 1.0 + 1j * nu[:, None])
@@ -319,28 +320,14 @@ def bessel_k_imag(nu, x):
 _ALPHA_LOG_FORM = 1e150
 
 
-def _arccosh_1p(d, log_2d) -> np.ndarray:
-    r""":math:`\operatorname{arccosh}(1 + d)` for :math:`d \ge 0`.  Where ``d``
-    passes ``_ALPHA_LOG_FORM`` (or is NaN, as inf / inf is), it is
-    :math:`\log 2d` to within :math:`1/d`, which ``log_2d(far)`` gives on
-    that mask in a form that does not overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        far = ~(d <= _ALPHA_LOG_FORM)
-        alpha = np.log1p(d + np.sqrt(d * (d + 2.0)))
-    if not np.any(far):
-        return alpha
-    alpha = np.array(alpha, dtype=float)
-    alpha[far] = log_2d(far)
-    return alpha
-
-
 def _alpha_from_geometry(dxi: np.ndarray, dxbar: np.ndarray) -> np.ndarray:
-    r"""Hyperbolic separation :math:`\alpha = \operatorname{arccosh} u` without
-    cancellation: :math:`u - 1 = 2\sinh^2(\Delta\xi/2) +
+    r"""Hyperbolic separation :math:`\alpha = \operatorname{arccosh}(1 + d)`
+    without cancellation: :math:`d = u - 1 = 2\sinh^2(\Delta\xi/2) +
     \tfrac{\Delta\bar{x}^2}{2}\operatorname{sech}\Delta\xi` is a sum of
     nonnegative terms.
 
-    In the log form of :func:`_arccosh_1p`, :math:`\log 2d` is summed from
+    Where ``d`` passes ``_ALPHA_LOG_FORM`` (or is NaN, as inf / inf is),
+    :math:`\alpha` is :math:`\log 2d` to within :math:`1/d`, summed from
     the logs of the two terms of :math:`2d`,
     :math:`4\sinh^2(\Delta\xi/2)` and
     :math:`\Delta\bar{x}^2\operatorname{sech}\Delta\xi`, so that no
@@ -348,17 +335,19 @@ def _alpha_from_geometry(dxi: np.ndarray, dxbar: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = 2.0 * np.sinh(0.5 * dxi) ** 2 + 0.5 * dxbar**2 / np.cosh(dxi)
-
-    def log_2d(far):
-        xi = np.abs(np.broadcast_to(dxi, far.shape)[far])
-        xbar = np.broadcast_to(dxbar, far.shape)[far]
-        with np.errstate(divide="ignore"):
-            log_long = xi + 2.0 * np.log(-np.expm1(-xi))
-            log_cosh = xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0)
-            log_trans = 2.0 * np.log(xbar) - log_cosh
-        return np.logaddexp(log_long, log_trans)
-
-    return _arccosh_1p(d, log_2d)
+        far = ~(d <= _ALPHA_LOG_FORM)
+        alpha = np.log1p(d + np.sqrt(d * (d + 2.0)))
+    if not np.any(far):
+        return alpha
+    xi = np.abs(np.broadcast_to(dxi, far.shape)[far])
+    xbar = np.broadcast_to(dxbar, far.shape)[far]
+    with np.errstate(over="ignore", divide="ignore"):
+        log_long = xi + 2.0 * np.log(-np.expm1(-xi))
+        log_cosh = xi + np.log1p(np.exp(-2.0 * xi)) - math.log(2.0)
+        log_trans = 2.0 * np.log(xbar) - log_cosh
+        alpha = np.array(alpha, dtype=float)
+        alpha[far] = np.logaddexp(log_long, log_trans)
+    return alpha
 
 
 #: Past this phase q alpha, |Lambda| <= 1/(q alpha) is below the smallest
@@ -374,48 +363,30 @@ def _sinc_of_phase(q: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         return np.where(phase > _PHASE_LIMIT, 0.0, np.sinc(phase / np.pi))
 
 
-def conical_p(q, u):
-    r"""Conical-function combination
-    :math:`\sqrt{2/(\pi\sinh\alpha)}\;\alpha\,\operatorname{sinc}(q\alpha/\pi)`
-    with :math:`\alpha = \operatorname{arccosh} u`.
-
-    Vanishes like :math:`\sqrt{2\alpha/\pi}` as :math:`u \to 1^+`; the
-    ratio ``conical_p(q, u) / (u**2 - 1)**0.25`` tends to
-    :math:`\sqrt{2/\pi}` there.  Finite and at most 1 in magnitude for
-    every finite ``u >= 1``, up to the largest double: above
-    ``u - 1 = 1e150`` :math:`\alpha` is taken as :math:`\log 2(u - 1)`.
-
-    Parameters
-    ----------
-    q : array_like
-        Nonnegative degree parameter.
-    u : array_like
-        Argument, ``u >= 1``.
-    """
-    q_arr = _as_float_array(q, "q")
-    u_arr = _as_float_array(u, "u")
-    if not np.all(q_arr >= 0.0):
-        raise ValueError("conical_p requires q >= 0")
-    if not np.all(u_arr >= 1.0):
-        raise ValueError("conical_p requires u >= 1")
-    d = np.asarray(u_arr - 1.0)
-    alpha = _arccosh_1p(d, lambda far: np.log(d[far]) + math.log(2.0))
-    with np.errstate(invalid="ignore", divide="ignore"):  # sinh alpha = sqrt(d (d + 2))
-        amplitude = alpha * math.sqrt(2.0 / math.pi) / np.sqrt(np.sqrt(d) * np.sqrt(d + 2.0))
-    out = np.where(alpha == 0.0, 0.0, amplitude * _sinc_of_phase(q_arr, alpha))
-    return _scalar_or_array(out, q, u)
-
-
 def _lambda_of_alpha(q: np.ndarray, alpha, dxi) -> np.ndarray:
     r""":math:`\Lambda` from its hyperbolic separation :math:`\alpha`:
     :math:`\operatorname{sinc}(q\alpha)\,(\alpha/\sinh\alpha)
     /\sqrt{\cosh\Delta\xi}`, with :math:`\alpha/\sinh\alpha` stable at
-    both ends."""
+    both ends.
+
+    Past :math:`\alpha = 746`, :math:`e^{-\alpha}` is 0 and so is
+    :math:`\alpha/\sinh\alpha`; :math:`\alpha` is clipped there, since
+    from 9e307 on :math:`2\alpha` overflows and inf times 0 is NaN.
+    Where :math:`\cosh\Delta\xi` overflows (:math:`|\Delta\xi|` above
+    about 710.5), :math:`1/\sqrt{\cosh\Delta\xi} =
+    \sqrt2\,e^{-|\Delta\xi|/2}/\sqrt{1 + e^{-2|\Delta\xi|}}` is taken
+    as :math:`\sqrt2\,e^{-|\Delta\xi|/2}`: the dropped term is below
+    1e-617.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x_over_sinh = 2.0 * alpha * np.exp(-alpha) / (-np.expm1(-2.0 * alpha))
+    clipped = np.minimum(alpha, 746.0)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        x_over_sinh = 2.0 * clipped * np.exp(-clipped) / (-np.expm1(-2.0 * clipped))
         x_over_sinh = np.where(alpha < 1e-6, 1.0 - alpha**2 / 6.0, x_over_sinh)
-        return _sinc_of_phase(q, alpha) * x_over_sinh / np.sqrt(np.cosh(dxi))
+        core = _sinc_of_phase(q, alpha) * x_over_sinh
+        cosh = np.cosh(dxi)
+        scaled = core * math.sqrt(2.0) * np.exp(-0.5 * np.abs(dxi))
+        return np.where(np.isinf(cosh), scaled, core / np.sqrt(cosh))
 
 
 def lambda_overlap(q, dxi, dxbar):
@@ -432,7 +403,9 @@ def lambda_overlap(q, dxi, dxbar):
     and is even in :math:`\Delta\xi` and in :math:`\Delta\bar{x}`.
     Since also :math:`|\Lambda| \le 1/(q\alpha)`, a phase :math:`q\alpha`
     past 1/(smallest normal double) ~ 4.5e307, or one that overflows,
-    gives exactly 0, the limit; so do the two axis forms.
+    gives exactly 0, the limit; so do the two axis forms.  Every finite
+    :math:`\Delta\xi` gives a finite value, 0 once
+    :math:`\cosh\Delta\xi` overflows.
 
     Parameters
     ----------

@@ -18,12 +18,6 @@ def k_imag(nu, x, dps: int = 40):
         return mp.re(mp.besselk(mp.mpc(0, nu), x))
 
 
-def conical(q, x, dps: int = 40):
-    """Conical (Mehler) function of order -1/2, P^{-1/2}_{-1/2 + iq}(x), x > 1."""
-    with mp.workdps(dps):
-        return mp.re(mp.legenp(mp.mpc(-0.5, q), mp.mpf("-0.5"), x, type=3))
-
-
 def lam(q, dxi, dxbar, dps: int = 40):
     """Overlap factor via the geodesic-parameter closed form."""
     with mp.workdps(dps):

@@ -3,13 +3,15 @@
 A valid config has one or two of its fields mutated: a value replaced by
 0, -1, 1e-310, 1e308, +-Infinity, NaN, a string, a list or null, or the
 field dropped (``lambda-grid`` draws its ``--q`` and ``--grid`` values
-instead).  Whatever the mutation, ``main`` must return 0, 2 or 3 without
-raising or leaking a numpy ``RuntimeWarning``; stderr starts with
-``config error:`` for 2 and ``numerical failure:`` (or ``numerical
-non-convergence:``) for 3, and holds only ``warning:`` lines for 0.  A
-nonzero exit leaves no ``--out`` directory behind, and a run that
-succeeds exits 2 with ``config error: output.directory:`` once its
-``--out`` lies under a regular file.
+instead); ``state`` and ``measure`` may also move both branches to
+heights from the smallest subnormal to near the largest double, with or
+without a transverse offset.  Whatever the mutation, ``main`` must
+return 0, 2 or 3 without raising or leaking a numpy ``RuntimeWarning``;
+stderr starts with ``config error:`` for 2 and ``numerical failure:``
+(or ``numerical non-convergence:``) for 3, and holds only ``warning:``
+lines for 0.  A nonzero exit leaves no ``--out`` directory behind, and
+a run that succeeds exits 2 with ``config error: output.directory:``
+once its ``--out`` lies under a regular file.
 """
 
 import contextlib
@@ -22,11 +24,13 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superthermal.cli import main
+from superthermal.io import block_density_from_dict, read_json
 
 BASE = {
     "detector": {"frequencies": [1.0, 2.0], "couplings": [[1.0, 0.0], [0.5, 0.5]]},
@@ -59,6 +63,10 @@ ORACLE = {"interaction": {"rindler_a": 1.0}, "oracle": {"T_list": [5.0, 10.0]}}
 
 _DROP = "<drop>"
 MUTATIONS = (0, -1, 1e-310, 1e308, math.inf, -math.inf, math.nan, "abc", [1.0], None, _DROP)
+
+# Legal heights whose squares, reciprocal squares and pairwise ratios
+# under- or overflow; 5e-324 is the smallest subnormal.
+HEIGHTS = (5e-324, 1e-320, 1e-200, 1e-160, 2e-160, 0.5, 1e149, 1e200, 1.7976931348623157e308)
 
 
 def _paths(node, prefix=()):
@@ -147,11 +155,56 @@ def _mutation_lists(paths):
     command=st.sampled_from(("state", "measure")),
     scale=st.sampled_from(("per_eps2T", "absolute")),
     mutations=_mutation_lists(tuple(_paths(BASE))),
+    geometry=st.one_of(
+        st.none(), st.tuples(st.sampled_from(HEIGHTS), st.sampled_from(HEIGHTS), st.booleans())
+    ),
 )
-def test_mutated_configs_exit_0_2_or_3(command, scale, mutations):
+def test_mutated_configs_exit_0_2_or_3(command, scale, mutations, geometry):
     base = copy.deepcopy(BASE)
     base["output"]["scale"] = scale
+    if geometry is not None:
+        z_first, z_second, offset = geometry
+        first, second = base["trajectories"]
+        first["z"], second["z"] = z_first, z_second
+        if not offset:
+            second.update(x=0.0, y=0.0)
     _check_exit_contract([command], _mutated(base, mutations))
+
+
+# Legal geometries at the edge of the float range, with the default
+# amplitudes.  The ratio of the heights of "ratio-past-float-range" is
+# 1e309, and its aligned pair (omega z = 1e-3 on both sides) needs Lambda
+# where cosh(dxi) overflows; the squares of the heights of
+# "subnormal-squares" are subnormal, so 1/z**2 overflows, and its aligned
+# pair (omega z = 2e-160) has no transverse offset.  At the default
+# tolerance 0.01 every boost energy of "subnormal-squares" would align with
+# every other, which is a config error (exit 2).  The last two put a
+# transverse offset at heights whose squares overflow or underflow to 0.
+EDGE_GEOMETRIES = {
+    "ratio-past-float-range": ([1e-152, 1e157], [{"z": 1e-160}, {"z": 1e149}], {}),
+    "subnormal-squares": ([1.0, 2.0], [{"z": 1e-160}, {"z": 2e-160}], {"q_tolerance": 1e-170}),
+    "offset-at-1e200": ([1.0, 2.0], [{"z": 1e200}, {"z": 1e200, "x": 1.0}], {}),
+    "offset-at-1e-200": ([1.0, 2.0], [{"z": 1e-200}, {"z": 1e-200, "x": 1.0}], {}),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_GEOMETRIES)
+def test_edge_geometries_exit_0_with_a_physical_state(tmp_path, name):
+    frequencies, trajectories, interaction = EDGE_GEOMETRIES[name]
+    tree = {
+        "detector": {"frequencies": frequencies},
+        "trajectories": trajectories,
+        "interaction": {"epsilon": 0.01, **interaction},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tree), encoding="utf-8")
+    code, text = _main(["state", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 0, text
+    rho, _, _ = block_density_from_dict(read_json(tmp_path / "out" / "joint_state.json"))
+    for _, block in rho.shells:
+        assert np.all(np.isfinite(block))
+        assert np.array_equal(block, block.conj().T)
+        assert np.linalg.eigvalsh(block).min() >= -1e-12 * np.trace(block).real
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

@@ -812,10 +812,10 @@ def test_cli_non_transitive_alignment_chain_is_a_config_error(tmp_path, capsys, 
     assert "not positive semidefinite" in err
 
 
-@pytest.mark.parametrize("z", [1e200, 1e-200])
+@pytest.mark.parametrize("z", [1e308, 1e-320])
 def test_cli_numerical_failure_exit_code(tmp_path, capsys, z):
-    # the transverse separation of two branches at the same extreme
-    # height overflows (or divides by zero) in z**2
+    # past the float range at these heights: the boost energy 2 z of the
+    # upper level (z = 1e308), or the Planck weight ~ 1/(2 pi z) (z = 1e-320)
     tree = _base_tree()
     tree["trajectories"] = [{"z": z}, {"z": z, "x": 1.0}]
     config = _write_config(tmp_path, tree)
@@ -1081,6 +1081,44 @@ def test_cli_oracle_durations_far_below_one_over_omega_stop_before_allocating(tm
         f"numerical non-convergence: finite-duration overlap at T = {t_list[0]:g} needs more than"
     )
     assert not (tmp_path / "out").exists()
+
+
+def _run_cold(tmp_path, code):
+    """Run ``code`` in a fresh interpreter on this checkout's package."""
+    src = str(Path(superthermal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=60)
+
+
+def test_pipeline_subcommands_run_with_scipy_blocked(tmp_path):
+    # This process may have scipy loaded already, so the check runs in a
+    # fresh one, where even a transient import of scipy fails.
+    lattice = _write_config(tmp_path, _lattice_tree(), "lattice.json")
+    continuum = _write_config(tmp_path, _continuum_tree(), "continuum.json")
+    runs = [["paper-example"], ["state", "--config", lattice], ["measure", "--config", lattice],
+            ["lambda-grid"], ["continuum", "--config", continuum]]
+    proc = _run_cold(tmp_path, f"""
+import sys
+sys.modules["scipy"] = None
+from superthermal.cli import main
+for i, argv in enumerate({runs!r}):
+    assert main([*argv, "--out", f"out{{i}}"]) == 0, argv
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_functions_import_it_on_first_call(tmp_path):
+    proc = _run_cold(tmp_path, """
+import sys
+import superthermal
+assert "scipy" not in sys.modules
+print(repr(superthermal.bessel_j0(1.0)), repr(superthermal.bessel_k_imag(1.0, 1.0)))
+""")
+    assert proc.returncode == 0, proc.stderr
+    from superthermal.specfun import bessel_j0, bessel_k_imag
+
+    assert proc.stdout.split() == [repr(bessel_j0(1.0)), repr(bessel_k_imag(1.0, 1.0))]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

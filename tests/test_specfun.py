@@ -1,6 +1,6 @@
 """Special functions: Macdonald K of imaginary order (power series up to
-the crossover, quadrature above), conical P, the overlap factor and its
-closed on-axis forms, window transform, thermal weight.
+the crossover, quadrature above), the overlap factor and its closed
+on-axis forms, window transform, thermal weight.
 
 Frozen reference values come from mpmath at 40 decimal digits via
 ``tests/oracles.py``.
@@ -20,7 +20,6 @@ from superthermal.specfun import (
     _k_imag_outer,
     bessel_j0,
     bessel_k_imag,
-    conical_p,
     lambda_axis_xbar,
     lambda_axis_xi,
     lambda_overlap,
@@ -37,15 +36,6 @@ K_IMAG_REFERENCE = [
     (2.0, 0.7, 0.05969099416493129036164),
     (5.0, 2.0, -0.000346337880806571434731),
     (10.0, 3.0, -6.375993979873860671108e-8),
-]
-
-# (q, u, P^{-1/2}_{-1/2 + iq}(u)) — mpmath legenp order -1/2 (type 3)
-CONICAL_REFERENCE = [
-    (0.5, 1.0005, 0.1418654804753250465038),
-    (0.5, 3.0, 0.7321453094557348635464),
-    (1.0, 1.5, 0.6192029947019032451802),
-    (2.0, 2.0, 0.1473664541365323057049),
-    (10.0, 1.2, -0.005831452585765600883581),
 ]
 
 # (q, dxi, dxbar, Lambda) — mpmath closed form at 40 digits
@@ -155,20 +145,6 @@ def test_bessel_j0_matches_scipy():
     assert np.allclose(bessel_j0(xs), j0(xs), rtol=1e-14, atol=1e-300)
 
 
-def test_conical_reference_values():
-    for q, x, want in CONICAL_REFERENCE:
-        got = conical_p(q, x)
-        assert got == pytest.approx(want, rel=5e-11, abs=1e-14), (q, x)
-
-
-def test_conical_endpoint_behavior():
-    # vanishes like sqrt(2 alpha / pi) as u -> 1+, uniformly in q
-    for q in (0.0, 0.5, 1.0, 2.0, 10.0):
-        assert conical_p(q, 1.0) == 0.0
-        ratio = conical_p(q, 1.0 + 1e-10) / (1e-10 * 2.0) ** 0.25
-        assert ratio == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-5)
-
-
 def test_lambda_reference_values():
     for q, dxi, dxbar, want in LAMBDA_REFERENCE:
         got = lambda_overlap(q, dxi, dxbar)
@@ -225,11 +201,24 @@ def test_lambda_is_zero_where_q_alpha_overflows():
     assert lambda_overlap(1e308, 1.0, 2.0) == 0.0
     assert lambda_axis_xi(1e308, -3.0) == 0.0
     assert lambda_axis_xbar(1e308, 5.0) == 0.0
-    assert conical_p(1e308, 3.0) == 0.0
     assert lambda_overlap(1e308, 0.0, 0.0) == 1.0
     assert lambda_axis_xbar(1e308, 0.0) == 1.0
     grid = lambda_overlap(np.array([1e308, 1.0]), 1.0, 2.0)
     assert grid[0] == 0.0 and grid[1] == lambda_overlap(1.0, 1.0, 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lambda_is_zero_where_cosh_dxi_overflows():
+    # cosh(dxi) overflows above |dxi| ~ 710.5, where Lambda <= 2 alpha
+    # e^(-alpha) sqrt(2) e^(-|dxi|/2) with alpha >= |dxi| is far below the
+    # smallest subnormal double, as mpmath confirms.
+    for q, dxi, dxbar in ((1.0, 800.0, 0.0), (0.0, -711.0, 0.0), (0.0, 711.0, 1e300), (2.0, -1e308, 1.0)):
+        assert lambda_overlap(q, dxi, dxbar) == 0.0
+        assert float(lam(q, dxi, dxbar)) == 0.0
+    assert lambda_axis_xi(0.0, 1.7976931348623157e308) == 0.0
+    assert lambda_axis_xi(1.0, -800.0) == 0.0
+    grid = lambda_overlap(0.5, np.array([0.3, 800.0, -1e308]), 1.0)
+    assert grid[0] == lambda_overlap(0.5, 0.3, 1.0) and grid[1] == grid[2] == 0.0
 
 
 def test_lambda_normalization_and_bound():
@@ -246,62 +235,16 @@ def test_lambda_normalization_and_bound():
 @settings(max_examples=300, deadline=None)
 @given(
     q=st.floats(min_value=0.0, max_value=1e308),
-    dxi=st.floats(min_value=-50.0, max_value=50.0),
+    dxi=st.floats(allow_nan=False, allow_infinity=False),
     dxbar=st.floats(min_value=0.0, allow_infinity=True),
 )
 def test_lambda_is_finite_and_bounded_everywhere(q, dxi, dxbar):
-    # Every legal argument, up to q = 1e308 and dxbar = inf, gives a finite
-    # overlap factor of at most 1 in magnitude: the state stays physical.
+    # Every legal argument, up to q = 1e308, |dxi| = 1.8e308 and
+    # dxbar = inf, gives a finite overlap factor of at most 1 in magnitude:
+    # the state stays physical.
     value = lambda_overlap(q, dxi, dxbar)
     assert math.isfinite(value)
     assert abs(value) <= 1.0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=300, deadline=None)
-@given(
-    q=st.floats(min_value=0.0, max_value=1e308),
-    u=st.floats(min_value=1.0, max_value=1.79e308),
-)
-def test_conical_is_finite_and_bounded_everywhere(q, u):
-    # d (d + 2) overflows from u - 1 ~ 1.3e154 and 2 (u - 1) near the
-    # largest double; neither may reach the result.
-    value = conical_p(q, u)
-    assert math.isfinite(value)
-    assert abs(value) <= 1.0
-
-
-@settings(max_examples=300, deadline=None)
-@given(q=st.floats(min_value=0.0, max_value=50.0), dxbar=st.floats(min_value=0.0, max_value=1e6))
-def test_conical_is_lambda_on_the_transverse_axis(q, dxbar):
-    # At dxi = 0, u = 1 + dxbar^2 / 2 and Lambda = sinc(q alpha) alpha / sinh alpha,
-    # so conical_p = Lambda sqrt(2 sinh(alpha) / pi).  The routes round alpha
-    # differently, by a few ulp of alpha, which moves the phase q alpha and the
-    # factor e^(-alpha / 2) of the envelope alpha sqrt(2 / (pi sinh alpha)); the
-    # bound is a few ulp of the envelope, scaled by both.
-    u = 1.0 + 0.5 * dxbar**2
-    alpha = math.acosh(u)
-    got = conical_p(q, u)
-    want = lambda_overlap(q, 0.0, math.sqrt(2.0 * (u - 1.0))) * math.sqrt(2.0 * math.sinh(alpha) / math.pi)
-    envelope = alpha * math.sqrt(2.0 / (math.pi * math.sinh(alpha))) if alpha > 0.0 else 0.0
-    assert abs(got - want) <= 8.0 * np.finfo(float).eps * (1.0 + (q + 1.0) * alpha) * envelope
-
-
-# (q, P^{-1/2}_{-1/2 + iq}(1e200)): mpmath, sqrt(2/(pi sinh alpha)) sin(q alpha)/q at
-# alpha = acosh(1e200) = 461.21016577936908208, 40 digits
-CONICAL_FAR = [(0.0, 3.679924705606886265881e-98), (1.0, 4.531199774440052344943e-101)]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_conical_far_from_the_endpoint():
-    # The log form alpha = log 2(u - 1) takes over; alpha itself is a double,
-    # so the phase q alpha carries half an ulp of alpha (~3e-14 here).
-    alpha = 461.21016577936908208
-    for q, want in CONICAL_FAR:
-        got = conical_p(q, 1e200)
-        envelope = math.sqrt(2.0 / (math.pi * math.sinh(alpha))) * alpha
-        assert abs(got - want) <= 4.0 * np.finfo(float).eps * (1.0 + q * alpha) * envelope, q
-    assert 0.0 < conical_p(0.0, 1.7976931348623157e308) < 1e-151
 
 
 def test_lambda_symmetry_in_dxi():
