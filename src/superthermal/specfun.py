@@ -372,11 +372,7 @@ def _lambda_of_alpha(q: np.ndarray, alpha, dxi) -> np.ndarray:
     Past :math:`\alpha = 746`, :math:`e^{-\alpha}` is 0 and so is
     :math:`\alpha/\sinh\alpha`; :math:`\alpha` is clipped there, since
     from 9e307 on :math:`2\alpha` overflows and inf times 0 is NaN.
-    Where :math:`\cosh\Delta\xi` overflows (:math:`|\Delta\xi|` above
-    about 710.5), :math:`1/\sqrt{\cosh\Delta\xi} =
-    \sqrt2\,e^{-|\Delta\xi|/2}/\sqrt{1 + e^{-2|\Delta\xi|}}` is taken
-    as :math:`\sqrt2\,e^{-|\Delta\xi|/2}`: the dropped term is below
-    1e-617.
+    Where :math:`\cosh\Delta\xi` overflows the result is 0, its limit.
     """
     alpha = np.asarray(alpha, dtype=float)
     clipped = np.minimum(alpha, 746.0)
@@ -384,9 +380,7 @@ def _lambda_of_alpha(q: np.ndarray, alpha, dxi) -> np.ndarray:
         x_over_sinh = 2.0 * clipped * np.exp(-clipped) / (-np.expm1(-2.0 * clipped))
         x_over_sinh = np.where(alpha < 1e-6, 1.0 - alpha**2 / 6.0, x_over_sinh)
         core = _sinc_of_phase(q, alpha) * x_over_sinh
-        cosh = np.cosh(dxi)
-        scaled = core * math.sqrt(2.0) * np.exp(-0.5 * np.abs(dxi))
-        return np.where(np.isinf(cosh), scaled, core / np.sqrt(cosh))
+        return core / np.sqrt(np.cosh(dxi))
 
 
 def lambda_overlap(q, dxi, dxbar):
