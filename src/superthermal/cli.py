@@ -5,8 +5,14 @@ Subcommands
 
 ``state``
     Assemble the joint detector/branch state for a configured system and
-    write ``joint_state.json`` (one block per boost-energy shell) plus
-    ``reduced_internal.json``.
+    write ``joint_state.json`` plus ``reduced_internal.json``.  The
+    ``joint_state/3`` file holds the factors of the state, not its
+    entries: the couplings, one Planck weight per composite in flat index
+    order (``level_index * branch_count + branch_index``) and the aligned
+    cross-branch pairs, lower flat index first and sorted, with their
+    overlaps Lambda.  At ``output.scale`` ``absolute`` the factors stay
+    per unit eps^2 T beside the recorded ``epsilon`` and ``T``, and
+    ``io.block_density_from_dict`` multiplies the assembled blocks out.
 ``measure``
     Project onto a measured branch superposition and write
     ``measured_internal.json`` plus ``neglog_matrix.csv``.
@@ -47,6 +53,7 @@ emitted through fixed formats and every iteration order is fixed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -585,7 +592,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="superthermal",
         description=(

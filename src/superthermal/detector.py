@@ -25,9 +25,11 @@ Since only aligned composites couple, the excited sector is exactly
 block-diagonal over boost-energy *shells*: the runs of the sorted products
 :math:`q_{jm}` between gaps wider than ``tol``.  :class:`BlockDensity`
 stores one small Hermitian block per shell and checks each on its own,
-:func:`joint_state` assembles all shells in one vectorised pass, and the
-reductions below work shell by shell.  The dense matrix is built only
-on request (``BlockDensity.excited_block``).
+:func:`joint_state` assembles all shells in one vectorised pass from the
+closed form's inputs (:class:`StateFactors`: amplitudes, couplings,
+Planck weights and one :math:`\Lambda` per aligned pair), through
+:func:`assemble_state`, and the reductions below work shell by shell.
+The dense matrix is built only on request (``BlockDensity.excited_block``).
 
 Tracing out the branch index leaves a weighted mixture of Planck spectra
 (:func:`reduced_internal`); conditioning on a branch measurement outcome
@@ -39,6 +41,7 @@ published three-branch, twelve-level case and its
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -54,8 +57,10 @@ __all__ = [
     "MeasurementBasisVector",
     "BlockDensity",
     "Shell",
+    "StateFactors",
     "NonPSDShellError",
     "PaperExampleResult",
+    "assemble_state",
     "joint_state",
     "reduced_internal",
     "measured_internal",
@@ -139,6 +144,24 @@ class Shell(NamedTuple):
     block: np.ndarray
 
 
+class StateFactors(NamedTuple):
+    r"""The inputs of the closed form, per unit :math:`\varepsilon^2 T`.
+
+    ``amplitudes`` holds the branch amplitudes :math:`A_n`, ``couplings``
+    the :math:`\zeta_i`, and ``planck_weights`` one :math:`P_{in}` per
+    composite in flat-index order (``level_index * branch_count +
+    branch_index``).  ``pairs`` is a ``(count, 2)`` integer array of the
+    aligned cross-branch pairs, lower flat index first, sorted, and
+    ``overlaps`` holds each pair's :math:`\Lambda`.
+    """
+
+    amplitudes: np.ndarray
+    couplings: np.ndarray
+    planck_weights: np.ndarray
+    pairs: np.ndarray
+    overlaps: np.ndarray
+
+
 class NonPSDShellError(ValueError):
     """A shell of the excited block is not positive semidefinite.
 
@@ -150,13 +173,12 @@ class NonPSDShellError(ValueError):
         self.members = members
 
 
-def _dense_shells(excited: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a dense excited block into the connected components of its
-    nonzero pattern, each with its sub-block."""
-    rows, cols = np.nonzero(excited)
-    labels = np.arange(excited.shape[0])
-    # Spread the smallest index along nonzero entries until every entry
-    # joins equal labels: each component ends up labelled by its minimum.
+def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the graph on ``range(dim)`` with edges
+    ``(rows, cols)``, each as ascending indices, ordered by smallest member."""
+    labels = np.arange(dim)
+    # Spread the smallest index along the edges until every edge joins
+    # equal labels: each component ends up labelled by its minimum.
     while True:
         low = np.minimum(labels[rows], labels[cols])
         spread = labels.copy()
@@ -166,35 +188,56 @@ def _dense_shells(excited: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             break
         labels = spread
     order = np.argsort(labels, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def _dense_shells(excited: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a dense excited block into the connected components of its
+    nonzero pattern, each with its sub-block."""
+    runs = _components(excited.shape[0], *np.nonzero(excited))
     return [(members, excited[np.ix_(members, members)]) for members in runs]
+
+
+def _stack_runs(runs) -> list[np.ndarray]:
+    """Ascending member runs stacked by size, in order of each size's first
+    run, as read-only ``(count, k)`` arrays."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for run in runs:
+        by_size.setdefault(run.size, []).append(run)
+    groups = [np.stack(picks) for picks in by_size.values()]
+    for members in groups:
+        members.setflags(write=False)
+    return groups
 
 
 class BlockDensity:
     """Block-diagonal joint state: ground and excited sectors.
 
     ``ground_block`` is the branch-space coefficient matrix of the
-    unexcited internal state (for a pure branch superposition it is the
-    rank-1 outer product :math:`A A^\\dagger`).  The excited sector lives
-    on composite (level, branch) indices, flattened as
-    ``level_index * branch_count + branch_index``, and is block-diagonal
-    over boost-energy shells: ``shells`` holds one :class:`Shell` per
-    block, ordered by smallest member, and together the shells partition
-    the composite indices.  ``excited_block`` builds the dense matrix on
-    request.
+    unexcited internal state: :math:`A A^\\dagger` for a state built from
+    its factors.  The excited sector lives on composite (level, branch)
+    indices, flattened as ``level_index * branch_count + branch_index``,
+    and is block-diagonal over boost-energy shells: ``shells`` holds one
+    :class:`Shell` per block, ordered by smallest member, and together
+    the shells partition the composite indices.  ``excited_block`` builds
+    the dense matrix on request.
 
-    The excited sector is given either as ``shells`` (pairs of member
-    indices and blocks) or as a dense ``excited_block``, which is split
-    into the connected components of its nonzero pattern.  Either way
-    each shell is checked for Hermiticity against the largest entry of
-    the whole sector, ``max_entry``, and for positive semidefiniteness
-    against its whole trace; the ground block gets the same finiteness
-    and Hermiticity check.
+    :func:`joint_state` and :func:`assemble_state` build the state from
+    its :class:`StateFactors`, kept as ``factors``.  The constructor takes
+    it from outside instead: a ``ground_block`` matrix, and the excited
+    sector either as ``shells`` (pairs of member indices and blocks) or
+    as a dense ``excited_block``, which is split into the connected
+    components of its nonzero pattern.  Such a state has no ``factors``.
+    Either way each shell is checked for Hermiticity against the largest
+    entry of the whole sector, ``max_entry``, and for positive
+    semidefiniteness against its whole trace; a given ground block gets
+    the same finiteness and Hermiticity check.
 
     ``scale`` is either ``"per_eps2T"`` (the default symbolic
     normalization: excited entries per unit :math:`\\varepsilon^2 T`) or
     ``"absolute"`` (entries multiplied out with the ``epsilon`` and ``T``
-    stored alongside; the ground block is kept at leading order).
+    stored alongside; the ground block is kept at leading order, and
+    ``factors`` stay per unit :math:`\\varepsilon^2 T`).
     Ground-excited cross coherences vanish identically at this order and
     are not stored.
     """
@@ -223,26 +266,51 @@ class BlockDensity:
         groups, dim = _group_shells(shells)
         if n == 0 or dim % n != 0:
             raise ValueError("excited sector must span (level, branch) composites")
+        _hermitian_peak([ground[None]], "ground_block")
+        ground.setflags(write=False)
+        self._setup(groups, n, scale, epsilon, T, None, ground)
+
+    @classmethod
+    def _of_groups(cls, groups, traj_count: int, scale: str, epsilon, T, factors, ground=None):
+        """A state over already stacked ``(members, blocks)`` groups."""
+        self = cls.__new__(cls)
+        self._setup(groups, traj_count, scale, epsilon, T, factors, ground)
+        return self
+
+    def _setup(self, groups, traj_count, scale, epsilon, T, factors, ground) -> None:
         if scale not in ("per_eps2T", "absolute"):
             raise ValueError(f"unknown scale {scale!r}")
         if scale == "absolute" and not (epsilon is not None and T is not None):
             raise ValueError("absolute scale requires epsilon and T")
-        _hermitian_peak([ground[None]], "ground_block")
         self.max_entry = _validate_groups(groups)
-        ground.setflags(write=False)
-        self.ground_block = ground
         self.scale = scale
         self.epsilon = epsilon
         self.T = T
-        self.level_count = dim // n
-        self.traj_count = n
+        self.level_count = sum(members.size for members, _ in groups) // traj_count
+        self.traj_count = traj_count
+        self.factors = factors
+        self._ground = ground
         self._groups = groups
+
+    @property
+    def ground_block(self) -> np.ndarray:
+        """The ground block, :math:`A A^\\dagger` unless given as a matrix."""
+        if self._ground is not None:
+            return self._ground
+        amps = self.factors.amplitudes
+        ground = np.outer(amps, amps.conj())
+        ground.setflags(write=False)
+        return ground
+
+    @functools.cached_property
+    def shells(self) -> tuple[Shell, ...]:
+        """One :class:`Shell` per block, ordered by smallest member."""
         firsts = sorted(
             (int(first), g, r)
-            for g, (members, _) in enumerate(groups)
+            for g, (members, _) in enumerate(self._groups)
             for r, first in enumerate(members[:, 0])
         )
-        self.shells = tuple(Shell(groups[g][0][r], groups[g][1][r]) for _, g, r in firsts)
+        return tuple(Shell(self._groups[g][0][r], self._groups[g][1][r]) for _, g, r in firsts)
 
     @property
     def excited_block(self) -> np.ndarray:
@@ -267,12 +335,13 @@ class BlockDensity:
         factor = epsilon * epsilon * T
         if not math.isfinite(factor * self.max_entry):
             raise OverflowError(f"epsilon^2 T x entry overflows at T = {T:g}")
-        return BlockDensity(
-            ground_block=self.ground_block,
-            scale="absolute",
-            epsilon=epsilon,
-            T=T,
-            shells=[(shell.members, factor * shell.block) for shell in self.shells],
+        groups = []
+        for members, blocks in self._groups:
+            blocks = factor * blocks
+            blocks.setflags(write=False)
+            groups.append((members, blocks))
+        return BlockDensity._of_groups(
+            groups, self.traj_count, "absolute", epsilon, T, self.factors, self._ground
         )
 
 
@@ -348,6 +417,57 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def assemble_state(factors: StateFactors, members=None) -> BlockDensity:
+    r"""The per-unit-:math:`\varepsilon^2 T` state of the closed form's
+    factors, one Hermitian block per shell, checked like every
+    :class:`BlockDensity`.
+
+    Diagonal entries are :math:`|A_n|^2 |\zeta_i|^2 P_{in}/2\pi`; the
+    entry of each aligned pair :math:`(j,m) < (i,n)` is
+    :math:`A_n^* A_m \zeta_i^* \zeta_j \Lambda \sqrt{P_{in}}\sqrt{P_{jm}}/2\pi`
+    and its mirror the conjugate.  ``members`` gives the shells as
+    ``(count, k)`` stacks of ascending flat indices; by default they are
+    the connected components of the pairs.  The state keeps the factors,
+    read-only.
+    """
+    for array in factors:
+        array.setflags(write=False)
+    amps, zetas, weights, pairs, lam = factors
+    n_traj = amps.size
+    dim = weights.size
+    level, branch = np.divmod(np.arange(dim), n_traj)
+    row, col = pairs[:, 0], pairs[:, 1]
+    if members is None:
+        members = _stack_runs(_components(dim, row, col))
+    # Python's abs(complex) is hypot, which numpy's complex abs can miss by
+    # an ulp; the populations keep the former.
+    amp2 = np.array([abs(a) ** 2 for a in amps.tolist()])
+    zeta2 = np.array([abs(c) ** 2 for c in zetas.tolist()])
+    diag = amp2[branch] * zeta2[level] * weights / (2.0 * math.pi)
+    m, n = branch[row], branch[col]
+    phase = _cmul(_cmul(_cmul(amps[n].conj(), amps[m]), zetas[level[col]].conj()), zetas[level[row]])
+    values = phase * lam * np.sqrt(weights[col]) * np.sqrt(weights[row]) / (2.0 * math.pi)
+
+    # Each composite's group, shell within the group and place in the shell.
+    group, shell, place = np.empty((3, dim), dtype=np.int64)
+    for g, stacked in enumerate(members):
+        group[stacked] = g
+        shell[stacked] = np.arange(len(stacked))[:, None]
+        place[stacked] = np.arange(stacked.shape[1])
+    groups = []
+    for g, stacked in enumerate(members):
+        k = stacked.shape[1]
+        blocks = np.zeros((len(stacked), k, k), dtype=complex)
+        blocks[:, np.arange(k), np.arange(k)] = diag[stacked]
+        pick = group[row] == g
+        s, a, b, part = shell[row[pick]], place[row[pick]], place[col[pick]], values[pick]
+        blocks[s, a, b] = part
+        blocks[s, b, a] = part.conj()
+        blocks.setflags(write=False)
+        groups.append((stacked, blocks))
+    return BlockDensity._of_groups(groups, n_traj, "per_eps2T", None, None, factors)
+
+
 def _shell_runs(q: np.ndarray, tol: float) -> list[np.ndarray]:
     """Boost-energy shells: the runs of the stably sorted products ``q``
     between gaps wider than ``tol``, each as ascending flat indices.
@@ -378,7 +498,9 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     Filling every aligned pair with it is what keeps the block a Gram
     matrix of field-state overlaps, hence positive semidefinite, for
     equal-height branches and for products that differ within ``tol`` in
-    particular.
+    particular.  The state keeps these inputs as its
+    :class:`StateFactors` and is built from them by
+    :func:`assemble_state`.
 
     Aligned pairs lie in one run of the sorted products
     :math:`q_{jm}` (:func:`_shell_runs`), so only pairs within a run are
@@ -390,64 +512,45 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     n_traj = len(traj_set)
-    amps = np.array(traj_set.amplitudes, dtype=complex)
-    ground = np.outer(amps, amps.conj())
-
     omegas = np.array(det.frequencies)
     heights = np.array(traj_set.heights)
-    zetas = np.array(det.couplings, dtype=complex)
     with np.errstate(over="ignore"):
         q = np.multiply.outer(omegas, heights).ravel()
     if np.any(np.isinf(q)):
         raise OverflowError("boost energy omega*z exceeds the float range")
     level, branch = np.divmod(np.arange(q.size), n_traj)
     weights = planck_weight(omegas[:, None], heights[None, :]).ravel()
-    # Python's abs(complex) is hypot, which numpy's complex abs can miss by
-    # an ulp; the populations keep the former.
-    amp2 = np.array([abs(a) ** 2 for a in traj_set.amplitudes])
-    zeta2 = np.array([abs(c) ** 2 for c in det.couplings])
-    diag = amp2[branch] * zeta2[level] * weights / (2.0 * math.pi)
 
     # Candidate pairs: the upper triangle of each run, stacked by run size.
-    groups = {}
-    for run in _shell_runs(q, tol):
-        groups.setdefault(run.size, []).append(run)
-    members = [np.stack(runs) for runs in groups.values()]
-    kept = []
+    members = _stack_runs(_shell_runs(q, tol))
+    rows, cols = [], []
     for stacked in members:
         a, b = np.triu_indices(stacked.shape[1], 1)
         row, col = stacked[:, a], stacked[:, b]
         aligned = coherence_condition(
             omegas[level[col]], heights[branch[col]], omegas[level[row]], heights[branch[row]], tol
         )
-        shell, pair = np.nonzero((branch[row] != branch[col]) & aligned)
-        kept.append((shell, a[pair], b[pair]))
-    row = np.concatenate([stacked[s, a] for stacked, (s, a, _) in zip(members, kept)])
-    col = np.concatenate([stacked[s, b] for stacked, (s, _, b) in zip(members, kept)])
-    m, n = branch[row], branch[col]
+        keep = (branch[row] != branch[col]) & aligned
+        rows.append(row[keep])
+        cols.append(col[keep])
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((col, row))
+    pairs = np.stack([row[order], col[order]], axis=1)
+    m, n = branch[pairs[:, 0]], branch[pairs[:, 1]]
     # Separations depend on the branch pair alone: one scalar call each.
     codes, inverse = np.unique(m * n_traj + n, return_inverse=True)
     ends = [(traj_set[int(c) // n_traj], traj_set[int(c) % n_traj]) for c in codes]
     dxi = np.array([delta_xi(tm, tn) for tm, tn in ends], dtype=float)[inverse]
     dxbar = np.array([delta_xbar(tm, tn) for tm, tn in ends], dtype=float)[inverse]
-    lam = lambda_overlap(q[row], dxi, dxbar)
-    phase = _cmul(_cmul(_cmul(amps[n].conj(), amps[m]), zetas[level[col]].conj()), zetas[level[row]])
-    values = phase * lam * np.sqrt(weights[col]) * np.sqrt(weights[row]) / (2.0 * math.pi)
-
-    shells = []
-    start = 0
-    for stacked, (shell, a, b) in zip(members, kept):
-        k = stacked.shape[1]
-        blocks = np.zeros((len(stacked), k, k), dtype=complex)
-        blocks[:, np.arange(k), np.arange(k)] = diag[stacked]
-        part = values[start : start + shell.size]
-        blocks[shell, a, b] = part
-        blocks[shell, b, a] = part.conj()
-        start += shell.size
-        shells.extend(zip(stacked, blocks))
-
+    factors = StateFactors(
+        amplitudes=np.array(traj_set.amplitudes, dtype=complex),
+        couplings=np.array(det.couplings, dtype=complex),
+        planck_weights=weights,
+        pairs=pairs,
+        overlaps=lambda_overlap(q[pairs[:, 0]], dxi, dxbar),
+    )
     try:
-        return BlockDensity(ground_block=ground, scale="per_eps2T", shells=shells)
+        return assemble_state(factors, members)
     except NonPSDShellError as exc:
         shell_q = q[exc.members]
         raise NonPSDShellError(
@@ -495,9 +598,13 @@ def measured_internal(rho: BlockDensity, basis: MeasurementBasisVector) -> np.nd
     b = basis.vector
     if b.size != rho.traj_count:
         raise ValueError("measurement vector does not match the branch count")
+    if rho.factors is None:
+        raise ValueError("measured_internal needs the factors of the state")
     levels = rho.level_count
     out = np.zeros((levels + 1, levels + 1), dtype=complex)
-    out[0, 0] = b.conj() @ rho.ground_block @ b
+    # The branch overlap B^dagger A as a sum of products without fused
+    # multiply-adds, so that orthogonal amplitudes cancel exactly.
+    out[0, 0] = abs(_cmul(b.conj(), rho.factors.amplitudes).sum()) ** 2
     for members, blocks in rho._groups:
         level, branch = np.divmod(members, rho.traj_count)
         terms = b[branch].conj()[:, :, None] * blocks * b[branch][:, None, :]

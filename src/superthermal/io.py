@@ -7,17 +7,23 @@ Two fixed float formats are used everywhere:
 * CSV plot data carries 9 significant digits, a readability compromise
   for files meant to be fed to external plotting tools.
 
-Joint states are written as JSON objects in the sparse layout
-``"format": "joint_state/2"``: fields ``scale``, ``levels``,
-``trajectories``, ``ground_block`` and ``excited_shells``, a list of
-``{"members": [flat indices], "block": matrix}`` objects, one per
-boost-energy shell and ordered by smallest member (flat index
-``level_index * branch_count + branch_index``).  Post-measurement
-internal matrices keep dense ``ground_block`` and ``excited_block``
-fields.  Complex numbers appear as two-element ``[re, im]`` arrays and
-matrices as row-major arrays of those pairs.  Negative-log magnitude
-tables are written as CSV with empty cells for absent (exactly zero)
-entries.
+Joint states are written as the factors of their closed form, in the
+layout ``"format": "joint_state/3"``: fields ``scale``, ``levels``,
+``trajectories`` (whose ``A`` are the branch amplitudes), ``couplings``
+(the ``zeta_i``), ``planck_weights`` (one ``P`` per composite, in flat
+index order ``level_index * branch_count + branch_index``) and
+``coherences``, an object of ``pairs``, the ``[lower, upper]`` flat
+indices of each aligned cross-branch pair sorted by lower then upper
+index, and ``overlaps``, each pair's Lambda.  The ground block
+``A A^dagger`` is not stored.  The factors are per unit eps^2 T at
+either scale: an absolute-scale file records ``epsilon`` and ``T``, and
+its reader multiplies the assembled blocks by eps^2 T as
+``BlockDensity.to_absolute`` does, so a file reads back to the written
+state bit for bit.  Post-measurement internal matrices keep dense
+``ground_block`` and ``excited_block`` fields.  Complex numbers appear
+as two-element ``[re, im]`` arrays and matrices as row-major arrays of
+those pairs.  Negative-log magnitude tables are written as CSV with
+empty cells for absent (exactly zero) entries.
 
 Every writer emits keys in a fixed order with ``\\n`` line endings, so
 identical inputs produce byte-identical files.
@@ -26,9 +32,9 @@ Numbers become text in a few C-level passes per artifact, not one call
 per number.  :func:`format_json` gathers the floats of the object in
 document order, checks them and picks each one's %-format in one
 float64 array pass, then writes each rectangular nest of floats (a pair
-matrix, a float list) with one ``%`` pass over a template of its
-innermost lists, and one layout pass per level above them.  The CSV
-writers fill one %-template per file.
+matrix, a float list) or of ints (a list of index pairs) with one ``%``
+pass over a template of its innermost lists, and one layout pass per
+level above them.  The CSV writers fill one %-template per file.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Any
 
 import numpy as np
 
-from .detector import BlockDensity
+from .detector import BlockDensity, DetectorSpec, StateFactors, assemble_state
 from .geometry import Trajectory, TrajectorySet
 
 __all__ = [
@@ -67,7 +73,7 @@ __all__ = [
 ]
 
 _JSON_FLOAT = "%.17g"
-_JOINT_STATE_FORMAT = "joint_state/2"
+_JOINT_STATE_FORMAT = "joint_state/3"
 _CSV_FLOAT = "%.9g"
 # Each number's %-format is picked by a flag.  JSON appends ".0" where
 # %.17g prints neither "." nor "e" (an integral value below 1e17 in
@@ -113,9 +119,9 @@ def csv_float(value: float) -> str:
     return _csv_formats([value])[0] % value
 
 
-def _float_nest(obj: list) -> tuple[list[float], tuple[int, ...]] | None:
-    """The leaves in row-major order and the shape of ``obj`` if it is a
-    rectangular nest of lists of floats, else None."""
+def _number_nest(obj: list) -> tuple[list[Any], tuple[int, ...], type] | None:
+    """The leaves in row-major order, the shape and the leaf type of ``obj``
+    if it is a rectangular nest of lists of floats or of ints, else None."""
     leaves, shape = [obj], []
     while True:
         kinds = set(map(type, leaves))
@@ -125,8 +131,8 @@ def _float_nest(obj: list) -> tuple[list[float], tuple[int, ...]] | None:
                 return None
             shape.append(widths.pop())
             leaves = list(chain.from_iterable(leaves))
-        elif kinds == {float}:
-            return leaves, tuple(shape)
+        elif kinds == {float} or kinds == {int}:
+            return leaves, tuple(shape), kinds.pop()
         else:
             return None
 
@@ -134,8 +140,9 @@ def _float_nest(obj: list) -> tuple[list[float], tuple[int, ...]] | None:
 def _skeleton(obj: Any, leaves: list[float]) -> Any:
     """``obj`` with its text decided except for the floats, which are
     appended to ``leaves`` in document order.  A float or a float nest
-    becomes ``(shape, obj)``, a mapping a dict of quoted keys, a sequence a
-    list and any other value its JSON text."""
+    becomes ``(shape, obj)``, an integer nest ``(shape, obj, "%d")``, a
+    mapping a dict of quoted keys, a sequence a list and any other value
+    its JSON text."""
     if isinstance(obj, (float, np.floating)):
         leaves.append(obj)
         return (), obj
@@ -148,9 +155,11 @@ def _skeleton(obj: Any, leaves: list[float]) -> Any:
     if obj is None:
         return "null"
     if isinstance(obj, list):
-        nest = _float_nest(obj)
+        nest = _number_nest(obj)
         if nest is None:
             return [_skeleton(val, leaves) for val in obj]
+        if nest[2] is int:
+            return nest[1], obj, "%d"
         leaves.extend(nest[0])
         return nest[1], obj
     if isinstance(obj, np.ndarray):
@@ -181,7 +190,7 @@ def _lists(items: list[str], width: int, indent: int) -> list[str]:
 
 
 def _render_nest(shape: tuple[int, ...], nest: Any, indent: int, formats: Iterator[str]) -> str:
-    """The JSON text of a float nest: one ``%`` pass writes its innermost
+    """The JSON text of a number nest: one ``%`` pass writes its innermost
     lists, then :func:`_lists` lays out each level above them."""
     for _ in shape[1:]:
         nest = chain.from_iterable(nest)
@@ -200,7 +209,9 @@ def _render(node: Any, indent: int, formats: Iterator[str]) -> str:
     if isinstance(node, str):
         return node
     if isinstance(node, tuple):
-        shape, nest = node
+        shape, nest, *integer = node
+        if integer:
+            return _render_nest(shape, nest, indent, repeat(integer[0]))
         if not shape:
             return next(formats) % nest
         return _render_nest(shape, nest, indent, formats)
@@ -225,8 +236,8 @@ def format_json(obj: Any, indent: int = 0) -> str:
 
     The floats of ``obj`` are checked (finite, else ``ValueError``) in one
     array pass, and each rectangular nest of floats, such as a ``[re, im]``
-    pair matrix, is written by one ``%`` pass and one layout pass per
-    level above its innermost lists, not by one call per number.
+    pair matrix, or of ints is written by one ``%`` pass and one layout
+    pass per level above its innermost lists, not by one call per number.
     """
     leaves: list[float] = []
     tree = _skeleton(obj, leaves)
@@ -317,22 +328,29 @@ def block_density_to_dict(
     frequencies: Sequence[float],
     traj_set: TrajectorySet,
 ) -> dict[str, Any]:
-    """Build the ``joint_state/2`` JSON object for a two-block density
-    matrix: the ground block plus one entry per excited shell."""
+    """Build the ``joint_state/3`` JSON object of a state built from its
+    factors: the couplings, Planck weights and aligned pairs with their
+    overlaps, beside the levels and trajectories."""
+    if rho.factors is None:
+        raise ValueError("only a state built from its factors can be written as joint_state/3")
     if len(frequencies) != rho.level_count:
         raise ValueError("frequency list does not match the stored level count")
     if len(traj_set) != rho.traj_count:
         raise ValueError("trajectory set does not match the stored branch count")
+    factors = rho.factors
+    if traj_set.amplitudes != tuple(factors.amplitudes.tolist()):
+        raise ValueError("trajectory amplitudes do not match the state's")
     return {
         "format": _JOINT_STATE_FORMAT,
         "scale": _scale_field(rho.scale, rho.epsilon, rho.T),
         "levels": [float(w) for w in frequencies],
         "trajectories": _trajectory_entries(traj_set),
-        "ground_block": matrix_to_pairs(rho.ground_block),
-        "excited_shells": [
-            {"members": shell.members.tolist(), "block": matrix_to_pairs(shell.block)}
-            for shell in rho.shells
-        ],
+        "couplings": factors.couplings.view(np.float64).reshape(-1, 2).tolist(),
+        "planck_weights": factors.planck_weights.tolist(),
+        "coherences": {
+            "pairs": factors.pairs.tolist(),
+            "overlaps": factors.overlaps.tolist(),
+        },
     }
 
 
@@ -403,34 +421,89 @@ def parse_trajectories(entries: Any) -> TrajectorySet:
         raise ValueError(f"trajectories: {exc}") from exc
 
 
-def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list[float], TrajectorySet]:
-    """Parse the ``joint_state/2`` object written by :func:`block_density_to_dict`.
+def _real_array(values: Any, size: int, name: str) -> np.ndarray:
+    """``size`` finite JSON numbers as a float array."""
+    if not isinstance(values, list) or len(values) != size:
+        raise ValueError(f"{name}: expected a list of {size} numbers")
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if array.shape != (size,) or not np.all(np.isfinite(array)):
+        raise ValueError(f"{name}: expected {size} finite numbers")
+    return array
 
-    Returns the density matrix together with the level frequencies and
-    the trajectory set recorded alongside it.  A missing field, including
-    the ``format`` tag that dense files lack, raises ``ValueError``
-    naming it.
+
+def _coherences(field: Any, n_traj: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``pairs`` and ``overlaps`` of a ``coherences`` field, checked:
+    distinct cross-branch pairs of flat indices below ``dim``, lower index
+    first, each with a finite |Lambda| <= 1."""
+    if not isinstance(field, Mapping) or set(field) != {"pairs", "overlaps"}:
+        raise ValueError("coherences: expected an object of pairs and overlaps")
+    raw = field["pairs"]
+    try:
+        pairs = np.array(raw) if raw != [] else np.zeros((0, 2), dtype=np.int64)
+    except ValueError:
+        pairs = None
+    if pairs is None or pairs.dtype.kind != "i" or pairs.shape != (len(raw), 2):
+        raise ValueError("coherences.pairs: expected a list of [lower, upper] integer pairs")
+    lower, upper = pairs[:, 0], pairs[:, 1]
+    if not (np.all(lower >= 0) and np.all(lower < upper) and np.all(upper < dim)):
+        raise ValueError(f"coherences.pairs: need 0 <= lower < upper < {dim}")
+    if len(np.unique(lower * dim + upper)) != len(pairs):
+        raise ValueError("coherences.pairs: a pair occurs twice")
+    if np.any(lower % n_traj == upper % n_traj):
+        raise ValueError("coherences.pairs: a pair must join two branches")
+    overlaps = _real_array(field["overlaps"], len(pairs), "coherences.overlaps")
+    if not np.all(np.abs(overlaps) <= 1.0):
+        raise ValueError("coherences.overlaps: need |Lambda| <= 1")
+    return pairs.astype(np.int64), overlaps
+
+
+def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list[float], TrajectorySet]:
+    """Parse the ``joint_state/3`` object written by :func:`block_density_to_dict`.
+
+    Returns the density matrix, assembled from the stored factors by
+    :func:`~superthermal.detector.assemble_state` and scaled to absolute
+    units as :meth:`~superthermal.detector.BlockDensity.to_absolute` does,
+    together with the level frequencies and the trajectory set recorded
+    alongside it.  A missing field, including the ``format`` tag that
+    dense files lack, raises ``ValueError`` naming it, as does a file of
+    another format and an invalid field.
     """
-    for key in ("format", "scale", "levels", "trajectories", "ground_block", "excited_shells"):
+    if data.get("format", _JOINT_STATE_FORMAT) != _JOINT_STATE_FORMAT:
+        raise ValueError(f"format: expected {_JOINT_STATE_FORMAT!r}, got {data['format']!r}")
+    for key in ("format", "scale", "levels", "trajectories", "couplings", "planck_weights", "coherences"):
         if key not in data:
             raise ValueError(f"{key}: missing field of a {_JOINT_STATE_FORMAT} file")
-    if data["format"] != _JOINT_STATE_FORMAT:
-        raise ValueError(f"format: expected {_JOINT_STATE_FORMAT!r}, got {data['format']!r}")
     scale, epsilon, T = _parse_scale(data["scale"])
     levels = [float(w) for w in data["levels"]]
     traj_set = parse_trajectories(data["trajectories"])
-    rho = BlockDensity(
-        ground_block=pairs_to_matrix(data["ground_block"]),
-        scale=scale,
-        epsilon=epsilon,
-        T=T,
-        shells=[
-            (np.array(shell["members"]), pairs_to_matrix(shell["block"]))
-            for shell in data["excited_shells"]
-        ],
+    couplings = data["couplings"]
+    if not isinstance(couplings, list):
+        raise ValueError("couplings: expected a list of [re, im] pairs")
+    try:
+        det = DetectorSpec(levels, tuple(map(_as_complex, couplings)))
+    except ValueError as exc:
+        raise ValueError(f"levels, couplings: {exc}") from exc
+    dim = det.level_count * len(traj_set)
+    weights = _real_array(data["planck_weights"], dim, "planck_weights")
+    if not np.all(weights >= 0.0):
+        raise ValueError("planck_weights: must be nonnegative")
+    pairs, overlaps = _coherences(data["coherences"], len(traj_set), dim)
+    factors = StateFactors(
+        amplitudes=np.array(traj_set.amplitudes, dtype=complex),
+        couplings=np.array(det.couplings, dtype=complex),
+        planck_weights=weights,
+        pairs=pairs,
+        overlaps=overlaps,
     )
-    if (rho.level_count, rho.traj_count) != (len(levels), len(traj_set)):
-        raise ValueError("excited_shells: blocks do not span the levels x trajectories")
+    rho = assemble_state(factors)
+    if scale == "absolute":
+        try:
+            rho = rho.to_absolute(epsilon, T)
+        except ValueError as exc:
+            raise ValueError(f"scale: {exc}") from exc
     return rho, levels, traj_set
 
 

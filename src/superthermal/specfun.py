@@ -471,10 +471,12 @@ def _planck_factor(x, y):
 def planck_weight(omega, z):
     r"""Planckian response weight
     :math:`\omega / (e^{2\pi\omega z} - 1)` for an accelerated system with
-    gap :math:`\omega` at inverse acceleration :math:`z`; the continuous
-    limit :math:`1/(2\pi z)` is used at :math:`\omega = 0`.  An exponent
-    :math:`2\pi\omega z` past the float range gives 0; a weight past it
-    (:math:`z` below about 1e-309) raises ``OverflowError``.
+    gap :math:`\omega` at inverse acceleration :math:`z`; the limit
+    :math:`1/(2\pi z)` is used where the exponent :math:`2\pi\omega z`
+    is 0 or subnormal (at :math:`\omega = 0` in particular), since the
+    relative correction :math:`\pi\omega z` is below one ulp there.  An
+    exponent past the float range gives 0; a weight past it (:math:`z`
+    below about 1e-309) raises ``OverflowError``.
     """
     omega_arr = _as_float_array(omega, "omega")
     z_arr = _as_float_array(z, "z")
@@ -483,8 +485,9 @@ def planck_weight(omega, z):
     if not np.all(z_arr > 0.0):
         raise ValueError("planck_weight requires z > 0")
     with np.errstate(over="ignore"):
-        generic = _planck_factor(omega_arr, 2.0 * np.pi * omega_arr * z_arr)
-        out = np.where(omega_arr == 0.0, 1.0 / (2.0 * np.pi * z_arr), generic)
+        exponent = 2.0 * np.pi * omega_arr * z_arr
+        generic = _planck_factor(omega_arr, exponent)
+        out = np.where(exponent < np.finfo(float).tiny, 1.0 / (2.0 * np.pi * z_arr), generic)
     if np.any(np.isinf(out)):
         raise OverflowError("planck_weight overflows: omega/(e^(2 pi omega z) - 1) is past the float range")
     return _scalar_or_array(out, omega, z)

@@ -178,13 +178,17 @@ def test_mutated_configs_exit_0_2_or_3(command, scale, mutations, geometry):
 # "subnormal-squares" are subnormal, so 1/z**2 overflows, and its aligned
 # pair (omega z = 2e-160) has no transverse offset.  At the default
 # tolerance 0.01 every boost energy of "subnormal-squares" would align with
-# every other, which is a config error (exit 2).  The last two put a
-# transverse offset at heights whose squares overflow or underflow to 0.
+# every other, which is a config error (exit 2).  The two "offset-at"
+# systems put a transverse offset at heights whose squares overflow or
+# underflow to 0, and the Planck exponent 2 pi omega z of
+# "planck-exponent-underflows" is 0 in floats, while its weight 1/(2 pi z)
+# is finite.
 EDGE_GEOMETRIES = {
     "ratio-past-float-range": ([1e-152, 1e157], [{"z": 1e-160}, {"z": 1e149}], {}),
     "subnormal-squares": ([1.0, 2.0], [{"z": 1e-160}, {"z": 2e-160}], {"q_tolerance": 1e-170}),
     "offset-at-1e200": ([1.0, 2.0], [{"z": 1e200}, {"z": 1e200, "x": 1.0}], {}),
     "offset-at-1e-200": ([1.0, 2.0], [{"z": 1e-200}, {"z": 1e-200, "x": 1.0}], {}),
+    "planck-exponent-underflows": ([1e-200], [{"z": 1e-200}], {}),
 }
 
 

@@ -187,6 +187,41 @@ def test_measured_orthogonal_basis_kills_ground_term():
     assert measured[0, 0] == 0j
 
 
+# Preparation A and measurement B of two nearly orthogonal four-branch
+# systems, with |B.A|^2 from mpmath at 40 digits.  The quadratic form
+# B^dagger (A A^dagger) B is 2e-12 relative off both.
+NEAR_ORTHOGONAL = [
+    (
+        [(0.250791889492671, -0.11068560778858229), (0.2678625625863704, 0.24049108071036637),
+         (0.2783584950489469, 0.21135894040480185), (0.6955997419337846, -0.4350296054560975)],
+        [(0.22746076225502931, -0.45523818438402236), (-0.6197733154133227, 0.24323541432734933),
+         (-0.2901793917050007, 0.3207750639163917), (-0.16237508027358216, -0.2902946436587815)],
+        1.074348358931215428623688e-05,
+    ),
+    (
+        [(-0.11207213447094898, -0.07618991601340364), (-0.13469178257849723, 0.5894992685566549),
+         (0.08770781500299726, -0.39942873171671495), (-0.4831118832116293, 0.4640588380973703)],
+        [(-0.29637255329772216, 0.3654678418140174), (0.37478954330974923, -0.4898834860100411),
+         (0.17719218845785448, 0.13722652798696383), (-0.5415299465493267, 0.2337961932289648)],
+        1.64472650600114540034811e-05,
+    ),
+]
+
+
+@pytest.mark.parametrize("prepared, measured, want", NEAR_ORTHOGONAL, ids=["first", "second"])
+def test_measured_ground_entry_is_the_branch_overlap_squared(prepared, measured, want):
+    amps = [complex(*a) for a in prepared]
+    ts = TrajectorySet(Trajectory(z=z, amplitude=a) for z, a in zip((1.0, 2.0, 3.0, 4.0), amps))
+    rho = joint_state(DetectorSpec(frequencies=(1.0,)), ts, tol=1e-9)
+    basis = MeasurementBasisVector(amplitudes=tuple(complex(*b) for b in measured))
+    got = measured_internal(rho, basis)[0, 0]
+    assert got.imag == 0.0
+    # the rounding bound of a length-n dot product, relative to |B.A|^2
+    n = len(amps)
+    bound = 2 * n * np.finfo(float).eps * np.linalg.norm(basis.vector) * np.linalg.norm(amps) / math.sqrt(want)
+    assert abs(got.real - want) <= bound * want
+
+
 def test_single_trajectory_measured_is_diagonal():
     ts = TrajectorySet((Trajectory(z=0.7, amplitude=1.0),))
     det = DetectorSpec(frequencies=(1.0, 2.0, 3.5))

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import lam
 
 import superthermal
 from superthermal import cli
@@ -30,6 +31,7 @@ from superthermal.detector import (
     joint_state,
     measured_internal,
     neglog_matrix,
+    paper_example,
 )
 from superthermal.geometry import MU, Trajectory, TrajectorySet
 from superthermal.io import (
@@ -234,6 +236,7 @@ def test_format_json_matches_the_reference_renderer(matrix, values):
         "pair": complex_pair(matrix[0, 0]),
         "values": values,
         "members": list(range(len(values))),
+        "pairs": [[k, -k] for k in range(len(values))],
         "nested": [{"z": v, "empty": []} for v in values],
     }
     text = format_json(obj)
@@ -297,6 +300,7 @@ def test_block_density_json_round_trip(tmp_path):
     assert rho3.epsilon == 0.01
     assert rho3.T == 50.0
     assert np.array_equal(rho3.excited_block, absolute.excited_block)
+    assert np.array_equal(rho3.ground_block, absolute.ground_block)
 
 
 def test_block_density_json_shell_layout(tmp_path):
@@ -309,11 +313,14 @@ def test_block_density_json_shell_layout(tmp_path):
     rho = joint_state(det, ts, tol=1e-12).to_absolute(0.05, 30.0)
     data = block_density_to_dict(rho, det.frequencies, ts)
     assert list(data) == [
-        "format", "scale", "levels", "trajectories", "ground_block", "excited_shells"
+        "format", "scale", "levels", "trajectories", "couplings", "planck_weights", "coherences"
     ]
-    assert data["format"] == "joint_state/2"
-    firsts = [shell["members"][0] for shell in data["excited_shells"]]
-    assert firsts == sorted(firsts)
+    assert data["format"] == "joint_state/3"
+    assert len(data["couplings"]) == 6 and len(data["planck_weights"]) == 18
+    # one entry per aligned pair, lower flat index first, sorted
+    pairs = data["coherences"]["pairs"]
+    assert pairs and pairs == sorted(pairs) and all(lo < hi for lo, hi in pairs)
+    assert len(data["coherences"]["overlaps"]) == len(pairs)
     path = tmp_path / "state.json"
     write_json(path, data)
     back, _, _ = block_density_from_dict(read_json(path))
@@ -323,18 +330,66 @@ def test_block_density_json_shell_layout(tmp_path):
         assert np.array_equal(got.members, want.members)
         assert np.array_equal(got.block, want.block)  # bit-exact
 
-    dense = {key: data[key] for key in ("scale", "levels", "trajectories", "ground_block")}
-    dense["excited_block"] = matrix_to_pairs(rho.excited_block)
+    # a joint_state/2 file, with or without its format tag, names the field
+    old = {key: data[key] for key in ("scale", "levels", "trajectories")}
+    old["ground_block"] = matrix_to_pairs(rho.ground_block)
+    old["excited_shells"] = [
+        {"members": s.members.tolist(), "block": matrix_to_pairs(s.block)} for s in rho.shells
+    ]
     with pytest.raises(ValueError, match="^format: missing field"):
-        block_density_from_dict(dense)
-    dense["format"] = "joint_state/2"
-    with pytest.raises(ValueError, match="^excited_shells: missing field"):
-        block_density_from_dict(dense)
+        block_density_from_dict(old)
+    old["format"] = "joint_state/2"
+    with pytest.raises(ValueError, match="^format: expected 'joint_state/3', got 'joint_state/2'"):
+        block_density_from_dict(old)
+    for key in ("couplings", "planck_weights", "coherences"):
+        partial = {k: v for k, v in data.items() if k != key}
+        with pytest.raises(ValueError, match=f"^{key}: missing field"):
+            block_density_from_dict(partial)
 
-    # the recorded levels and branches must match the blocks' shape
+    # the recorded levels and branches must match the factors' shape
     short = dict(data, levels=data["levels"][:-1])
-    with pytest.raises(ValueError, match="^excited_shells: blocks do not span"):
+    with pytest.raises(ValueError, match="^levels, couplings: 5 frequencies but 6 couplings"):
         block_density_from_dict(short)
+    short = dict(data, planck_weights=data["planck_weights"][:-1])
+    with pytest.raises(ValueError, match="^planck_weights: expected a list of 18 numbers"):
+        block_density_from_dict(short)
+
+
+@pytest.mark.parametrize(
+    "pairs, overlaps, message",
+    [
+        ([[0, 1]], [0.5, 0.5], "coherences.overlaps: expected a list of 1 numbers"),
+        ([[0, 1], [0, 1]], [0.5, 0.5], "coherences.pairs: a pair occurs twice"),
+        ([[1, 0]], [0.5], "coherences.pairs: need 0 <= lower < upper < 4"),
+        ([[0, 4]], [0.5], "coherences.pairs: need 0 <= lower < upper < 4"),
+        ([[0, 2]], [0.5], "coherences.pairs: a pair must join two branches"),
+        ([[0, 1.0]], [0.5], "coherences.pairs: expected a list of \\[lower, upper\\] integer pairs"),
+        ([[0, 1, 2]], [0.5], "coherences.pairs: expected a list of \\[lower, upper\\] integer pairs"),
+        ([[[0], [1]]], [0.5], "coherences.pairs: expected a list of \\[lower, upper\\] integer pairs"),
+        ([[0, 1]], [1.5], "coherences.overlaps: need \\|Lambda\\| <= 1"),
+        ([[0, 1]], ["x"], "coherences.overlaps: could not convert"),
+    ],
+)
+def test_block_density_json_rejects_bad_coherences(pairs, overlaps, message):
+    det, ts = _two_branch_system()
+    data = block_density_to_dict(joint_state(det, ts, tol=1e-9), det.frequencies, ts)
+    data["coherences"] = {"pairs": pairs, "overlaps": overlaps}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        block_density_from_dict(data)
+
+
+def test_block_density_json_stores_the_paper_example_overlaps():
+    result = paper_example()
+    ts = result.trajectories
+    data = block_density_to_dict(result.state, result.detector.frequencies, ts)
+    n_traj = len(ts)
+    pairs = data["coherences"]["pairs"]
+    assert len(pairs) > 0
+    for (lower, upper), stored in zip(pairs, data["coherences"]["overlaps"]):
+        (j, m), (i, n) = divmod(lower, n_traj), divmod(upper, n_traj)
+        omega_j, z_m, z_n = result.detector.frequencies[j], ts[m].z, ts[n].z
+        want = lam(omega_j * z_m, math.log(z_m / z_n), 0.0)
+        assert stored == pytest.approx(float(want), rel=1e-12, abs=1e-15)
 
 
 def test_measured_json_round_trip(tmp_path):
@@ -393,9 +448,8 @@ def test_cli_state_artifacts(tmp_path):
     assert joint["levels"] == [1.0, 2.0]
     rho, _, _ = block_density_from_dict(joint)
     assert np.array_equal(rho.excited_block, rho.excited_block.conj().T)
-    ground = pairs_to_matrix(joint["ground_block"])
     amps = np.array([pair_to_complex(t["A"]) for t in joint["trajectories"]])
-    assert np.array_equal(ground, np.outer(amps, amps.conj()))
+    assert np.array_equal(rho.ground_block, np.outer(amps, amps.conj()))
     reduced = read_json(out / "reduced_internal.json")
     assert reduced["scale"] == "per_eps2T"
     assert len(reduced["values"]) == 2
@@ -429,7 +483,8 @@ def test_cli_artifacts_match_the_reference_renderer(tmp_path):
     cfg = cli.build_run_config(tree)
     rho = joint_state(cfg.detector, cfg.trajectories, tol=cfg.q_tolerance)
     joint = block_density_to_dict(rho, cfg.detector.frequencies, cfg.trajectories)
-    assert max(len(shell["members"]) for shell in joint["excited_shells"]) > 1
+    assert max(shell.members.size for shell in rho.shells) > 1
+    assert len(joint["coherences"]["pairs"]) > 0
     measured = measured_to_dict(
         measured_internal(rho, cfg.measurement),
         cfg.detector.frequencies,
@@ -748,10 +803,10 @@ def test_cli_legal_edge_systems_succeed(tmp_path, frequencies, heights, command)
     if command == "state":
         # the shells partition the composites, so together they hold
         # every stored entry
-        shells = read_json(out / "joint_state.json")["excited_shells"]
-        members = sorted(i for shell in shells for i in shell["members"])
+        shells = block_density_from_dict(read_json(out / "joint_state.json"))[0].shells
+        members = sorted(i for shell in shells for i in shell.members)
         assert members == list(range(len(frequencies) * len(heights)))
-        blocks = [pairs_to_matrix(shell["block"]) for shell in shells]
+        blocks = [shell.block for shell in shells]
     else:
         blocks = [pairs_to_matrix(read_json(out / "measured_internal.json")["excited_block"])]
     assert all(np.all(np.isfinite(block)) for block in blocks)
@@ -784,8 +839,10 @@ def test_cli_infinite_transverse_separation_gives_zero_coherence(tmp_path):
     tree["trajectories"] = [{"z": 1.0, "x": -1e308}, {"z": 1.0, "x": 1e308}]
     config = _write_config(tmp_path, tree)
     assert main(["state", "--config", config, "--out", str(tmp_path / "state")]) == 0
-    (shell,) = read_json(tmp_path / "state" / "joint_state.json")["excited_shells"]
-    excited = pairs_to_matrix(shell["block"])
+    joint = read_json(tmp_path / "state" / "joint_state.json")
+    assert joint["coherences"] == {"pairs": [[0, 1]], "overlaps": [0.0]}
+    (shell,) = block_density_from_dict(joint)[0].shells
+    excited = shell.block
     assert excited[0, 1] == 0.0 and excited[1, 0] == 0.0
     assert excited[0, 0] == excited[1, 1] > 0.0
 

@@ -6,9 +6,11 @@ align; each height is then jittered by a relative amount that keeps
 every aligned pair within a quarter of the tolerance on each side.  The
 expected reduced populations are assembled in mpmath from the Planck
 mixture, and the expected excited block entry by entry in plain floats
-(``oracles.joint_state_dense``), independently of the package.
+(``oracles.joint_state_dense``), independently of the package.  Each
+state also round-trips through its ``joint_state/3`` text.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -25,6 +27,7 @@ from superthermal.detector import (
     reduced_internal,
 )
 from superthermal.geometry import Trajectory, TrajectorySet
+from superthermal.io import block_density_from_dict, block_density_to_dict, format_json
 
 _HEIGHT_STEPS = (0.5, 1.0, 1.5, 2.0)
 _MAX_LEVEL_STEP = 12
@@ -124,6 +127,11 @@ def test_joint_state_is_physical_and_reduces_to_planck_mixture(system):
     )
     excited = rho.excited_block
     assert np.all(brute[across] == 0.0) and np.all(excited[across] == 0.0)
+    # its joint_state/3 text reads back to the same state, bit for bit
+    text = format_json(block_density_to_dict(rho, det.frequencies, trajectories))
+    back, _, _ = block_density_from_dict(json.loads(text))
+    assert np.array_equal(back.excited_block, excited)
+    assert np.array_equal(back.ground_block, rho.ground_block)
     scale = np.max(np.abs(brute))
     assert np.max(np.abs(excited - brute)) <= 1e-15 * scale
 

@@ -292,6 +292,14 @@ def test_lambda_decays_along_both_axes():
         assert along_xbar[-1] < along_xbar[0]
 
 
+def test_planck_weight_where_the_exponent_is_subnormal_or_zero():
+    # 2 pi omega z is subnormal at 1e-160 x 1e-160 and underflows to 0 at
+    # 1e-200 x 1e-200; the weight is then its limit 1/(2 pi z).  Frozen
+    # from omega/expm1(2 pi omega z) in mpmath at 40 digits.
+    assert planck_weight(1e-160, 1e-160) == pytest.approx(1.591549430918953375774175e159, rel=1e-15)
+    assert planck_weight(1e-200, 1e-200) == pytest.approx(1.591549430918953386177155e199, rel=1e-15)
+
+
 def test_planck_weight():
     assert planck_weight(1.0, 1.0) == pytest.approx(1.0 / math.expm1(2.0 * math.pi), rel=1e-15)
     # omega -> 0 limit: 1/(2 pi z)
