@@ -29,7 +29,11 @@ stores one small Hermitian block per shell and checks each on its own,
 closed form's inputs (:class:`StateFactors`: amplitudes, couplings,
 Planck weights and one :math:`\Lambda` per aligned pair), through
 :func:`assemble_state`, and the reductions below work shell by shell.
-The dense matrix is built only on request (``BlockDensity.excited_block``).
+A state read back from its factors, or given to the constructor as a
+dense excited block, takes as shells the connected components of its
+coherences instead, and is checked once, there; rescaling a state to
+absolute units does not check it again.  The dense matrix is built only
+on request (``BlockDensity.excited_block``).
 
 Tracing out the branch index leaves a weighted mixture of Planck spectra
 (:func:`reduced_internal`); conditioning on a branch measurement outcome
@@ -191,13 +195,6 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _dense_shells(excited: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a dense excited block into the connected components of its
-    nonzero pattern, each with its sub-block."""
-    runs = _components(excited.shape[0], *np.nonzero(excited))
-    return [(members, excited[np.ix_(members, members)]) for members in runs]
-
-
 def _stack_runs(runs) -> list[np.ndarray]:
     """Ascending member runs stacked by size, in order of each size's first
     run, as read-only ``(count, k)`` arrays."""
@@ -224,14 +221,14 @@ class BlockDensity:
 
     :func:`joint_state` and :func:`assemble_state` build the state from
     its :class:`StateFactors`, kept as ``factors``.  The constructor takes
-    it from outside instead: a ``ground_block`` matrix, and the excited
-    sector either as ``shells`` (pairs of member indices and blocks) or
-    as a dense ``excited_block``, which is split into the connected
-    components of its nonzero pattern.  Such a state has no ``factors``.
-    Either way each shell is checked for Hermiticity against the largest
-    entry of the whole sector, ``max_entry``, and for positive
-    semidefiniteness against its whole trace; a given ground block gets
-    the same finiteness and Hermiticity check.
+    it from outside instead: a ``ground_block`` matrix and a dense square
+    ``excited_block``, split into the connected components of its nonzero
+    pattern.  Such a state has no ``factors``.  Either entrance checks the
+    state once, where its entries are made: each shell for Hermiticity
+    against the largest entry of the whole sector, ``max_entry``, and for
+    positive semidefiniteness against its whole trace; a given ground
+    block gets the same finiteness and Hermiticity check.
+    :meth:`to_absolute` only rescales.
 
     ``scale`` is either ``"per_eps2T"`` (the default symbolic
     normalization: excited entries per unit :math:`\\varepsilon^2 T`) or
@@ -245,44 +242,44 @@ class BlockDensity:
     def __init__(
         self,
         ground_block,
-        excited_block=None,
+        excited_block,
         scale: str = "per_eps2T",
         epsilon: float | None = None,
         T: float | None = None,
-        *,
-        shells=None,
     ) -> None:
-        ground = np.array(ground_block, dtype=complex)
-        n = ground.shape[0]
-        if ground.ndim != 2 or ground.shape != (n, n):
-            raise ValueError("ground_block must be square")
-        if (excited_block is None) == (shells is None):
-            raise ValueError("give the excited sector as excited_block or as shells")
-        if excited_block is not None:
-            excited = np.asarray(excited_block, dtype=complex)
-            if excited.ndim != 2 or excited.shape[0] != excited.shape[1]:
-                raise ValueError("excited_block must be square")
-            shells = _dense_shells(excited)
-        groups, dim = _group_shells(shells)
-        if n == 0 or dim % n != 0:
-            raise ValueError("excited sector must span (level, branch) composites")
-        _hermitian_peak([ground[None]], "ground_block")
-        ground.setflags(write=False)
-        self._setup(groups, n, scale, epsilon, T, None, ground)
-
-    @classmethod
-    def _of_groups(cls, groups, traj_count: int, scale: str, epsilon, T, factors, ground=None):
-        """A state over already stacked ``(members, blocks)`` groups."""
-        self = cls.__new__(cls)
-        self._setup(groups, traj_count, scale, epsilon, T, factors, ground)
-        return self
-
-    def _setup(self, groups, traj_count, scale, epsilon, T, factors, ground) -> None:
         if scale not in ("per_eps2T", "absolute"):
             raise ValueError(f"unknown scale {scale!r}")
         if scale == "absolute" and not (epsilon is not None and T is not None):
             raise ValueError("absolute scale requires epsilon and T")
-        self.max_entry = _validate_groups(groups)
+        ground = np.array(ground_block, dtype=complex)
+        n = ground.shape[0]
+        if ground.ndim != 2 or ground.shape != (n, n):
+            raise ValueError("ground_block must be square")
+        excited = np.asarray(excited_block, dtype=complex)
+        if excited.ndim != 2 or excited.shape[0] != excited.shape[1]:
+            raise ValueError("excited_block must be square")
+        dim = excited.shape[0]
+        if n == 0 or dim % n != 0:
+            raise ValueError("excited sector must span (level, branch) composites")
+        _hermitian_peak([ground[None]], "ground_block")
+        ground.setflags(write=False)
+        groups = []
+        for members in _stack_runs(_components(dim, *np.nonzero(excited))):
+            blocks = excited[members[:, :, None], members[:, None, :]]
+            blocks.setflags(write=False)
+            groups.append((members, blocks))
+        self._setup(groups, _validate_groups(groups), n, scale, epsilon, T, None, ground)
+
+    @classmethod
+    def _of_groups(cls, groups, max_entry, traj_count, scale, epsilon, T, factors, ground=None):
+        """A state over already stacked and checked ``(members, blocks)``
+        groups, whose largest entry magnitude is ``max_entry``."""
+        self = cls.__new__(cls)
+        self._setup(groups, max_entry, traj_count, scale, epsilon, T, factors, ground)
+        return self
+
+    def _setup(self, groups, max_entry, traj_count, scale, epsilon, T, factors, ground) -> None:
+        self.max_entry = max_entry
         self.scale = scale
         self.epsilon = epsilon
         self.T = T
@@ -324,8 +321,11 @@ class BlockDensity:
 
     def to_absolute(self, epsilon: float, T: float) -> "BlockDensity":
         r"""Multiply the per-unit-:math:`\varepsilon^2 T` excited shells out
-        to absolute units.  This only rescales; an entry that overflows
-        raises ``OverflowError``."""
+        to absolute units.  This only rescales, and an entry that overflows
+        raises ``OverflowError``.  The shells are not checked again: they
+        were checked where they were made, and a factor
+        :math:`\varepsilon^2 T > 0` keeps them Hermitian and positive
+        semidefinite."""
         if self.scale != "per_eps2T":
             raise ValueError("to_absolute requires a per_eps2T input")
         if not (0.0 < epsilon < 1.0):
@@ -333,7 +333,8 @@ class BlockDensity:
         if not (T > 0.0 and math.isfinite(T)):
             raise ValueError("T must be positive and finite")
         factor = epsilon * epsilon * T
-        if not math.isfinite(factor * self.max_entry):
+        peak = factor * self.max_entry
+        if not math.isfinite(peak):
             raise OverflowError(f"epsilon^2 T x entry overflows at T = {T:g}")
         groups = []
         for members, blocks in self._groups:
@@ -341,41 +342,8 @@ class BlockDensity:
             blocks.setflags(write=False)
             groups.append((members, blocks))
         return BlockDensity._of_groups(
-            groups, self.traj_count, "absolute", epsilon, T, self.factors, self._ground
+            groups, peak, self.traj_count, "absolute", epsilon, T, self.factors, self._ground
         )
-
-
-def _group_shells(shells) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
-    """Stack ``(members, block)`` pairs by shell size into read-only
-    ``(count, k)`` member and ``(count, k, k)`` block arrays, checking
-    that the shells partition ``range(dim)``; returns the groups and dim."""
-    by_size: dict[int, list[int]] = {}
-    members_list = []
-    blocks_list = []
-    for members, block in shells:
-        members = np.asarray(members)
-        block = np.asarray(block, dtype=complex)
-        k = members.size
-        if members.shape != (k,) or k == 0 or members.dtype.kind not in "iu":
-            raise ValueError("shell members must be a nonempty list of indices")
-        if np.any(np.diff(members) <= 0):
-            raise ValueError("shell members must be strictly increasing")
-        if block.shape != (k, k):
-            raise ValueError(f"shell block must be {k}x{k}, got shape {block.shape}")
-        by_size.setdefault(k, []).append(len(members_list))
-        members_list.append(members.astype(np.int64))
-        blocks_list.append(block)
-    dim = sum(m.size for m in members_list)
-    if not np.array_equal(np.sort(np.concatenate(members_list)), np.arange(dim)):
-        raise ValueError("excited shells must partition the composite indices")
-    groups = []
-    for picks in by_size.values():
-        members = np.stack([members_list[i] for i in picks])
-        blocks = np.stack([blocks_list[i] for i in picks])
-        members.setflags(write=False)
-        blocks.setflags(write=False)
-        groups.append((members, blocks))
-    return groups, dim
 
 
 def _hermitian_peak(stacks, name: str) -> float:
@@ -465,7 +433,9 @@ def assemble_state(factors: StateFactors, members=None) -> BlockDensity:
         blocks[s, b, a] = part.conj()
         blocks.setflags(write=False)
         groups.append((stacked, blocks))
-    return BlockDensity._of_groups(groups, n_traj, "per_eps2T", None, None, factors)
+    return BlockDensity._of_groups(
+        groups, _validate_groups(groups), n_traj, "per_eps2T", None, None, factors
+    )
 
 
 def _shell_runs(q: np.ndarray, tol: float) -> list[np.ndarray]:

@@ -192,23 +192,35 @@ EDGE_GEOMETRIES = {
 }
 
 
+# Each runs per unit eps^2 T and again at absolute scale with eps = 1e-160
+# and T = 2, where the factor eps^2 T = 2e-320 is itself subnormal.
+EDGE_SCALES = (
+    ({"epsilon": 0.01}, "per_eps2T"),
+    ({"epsilon": 1e-160, "T": 2.0}, "absolute"),
+)
+
+
 @pytest.mark.parametrize("name", EDGE_GEOMETRIES)
 def test_edge_geometries_exit_0_with_a_physical_state(tmp_path, name):
     frequencies, trajectories, interaction = EDGE_GEOMETRIES[name]
-    tree = {
-        "detector": {"frequencies": frequencies},
-        "trajectories": trajectories,
-        "interaction": {"epsilon": 0.01, **interaction},
-    }
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(tree), encoding="utf-8")
-    code, text = _main(["state", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == 0, text
-    rho, _, _ = block_density_from_dict(read_json(tmp_path / "out" / "joint_state.json"))
-    for _, block in rho.shells:
-        assert np.all(np.isfinite(block))
-        assert np.array_equal(block, block.conj().T)
-        assert np.linalg.eigvalsh(block).min() >= -1e-12 * np.trace(block).real
+    for run, (scaling, scale) in enumerate(EDGE_SCALES):
+        tree = {
+            "detector": {"frequencies": frequencies},
+            "trajectories": trajectories,
+            "interaction": {**scaling, **interaction},
+            "output": {"scale": scale},
+        }
+        config = tmp_path / f"config{run}.json"
+        config.write_text(json.dumps(tree), encoding="utf-8")
+        out = tmp_path / f"out{run}"
+        code, text = _main(["state", "--config", str(config), "--out", str(out)])
+        assert code == 0, text
+        rho, _, _ = block_density_from_dict(read_json(out / "joint_state.json"))
+        assert rho.scale == scale
+        for _, block in rho.shells:
+            assert np.all(np.isfinite(block))
+            assert np.array_equal(block, block.conj().T)
+            assert np.linalg.eigvalsh(block).min() >= -1e-12 * np.trace(block).real
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

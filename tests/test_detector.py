@@ -253,10 +253,18 @@ def test_neglog_matrix_blanks_and_shapes():
         neglog_matrix(measured[:5, :5], det.level_count)
 
 
-def test_to_absolute_scaling_and_bound_warning():
+def _refuse_validation(groups):
+    raise AssertionError("the state is validated again")
+
+
+def test_to_absolute_scaling_and_bound_warning(monkeypatch):
     det, ts = _three_branch_system()
     rho = joint_state(det, ts, tol=1e-12)
-    absolute = rho.to_absolute(epsilon=0.01, T=100.0)
+    # the state was checked where its entries were made; rescaling by
+    # epsilon^2 T > 0 does not check it again
+    with monkeypatch.context() as patch:
+        patch.setattr("superthermal.detector._validate_groups", _refuse_validation)
+        absolute = rho.to_absolute(epsilon=0.01, T=100.0)
     factor = 0.01**2 * 100.0
     assert np.allclose(absolute.excited_block, factor * rho.excited_block, rtol=1e-15)
     assert np.allclose(absolute.ground_block, rho.ground_block, rtol=0, atol=0)
@@ -313,6 +321,13 @@ def test_block_density_rejects_non_hermitian_and_non_psd():
     infinite[0, 0] = np.inf
     with pytest.raises(ValueError, match="excited_block has non-finite entries"):
         BlockDensity(ground_block=good.ground_block, excited_block=infinite)
+    # square blocks, and an excited sector over whole (level, branch) composites
+    with pytest.raises(ValueError, match="ground_block must be square"):
+        BlockDensity(ground_block=good.ground_block[:1], excited_block=good.excited_block)
+    with pytest.raises(ValueError, match="excited_block must be square"):
+        BlockDensity(ground_block=good.ground_block, excited_block=good.excited_block[:-1])
+    with pytest.raises(ValueError, match="excited sector must span"):
+        BlockDensity(ground_block=good.ground_block, excited_block=good.excited_block[:-1, :-1])
 
 
 def test_block_density_dense_input_gives_the_same_shells():
@@ -329,22 +344,6 @@ def test_block_density_dense_input_gives_the_same_shells():
     assert firsts == sorted(firsts)
     members = np.sort(np.concatenate([s.members for s in rho.shells]))
     assert np.array_equal(members, np.arange(36))
-
-
-def test_block_density_shells_input_is_validated():
-    good = joint_state(*_two_branch(), tol=1e-9)
-    shells = [(s.members, s.block) for s in good.shells]
-    rebuilt = BlockDensity(ground_block=good.ground_block, shells=shells)
-    assert np.array_equal(rebuilt.excited_block, good.excited_block)
-    with pytest.raises(ValueError, match="partition"):
-        BlockDensity(ground_block=good.ground_block, shells=shells + shells[:1])
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        BlockDensity(
-            ground_block=good.ground_block,
-            shells=[(m, -b) for m, b in shells],
-        )
-    with pytest.raises(ValueError):
-        BlockDensity(ground_block=good.ground_block)
 
 
 def test_same_branch_levels_in_one_shell_stay_uncoupled():

@@ -853,6 +853,41 @@ def test_cli_infinite_transverse_separation_gives_zero_coherence(tmp_path):
     assert measured[1, 1] == pytest.approx(0.5 * (excited[0, 0] + excited[1, 1]), rel=1e-14)
 
 
+# Two branches at one height, 1e-8 apart across it: Lambda ~ 1, so the
+# shell of the two composites is rank one.  At epsilon = 1e-160, eps^2 T
+# puts its entries a few subnormal units above zero, and for 45 of the 600
+# T in the grid below (this T among them) eigvalsh of the rescaled block
+# gives -4.9e-324 against a trace of 4.9e-324.  The block is a Gram matrix
+# times eps^2 T > 0, so it is checked before the rescaling, not after.
+SUBNORMAL_RANK_ONE = {
+    "detector": {"frequencies": [1.0]},
+    "trajectories": [
+        {"z": 1.0, "A": [0.5477225575051661, 0.0]},
+        {"z": 1.0, "x": 1e-8, "A": [0.8366600265340756, 0.0]},
+    ],
+    "interaction": {"epsilon": 1e-160, "T": 1.8864774624373957, "q_tolerance": 1e-9},
+    "output": {"scale": "absolute"},
+}
+
+
+def test_cli_absolute_scale_with_subnormal_entries_succeeds(tmp_path):
+    config = _write_config(tmp_path, SUBNORMAL_RANK_ONE)
+    for command in ("state", "measure"):
+        assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+    rho, _, _ = block_density_from_dict(read_json(tmp_path / "state" / "joint_state.json"))
+    assert (rho.scale, rho.epsilon, rho.T) == ("absolute", 1e-160, 1.8864774624373957)
+    ts = TrajectorySet((
+        Trajectory(z=1.0, amplitude=0.5477225575051661),
+        Trajectory(z=1.0, x_perp=(1e-8, 0.0), amplitude=0.8366600265340756),
+    ))
+    per_unit = joint_state(DetectorSpec(frequencies=(1.0,)), ts, tol=1e-9)
+    (read,) = rho.shells
+    (written,) = per_unit.to_absolute(1e-160, 1.8864774624373957).shells
+    assert np.array_equal(read.block, written.block)
+    for T in np.linspace(1.0, 60.0, 600):
+        per_unit.to_absolute(1e-160, T)
+
+
 @pytest.mark.parametrize("command", ["state", "measure"])
 def test_cli_non_transitive_alignment_chain_is_a_config_error(tmp_path, capsys, command):
     # q = 1.0, 1.3, 1.6 at tolerance 0.35: the outer pair is the only one
