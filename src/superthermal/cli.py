@@ -15,7 +15,9 @@ Subcommands
     ``io.block_density_from_dict`` multiplies the assembled blocks out.
 ``measure``
     Project onto a measured branch superposition and write
-    ``measured_internal.json`` plus ``neglog_matrix.csv``.
+    ``measured_internal.json`` plus ``neglog_matrix.csv``.  At
+    ``output.scale`` ``absolute`` only the excited levels are multiplied
+    by eps^2 T; the neglog table stays per unit eps^2 T.
 ``lambda-grid``
     Tabulate the overlap factor over separation grids: one CSV per
     requested ``q`` plus the two on-axis CSVs.
@@ -343,10 +345,12 @@ def cmd_measure(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     measured = measured_internal(rho, basis)
     emitted = measured
     if cfg.scale == "absolute":
+        # The ground entry |B^dagger A|^2 stays at leading order, as in the joint state.
         factor = cfg.epsilon**2 * cfg.T
-        if not math.isfinite(factor * float(np.max(np.abs(measured)))):
+        if not math.isfinite(factor * float(np.max(np.abs(measured[1:, 1:])))):
             raise OverflowError(f"epsilon^2 T x measured entry overflows at T = {cfg.T:g}")
-        emitted = measured * factor
+        emitted = measured.copy()
+        emitted[1:, 1:] *= factor
     # The negative-log display is always per unit eps^2 T, the convention
     # in which the reference table is expressed.
     neglog = neglog_matrix(measured, cfg.detector.level_count)

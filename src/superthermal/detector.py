@@ -22,18 +22,17 @@ temperature; the aligned off-diagonal entries are the coherences that
 distinguish a superposition of thermal states from their mixture.
 
 Since only aligned composites couple, the excited sector is exactly
-block-diagonal over boost-energy *shells*: the runs of the sorted products
-:math:`q_{jm}` between gaps wider than ``tol``.  :class:`BlockDensity`
+block-diagonal over boost-energy *shells*: the connected components of
+its coherences, whichever entrance built the state (the aligned pairs of
+its factors, or the nonzero pattern of a dense block).  :class:`BlockDensity`
 stores one small Hermitian block per shell and checks each on its own,
-:func:`joint_state` assembles all shells in one vectorised pass from the
-closed form's inputs (:class:`StateFactors`: amplitudes, couplings,
-Planck weights and one :math:`\Lambda` per aligned pair), through
-:func:`assemble_state`, and the reductions below work shell by shell.
-A state read back from its factors, or given to the constructor as a
-dense excited block, takes as shells the connected components of its
-coherences instead, and is checked once, there; rescaling a state to
-absolute units does not check it again.  The dense matrix is built only
-on request (``BlockDensity.excited_block``).
+once, where its entries are made; rescaling a state to absolute units
+does not check it again.  :func:`joint_state` finds the aligned pairs and
+keeps the closed form's inputs (:class:`StateFactors`: amplitudes,
+couplings, Planck weights and one :math:`\Lambda` per aligned pair),
+:func:`assemble_state` builds all shells from them in one vectorised
+pass, and the reductions below work shell by shell.  The dense matrix is
+built only on request (``BlockDensity.excited_block``).
 
 Tracing out the branch index leaves a weighted mixture of Planck spectra
 (:func:`reduced_internal`); conditioning on a branch measurement outcome
@@ -177,9 +176,11 @@ class NonPSDShellError(ValueError):
         self.members = members
 
 
-def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """The connected components of the graph on ``range(dim)`` with edges
-    ``(rows, cols)``, each as ascending indices, ordered by smallest member."""
+def _shell_groups(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The shells of a state on ``range(dim)`` whose coherences join
+    ``(rows, cols)``: the connected components of that graph, each as
+    ascending indices, stacked by size into read-only ``(count, k)``
+    arrays in order of each size's first component by smallest member."""
     labels = np.arange(dim)
     # Spread the smallest index along the edges until every edge joins
     # equal labels: each component ends up labelled by its minimum.
@@ -192,15 +193,9 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray
             break
         labels = spread
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
-def _stack_runs(runs) -> list[np.ndarray]:
-    """Ascending member runs stacked by size, in order of each size's first
-    run, as read-only ``(count, k)`` arrays."""
     by_size: dict[int, list[np.ndarray]] = {}
-    for run in runs:
-        by_size.setdefault(run.size, []).append(run)
+    for shell in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        by_size.setdefault(shell.size, []).append(shell)
     groups = [np.stack(picks) for picks in by_size.values()]
     for members in groups:
         members.setflags(write=False)
@@ -215,15 +210,16 @@ class BlockDensity:
     its factors.  The excited sector lives on composite (level, branch)
     indices, flattened as ``level_index * branch_count + branch_index``,
     and is block-diagonal over boost-energy shells: ``shells`` holds one
-    :class:`Shell` per block, ordered by smallest member, and together
-    the shells partition the composite indices.  ``excited_block`` builds
-    the dense matrix on request.
+    :class:`Shell` per connected component of the coherences, ordered by
+    smallest member, and together the shells partition the composite
+    indices.  ``excited_block`` builds the dense matrix on request.
 
     :func:`joint_state` and :func:`assemble_state` build the state from
-    its :class:`StateFactors`, kept as ``factors``.  The constructor takes
-    it from outside instead: a ``ground_block`` matrix and a dense square
-    ``excited_block``, split into the connected components of its nonzero
-    pattern.  Such a state has no ``factors``.  Either entrance checks the
+    its :class:`StateFactors`, kept as ``factors``, and take the
+    components of its aligned pairs.  The constructor takes it from
+    outside instead: a ``ground_block`` matrix and a dense square
+    ``excited_block``, whose nonzero pattern gives the components.  Such
+    a state has no ``factors``.  Either entrance checks the
     state once, where its entries are made: each shell for Hermiticity
     against the largest entry of the whole sector, ``max_entry``, and for
     positive semidefiniteness against its whole trace; a given ground
@@ -264,7 +260,7 @@ class BlockDensity:
         _hermitian_peak([ground[None]], "ground_block")
         ground.setflags(write=False)
         groups = []
-        for members in _stack_runs(_components(dim, *np.nonzero(excited))):
+        for members in _shell_groups(dim, *np.nonzero(excited)):
             blocks = excited[members[:, :, None], members[:, None, :]]
             blocks.setflags(write=False)
             groups.append((members, blocks))
@@ -302,12 +298,8 @@ class BlockDensity:
     @functools.cached_property
     def shells(self) -> tuple[Shell, ...]:
         """One :class:`Shell` per block, ordered by smallest member."""
-        firsts = sorted(
-            (int(first), g, r)
-            for g, (members, _) in enumerate(self._groups)
-            for r, first in enumerate(members[:, 0])
-        )
-        return tuple(Shell(self._groups[g][0][r], self._groups[g][1][r]) for _, g, r in firsts)
+        shells = (Shell(*s) for members, blocks in self._groups for s in zip(members, blocks))
+        return tuple(sorted(shells, key=lambda shell: int(shell.members[0])))
 
     @property
     def excited_block(self) -> np.ndarray:
@@ -385,7 +377,7 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_state(factors: StateFactors, members=None) -> BlockDensity:
+def assemble_state(factors: StateFactors) -> BlockDensity:
     r"""The per-unit-:math:`\varepsilon^2 T` state of the closed form's
     factors, one Hermitian block per shell, checked like every
     :class:`BlockDensity`.
@@ -393,10 +385,8 @@ def assemble_state(factors: StateFactors, members=None) -> BlockDensity:
     Diagonal entries are :math:`|A_n|^2 |\zeta_i|^2 P_{in}/2\pi`; the
     entry of each aligned pair :math:`(j,m) < (i,n)` is
     :math:`A_n^* A_m \zeta_i^* \zeta_j \Lambda \sqrt{P_{in}}\sqrt{P_{jm}}/2\pi`
-    and its mirror the conjugate.  ``members`` gives the shells as
-    ``(count, k)`` stacks of ascending flat indices; by default they are
-    the connected components of the pairs.  The state keeps the factors,
-    read-only.
+    and its mirror the conjugate.  The shells are the connected
+    components of the pairs.  The state keeps the factors, read-only.
     """
     for array in factors:
         array.setflags(write=False)
@@ -405,8 +395,7 @@ def assemble_state(factors: StateFactors, members=None) -> BlockDensity:
     dim = weights.size
     level, branch = np.divmod(np.arange(dim), n_traj)
     row, col = pairs[:, 0], pairs[:, 1]
-    if members is None:
-        members = _stack_runs(_components(dim, row, col))
+    members = _shell_groups(dim, row, col)
     # Python's abs(complex) is hypot, which numpy's complex abs can miss by
     # an ulp; the populations keep the former.
     amp2 = np.array([abs(a) ** 2 for a in amps.tolist()])
@@ -438,17 +427,6 @@ def assemble_state(factors: StateFactors, members=None) -> BlockDensity:
     )
 
 
-def _shell_runs(q: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Boost-energy shells: the runs of the stably sorted products ``q``
-    between gaps wider than ``tol``, each as ascending flat indices.
-
-    Neighbours within ``tol`` share a run, so every aligned pair does.
-    """
-    order = np.argsort(q, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(q[order]) > tol) + 1)
-    return [np.sort(run) for run in runs]
-
-
 def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> BlockDensity:
     r"""Assemble the joint (internal, branch) state per unit
     :math:`\varepsilon^2 T`, shell by shell.
@@ -470,14 +448,16 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     equal-height branches and for products that differ within ``tol`` in
     particular.  The state keeps these inputs as its
     :class:`StateFactors` and is built from them by
-    :func:`assemble_state`.
+    :func:`assemble_state`, so its shells are the connected components
+    of the aligned pairs.
 
-    Aligned pairs lie in one run of the sorted products
-    :math:`q_{jm}` (:func:`_shell_runs`), so only pairs within a run are
-    tested and the state is stored as one block per run.  A run whose
-    pairwise alignments are not transitive (``A~B``, ``B~C``, ``A≁C``)
-    can fail the positive-semidefiniteness check; the
-    :class:`NonPSDShellError` raised then names the run's boost energy.
+    Only pairs within one window of the stably sorted products
+    :math:`q_{jm}` are tested: each composite with the later ones up to
+    :math:`q + 2\,\mathrm{tol}`, which holds every product that passes
+    the test in floating point.  A shell whose pairwise alignments are
+    not transitive (``A~B``, ``B~C``, ``A≁C``) can fail the
+    positive-semidefiniteness check; the :class:`NonPSDShellError` raised
+    then names the shell's boost energy.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -491,19 +471,21 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     level, branch = np.divmod(np.arange(q.size), n_traj)
     weights = planck_weight(omegas[:, None], heights[None, :]).ravel()
 
-    # Candidate pairs: the upper triangle of each run, stacked by run size.
-    members = _stack_runs(_shell_runs(q, tol))
-    rows, cols = [], []
-    for stacked in members:
-        a, b = np.triu_indices(stacked.shape[1], 1)
-        row, col = stacked[:, a], stacked[:, b]
-        aligned = coherence_condition(
-            omegas[level[col]], heights[branch[col]], omegas[level[row]], heights[branch[row]], tol
-        )
-        keep = (branch[row] != branch[col]) & aligned
-        rows.append(row[keep])
-        cols.append(col[keep])
-    row, col = np.concatenate(rows), np.concatenate(cols)
+    # Candidate pairs: each place of the stably sorted q with the later
+    # places up to q + 2 tol (all of them where that overflows).
+    by_q = np.argsort(q, kind="stable")
+    sorted_q = q[by_q]
+    with np.errstate(over="ignore"):
+        stops = np.searchsorted(sorted_q, sorted_q + 2.0 * tol, side="right")
+    counts = stops - np.arange(q.size) - 1
+    first = np.repeat(np.arange(q.size), counts)
+    second = np.arange(first.size) + np.repeat(stops - np.cumsum(counts), counts)
+    row, col = np.sort(by_q[np.stack([first, second])], axis=0)
+    aligned = coherence_condition(
+        omegas[level[col]], heights[branch[col]], omegas[level[row]], heights[branch[row]], tol
+    )
+    keep = (branch[row] != branch[col]) & aligned
+    row, col = row[keep], col[keep]
     order = np.lexsort((col, row))
     pairs = np.stack([row[order], col[order]], axis=1)
     m, n = branch[pairs[:, 0]], branch[pairs[:, 1]]
@@ -520,7 +502,7 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
         overlaps=lambda_overlap(q[pairs[:, 0]], dxi, dxbar),
     )
     try:
-        return assemble_state(factors, members)
+        return assemble_state(factors)
     except NonPSDShellError as exc:
         shell_q = q[exc.members]
         raise NonPSDShellError(

@@ -358,9 +358,15 @@ def _parse_scale(field: Any) -> tuple[str, float | None, float | None]:
     if field == "per_eps2T":
         return "per_eps2T", None, None
     if isinstance(field, Mapping) and "absolute" in field:
-        inner = field["absolute"]
-        return "absolute", float(inner["epsilon"]), float(inner["T"])
-    raise ValueError(f"unrecognized scale field: {field!r}")
+        values = []
+        for key in ("epsilon", "T"):
+            try:
+                values.append(float(field["absolute"][key]))
+            except (KeyError, TypeError, ValueError) as exc:
+                why = "missing field" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"scale.absolute.{key}: {why}") from exc
+        return "absolute", *values
+    raise ValueError(f"scale: expected 'per_eps2T' or an absolute object, got {field!r}")
 
 
 def _as_complex(value: Any) -> complex:
@@ -469,15 +475,22 @@ def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list
     together with the level frequencies and the trajectory set recorded
     alongside it.  A missing field, including the ``format`` tag that
     dense files lack, raises ``ValueError`` naming it, as does a file of
-    another format and an invalid field.
+    another format, an invalid field and a root that is not an object.
     """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"root: expected an object, got {type(data).__name__}")
     if data.get("format", _JOINT_STATE_FORMAT) != _JOINT_STATE_FORMAT:
         raise ValueError(f"format: expected {_JOINT_STATE_FORMAT!r}, got {data['format']!r}")
     for key in ("format", "scale", "levels", "trajectories", "couplings", "planck_weights", "coherences"):
         if key not in data:
             raise ValueError(f"{key}: missing field of a {_JOINT_STATE_FORMAT} file")
     scale, epsilon, T = _parse_scale(data["scale"])
-    levels = [float(w) for w in data["levels"]]
+    if not isinstance(data["levels"], list):
+        raise ValueError("levels: expected a list of numbers")
+    try:
+        levels = [float(w) for w in data["levels"]]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"levels: {exc}") from exc
     traj_set = parse_trajectories(data["trajectories"])
     couplings = data["couplings"]
     if not isinstance(couplings, list):

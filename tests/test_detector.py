@@ -5,6 +5,7 @@ The measured-entry literals were assembled independently with mpmath
 branch pairs at 40 digits).
 """
 
+import json
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from superthermal.detector import (
     reduced_internal,
 )
 from superthermal.geometry import MU, Trajectory, TrajectorySet, validate_regime
+from superthermal.io import block_density_from_dict, block_density_to_dict, format_json
 from superthermal.specfun import lambda_overlap, planck_weight
 
 RNG = np.random.default_rng(515253)
@@ -346,13 +348,41 @@ def test_block_density_dense_input_gives_the_same_shells():
     assert np.array_equal(members, np.arange(36))
 
 
+@pytest.mark.parametrize(
+    "frequencies, branches, tol, shells",
+    [
+        # one branch: both products lie within tol, no coherence joins them
+        ((1.0, 1.001), ((1.0, 1.0),), 0.01, [[0], [1]]),
+        # q = 1.0 and 1.005 align across the branches; 1.012 lies within
+        # tol of 1.005 but on its branch, and 0.012 from 1.0
+        ((1.0, 2.01, 2.024), ((0.5, 0.6), (1.0, 0.8)), 0.01, [[0], [1, 2], [3], [4], [5]]),
+    ],
+)
+def test_every_entrance_gives_the_same_shells(frequencies, branches, tol, shells):
+    ts = TrajectorySet(
+        Trajectory(z=z, x_perp=(0.3 * k, 0.0), amplitude=a) for k, (z, a) in enumerate(branches)
+    )
+    det = DetectorSpec(frequencies=frequencies)
+    rho = joint_state(det, ts, tol)
+    assert [s.members.tolist() for s in rho.shells] == shells
+    text = format_json(block_density_to_dict(rho, det.frequencies, ts))
+    back = block_density_from_dict(json.loads(text))[0]
+    dense = BlockDensity(ground_block=rho.ground_block, excited_block=rho.excited_block)
+    for other in (back, dense):
+        assert len(other.shells) == len(rho.shells)
+        for got, want in zip(other.shells, rho.shells):
+            assert np.array_equal(got.members, want.members)
+            assert np.array_equal(got.block, want.block)
+
+
 def test_same_branch_levels_in_one_shell_stay_uncoupled():
-    # omega = 1 and 1.001 on one branch: both products fall in one shell
-    # at tol = 0.01, but a branch never pairs with itself.
+    # omega = 1 and 1.001 on one branch: both products lie within
+    # tol = 0.01, but a branch never pairs with itself, so no coherence
+    # joins them and each is a shell of its own.
     ts = TrajectorySet((Trajectory(z=1.0, amplitude=1.0),))
     det = DetectorSpec(frequencies=(1.0, 1.001))
     rho = joint_state(det, ts, tol=0.01)
-    assert [list(s.members) for s in rho.shells] == [[0, 1]]
+    assert [list(s.members) for s in rho.shells] == [[0], [1]]
     excited = rho.excited_block
     assert excited[0, 1] == excited[1, 0] == 0.0
     assert excited[0, 0] > 0.0 and excited[1, 1] > 0.0

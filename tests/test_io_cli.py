@@ -354,6 +354,24 @@ def test_block_density_json_shell_layout(tmp_path):
     with pytest.raises(ValueError, match="^planck_weights: expected a list of 18 numbers"):
         block_density_from_dict(short)
 
+    # a malformed field raises ValueError naming it, never another error
+    scale = data["scale"]["absolute"]
+    for key, value, message in [
+        ("levels", 5, "levels: expected a list of numbers"),
+        ("levels", None, "levels: expected a list of numbers"),
+        ("levels", ["a"], "levels: could not convert"),
+        ("scale", {"absolute": dict(scale, epsilon="x")}, "scale.absolute.epsilon: could not"),
+        ("scale", {"absolute": dict(scale, T=[1.0])}, "scale.absolute.T: float\\(\\) arg"),
+        ("scale", {"absolute": {}}, "scale.absolute.epsilon: missing field"),
+        ("scale", {"absolute": {"epsilon": 0.05}}, "scale.absolute.T: missing field"),
+        ("scale", "absolute", "scale: expected 'per_eps2T' or an absolute object"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            block_density_from_dict(dict(data, **{key: value}))
+    for root in ([data], "joint_state/3", None):
+        with pytest.raises(ValueError, match="^root: expected an object"):
+            block_density_from_dict(root)
+
 
 @pytest.mark.parametrize(
     "pairs, overlaps, message",
@@ -560,7 +578,10 @@ def test_cli_measure_absolute_scale_keeps_neglog_convention(tmp_path):
     per = measured_from_dict(read_json(out1 / "measured_internal.json"))[0]
     scaled = measured_from_dict(read_json(out2 / "measured_internal.json"))[0]
     factor = 0.01**2 * 50.0
-    assert np.allclose(scaled, per * factor, rtol=1e-15, atol=0)
+    # only the excited levels scale; the ground entry |B^dagger A|^2 stays
+    # at leading order, as in the joint state
+    assert np.allclose(scaled[1:, 1:], per[1:, 1:] * factor, rtol=1e-15, atol=0)
+    assert np.allclose(scaled[0, 0], per[0, 0], rtol=1e-15, atol=0)
 
 
 def test_cli_measure_orthogonal_branch_ground_zero(tmp_path):

@@ -10,6 +10,7 @@ mixture, and the expected excited block entry by entry in plain floats
 state also round-trips through its ``joint_state/3`` text.
 """
 
+import itertools
 import json
 import math
 
@@ -106,16 +107,12 @@ def test_joint_state_is_physical_and_reduces_to_planck_mixture(system):
     for got, want in zip(reduced, _planck_mixture(det, trajectories)):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
 
-    # The shells are the runs of the sorted products omega_j z_m between
-    # gaps wider than tol, and the brute-force block is zero across them.
-    q = np.multiply.outer(det.frequencies, trajectories.heights).ravel()
-    order = np.argsort(q, kind="stable")
-    runs = np.split(order, np.flatnonzero(np.diff(q[order]) > tol) + 1)
-    assert sorted(tuple(np.sort(r)) for r in runs) == [tuple(s.members) for s in rho.shells]
-    label = np.empty(q.size, dtype=int)
-    for k, shell in enumerate(rho.shells):
-        label[shell.members] = k
-    across = label[:, None] != label[None, :]
+    # The shells are the connected components of the brute-force block's
+    # pattern, ordered by smallest member: its diagonal and every
+    # cross-branch pair that passes the alignment test, decided here entry
+    # by entry.  (Its nonzero pattern can miss an aligned pair whose entry
+    # is 0: a zero amplitude, or Planck weights that underflow above
+    # q ~ 118.)
     brute = np.array(
         joint_state_dense(
             det.frequencies,
@@ -125,6 +122,34 @@ def test_joint_state_is_physical_and_reduces_to_planck_mixture(system):
         ),
         dtype=complex,
     )
+    root = list(range(brute.shape[0]))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    n_br = len(trajectories)
+    products = [w * t.z for w in det.frequencies for t in trajectories]
+    for a, b in itertools.combinations(range(len(products)), 2):
+        if a % n_br != b % n_br and abs(products[b] - products[a]) <= tol:
+            root[find(a)] = find(b)
+    components = {}
+    for a in range(brute.shape[0]):
+        components.setdefault(find(a), []).append(a)
+    assert sorted(components.values()) == [s.members.tolist() for s in rho.shells]
+    # No shell crosses a run of the sorted products omega_j z_m between
+    # gaps wider than tol, and the brute-force block is zero across shells.
+    q = np.multiply.outer(det.frequencies, trajectories.heights).ravel()
+    order = np.argsort(q, kind="stable")
+    run = np.empty(q.size, dtype=int)
+    for k, members in enumerate(np.split(order, np.flatnonzero(np.diff(q[order]) > tol) + 1)):
+        run[members] = k
+    assert all(np.all(run[s.members] == run[s.members[0]]) for s in rho.shells)
+    label = np.empty(q.size, dtype=int)
+    for k, shell in enumerate(rho.shells):
+        label[shell.members] = k
+    across = label[:, None] != label[None, :]
     excited = rho.excited_block
     assert np.all(brute[across] == 0.0) and np.all(excited[across] == 0.0)
     # its joint_state/3 text reads back to the same state, bit for bit
