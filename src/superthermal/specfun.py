@@ -40,18 +40,17 @@ grows like :math:`\epsilon e^{2x}` relative to :math:`K`.  Above
 .. math::
     K_{i\nu}(x) = \int_0^\infty e^{-x\cosh t}\cos(\nu t)\,dt
 
-is taken by composite 16-point Gauss--Legendre quadrature on panels of
-one fixed width, which resolves both the oscillation scale :math:`1/\nu`
-and the decay of the exponential envelope.  A batch of arguments shares
-one t-grid, sized for its smallest argument above :math:`x_c`; the
-sorted arguments are taken in bands that grow by at most a factor 4, and
-each band integrates only the panels its smallest argument needs before
-the envelope drops below :math:`e^{-x-43}`.  With few orders each value
-is summed on its own (Horner's rule for the series, numpy's pairwise
-reduction for the quadrature), so it does not depend on the rest of the
-batch; many orders share one matmul.  Against mpmath both parts agree
-to 1e-13 absolute for orders up to 40, and the series to about 1e-12
-relative.
+is taken by the trapezoidal rule (Gil, Segura & Temme, ACM TOMS 30,
+2004), which converges exponentially for this analytic integrand
+(Trefethen & Weideman, SIAM Review 56, 2014).  The sorted arguments are
+taken in bands that grow by at most a factor 4; each band's step comes
+from the strip bound at its largest argument, and its nodes reach where
+the envelope drops below :math:`e^{-x-43}` at its smallest.  With few
+orders each value is summed on its own (Horner's rule for the series,
+numpy's pairwise reduction for the trapezoidal sum), so it does not
+depend on the rest of the batch; many orders share one matmul.  Against
+mpmath the series agrees to about 1e-12 relative, the trapezoidal rule
+to 3e-16 of :math:`e^{-x}`, for orders up to 40.
 """
 
 from __future__ import annotations
@@ -73,14 +72,13 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 #: Exponential decay (in units of the t = 0 envelope) at which the
-#: integral representation of ``K_imag`` is truncated: the discarded
-#: tail is below exp(-43) ~ 2e-19 of the leading scale.
+#: integral representation of ``K_imag`` is truncated, and the size of its
+#: trapezoidal rule's error: each is below exp(-43) ~ 2e-19 of that scale.
 _KTAIL_DECAY = 43.0
 
-#: Widest quadrature panel (radians of hyperbolic angle) used for the
-#: ``K_imag`` envelope; narrower panels are forced when the oscillation
-#: scale pi/(4(nu+1)) is smaller.
-_KPANEL_MAX = 0.12
+#: Strip half-widths d at which the trapezoidal step of ``K_imag`` is sized (the
+#: integrand is analytic for |Im t| < pi/2); 1e-3 is the best d for x ~ 9e7.
+_KSTRIP_D = np.geomspace(1e-3, 1.55, 64)
 
 #: Most arguments in one band of ``_k_imag_outer``.
 _KCHUNK = 2048
@@ -221,17 +219,21 @@ def _k_imag_outer(
     The ``x <= _KSERIES_X`` are summed from the power series
     (:func:`_k_series`), which ``refine`` does not change.  If ``err`` (of
     the result's shape) is given, it receives the series' error bound
-    there and 0 elsewhere: the quadrature's error shows only in the change
-    a refined grid makes.
+    there and 0 elsewhere: the trapezoidal rule's error shows only in the
+    change a refined step makes.
 
-    The quadrature serves the rest with one t-grid: panels of the fixed
-    width ``min(_KPANEL_MAX, pi/(4(nu_max + 1)))/refine`` from t = 0, as
-    many as the first x above the crossover needs, with ``cosh t`` and the
-    weighted ``cos(nu t)`` formed once.  Those x are walked in bands
-    ``[x_min, 4 x_min]`` of at most ``_KCHUNK`` points; a band integrates
-    only the prefix of panels covering ``acosh(1 + _KTAIL_DECAY/x_min)``,
-    beyond which the envelope is below ``exp(-x - _KTAIL_DECAY)`` for
-    every x of the band.
+    The rest are walked in bands ``[x_min, 4 x_min]`` of at most
+    ``_KCHUNK`` points.  Each band takes the trapezoidal rule, nodes
+    :math:`t_j = jh` with weight :math:`h` (:math:`h/2` at 0), up to
+    ``acosh(1 + _KTAIL_DECAY/x_min)``, past which the envelope is below
+    ``exp(-x - _KTAIL_DECAY)`` for every x of the band.  The integrand is
+    even, analytic for :math:`|\operatorname{Im} t| < \pi/2`, and bounded by
+    :math:`e^{\nu d - x\cos d\cosh t}` on :math:`|\operatorname{Im} t| \le d`,
+    so relative to :math:`e^{-x}` the rule is off by about
+    :math:`e^{\nu d + x(1 - \cos d) - 2\pi d/h}`.  The step is the largest
+    that keeps this below :math:`e^{-43}` (``_KTAIL_DECAY``) at some ``d`` of
+    ``_KSTRIP_D``, for the band's largest x and the largest order, divided
+    by ``refine``; so a refined step moves the result by rounding only.
 
     For large :math:`\nu` the oscillatory integrand cancels down to a result
     of order :math:`e^{-\pi\nu/2}`, so the reduction over t must not lose
@@ -248,27 +250,26 @@ def _k_imag_outer(
         err[:, split:] = 0.0
     if split == x.size:
         return out
+    d, versine = _KSTRIP_D, 1.0 - np.cos(_KSTRIP_D)
     nu_max = float(nu.max()) if nu.size else 0.0
-    width = min(_KPANEL_MAX, math.pi / (4.0 * (nu_max + 1.0))) / refine
-
-    def n_panels(x_min: float) -> int:
-        return max(1, math.ceil(math.acosh(1.0 + _KTAIL_DECAY / x_min) / width))
-
-    t, w = _panel_nodes(width * np.arange(n_panels(float(x[split])) + 1))
-    cosh_t = np.cosh(t)
-    coeff = w * np.cos(np.outer(nu, t))
     start = split
     while start < x.size:
         x_min = float(x[start])
         stop = min(start + _KCHUNK, int(np.searchsorted(x, 4.0 * x_min, side="right")))
-        n = _GL_NODES.size * n_panels(x_min)
+        # the largest h with nu d + x (1 - cos d) - 2 pi d/h <= -_KTAIL_DECAY at some d
+        h = 2.0 * math.pi * float(np.max(d / (_KTAIL_DECAY + nu_max * d + x[stop - 1] * versine))) / refine
+        t = h * np.arange(math.ceil(math.acosh(1.0 + _KTAIL_DECAY / x_min) / h) + 1)
+        coeff = h * np.cos(np.outer(nu, t))
+        coeff[:, 0] *= 0.5
         with np.errstate(under="ignore"):
-            env = np.exp(-np.outer(x[start:stop], cosh_t[:n]))
-        if nu.size <= 4:
-            for i in range(nu.size):
-                out[i, start:stop] = np.sum(env * coeff[i, :n], axis=1)
-        else:
-            out[:, start:stop] = (env @ coeff[:, :n].T).T
+            # e^{-x cosh t} = e^{-x} e^{-2x sinh^2(t/2)}: small exponents where the terms are large
+            env = np.exp(-np.outer(x[start:stop], 2.0 * np.sinh(0.5 * t) ** 2))
+            if nu.size <= 4:
+                for i in range(nu.size):
+                    out[i, start:stop] = np.sum(env * coeff[i], axis=1)
+            else:
+                out[:, start:stop] = (env @ coeff.T).T
+            out[:, start:stop] *= np.exp(-x[start:stop])
         start = stop
     return out
 
@@ -279,9 +280,8 @@ def bessel_k_imag(nu, x):
     Real-valued and even in :math:`\nu`.  For :math:`x \le 4` it is
     summed from the power series of :math:`I_{i\nu}`, accurate to about
     1e-12 relative (the terms cancel by up to :math:`e^{2x}`); above, from
-    :math:`\int_0^\infty e^{-x\cosh t}\cos(\nu t)\,dt` by composite
-    Gauss--Legendre quadrature.  Against mpmath the absolute error is
-    below 1e-13 for orders up to 40.
+    :math:`\int_0^\infty e^{-x\cosh t}\cos(\nu t)\,dt` by the trapezoidal
+    rule, to 3e-16 of :math:`e^{-x}` for orders up to 40.
 
     Parameters
     ----------
@@ -304,7 +304,7 @@ def bessel_k_imag(nu, x):
     nu_flat = nu_b.ravel()
     x_flat = x_b.ravel()
     out = np.empty(x_flat.size)
-    # Group by order so each group shares one t-grid.
+    # One call per order, on its sorted arguments.
     uniq, inverse = np.unique(nu_flat, return_inverse=True)
     for k, nu_val in enumerate(uniq):
         sel = np.nonzero(inverse == k)[0]

@@ -79,9 +79,11 @@ def test_k_imag_outer_matches_mpmath(nu):
 
 @pytest.mark.parametrize("nu", [0.0, 2.0, 10.0, 20.0, 40.0])
 def test_k_imag_outer_band_invariance(nu):
-    # A batched x shares its band's t-grid, which reaches further out than
-    # x alone needs; the extra panels lie below the tail bound, so only
-    # rounding may differ (one ulp of K_0 near x = 1e-7 is 3.6e-15).
+    # A batched x shares its band's trapezoidal rule: a step sized for the
+    # band's largest x and nodes reaching as far as its smallest x needs.
+    # Alone, x gets a longer step and fewer nodes; both rules are off by
+    # less than the e^{-43} strip and tail bounds relative to e^{-x}, so
+    # only rounding may differ (one ulp of K_0 near x = 1e-7 is 3.6e-15).
     batched = _k_imag_outer(np.array([nu]), K_IMAG_XS)[0]
     alone = np.array([_k_imag_outer(np.array([nu]), np.array([x]))[0, 0] for x in K_IMAG_XS])
     assert np.all(np.abs(alone - batched) <= 1e-15 * np.maximum(1.0, np.abs(batched)))
@@ -89,6 +91,33 @@ def test_k_imag_outer_band_invariance(nu):
 
 def _k_mpmath(nu, xs):
     return np.array([float(k_imag(nu, x, dps=30)) for x in xs])
+
+
+# Arguments the trapezoidal rule serves, up to where e^{-x} is 1e-87.
+K_TRAPEZOID_XS = np.geomspace(4.0001, 200.0, 40)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [[0.0], [2.0], [10.0], [20.0], [40.0], np.linspace(0.0, 40.0, 6)],
+    ids=["0", "2", "10", "20", "40", "0-40-by-8"],
+)
+def test_k_imag_outer_error_relative_to_envelope(nu):
+    # Above the crossover the error is measured against the envelope e^{-x}
+    # of the integrand, the scale of its largest terms.  Each term
+    # h e^{-x} e^{-x(cosh t - 1)} cos(nu t) carries a relative rounding of
+    # about eps (4 + nu t + x(cosh t - 1)); against the envelope
+    # (int e^{-x t^2/2} dt = sqrt(pi/2x), int t e^{-x t^2/2} dt = 1/x) that
+    # is eps (4.5 sqrt(pi/2x) + nu/x) e^{-x} <= 13 eps e^{-x} for x >= 4 and
+    # nu <= 40.  Adding the at most 41 terms, whose moduli sum to about
+    # sqrt(pi/2x) e^{-x} <= 0.63 e^{-x}, costs at most 26 eps e^{-x} more,
+    # even in plain order.  Together 39 eps = 8.7e-15, below 1e-14; the strip
+    # and tail bounds add e^{-43}.  An absolute bound would not see an error
+    # of 1e-6 e^{-x} at x = 40.
+    nu = np.asarray(nu)
+    got = _k_imag_outer(nu, K_TRAPEZOID_XS)
+    want = np.array([_k_mpmath(v, K_TRAPEZOID_XS) for v in nu])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.exp(-K_TRAPEZOID_XS))
 
 
 # Arguments the power series serves, log-spaced up to the crossover.
