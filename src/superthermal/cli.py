@@ -65,12 +65,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .continuum import (
-    CouplingFunction,
-    SmearedAmplitude,
-    continuum_joint_kernel,
-    continuum_spectrum_slice,
-)
+from .continuum import CouplingFunction, SmearedAmplitude, _diagonal_kernel, continuum_spectrum_slice
 from .detector import (
     DetectorSpec,
     MeasurementBasisVector,
@@ -551,15 +546,12 @@ def _parse_continuum(tree: Mapping[str, Any]):
 
 
 def _diagonal_rows(amp: SmearedAmplitude, zeta: CouplingFunction, zf: float, omegas):
-    rows = []
-    for omega in omegas:
-        q = float(omega) * zf
-        for xv in amp.x:
-            for yv in amp.y:
-                point = (float(xv), float(yv), zf)
-                value = continuum_joint_kernel(q, point, point, amp, zeta)
-                rows.append((q, point[0], point[1], zf, point[0], point[1], zf, value.real, value.imag))
-    return rows
+    """One row per (omega, x, y): the diagonal kernel at q = omega zf, which is real."""
+    values = _diagonal_kernel(amp, zeta, zf, omegas)
+    q, x, y = np.meshgrid(omegas * zf, amp.x, amp.y, indexing="ij")
+    z = np.full(q.shape, zf)
+    columns = (q, x, y, z, x, y, z, values, np.zeros(q.shape))
+    return np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist()
 
 
 def cmd_continuum(tree: Mapping[str, Any], args: argparse.Namespace) -> int:

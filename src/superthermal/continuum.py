@@ -16,6 +16,11 @@ longer a matrix but a kernel.  Its content splits into
   (:func:`continuum_joint_kernel`), whose diagonal restriction is a
   Planck-weighted spectral density (:func:`continuum_spectrum_slice`).
 
+Both come from the delta weight :math:`w(q)`, the one place
+:math:`\Lambda` and the Planck factor are written: the kernel is
+:math:`A(\vec{x}')^* A(\vec{x})\,\zeta(q/z')^*\zeta(q/z)\,w(q)/z`, real on
+the diagonal (:math:`\Lambda = 1`), and the spectrum is its transverse sum.
+
 Deltas are always carried as (weight, location) pairs — never as tall
 narrow numerical spikes — so weak-limit properties can be tested
 exactly.  The kernel's absolute scale has no canonical bridge to the
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Trajectory, delta_xbar, delta_xi
-from .specfun import _planck_factor, lambda_overlap
+from .specfun import _planck_factor, _scalar_or_array, lambda_overlap
 
 __all__ = [
     "SmearedAmplitude",
@@ -186,22 +191,26 @@ class CouplingFunction:
         return complex(out) if np.ndim(omega) == 0 else out
 
 
-def _relative_geometry(
-    point: tuple[float, float, float], point_prime: tuple[float, float, float]
-) -> tuple[float, float, float, float]:
-    x, y, z = (float(c) for c in point)
-    xp, yp, zp = (float(c) for c in point_prime)
+def _delta_weight(q, point, point_prime):
+    r"""The weight of :func:`continuum_offdiag_coefficient` at boost
+    energy ``q`` (array_like); 0 wherever :math:`\Lambda` is, also where
+    :math:`\cosh\Delta\xi` overflows."""
     # Trajectory rejects heights outside the right wedge (z <= 0).
-    here = Trajectory(z=z, x_perp=(x, y))
-    there = Trajectory(z=zp, x_perp=(xp, yp))
-    return z, zp, delta_xi(here, there), delta_xbar(here, there)
+    here, there = (Trajectory(z=float(p[2]), x_perp=(float(p[0]), float(p[1])))
+                   for p in (point, point_prime))
+    dxi = delta_xi(here, there)
+    overlap = lambda_overlap(q, dxi, delta_xbar(here, there))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is not taken
+        scale = np.sqrt(np.cosh(dxi)) / (there.z * math.sqrt(2.0 * math.pi))
+        stretched = np.where(overlap == 0.0, 0.0, scale * overlap * q)
+    return _planck_factor(stretched, 2.0 * math.pi * np.asarray(q, dtype=float))
 
 
 def continuum_offdiag_coefficient(
-    omega: float,
+    omega,
     point: tuple[float, float, float],
     point_prime: tuple[float, float, float],
-) -> tuple[float, float]:
+):
     r"""Weight and location of the delta-constrained scalar product
 
     .. math::
@@ -214,19 +223,14 @@ def continuum_offdiag_coefficient(
 
     Returns ``(coefficient, omega_partner)`` with
     :math:`\omega' = \omega z / z'`; the delta itself stays symbolic.
+    ``omega`` may be an array, which gives arrays of both.
     """
-    if not omega > 0.0:
+    omegas = np.asarray(omega, dtype=float)
+    if not np.all(omegas > 0.0):
         raise ValueError("omega must be positive")
-    z, zp, dxi, dxbar = _relative_geometry(point, point_prime)
-    q = omega * z
-    coefficient = _planck_factor(
-        math.sqrt(math.cosh(dxi))
-        / (zp * math.sqrt(2.0 * math.pi))
-        * lambda_overlap(q, dxi, dxbar)
-        * q,
-        2.0 * math.pi * q,
-    )
-    return float(coefficient), omega * z / zp
+    z, zp = float(point[2]), float(point_prime[2])
+    coefficient = _delta_weight(omegas * z, point, point_prime)
+    return _scalar_or_array(coefficient, omega), _scalar_or_array(omegas * z / zp, omega)
 
 
 def continuum_joint_kernel(
@@ -243,7 +247,13 @@ def continuum_joint_kernel(
         \frac{1}{\sqrt{2\pi}}\,A(\vec{x}')^* A(\vec{x})\,
         \sqrt{\tfrac{1}{2}\big(\tfrac{1}{z^2}+\tfrac{1}{z'^2}\big)}\;
         \zeta(q/z')^*\,\zeta(q/z)\,\Lambda(q,\Delta\xi,\Delta\bar{x})\,
-        \frac{q/\sqrt{z z'}}{e^{2\pi q} - 1}.
+        \frac{q/\sqrt{z z'}}{e^{2\pi q} - 1}
+        = A(\vec{x}')^* A(\vec{x})\,\zeta(q/z')^*\zeta(q/z)\,w(q)/z,
+
+    with :math:`w` the weight of :func:`continuum_offdiag_coefficient`
+    at :math:`\omega = q/z`, as
+    :math:`\sqrt{\tfrac{1}{2}(1/z^2 + 1/z'^2)}\,z'/\sqrt{z z'}
+    = \sqrt{\cosh\Delta\xi}/z`.
 
     Both positions must be samples of the amplitude grid, and the
     coupling table must cover :math:`q/z` and :math:`q/z'`.  Hermitian
@@ -251,29 +261,32 @@ def continuum_joint_kernel(
     """
     if not q > 0.0:
         raise ValueError("q must be positive")
-    z, zp, dxi, dxbar = _relative_geometry(point, point_prime)
+    weight = _delta_weight(q, point, point_prime)
+    z, zp = float(point[2]), float(point_prime[2])
     a = amplitude.value_at(point)
     ap = amplitude.value_at(point_prime)
-    zeta = coupling(q / z)
-    zeta_p = coupling(q / zp)
-    weight = (
-        (1.0 / math.sqrt(2.0 * math.pi))
-        * ap.conjugate()
-        * a
-        * math.sqrt(0.5 * (1.0 / z**2 + 1.0 / zp**2))
-        * zeta_p.conjugate()
-        * zeta
-        * lambda_overlap(q, dxi, dxbar)
-        * (q / math.sqrt(z * zp))
-    )
-    return complex(_planck_factor(weight, 2.0 * math.pi * q))
+    return complex(ap.conjugate() * a * coupling(q / zp).conjugate() * coupling(q / z) * weight / z)
+
+
+def _diagonal_kernel(
+    amplitude: SmearedAmplitude, coupling: CouplingFunction, z_fixed: float, omega_grid
+) -> np.ndarray:
+    r"""The kernel on the diagonal (:math:`\vec{x} = \vec{x}'`, so
+    :math:`\Lambda = 1`) at height ``z_fixed`` and :math:`q = \omega z`,
+    as a real (omega, x, y) array
+    :math:`|A(x, y, z)|^2\,|\zeta(\omega)|^2\,w(\omega z)/z`."""
+    z = float(z_fixed)
+    iz = amplitude._axis_index(amplitude.z, z, "z")
+    omegas = np.asarray(omega_grid, dtype=float)
+    if np.any(omegas <= 0.0):
+        raise ValueError("omega grid must be positive")
+    point = (0.0, 0.0, z)
+    spectral = np.abs(coupling(omegas)) ** 2 * _delta_weight(omegas * z, point, point) / z
+    return np.abs(amplitude.values[:, :, iz]) ** 2 * spectral[..., None, None]
 
 
 def continuum_spectrum_slice(
-    amplitude: SmearedAmplitude,
-    coupling: CouplingFunction,
-    z_fixed: float,
-    omega_grid,
+    amplitude: SmearedAmplitude, coupling: CouplingFunction, z_fixed: float, omega_grid
 ) -> np.ndarray:
     r"""Diagonal (:math:`\vec{x} = \vec{x}'`) kernel density at height
     ``z_fixed``, aggregated over the transverse plane and sampled at
@@ -288,16 +301,5 @@ def continuum_spectrum_slice(
     A Planck-weighted spectrum: for :math:`\omega z \gtrsim 1` it decays
     monotonically along the thermal tail.
     """
-    z_fixed = float(z_fixed)
-    iz = amplitude._axis_index(amplitude.z, z_fixed, "z")
     hx, hy, _ = amplitude.spacings
-    transverse = float(np.sum(np.abs(amplitude.values[:, :, iz]) ** 2)) * hx * hy
-    omegas = np.asarray(omega_grid, dtype=float)
-    if np.any(omegas <= 0.0):
-        raise ValueError("omega grid must be positive")
-    zeta = np.abs(np.asarray(coupling(omegas), dtype=complex)) ** 2
-    q = omegas * z_fixed
-    return _planck_factor(
-        (1.0 / math.sqrt(2.0 * math.pi)) * transverse * (1.0 / z_fixed) * zeta * omegas,
-        2.0 * math.pi * q,
-    )
+    return _diagonal_kernel(amplitude, coupling, z_fixed, omega_grid).sum(axis=(-2, -1)) * hx * hy

@@ -178,6 +178,21 @@ def test_joint_kernel_diagonal_real_positive():
         assert value.real > 0.0
 
 
+def test_joint_kernel_is_zero_where_cosh_dxi_overflows():
+    # z'/z = 1e310, so cosh(dxi) overflows and Lambda is 0, its limit
+    amp = SmearedAmplitude(
+        x=np.array([0.0]),
+        y=np.array([0.0]),
+        z=np.array([1e-10, 1e300]),
+        values=np.full((1, 1, 2), math.sqrt(0.5e-300), dtype=complex),
+        spacings=(1.0, 1.0, None),
+    )
+    zeta = CouplingFunction(omega=np.array([0.0, 1.0]), values=np.array([1.0, 1.0], dtype=complex))
+    low, high = (0.0, 0.0, 1e-10), (0.0, 0.0, 1e300)
+    assert continuum_joint_kernel(1e-20, low, high, amp, zeta) == 0.0
+    assert continuum_offdiag_coefficient(1e-10, low, high)[0] == 0.0
+
+
 def test_joint_kernel_coupling_domain_error():
     amp = _uniform_amplitude()
     zeta = CouplingFunction(

@@ -25,6 +25,11 @@ from oracles import lam
 import superthermal
 from superthermal import cli
 from superthermal.cli import main
+from superthermal.continuum import (
+    continuum_joint_kernel,
+    continuum_offdiag_coefficient,
+    continuum_spectrum_slice,
+)
 from superthermal.detector import (
     DetectorSpec,
     MeasurementBasisVector,
@@ -707,7 +712,7 @@ def test_cli_continuum(tmp_path):
         assert base[7] == pytest.approx(32.0 * scaled[7], rel=1e-8)
         assert base[8] == scaled[8] == 0.0
 
-    from superthermal.continuum import CouplingFunction, SmearedAmplitude, continuum_spectrum_slice
+    from superthermal.continuum import CouplingFunction, SmearedAmplitude
 
     amp = SmearedAmplitude(
         x=np.array([-0.5, 0.5]),
@@ -741,6 +746,71 @@ def test_cli_continuum_accepts_the_table_end_after_round_trip(tmp_path):
     assert main(["continuum", "--config", config, "--out", str(out)]) == 0
     rows = (out / "continuum_spectrum.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("60,")
+
+
+def _complex_continuum_tree():
+    # 3 x 3 x 3 grid with complex amplitudes and a complex coupling table
+    rng = np.random.default_rng(2718)
+    raw = rng.normal(size=27) + 1j * rng.normal(size=27)
+    raw /= math.sqrt(float(np.sum(np.abs(raw) ** 2)) * 0.3 * 0.25 * 0.3)
+    return {
+        "continuum": {
+            "amplitude": {
+                "x": [-0.3, 0.0, 0.3],
+                "y": [0.1, 0.35, 0.6],
+                "z": [0.6, 0.9, 1.2],
+                "values": [[v.real, v.imag] for v in raw],
+            },
+            "coupling": {
+                "omega": [0.05, 1.0, 3.0, 8.0],
+                "values": [[0.9, 0.1], [0.5, -0.6], [0.0, 0.7], [0.3, 0.3]],
+            },
+            "z_fixed": 0.9,
+            "omega_grid": [0.4, 1.1, 2.7, 4.0],
+        }
+    }
+
+
+@pytest.mark.parametrize("tree", [_continuum_tree(), _complex_continuum_tree()])
+def test_cli_continuum_rows_are_the_general_kernel(tmp_path, tree):
+    config = _write_config(tmp_path, tree)
+    out = tmp_path / "out"
+    assert main(["continuum", "--config", config, "--out", str(out)]) == 0
+    system, rescaled = cli._parse_continuum(tree)
+    for (amp, zeta, zf, omegas), name in (
+        (system, "continuum_slice.csv"), (rescaled, "continuum_slice_rescaled.csv")
+    ):
+        rows = cli._diagonal_rows(amp, zeta, zf, omegas)
+        lines = (out / name).read_text().splitlines()[1:]
+        assert [",".join(map(csv_float, row)) for row in rows] == lines
+        points = [(float(x), float(y), zf) for x in amp.x for y in amp.y]
+        want = [continuum_joint_kernel(w * zf, p, p, amp, zeta) for w in omegas for p in points]
+        assert len(rows) == len(want)
+        for row, value in zip(rows, want):
+            assert row[7] == pytest.approx(value.real, rel=1e-12, abs=0.0)
+            assert row[8] == 0.0
+        hx, hy, _ = amp.spacings
+        kernel_sums = np.sum(np.reshape([v.real for v in want], (len(omegas), -1)), axis=1) * hx * hy
+        spectrum = continuum_spectrum_slice(amp, zeta, zf, omegas)
+        np.testing.assert_allclose(spectrum, kernel_sums, rtol=1e-12, atol=0.0)
+    spectrum_lines = (out / "continuum_spectrum.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in spectrum_lines] == [
+        csv_float(v) for v in continuum_spectrum_slice(*system)
+    ]
+
+
+def test_offdiag_coefficient_of_an_omega_array_is_the_scalar_calls():
+    omegas = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 40.0])
+    for point, point_prime in [
+        ((0.3, 0.0, 1.0), (0.0, 0.5, 0.5)),
+        ((0.2, -0.1, 0.7), (0.2, -0.1, 0.7)),
+        ((100.0, 0.0, 1.0), (0.0, 0.0, 0.5)),
+    ]:
+        coefficients, partners = continuum_offdiag_coefficient(omegas, point, point_prime)
+        assert coefficients.shape == partners.shape == omegas.shape
+        for omega, coefficient, partner in zip(omegas, coefficients, partners):
+            want = continuum_offdiag_coefficient(float(omega), point, point_prime)
+            assert (float(coefficient), float(partner)) == want
 
 
 # ---------------------------------------------------------------------------
