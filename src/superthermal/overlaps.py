@@ -25,13 +25,11 @@ quadrature routes used to validate them:
   :math:`\bar{k}`-integral representation of :math:`\Lambda` in terms of
   a product of modified Bessel functions of imaginary order.
 
-Both refuse to return silently inaccurate numbers.  One routine,
-:func:`_converged`, runs each oracle on a refined grid and on its base
-grid and raises :class:`QuadratureError` when their difference, plus a
-bound on the error of the :math:`K_{i\nu}` series, passes the oracle's
-target.  The private entries :func:`_lambda_quadrature` and
-:func:`_overlap_finite_t` return that change and the target together
-with the value, so callers report both without knowing the targets.
+Both raise :class:`QuadratureError` rather than return a value whose
+refinement change (:func:`_converged`: refined minus base grid, plus the
+:math:`K_{i\nu}` series bound) passes their target; the private entries
+:func:`_lambda_quadrature` and :func:`_overlap_finite_t` return that
+change and the target with the value.
 """
 
 from __future__ import annotations
@@ -64,12 +62,31 @@ _ENVELOPE_DECAY = 37.0
 
 #: Most values one oracle grid may need per array, about 32 MiB each: K_inu
 #: values (orders x k nodes) in the finite-duration oracle, J_0 values
-#: (separations x k nodes) in the Lambda oracle.  The default durations
-#: need at most 0.36 million and T = 1/omega 0.68 million; T far below
-#: 1/omega widens the boost-frequency window, and with it the orders and
-#: the k grid, without bound.  The k grid of the Lambda oracle grows
-#: linearly in the largest separation.
+#: (separations x k nodes) in the Lambda oracle.  The default durations need
+#: at most 0.072 million and T = 1/omega 0.12 million; T far below 1/omega,
+#: or a large separation, widens the grid without bound.
 _MAX_GRID_VALUES = 2**22
+
+#: Phase of a log panel (k < 0.1) per unit of ν + k Δx̄ + 1.  16-point
+#: Gauss-Legendre errs by 1e-33 over 3π/2 of e^{iφ}; twice it moved no
+#: value by more than 1e-15.
+_LOG_PHASE = 1.5 * math.pi
+#: Phase of a linear panel per unit of ν/k + Δx̄ + 1.  The rule errs by
+#: 1e-41 over π/2, so the branch point of K_iν at k = 0 binds: at 3π/4 the
+#: Λ error reached 13 times its change (2.4e-13 at q = 12, Δξ = 2.25), at
+#: 3π/2 the finite-duration change 1e-2 of its target (6e-5 here).
+_LINEAR_PHASE = 0.5 * math.pi
+#: E-foldings of the envelope per linear panel.  The rule errs by 6e-28
+#: over 7.5 of e^{-φ}; twice it moved no value.
+_DECAY_EFOLDS = 7.5
+#: Panels on the boost-frequency window, ±8 standard deviations of its
+#: Gaussian.  The rule errs by 4e-15 of that integral; two panels raised
+#: the change to 2e-3 of its target.
+_BOOST_PANELS = 3
+#: Widest span of orders ν one boost-frequency panel may cover, which binds
+#: where T below 1/ω widens the window: 3 panels alone failed the target at
+#: T = 0.2, q = 1; one per 2 keeps T = 0.15-1 as far under it as 6 did.
+_BOOST_ORDER_SPAN = 2.0
 
 
 class QuadratureError(RuntimeError):
@@ -216,20 +233,19 @@ def _kbar_grid(
     r"""Quadrature grid for :math:`\int_0^{k_{max}} dk\,k\,J_0(k\,\cdot)\,
     K_{i\nu}(k s_+) K_{i\nu}(k s_-)`.
 
-    Small arguments are handled on a log-spaced region (the imaginary-order
-    Bessel functions oscillate in :math:`\log k` with frequency
-    :math:`\nu`), followed by linear panels whose width adapts to the local
-    oscillation rate :math:`\nu/k` of the Bessel phases, the rate
-    ``osc_max`` of the :math:`J_0` factor, and the exponential decay
-    ``decay_rate`` of the envelope.  The floor ``1e-7/refine`` lets the
-    refinement change include the piece below the base pass's floor.
-    A grid that would need more than ``max_nodes`` nodes is not built:
-    :class:`QuadratureError` is raised with the caller's ``too_large`` text.
+    Below k = 0.1 the panels are log-spaced, ``_LOG_PHASE`` per unit of
+    :math:`\nu` (the Bessel phases' rate in :math:`\log k`) + k
+    ``osc_max`` (the :math:`J_0` rate) + 1; above, each is the narrower of
+    ``_LINEAR_PHASE`` per unit of :math:`\nu/k` + ``osc_max`` + 1 and
+    ``_DECAY_EFOLDS`` over ``decay_rate``.  The floor ``1e-7/refine`` lets
+    the refinement change include the piece below the base pass's floor.
+    A grid of more than ``max_nodes`` nodes raises :class:`QuadratureError`
+    with the ``too_large`` text before anything is allocated.
     """
     k_floor = 1e-7 / refine
     k_log_end = min(0.1, 0.5 * kbar_max)
     u_lo, u_hi = math.log(k_floor), math.log(k_log_end)
-    width_u = math.pi / (4.0 * (nu_max + k_log_end * osc_max + 1.0)) / refine
+    width_u = _LOG_PHASE / (nu_max + k_log_end * osc_max + 1.0) / refine
     n_log = max(1, int(math.ceil((u_hi - u_lo) / width_u)))
     max_panels = max_nodes / _GL_NODES.size
     if n_log > max_panels:
@@ -244,8 +260,8 @@ def _kbar_grid(
             raise QuadratureError(too_large)
         k = edges[-1]
         width = min(
-            math.pi / (4.0 * (nu_max / k + osc_max + 1.0)),
-            2.5 / decay_rate,
+            _LINEAR_PHASE / (nu_max / k + osc_max + 1.0),
+            _DECAY_EFOLDS / decay_rate,
         ) / refine
         edges.append(min(k + width, kbar_max))
     lin_nodes, lin_weights = _panel_nodes(np.asarray(edges))
@@ -281,11 +297,7 @@ def _lambda_quadrature_once(
     kbar_max = (_ENVELOPE_DECAY + math.pi * q) / decay
     osc_max = float(dxbar.max())
     kbar, weights = _kbar_grid(
-        nu_max=q,
-        osc_max=osc_max,
-        decay_rate=decay,
-        kbar_max=kbar_max,
-        refine=refine,
+        nu_max=q, osc_max=osc_max, decay_rate=decay, kbar_max=kbar_max, refine=refine,
         max_nodes=_MAX_GRID_VALUES / dxbar.size,
         too_large=f"lambda quadrature at dxbar = {osc_max:g} needs more than {_MAX_GRID_VALUES} "
         "J_0 values (separations x k nodes); its k grid grows linearly in dxbar",
@@ -295,10 +307,7 @@ def _lambda_quadrature_once(
     product, product_err = _k_products(np.array([q]), x_plus, x_minus, refine, bound)
     j0 = bessel_j0(np.outer(dxbar, kbar))
     measure = weights * kbar
-    if q == 0.0:
-        prefactor = 2.0
-    else:
-        prefactor = 2.0 * math.sinh(math.pi * q) / (math.pi * q)
+    prefactor = 2.0 if q == 0.0 else 2.0 * math.sinh(math.pi * q) / (math.pi * q)
     scale = prefactor * math.sqrt(math.cosh(dxi))
     value = scale * (j0 @ (measure * product[0]))
     if product_err is None:
@@ -389,9 +398,7 @@ def _finite_t_once(
     parameters are ``par``, on one grid and, if ``bound``, a bound on the
     error the series part of ``K_iν`` puts into it (else None)."""
     zm, zn = traj_m.z, traj_n.z
-    dx = traj_m.x_perp[0] - traj_n.x_perp[0]
-    dy = traj_m.x_perp[1] - traj_n.x_perp[1]
-    dxperp = math.hypot(dx, dy)
+    dxperp = math.dist(traj_m.x_perp, traj_n.x_perp)
 
     # Boost-frequency nodes, placed covariantly in s = omega''/omega_bar so
     # the node pattern (and hence the result to near machine precision) is
@@ -399,7 +406,8 @@ def _finite_t_once(
     half_support = 8.0 / math.sqrt(2.0 * par.sharpness)
     s_lo = max(1e-9, 1.0 - half_support)
     s_hi = 1.0 + half_support
-    n_panels = int(math.ceil(6 * refine))
+    nu_span = (s_hi - s_lo) * par.omega_bar / a
+    n_panels = int(math.ceil(refine * max(_BOOST_PANELS, nu_span / _BOOST_ORDER_SPAN)))
     s_nodes, s_weights = _panel_nodes(np.linspace(s_lo, s_hi, n_panels + 1))
     omega_pp = s_nodes * par.omega_bar
     nu = omega_pp / a
@@ -411,11 +419,7 @@ def _finite_t_once(
         37.5 / min(zm, zn),
     )
     k_nodes, k_weights = _kbar_grid(
-        nu_max=nu_max,
-        osc_max=dxperp,
-        decay_rate=zm + zn,
-        kbar_max=k_max,
-        refine=refine,
+        nu_max=nu_max, osc_max=dxperp, decay_rate=zm + zn, kbar_max=k_max, refine=refine,
         max_nodes=_MAX_GRID_VALUES / nu.size,
         too_large=f"finite-duration overlap at T = {T:g} needs more than {_MAX_GRID_VALUES} "
         f"K_inu values ({nu.size} orders up to {nu_max:.4g}); T far below 1/omega "
@@ -483,7 +487,9 @@ def oracle_overlap_finite_t(
            + e^{+\pi\omega''/a} e^{-M(\omega''/\bar\omega + 1)^2}\Big],
 
     with the boost-frequency window restricted to the Gaussian support
-    :math:`\bar\omega(1 \pm 8/\sqrt{2M})` clipped to positive values, and
+    :math:`\bar\omega(1 \pm 8/\sqrt{2M})` clipped to positive values
+    (48 orders on the base pass and 80 on the refined one, more where the
+    window spans more than 6 orders), and
     :math:`k_{\max}` chosen so the Bessel envelope is below 1e-16 of its
     peak.  The second (counter-rotating) Gaussian is retained so its
     negligibility is verified numerically rather than assumed.  The
@@ -561,17 +567,10 @@ def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceR
             )
         oracle, change, target = _overlap_finite_t(omega, traj, omega, traj, T, a)
         asymptotic = diag_overlap(omega, z, T)
-        rows.append(
-            ConvergenceRow(
-                T=T,
-                M=2.0 * omega * omega * T * T,
-                oracle=oracle,
-                asymptotic=asymptotic,
-                rel_error=abs(oracle - asymptotic) / asymptotic,
-                change=change,
-                target=target,
-            )
-        )
+        rows.append(ConvergenceRow(
+            T=T, M=2.0 * omega * omega * T * T, oracle=oracle, asymptotic=asymptotic,
+            rel_error=abs(oracle - asymptotic) / asymptotic, change=change, target=target,
+        ))
     slope = math.nan
     if len(rows) >= 2 and all(r.rel_error > 0.0 for r in rows):
         log_m = np.log([r.M for r in rows])

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from oracles import lam
 
 import superthermal
-from superthermal import cli
+from superthermal import cli, overlaps
 from superthermal.cli import main
 from superthermal.continuum import (
     continuum_joint_kernel,
@@ -618,10 +618,18 @@ def test_cli_lambda_grid(tmp_path):
         assert len(lines) == 1 + 2 * 6
 
 
-def test_cli_oracle_validate(tmp_path):
+def test_cli_oracle_validate(tmp_path, monkeypatch):
     tree = {"oracle": {"T_list": [5.0, 10.0]}}
     config = _write_config(tmp_path, tree)
     out = tmp_path / "out"
+    grid, grids = overlaps._kbar_grid, []
+
+    def counted_grid(**kw):
+        nodes, weights = grid(**kw)
+        grids.append((kw["nu_max"], nodes.size))
+        return nodes, weights
+
+    monkeypatch.setattr(overlaps, "_kbar_grid", counted_grid)
     assert main(["oracle-validate", "--config", config, "--out", str(out)]) == 0
 
     rows = (out / "convergence.csv").read_text().splitlines()
@@ -654,8 +662,11 @@ def test_cli_oracle_validate(tmp_path):
         change, target = float(row[6]), float(row[7])
         assert 0.0 <= change <= target
         assert target == (1e-8 if row[0] == "lambda_quadrature" else 1e-10 * float(row[4]))
-    # at q = 10 the refined grid moves the result well above rounding
-    assert all(float(row[6]) > 1e-14 for row in calls if row[1] == "10")
+    # each q = 10 call's refined pass (run first) has at least 1.4 times the
+    # base pass's k nodes, so its change measures a refinement
+    pairs = [(fine, base) for (q, fine), (_, base) in zip(grids[::2], grids[1::2]) if q == 10.0]
+    assert len(pairs) == 3
+    assert all(fine >= 1.4 * base for fine, base in pairs)
 
 
 def test_cli_paper_example(tmp_path, capsys):

@@ -155,12 +155,24 @@ def test_lambda_quadrature_vector_and_q_zero():
         oracle_lambda_quadrature(250.0, 0.0, 0.0)  # sinh(pi q) overflows
 
 
+def test_lambda_quadrature_sweep_stays_far_under_its_target():
+    # the README's 60-case sweep agrees with the closed form 100 times under
+    # the 1e-8 target, so a coarser grid cannot drift toward it unseen
+    dxbar = np.linspace(0.0, 5.0, 25)
+    worst = max(
+        np.max(np.abs(oracle_lambda_quadrature(q, dxi, dxbar) - lambda_overlap(q, dxi, dxbar)))
+        for q in np.arange(1.0, 13.0)
+        for dxi in (0.0, 0.3, 1.5, 2.25, 3.0)
+    )
+    assert worst < 1e-10
+
+
 def test_lambda_quadrature_caps_its_grid():
     # J_0 oscillates at the rate dxbar, so the k grid grows linearly in it;
     # past the cap both oracles share, the call fails fast, naming dxbar.
     start = time.perf_counter()
-    with pytest.raises(QuadratureError, match="dxbar = 10000 needs more than"):
-        oracle_lambda_quadrature(1.0, 0.0, 1e4)
+    with pytest.raises(QuadratureError, match="dxbar = 100000 needs more than"):
+        oracle_lambda_quadrature(1.0, 0.0, 1e5)
     assert time.perf_counter() - start < 2.0
 
 
@@ -232,6 +244,14 @@ def test_finite_t_oracle_auxiliary_parameter_independence():
     for a in (0.5, 2.0):
         other = oracle_overlap_finite_t(1.0, traj, 1.0, traj, 40.0, a=a)
         assert other.real == pytest.approx(base.real, rel=1e-12)
+
+
+def test_finite_t_oracle_below_one_over_omega_widens_its_panels():
+    # at T = 0.2 the boost-frequency window spans about 21 orders; three
+    # fixed panels over it miss the target, one per two orders do not
+    traj = Trajectory(z=1.0)
+    _, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 0.2, 1.0)
+    assert change < 1e-3 * target
 
 
 def test_finite_t_oracle_scale_freedom():
