@@ -27,9 +27,10 @@ quadrature routes used to validate them:
 
 Both raise :class:`QuadratureError` rather than return a value whose
 refinement change (:func:`_converged`: refined minus base grid, plus the
-:math:`K_{i\nu}` series bound) passes their target; the private entries
-:func:`_lambda_quadrature` and :func:`_overlap_finite_t` return that
-change and the target with the value.
+:math:`K_{i\nu}` series bound where the series serves) passes their
+target; the private entries :func:`_lambda_quadrature` and
+:func:`_overlap_finite_t` return that change and the target with the
+value.
 """
 
 from __future__ import annotations
@@ -40,7 +41,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Trajectory, coherence_condition, delta_xbar, delta_xi
-from .specfun import _GL_NODES, _k_imag_outer, _panel_nodes, bessel_j0, lambda_overlap, planck_weight
+from .specfun import (
+    _GL_NODES,
+    _k_imag_outer,
+    _k_takes_series,
+    _panel_nodes,
+    bessel_j0,
+    lambda_overlap,
+    planck_weight,
+)
 
 __all__ = [
     "QuadratureError",
@@ -271,9 +280,11 @@ def _kbar_grid(
 
 def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float, bound: bool):
     """``K_imag`` at both argument sets: the products ``K_a K_b`` per
-    (nu, node) and, if ``bound``, a bound on the error the K series puts
-    into them (else None)."""
-    err_a = np.empty((nu.size, x_a.size)) if bound else None
+    (nu, node) and, if ``bound`` and the K series serves these orders
+    (:func:`~superthermal.specfun._k_takes_series`), a bound on the error
+    it puts into them; else None, since the trapezoidal rule's error shows
+    in the refinement change alone."""
+    err_a = np.empty((nu.size, x_a.size)) if bound and _k_takes_series(nu) else None
     k_a = _k_imag_outer(nu, x_a, refine, err=err_a)
     if x_b is x_a:
         k_b, err_b = k_a, err_a
@@ -328,12 +339,15 @@ def _converged(one_pass, target: float, what: str):
     value, its change (what the refinement moved plus that bound, which a
     finer grid does not reduce; the largest entry for an array) and
     ``target``; a change past ``target`` raises :class:`QuadratureError`
-    naming ``what``."""
+    naming ``what``.  A pass whose K values all come from the trapezoidal
+    rule returns None for the bound, and the change is the refinement's
+    alone."""
     # The refined grid is the larger, so it meets the size cap first; only
     # its pass needs the K series bound.
     fine, series_err = one_pass(1.5, True)
     base, _ = one_pass(1.0, False)
-    change = float(np.max(np.abs(fine - base) + series_err))
+    moved = np.abs(fine - base)
+    change = float(np.max(moved if series_err is None else moved + series_err))
     if change > target:
         raise QuadratureError(
             f"{what} did not converge: grid refinement plus the K series bound "
@@ -497,7 +511,9 @@ def oracle_overlap_finite_t(
     covariantly so it cancels to rounding accuracy.
 
     Absolute accuracy target ``1e-10 * T``, enforced by grid refinement
-    (the change also counts the bound on the K series error); failure
+    (the change also counts the bound on the K series error, where orders
+    above 2 take the series; smaller orders take the trapezoidal rule at
+    every argument, which has none); failure
     raises :class:`QuadratureError` rather than returning a partial
     value, and so do grids that would need more than
     ``_MAX_GRID_VALUES`` K values (T far below :math:`1/\omega`).

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from superthermal import overlaps, specfun
 from superthermal.geometry import Trajectory
 from superthermal.overlaps import (
     OverlapResult,
@@ -202,6 +203,9 @@ def test_oracles_return_their_targets_from_one_convergence_check():
     assert calls == [(1.5, True), (1.0, False)]
     with pytest.raises(QuadratureError, match="test did not converge: .* by 6.000e-09 "):
         _converged(one_pass, 5e-9, "test")
+    # a refined pass with no series bound: the change is the refinement's alone
+    _, change, _ = _converged(lambda refine, bound: one_pass(refine, False), 1e-8, "test")
+    assert change == pytest.approx(5e-9)
 
 
 @pytest.mark.parametrize("dxi", [-1.5, 0.0, 1.5])
@@ -252,6 +256,36 @@ def test_finite_t_oracle_below_one_over_omega_widens_its_panels():
     traj = Trajectory(z=1.0)
     _, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 0.2, 1.0)
     assert change < 1e-3 * target
+
+
+@pytest.mark.parametrize("pair", ["diagonal", "off-diagonal"])
+def test_finite_t_oracle_agrees_across_both_k_routes(pair, monkeypatch):
+    # At T = 10 the oracle's 48 and 80 orders lie on [0.6, 1.4], under the
+    # cap, so K below x = 4 comes from the trapezoidal rule; with the cap at
+    # 0 it comes from the series.  Both are accurate to a few eps of K_0
+    # there, and the finite-duration values of the two routes differed by
+    # at most 4e-15 relative over T = 2-80; 1e-13 leaves a margin of 25.
+    # The off-diagonal pair (z = 0.5 and 1) takes K at two argument sets.
+    if pair == "diagonal":
+        args = (1.0, Trajectory(z=1.0), 1.0, Trajectory(z=1.0))
+    else:
+        args = _aligned_pair()
+    bounds = []
+    k_products = overlaps._k_products
+
+    def spy(*a):
+        product, err = k_products(*a)
+        bounds.append(err is not None)
+        return product, err
+
+    monkeypatch.setattr(overlaps, "_k_products", spy)
+    rule, rule_change, target = _overlap_finite_t(*args, 10.0, 1.0)
+    assert bounds == [False, False]  # no series, so no bound products
+    monkeypatch.setattr(specfun, "_KTRAP_NU_MAX", 0.0)
+    series, series_change, _ = _overlap_finite_t(*args, 10.0, 1.0)
+    assert bounds[2:] == [True, False]  # the refined pass carries the bound
+    assert rule == pytest.approx(series, rel=1e-13, abs=0.0)
+    assert 0.0 < rule_change < series_change <= target
 
 
 def test_finite_t_oracle_scale_freedom():
