@@ -391,22 +391,23 @@ def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
                           f"{_MAX_GRID_CELLS} cells")
     xi = np.linspace(-3.0, 3.0, steps)
     xbar = np.linspace(0.0, 5.0, steps)
+    # One row per (dxi, dxbar) cell, dxbar running fastest.
+    grid_columns = (np.repeat(xi, steps), np.tile(xbar, steps))
     tables = []
     for q in q_list:
         values = lambda_overlap(q, xi[:, None], xbar[None, :])
-        rows = []
-        for i, dxi in enumerate(xi):
-            for j, dxb in enumerate(xbar):
-                rows.append((dxi, dxb, values[i, j]))
-        tables.append((f"lambda_grid_q{_q_tag(q)}.csv", write_csv, ("dxi", "dxbar", "lambda"), rows))
+        tables.append((f"lambda_grid_q{_q_tag(q)}.csv", write_csv, ("dxi", "dxbar", "lambda"),
+                       (*grid_columns, values.ravel())))
     for name, axis, closed_form in (
         ("xi", xi, lambda_axis_xi),
         ("xbar", xbar, lambda_axis_xbar),
     ):
-        axis_rows = []
-        for q in q_list:
-            axis_rows.extend((q, d, v) for d, v in zip(axis, closed_form(q, axis)))
-        tables.append((f"lambda_axis_{name}.csv", write_csv, ("q", f"d{name}", "lambda"), axis_rows))
+        axis_columns = (
+            np.repeat(q_list, steps),
+            np.tile(axis, len(q_list)),
+            np.concatenate([closed_form(q, axis) for q in q_list]),
+        )
+        tables.append((f"lambda_axis_{name}.csv", write_csv, ("q", f"d{name}", "lambda"), axis_columns))
     _write_outputs(tree, tables)
     return 0
 
@@ -444,14 +445,15 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
         value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
         refinement.append(("finite_t", *same_branch, T_ref, a, change, target))
         sweep_rows.append((a, T_ref, value))
+    convergence = ("T", "M", "oracle", "asymptotic", "rel_error")
     _write_outputs(tree, [
-        ("convergence.csv", write_csv, ("T", "M", "oracle", "asymptotic", "rel_error"),
-         [(r.T, r.M, r.oracle, r.asymptotic, r.rel_error) for r in report.rows]),
+        ("convergence.csv", write_csv, convergence,
+         [[getattr(r, name) for r in report.rows] for name in convergence]),
         ("lambda_oracle_diff.csv", write_csv,
-         ("q", "dxi", "dxbar", "closed", "quadrature", "diff"), rows),
-        ("a_sweep.csv", write_csv, ("a", "T", "oracle"), sweep_rows),
+         ("q", "dxi", "dxbar", "closed", "quadrature", "diff"), [*zip(*rows)]),
+        ("a_sweep.csv", write_csv, ("a", "T", "oracle"), [*zip(*sweep_rows)]),
         ("oracle_refinement.csv", write_csv,
-         ("oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"), refinement),
+         ("oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"), [*zip(*refinement)]),
     ])
     _emit_warnings(report.warnings)
     return 0
@@ -545,13 +547,13 @@ def _parse_continuum(tree: Mapping[str, Any]):
     )
 
 
-def _diagonal_rows(amp: SmearedAmplitude, zeta: CouplingFunction, zf: float, omegas):
-    """One row per (omega, x, y): the diagonal kernel at q = omega zf, which is real."""
+def _diagonal_columns(amp: SmearedAmplitude, zeta: CouplingFunction, zf: float, omegas):
+    """The slice table's columns, one row per (omega, x, y): the diagonal
+    kernel at q = omega zf, which is real."""
     values = _diagonal_kernel(amp, zeta, zf, omegas)
-    q, x, y = np.meshgrid(omegas * zf, amp.x, amp.y, indexing="ij")
-    z = np.full(q.shape, zf)
-    columns = (q, x, y, z, x, y, z, values, np.zeros(q.shape))
-    return np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist()
+    q, x, y = (a.ravel() for a in np.meshgrid(omegas * zf, amp.x, amp.y, indexing="ij"))
+    z = np.full(q.size, zf)
+    return q, x, y, z, x, y, z, values.ravel(), np.zeros(q.size)
 
 
 def cmd_continuum(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
@@ -570,10 +572,10 @@ def cmd_continuum(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     header = ("q", "x", "y", "z", "xp", "yp", "zp", "re", "im")
     spectrum = continuum_spectrum_slice(*system)
     _write_outputs(tree, [
-        ("continuum_slice.csv", write_csv, header, _diagonal_rows(*system)),
-        ("continuum_slice_rescaled.csv", write_csv, header, _diagonal_rows(*rescaled)),
+        ("continuum_slice.csv", write_csv, header, _diagonal_columns(*system)),
+        ("continuum_slice_rescaled.csv", write_csv, header, _diagonal_columns(*rescaled)),
         ("continuum_spectrum.csv", write_csv, ("omega", "q", "value"),
-         [(w, w * z_fixed, v) for w, v in zip(omega_grid, spectrum)]),
+         (omega_grid, omega_grid * z_fixed, spectrum)),
     ])
     return 0
 

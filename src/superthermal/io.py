@@ -81,6 +81,8 @@ _CSV_FLOAT = "%.9g"
 # blank CSV cell is "%.0s", which consumes its NaN and prints nothing.
 _JSON_FORMATS = (_JSON_FLOAT, _JSON_FLOAT + ".0")
 _CSV_FORMATS = (_CSV_FLOAT, "%.0s")
+# A CSV cell's format, picked by whether it is text.
+_CELL_FORMATS = (_CSV_FLOAT, "%s")
 # A list is written on one line when every element is at most this long
 # and has no newline.
 _INLINE_WIDTH = 24
@@ -258,23 +260,36 @@ def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    """Write a CSV file with a header line and 9-digit numeric cells.
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+    """Write a CSV file with a header line, then one row per entry of the
+    equally long ``columns``, with 9-digit numeric cells.
 
-    Cells that are already strings pass through verbatim; numbers are
-    formatted as by :func:`csv_float`, all by one ``%`` pass.  Line endings
-    are ``\\n``.
+    Cells that are strings pass through verbatim; numbers are formatted as
+    by :func:`csv_float`.  A column of numbers is checked for NaN and the
+    file written by one ``%`` pass over a row template repeated per row;
+    only a column that mixes text and numbers takes a format per cell.
+    Line endings are ``\\n``.
     """
-    cells = list(chain.from_iterable(rows))
-    textual = list(map(isinstance, cells, repeat(str)))
-    numbers = list(compress(cells, map(operator.not_, textual)))
-    pieces = _csv_formats(numbers)
-    if any(textual):
-        formats = iter(pieces)
-        pieces = [_literal(cell) if is_text else next(formats) for cell, is_text in zip(cells, textual)]
-    pieces = iter(pieces)
-    lines = [_literal(",".join(header)), *(",".join(islice(pieces, len(row))) for row in rows)]
-    text = ("\n".join(lines) + "\n") % tuple(numbers)
+    width = len(columns)
+    rows = len(columns[0]) if columns else 0
+    cells: list[Any] = [None] * (rows * width)
+    formats: list[Any] = []
+    for j, column in enumerate(columns):
+        values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        cells[j::width] = values  # a column of another length raises ValueError
+        textual = list(map(isinstance, values, repeat(str)))
+        if any(map(math.isnan, compress(values, map(operator.not_, textual)))):
+            raise ValueError("CSV numeric fields must not be NaN; use an empty cell")
+        formats.append(list(map(_CELL_FORMATS.__getitem__, textual)) if any(textual) else _CSV_FLOAT)
+    if all(isinstance(fmt, str) for fmt in formats):
+        body = (",".join(formats) + "\n") * rows
+    else:
+        grid: list[str] = [""] * len(cells)
+        for j, fmt in enumerate(formats):
+            grid[j::width] = [fmt] * rows if isinstance(fmt, str) else fmt
+        pieces = iter(grid)
+        body = "".join([",".join(islice(pieces, width)) + "\n" for _ in range(rows)])
+    text = (_literal(",".join(header)) + "\n" + body) % tuple(cells)
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 

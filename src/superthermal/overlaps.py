@@ -76,17 +76,25 @@ _ENVELOPE_DECAY = 37.0
 #: or a large separation, widens the grid without bound.
 _MAX_GRID_VALUES = 2**22
 
-#: Phase of a log panel (k < 0.1) per unit of ν + k Δx̄ + 1.  16-point
-#: Gauss-Legendre errs by 1e-33 over 3π/2 of e^{iφ}; twice it moved no
-#: value by more than 1e-15.
+#: Phase of a log panel (k < 0.1) per unit of ν + k Δx̄ + 1, and of a
+#: linear panel per unit of Δx̄ + 1 (J_0 is entire, so only its oscillation
+#: and the baseline count).  16-point Gauss-Legendre errs by 1e-33 over
+#: 3π/2 of e^{iφ}; twice it moved no log-panel value by more than 1e-15,
+#: and twice or four times it in the linear panels moved Λ by at most
+#: 2.2e-12 (rounding, at q = 12) and no finite-duration value by more
+#: than 2.2e-16 of itself.
 _LOG_PHASE = 1.5 * math.pi
-#: Phase of a linear panel per unit of ν/k + Δx̄ + 1.  The rule errs by
-#: 1e-41 over π/2, so the branch point of K_iν at k = 0 binds: at 3π/4 the
-#: Λ error reached 13 times its change (2.4e-13 at q = 12, Δξ = 2.25), at
-#: 3π/2 the finite-duration change 1e-2 of its target (6e-5 here).
+#: Phase of a linear panel per unit of (ν + 1)/k: the branch point of K_iν
+#: at k = 0 (the log of K_0 at ν = 0), graded by the distance to it.  The
+#: rule errs by 1e-41 over π/2; at 3π/4 the Λ error reached 9 times its
+#: change (1.7e-13 at q = 11, Δξ = 1.5; 3.8 times at π/2).  With ν/k + 1
+#: instead, nothing bounds the panels next to K_0's log singularity at
+#: Δx̄ ≤ 2.5, and the q = 0 change of oracle-validate rose from 2.3e-12 to
+#: 4.0e-10.
 _LINEAR_PHASE = 0.5 * math.pi
 #: E-foldings of the envelope per linear panel.  The rule errs by 6e-28
-#: over 7.5 of e^{-φ}; twice it moved no value.
+#: over 7.5 of e^{-φ}; twice or four times it moved Λ by at most 3e-17 and
+#: no finite-duration value.
 _DECAY_EFOLDS = 7.5
 #: Panels on the boost-frequency window, ±8 standard deviations of its
 #: Gaussian.  The rule errs by 4e-15 of that integral; two panels raised
@@ -244,12 +252,16 @@ def _kbar_grid(
 
     Below k = 0.1 the panels are log-spaced, ``_LOG_PHASE`` per unit of
     :math:`\nu` (the Bessel phases' rate in :math:`\log k`) + k
-    ``osc_max`` (the :math:`J_0` rate) + 1; above, each is the narrower of
-    ``_LINEAR_PHASE`` per unit of :math:`\nu/k` + ``osc_max`` + 1 and
-    ``_DECAY_EFOLDS`` over ``decay_rate``.  The floor ``1e-7/refine`` lets
-    the refinement change include the piece below the base pass's floor.
-    A grid of more than ``max_nodes`` nodes raises :class:`QuadratureError`
-    with the ``too_large`` text before anything is allocated.
+    ``osc_max`` (the :math:`J_0` rate) + 1.  Above, each panel is the
+    narrowest of three limits, each on the rate that sets it:
+    ``_LINEAR_PHASE`` per unit of :math:`(\nu + 1)/k` (the branch point of
+    :math:`K_{i\nu}` at k = 0, so only this limit grows finer toward it),
+    ``_LOG_PHASE`` per unit of ``osc_max`` + 1 (the entire :math:`J_0` and
+    the baseline) and ``_DECAY_EFOLDS`` over ``decay_rate`` (the envelope).
+    The floor ``1e-7/refine`` lets the refinement change include the piece
+    below the base pass's floor.  A grid of more than ``max_nodes`` nodes
+    raises :class:`QuadratureError` with the ``too_large`` text before
+    anything is allocated.
     """
     k_floor = 1e-7 / refine
     k_log_end = min(0.1, 0.5 * kbar_max)
@@ -269,7 +281,8 @@ def _kbar_grid(
             raise QuadratureError(too_large)
         k = edges[-1]
         width = min(
-            _LINEAR_PHASE / (nu_max / k + osc_max + 1.0),
+            _LINEAR_PHASE / ((nu_max + 1.0) / k),
+            _LOG_PHASE / (osc_max + 1.0),
             _DECAY_EFOLDS / decay_rate,
         ) / refine
         edges.append(min(k + width, kbar_max))

@@ -263,12 +263,12 @@ def test_csv_writers_match_the_reference_renderer(rows, table):
     header = ("a", "b%", "c")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
-        write_csv(path, header, rows)
+        write_csv(path, header, [*zip(*rows)])
         assert path.read_text(encoding="utf-8") == _reference_csv([header, *rows])
         write_neglog_csv(path, np.array(table, dtype=float).reshape(len(table), 3))
         assert path.read_text(encoding="utf-8") == _reference_csv(table or [[]])
         with pytest.raises(ValueError, match="NaN"):
-            write_csv(path, header, [*rows, ("x", math.nan, 1.0)])
+            write_csv(path, header, [*zip(*rows, ("x", math.nan, 1.0))])
     for cell in rows[0] if rows else ():
         if not isinstance(cell, str):
             assert csv_float(cell) == "%.9g" % cell
@@ -791,7 +791,7 @@ def test_cli_continuum_rows_are_the_general_kernel(tmp_path, tree):
     for (amp, zeta, zf, omegas), name in (
         (system, "continuum_slice.csv"), (rescaled, "continuum_slice_rescaled.csv")
     ):
-        rows = cli._diagonal_rows(amp, zeta, zf, omegas)
+        rows = [*zip(*cli._diagonal_columns(amp, zeta, zf, omegas))]
         lines = (out / name).read_text().splitlines()[1:]
         assert [",".join(map(csv_float, row)) for row in rows] == lines
         points = [(float(x), float(y), zf) for x in amp.x for y in amp.y]

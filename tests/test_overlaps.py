@@ -157,15 +157,25 @@ def test_lambda_quadrature_vector_and_q_zero():
 
 
 def test_lambda_quadrature_sweep_stays_far_under_its_target():
-    # the README's 60-case sweep agrees with the closed form 100 times under
+    # the README's 65-case sweep agrees with the closed form 100 times under
     # the 1e-8 target, so a coarser grid cannot drift toward it unseen
     dxbar = np.linspace(0.0, 5.0, 25)
     worst = max(
         np.max(np.abs(oracle_lambda_quadrature(q, dxi, dxbar) - lambda_overlap(q, dxi, dxbar)))
-        for q in np.arange(1.0, 13.0)
+        for q in np.arange(0.0, 13.0)
         for dxi in (0.0, 0.3, 1.5, 2.25, 3.0)
     )
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("dxi", [0.0, 1.5])
+def test_lambda_quadrature_at_q_zero_and_no_separation_stays_far_under_its_target(dxi):
+    # With q = 0 and dxbar = 0 only the log singularity of K_0 at k = 0
+    # sizes the linear panels next to the log region; held as far under the
+    # 1e-8 target as the sweep.
+    values, change, _ = _lambda_quadrature(0.0, dxi, [0.0])
+    assert change < 1e-10
+    assert abs(values[0] - float(lambda_overlap(0.0, dxi, 0.0))) < 1e-10
 
 
 def test_lambda_quadrature_caps_its_grid():
