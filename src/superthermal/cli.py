@@ -420,8 +420,9 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
         report = convergence_report(omega=1.0, z=1.0, a=rindler_a, T_list=T_list)
     except ValueError as exc:
         raise ConfigError(f"oracle.T_list: {exc}") from exc
-    # One row per oracle call: q, dxi, dxbar, then T and a (finite-duration
-    # calls only; their pair is omega = 1 on one branch at z = 1).
+    # One row per compared (q, dxi) or (T, a): q, dxi, dxbar, then T and a
+    # (finite-duration rows only; their pair is omega = 1 on one branch at
+    # z = 1).  Rows that share an oracle call repeat its change.
     same_branch = (1.0, 0.0, "0")
     refinement = [
         ("finite_t", *same_branch, r.T, rindler_a, r.change, r.target)
@@ -429,20 +430,27 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
     ]
 
     rows = []
+    dxbar = np.array(_ORACLE_DIFF_DXBAR)
     dxbar_cell = " ".join(csv_float(dxb) for dxb in _ORACLE_DIFF_DXBAR)
     for q in _DEFAULT_Q_LIST:
+        # The quadrature sees dxi only through s+ and s-, which swap with its
+        # sign, so each |dxi| takes one call and its mirrored rows share it.
+        quads = {m: _lambda_quadrature(q, m, dxbar) for m in dict.fromkeys(map(abs, _ORACLE_DIFF_DXI))}
         for dxi in _ORACLE_DIFF_DXI:
-            quad, change, target = _lambda_quadrature(q, dxi, _ORACLE_DIFF_DXBAR)
+            quad, change, target = quads[abs(dxi)]
             refinement.append(("lambda_quadrature", q, dxi, dxbar_cell, "", "", change, target))
-            for dxb, quad_value in zip(_ORACLE_DIFF_DXBAR, quad):
-                closed = float(lambda_overlap(q, dxi, dxb))
-                rows.append((q, dxi, dxb, closed, quad_value, quad_value - closed))
+            closed = lambda_overlap(q, dxi, dxbar)
+            rows += [(q, dxi, dxb, c, v, v - c) for dxb, c, v in zip(_ORACLE_DIFF_DXBAR, closed, quad)]
 
     traj = Trajectory(z=1.0)
     T_ref = T_list[-1]
+    last = report.rows[-1]
     sweep_rows = []
     for a in _A_SWEEP_VALUES:
-        value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
+        if a == rindler_a:  # the convergence report's last call
+            value, change, target = last.oracle, last.change, last.target
+        else:
+            value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
         refinement.append(("finite_t", *same_branch, T_ref, a, change, target))
         sweep_rows.append((a, T_ref, value))
     convergence = ("T", "M", "oracle", "asymptotic", "rel_error")

@@ -259,9 +259,11 @@ def _kbar_grid(
     ``_LOG_PHASE`` per unit of ``osc_max`` + 1 (the entire :math:`J_0` and
     the baseline) and ``_DECAY_EFOLDS`` over ``decay_rate`` (the envelope).
     The floor ``1e-7/refine`` lets the refinement change include the piece
-    below the base pass's floor.  A grid of more than ``max_nodes`` nodes
-    raises :class:`QuadratureError` with the ``too_large`` text before
-    anything is allocated.
+    below the base pass's floor.  The linear panels are counted in closed
+    form (their edges grow geometrically while the branch limit binds, and
+    evenly after), so a grid of more than ``max_nodes`` nodes raises
+    :class:`QuadratureError` with the ``too_large`` text before anything is
+    built.
     """
     k_floor = 1e-7 / refine
     k_log_end = min(0.1, 0.5 * kbar_max)
@@ -275,18 +277,22 @@ def _kbar_grid(
     k_log = np.exp(log_nodes)
     w_log = log_weights * k_log  # du measure -> dk measure
 
-    edges = [k_log_end]
-    while edges[-1] < kbar_max:
-        if n_log + len(edges) > max_panels:
-            raise QuadratureError(too_large)
-        k = edges[-1]
-        width = min(
-            _LINEAR_PHASE / ((nu_max + 1.0) / k),
-            _LOG_PHASE / (osc_max + 1.0),
-            _DECAY_EFOLDS / decay_rate,
-        ) / refine
-        edges.append(min(k + width, kbar_max))
-    lin_nodes, lin_weights = _panel_nodes(np.asarray(edges))
+    # The branch limit c k grows the edges by 1 + c per panel up to k_turn,
+    # where it meets the constant width of the other two.
+    growth = _LINEAR_PHASE / (nu_max + 1.0) / refine
+    width = min(_LOG_PHASE / (osc_max + 1.0), _DECAY_EFOLDS / decay_rate) / refine
+    k_turn = min(width / growth, kbar_max)
+    log_ratio = math.log1p(growth)
+    n_geo = max(0, math.ceil(math.log(k_turn / k_log_end) / log_ratio))
+    k_geo = k_log_end * math.exp(log_ratio * n_geo)
+    n_flat = max(0, math.ceil((kbar_max - k_geo) / width))
+    if n_log + n_geo + n_flat > max_panels:
+        raise QuadratureError(too_large)
+    edges = np.concatenate([
+        k_log_end * np.exp(log_ratio * np.arange(n_geo + 1)),
+        k_geo + width * np.arange(1, n_flat + 1),
+    ])
+    lin_nodes, lin_weights = _panel_nodes(np.append(edges[edges < kbar_max], kbar_max))
 
     return np.concatenate([k_log, lin_nodes]), np.concatenate([w_log, lin_weights])
 
@@ -296,14 +302,35 @@ def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float,
     (nu, node) and, if ``bound`` and the K series serves these orders
     (:func:`~superthermal.specfun._k_takes_series`), a bound on the error
     it puts into them; else None, since the trapezoidal rule's error shows
-    in the refinement change alone."""
-    err_a = np.empty((nu.size, x_a.size)) if bound and _k_takes_series(nu) else None
-    k_a = _k_imag_outer(nu, x_a, refine, err=err_a)
+    in the refinement change alone.
+
+    Where the series serves, two distinct sets (each sorted) go through one
+    call on their merged arguments, so the series coefficients are set up
+    once.  The series sums each value on its own, so below ``_KSERIES_X``
+    the values and bound are those of two calls; above it the trapezoidal
+    bands regroup at rounding level.  Other calls, with many small orders,
+    keep one call per set: merged, their bands ran slower."""
+    series = _k_takes_series(nu)
+
+    def k_at(x):
+        err = np.empty((nu.size, x.size)) if bound and series else None
+        return _k_imag_outer(nu, x, refine, err=err), err
+
     if x_b is x_a:
-        k_b, err_b = k_a, err_a
+        k_a, err_a = k_b, err_b = k_at(x_a)
+    elif series:
+        # Both sets are sorted, so a value's place in the merged set is its
+        # own index plus the count of the other set's values before it (an
+        # argsort would page in numpy's sort code, about 0.3 MB more RSS).
+        a = np.arange(x_a.size) + np.searchsorted(x_b, x_a, side="left")
+        b = np.arange(x_b.size) + np.searchsorted(x_a, x_b, side="right")
+        x = np.empty(x_a.size + x_b.size)
+        x[a], x[b] = x_a, x_b
+        k, err = k_at(x)
+        k_a, k_b = k[:, a], k[:, b]
+        err_a, err_b = (None, None) if err is None else (err[:, a], err[:, b])
     else:
-        err_b = None if err_a is None else np.empty_like(err_a)
-        k_b = _k_imag_outer(nu, x_b, refine, err=err_b)
+        (k_a, err_a), (k_b, err_b) = k_at(x_a), k_at(x_b)
     if err_a is None:
         return k_a * k_b, None
     return k_a * k_b, np.abs(k_a) * err_b + err_a * np.abs(k_b) + err_a * err_b
@@ -402,9 +429,13 @@ def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
     ``dxbar`` may be an array: the expensive Bessel products are computed
     once and shared across all transverse separations.
 
-    Target absolute accuracy 1e-8, enforced by comparing against a
-    refined grid (the change also counts the bound on the K series
-    error); disagreement raises :class:`QuadratureError`.
+    Target 1e-8 for the change a refined grid makes, plus the bound on
+    the K series error; a larger change raises :class:`QuadratureError`.
+    The change is a refinement estimate, not an error bound: near the
+    rounding floor the two grids can agree more closely than either agrees
+    with the closed form.  The integral depends on ``dxi`` only through
+    :math:`s_\pm`, which swap with its sign, so ``-dxi`` gives the same
+    value to the last bit.
     """
     values = _lambda_quadrature(q, dxi, dxbar)[0]
     if np.ndim(dxbar) == 0:
@@ -523,12 +554,12 @@ def oracle_overlap_finite_t(
     auxiliary parameter ``a`` must not affect the value; nodes are placed
     covariantly so it cancels to rounding accuracy.
 
-    Absolute accuracy target ``1e-10 * T``, enforced by grid refinement
-    (the change also counts the bound on the K series error, where orders
-    above 2 take the series; smaller orders take the trapezoidal rule at
-    every argument, which has none); failure
-    raises :class:`QuadratureError` rather than returning a partial
-    value, and so do grids that would need more than
+    Target ``1e-10 * T`` for the change a refined grid makes (plus the
+    bound on the K series error, where orders above 2 take the series;
+    smaller orders take the trapezoidal rule at every argument, which has
+    none).  The change is a refinement estimate, not an error bound.  A
+    larger change raises :class:`QuadratureError` rather than returning a
+    partial value, and so do grids that would need more than
     ``_MAX_GRID_VALUES`` K values (T far below :math:`1/\omega`).
     Strongly suppressed pairs (:math:`C > 800`, value below the
     double-precision underflow scale) return exactly 0.

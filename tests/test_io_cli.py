@@ -650,7 +650,14 @@ def test_cli_oracle_validate(tmp_path, monkeypatch):
     assert len(diffs) == 4 * 3 * 3
     assert max(diffs) < 1e-6
 
-    # one row per oracle call: two durations, 4 q x 3 dxi, three a values
+    # mirrored rows share one quadrature: equal quadrature cells
+    by_key = {tuple(r.split(",")[:3]): r.split(",")[4] for r in diff_rows[1:]}
+    for (q, dxi, dxbar), quad in by_key.items():
+        if dxi == "1.5":
+            assert by_key[q, "-1.5", dxbar] == quad
+
+    # one row per compared (q, dxi) or (T, a): two durations, 4 q x 3 dxi,
+    # three a values
     refinement = [line.split(",") for line in (out / "oracle_refinement.csv").read_text().splitlines()]
     assert refinement[0] == ["oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"]
     calls = refinement[1:]
@@ -662,11 +669,37 @@ def test_cli_oracle_validate(tmp_path, monkeypatch):
         change, target = float(row[6]), float(row[7])
         assert 0.0 <= change <= target
         assert target == (1e-8 if row[0] == "lambda_quadrature" else 1e-10 * float(row[4]))
+    lambda_rows = {(row[1], row[2]): row[6] for row in calls[2:14]}
+    assert all(lambda_rows[q, "-1.5"] == lambda_rows[q, "1.5"] for q in ("0", "1", "2", "10"))
     # each q = 10 call's refined pass (run first) has at least 1.4 times the
-    # base pass's k nodes, so its change measures a refinement
+    # base pass's k nodes, so its change measures a refinement; q = 10 takes
+    # one call per |dxi|
     pairs = [(fine, base) for (q, fine), (_, base) in zip(grids[::2], grids[1::2]) if q == 10.0]
-    assert len(pairs) == 3
+    assert len(pairs) == 2
     assert all(fine >= 1.4 * base for fine, base in pairs)
+
+
+def test_cli_oracle_validate_reuses_the_convergence_call_in_its_a_sweep(tmp_path, monkeypatch):
+    # At the default a = 1 the a-sweep's call at T_list[-1] is the
+    # convergence report's last one, so the run makes one finite-duration
+    # call per duration and two for the other a values.
+    calls = []
+    finite_t = overlaps._overlap_finite_t
+
+    def counted(*args):
+        calls.append(args[4:])
+        return finite_t(*args)
+
+    monkeypatch.setattr(overlaps, "_overlap_finite_t", counted)
+    monkeypatch.setattr(cli, "_overlap_finite_t", counted)
+    out = tmp_path / "out"
+    assert main(["oracle-validate", "--out", str(out)]) == 0
+    T_list = cli._DEFAULT_T_LIST
+    assert calls == [(T, 1.0) for T in T_list] + [(T_list[-1], 0.5), (T_list[-1], 2.0)]
+    convergence = (out / "convergence.csv").read_text().splitlines()
+    sweep = (out / "a_sweep.csv").read_text().splitlines()
+    assert sweep[2].split(",")[:2] == ["1", "80"]
+    assert sweep[2].split(",")[2] == convergence[-1].split(",")[2]
 
 
 def test_cli_paper_example(tmp_path, capsys):

@@ -187,6 +187,39 @@ def test_lambda_quadrature_caps_its_grid():
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("nu_max, osc_max, decay_rate, kbar_max", [
+    (0.0, 0.0, 2.0, 18.5),  # Lambda at q = 0, dxi = 0: the envelope binds
+    (12.0, 2.5, 3.04, 24.6),  # Lambda at q = 12, dxi = 1.5: the branch limit grows the panels
+    (0.0, 50.0, 2.0, 18.5),  # the separation binds from the first linear panel on
+    (40.0, 5.0, 2.0, 81.3),  # the branch limit binds up to k = 20, then the separation
+    (1.4, 0.7, 1.5, 50.0),  # a finite-duration pair at z = 0.5 and 1
+])
+@pytest.mark.parametrize("refine", [1.0, 1.5])
+def test_kbar_grid_linear_panels_take_their_narrowest_limit(nu_max, osc_max, decay_rate, kbar_max, refine):
+    # The linear panels are counted in closed form; each but the last is as
+    # wide as the narrowest of its three limits at its left edge, and the
+    # last ends at kbar_max.  A panel's 16 Gauss-Legendre weights sum to its
+    # width.
+    nodes, weights = overlaps._kbar_grid(
+        nu_max=nu_max, osc_max=osc_max, decay_rate=decay_rate, kbar_max=kbar_max, refine=refine,
+        max_nodes=2**22, too_large="too large",
+    )
+    k_log_end = min(0.1, 0.5 * kbar_max)
+    linear = nodes > k_log_end
+    widths = weights[linear].reshape(-1, 16).sum(axis=1)
+    left = k_log_end + np.concatenate([[0.0], np.cumsum(widths)[:-1]])
+    limits = np.minimum.reduce([
+        overlaps._LINEAR_PHASE * left / (nu_max + 1.0),
+        np.full(left.size, overlaps._LOG_PHASE / (osc_max + 1.0)),
+        np.full(left.size, overlaps._DECAY_EFOLDS / decay_rate),
+    ]) / refine
+    assert widths.size > 1
+    assert np.allclose(widths[:-1], limits[:-1], rtol=1e-12, atol=0.0)
+    assert 0.0 < widths[-1] <= limits[-1] * (1.0 + 1e-12)
+    assert left[-1] + widths[-1] == pytest.approx(kbar_max, rel=1e-12)
+    assert np.all(nodes[linear] < kbar_max)
+
+
 def test_oracles_return_their_targets_from_one_convergence_check():
     values, change, target = _lambda_quadrature(1.0, 0.4, [0.0, 1.2])
     assert np.array_equal(values, oracle_lambda_quadrature(1.0, 0.4, [0.0, 1.2]))
@@ -231,12 +264,51 @@ def test_lambda_quadrature_change_bounds_its_error_at_q_zero(dxi):
 
 
 def test_lambda_quadrature_even_in_dxi():
-    # dxi -> -dxi swaps the two Bessel arguments s_+ and s_-
-    dxbar = np.array([0.0, 1.0, 2.5])
-    for q in (0.0, 2.0, 10.0):
-        plus = oracle_lambda_quadrature(q, 1.5, dxbar)
-        minus = oracle_lambda_quadrature(q, -1.5, dxbar)
-        assert np.max(np.abs(plus - minus)) <= 1e-12, q
+    # dxi -> -dxi swaps the two Bessel arguments s_+ and s_-, and nothing
+    # else, so value and change agree bit for bit; oracle-validate computes
+    # each mirrored pair of rows from one call.
+    dxbar = np.linspace(0.0, 5.0, 25)
+    for q in (0.0, 1.0, 2.0, 6.0, 10.0, 12.0):
+        for dxi in (0.3, 1.5, 3.0):
+            plus, plus_change, _ = _lambda_quadrature(q, dxi, dxbar)
+            minus, minus_change, _ = _lambda_quadrature(q, -dxi, dxbar)
+            assert np.array_equal(plus, minus), (q, dxi)
+            assert plus_change == minus_change, (q, dxi)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.2, 6.0, 12.0])
+@pytest.mark.parametrize("refine", [1.0, 1.5])
+def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, refine, monkeypatch):
+    # One order takes the series, so both argument sets x_+- = k s_+- go
+    # through one K call.  The series sums each value on its own, so below
+    # x = 4 the values and their bound are those of two separate calls, bit
+    # for bit; above, the trapezoidal bands regroup, which moves K by at
+    # most 6e-16 e^-x, twice the rule's accuracy against mpmath.
+    kbar = np.geomspace(1e-7, 40.0, 700)
+    s_plus, s_minus = math.sqrt(0.5 * (math.exp(3.0) + 1.0)), math.sqrt(0.5 * (math.exp(-3.0) + 1.0))
+    x_a, x_b = kbar * s_plus, kbar * s_minus
+    nu = np.array([q])
+    calls = []
+    k_imag_outer = overlaps._k_imag_outer
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].size)
+        return k_imag_outer(*args, **kwargs)
+
+    monkeypatch.setattr(overlaps, "_k_imag_outer", spy)
+    product, product_err = overlaps._k_products(nu, x_a, x_b, refine, True)
+    assert calls == [x_a.size + x_b.size]
+
+    err_a, err_b = np.empty((1, x_a.size)), np.empty((1, x_b.size))
+    k_a = k_imag_outer(nu, x_a, refine, err=err_a)
+    k_b = k_imag_outer(nu, x_b, refine, err=err_b)
+    # bounds on how far the merged K values may move: 0 up to x = 4, so
+    # there products and bounds must agree bit for bit
+    move_a = np.where(x_a > 4.0, 6e-16 * np.exp(-x_a), 0.0)
+    move_b = np.where(x_b > 4.0, 6e-16 * np.exp(-x_b), 0.0)
+    assert np.all(np.abs(product - k_a * k_b) <= move_a * np.abs(k_b) + np.abs(k_a) * move_b + move_a * move_b)
+    want_err = np.abs(k_a) * err_b + err_a * np.abs(k_b) + err_a * err_b
+    assert np.all(np.abs(product_err - want_err) <= move_a * err_b + err_a * move_b)
 
 
 def test_finite_t_oracle_approaches_diag_with_1_over_M():
