@@ -17,17 +17,19 @@ norms times the factor :math:`\Lambda(q, \Delta\xi, \Delta\bar{x})`.
 This module provides those asymptotic closed forms plus two independent
 quadrature routes used to validate them:
 
-* :func:`oracle_overlap_finite_t` — the full finite-duration double
-  integral over transverse momentum :math:`k_\perp` and boost frequency
-  :math:`\omega''`, including the Gaussian window factors and the
-  auxiliary Rindler parameter ``a`` (which must drop out of the result);
+* :func:`oracle_overlap_finite_t` — the finite-duration overlap as one
+  integral over the boost frequency :math:`\omega''` on the whole line,
+  with the Gaussian window factor, the auxiliary Rindler parameter ``a``
+  (which must drop out of the result) and the transverse-momentum
+  integral :math:`\int dk\,k\,J_0 K_{i\nu} K_{i\nu}` in closed form;
 * :func:`oracle_lambda_quadrature` — the
   :math:`\bar{k}`-integral representation of :math:`\Lambda` in terms of
-  a product of modified Bessel functions of imaginary order.
+  a product of modified Bessel functions of imaginary order, which checks
+  that closed form at :math:`\nu = q`.
 
 Both raise :class:`QuadratureError` rather than return a value whose
 refinement change (:func:`_converged`: refined minus base grid, plus the
-:math:`K_{i\nu}` series bound where the series serves) passes their
+:math:`K_{i\nu}` series bound in the :math:`\Lambda` oracle) passes their
 target; the private entries :func:`_lambda_quadrature` and
 :func:`_overlap_finite_t` return that change and the target with the
 value.
@@ -44,7 +46,6 @@ from .geometry import Trajectory, coherence_condition, delta_xbar, delta_xi
 from .specfun import (
     _GL_NODES,
     _k_imag_outer,
-    _k_takes_series,
     _panel_nodes,
     bessel_j0,
     lambda_overlap,
@@ -65,15 +66,16 @@ __all__ = [
     "convergence_report",
 ]
 
-#: Decay (in e-foldings) of the Bessel-product envelope at which the
-#: transverse-momentum integral is truncated (e^-37 ~ 8.5e-17 of peak).
+#: Decay (in e-foldings) of the Bessel-product envelope at which the k̄
+#: integral of the Λ oracle is truncated (e^-37 ~ 8.5e-17 of peak).
 _ENVELOPE_DECAY = 37.0
 
-#: Most values one oracle grid may need per array, about 32 MiB each: K_inu
-#: values (orders x k nodes) in the finite-duration oracle, J_0 values
-#: (separations x k nodes) in the Lambda oracle.  The default durations need
-#: at most 0.072 million and T = 1/omega 0.12 million; T far below 1/omega,
-#: or a large separation, widens the grid without bound.
+#: Most values one oracle grid may need per array, about 32 MiB each: J_0
+#: values (separations x k nodes) in the Lambda oracle, boost-frequency
+#: nodes in the finite-duration oracle.  oracle-validate's Lambda calls need
+#: at most 6192 and its durations 144 nodes per pass; a large separation, or
+#: T far below 1/omega (8/T orders at omega = z = 1, past the cap from
+#: T = 2.3e-5), widens the grid without bound.
 _MAX_GRID_VALUES = 2**22
 
 #: Phase of a log panel (k < 0.1) per unit of ν + k Δx̄ + 1, and of a
@@ -81,8 +83,7 @@ _MAX_GRID_VALUES = 2**22
 #: and the baseline count).  16-point Gauss-Legendre errs by 1e-33 over
 #: 3π/2 of e^{iφ}; twice it moved no log-panel value by more than 1e-15,
 #: and twice or four times it in the linear panels moved Λ by at most
-#: 2.2e-12 (rounding, at q = 12) and no finite-duration value by more
-#: than 2.2e-16 of itself.
+#: 2.2e-12 (rounding, at q = 12).
 _LOG_PHASE = 1.5 * math.pi
 #: Phase of a linear panel per unit of (ν + 1)/k: the branch point of K_iν
 #: at k = 0 (the log of K_0 at ν = 0), graded by the distance to it.  The
@@ -93,17 +94,19 @@ _LOG_PHASE = 1.5 * math.pi
 #: 4.0e-10.
 _LINEAR_PHASE = 0.5 * math.pi
 #: E-foldings of the envelope per linear panel.  The rule errs by 6e-28
-#: over 7.5 of e^{-φ}; twice or four times it moved Λ by at most 3e-17 and
-#: no finite-duration value.
+#: over 7.5 of e^{-φ}; twice or four times it moved Λ by at most 3e-17.
 _DECAY_EFOLDS = 7.5
-#: Panels on the boost-frequency window, ±8 standard deviations of its
-#: Gaussian.  The rule errs by 4e-15 of that integral; two panels raised
-#: the change to 2e-3 of its target.
-_BOOST_PANELS = 3
-#: Widest span of orders ν one boost-frequency panel may cover, which binds
-#: where T below 1/ω widens the window: 3 panels alone failed the target at
-#: T = 0.2, q = 1; one per 2 keeps T = 0.15-1 as far under it as 6 did.
-_BOOST_ORDER_SPAN = 2.0
+#: Fewest panels on the boost-frequency window, ±8 standard deviations of
+#: its Gaussian.  Three or twelve instead moved no value of 24 pairs at
+#: T = 1e-3 to 80 (the tests' among them) by more than 5.3e-15 relative:
+#: rounding.
+_SPECTRAL_PANELS = 6
+#: Orders ν per boost-frequency panel, divided by μ + 1: sin(νμ) turns by μ
+#: per unit of ν, and 1/expm1(2πν) has poles at ν = ±i, one unit off the
+#: axis.  At 2 the largest change over those pairs was 1.6e-4 of its
+#: target (T = 0.5); at 3 it was 5e-2 (T = 0.2), and at 4 T = 0.03-0.2
+#: missed the target.
+_SPECTRAL_ORDER_SPAN = 2.0
 
 
 class QuadratureError(RuntimeError):
@@ -299,26 +302,22 @@ def _kbar_grid(
 
 def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float, bound: bool):
     """``K_imag`` at both argument sets: the products ``K_a K_b`` per
-    (nu, node) and, if ``bound`` and the K series serves these orders
-    (:func:`~superthermal.specfun._k_takes_series`), a bound on the error
-    it puts into them; else None, since the trapezoidal rule's error shows
-    in the refinement change alone.
+    (nu, node) and, if ``bound``, a bound on the error the K series puts
+    into them; else None.
 
-    Where the series serves, two distinct sets (each sorted) go through one
-    call on their merged arguments, so the series coefficients are set up
-    once.  The series sums each value on its own, so below ``_KSERIES_X``
-    the values and bound are those of two calls; above it the trapezoidal
-    bands regroup at rounding level.  Other calls, with many small orders,
-    keep one call per set: merged, their bands ran slower."""
-    series = _k_takes_series(nu)
+    Two distinct sets (each sorted) go through one call on their merged
+    arguments, so the series coefficients are set up once.  The series
+    sums each value on its own, so below ``_KSERIES_X`` the values and
+    bound are those of two calls; above it the trapezoidal bands regroup at
+    rounding level."""
 
     def k_at(x):
-        err = np.empty((nu.size, x.size)) if bound and series else None
+        err = np.empty((nu.size, x.size)) if bound else None
         return _k_imag_outer(nu, x, refine, err=err), err
 
     if x_b is x_a:
         k_a, err_a = k_b, err_b = k_at(x_a)
-    elif series:
+    else:
         # Both sets are sorted, so a value's place in the merged set is its
         # own index plus the count of the other set's values before it (an
         # argsort would page in numpy's sort code, about 0.3 MB more RSS).
@@ -329,8 +328,6 @@ def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float,
         k, err = k_at(x)
         k_a, k_b = k[:, a], k[:, b]
         err_a, err_b = (None, None) if err is None else (err[:, a], err[:, b])
-    else:
-        (k_a, err_a), (k_b, err_b) = k_at(x_a), k_at(x_b)
     if err_a is None:
         return k_a * k_b, None
     return k_a * k_b, np.abs(k_a) * err_b + err_a * np.abs(k_b) + err_a * err_b
@@ -389,8 +386,9 @@ def _converged(one_pass, target: float, what: str):
     moved = np.abs(fine - base)
     change = float(np.max(moved if series_err is None else moved + series_err))
     if change > target:
+        bound = "" if series_err is None else " plus the K series bound"
         raise QuadratureError(
-            f"{what} did not converge: grid refinement plus the K series bound "
+            f"{what} did not converge: grid refinement{bound} "
             f"changed the result by {change:.3e} (target {target:.1e})"
         )
     return fine, change, target
@@ -443,63 +441,61 @@ def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
     return values
 
 
-def _finite_t_once(
-    par: OverlapDiagnostics,
-    traj_n: Trajectory,
-    traj_m: Trajectory,
-    T: float,
-    a: float,
-    refine: float,
-    bound: bool,
-) -> tuple[float, float | None]:
-    """The quadrature of :func:`oracle_overlap_finite_t`, whose Gaussian
-    parameters are ``par``, on one grid and, if ``bound``, a bound on the
-    error the series part of ``K_iν`` puts into it (else None)."""
+def _hyperbolic_distance(traj_m: Trajectory, traj_n: Trajectory) -> float:
+    r""":math:`\mu` with :math:`\cosh\mu = (z_m^2 + z_n^2 + b^2)/(2 z_m z_n)`,
+    b the transverse distance, straight from the heights and offsets:
+    :math:`\sinh(\mu/2) = \sqrt{(z_m - z_n)^2 + b^2}/(2\sqrt{z_m z_n})`
+    has no cancellation and overflows only with :math:`\mu`."""
     zm, zn = traj_m.z, traj_n.z
-    dxperp = math.dist(traj_m.x_perp, traj_n.x_perp)
+    gap = math.hypot(zm - zn, math.dist(traj_m.x_perp, traj_n.x_perp))
+    return 2.0 * math.asinh(gap / (2.0 * math.sqrt(zm) * math.sqrt(zn)))
 
-    # Boost-frequency nodes, placed covariantly in s = omega''/omega_bar so
-    # the node pattern (and hence the result to near machine precision) is
-    # independent of the auxiliary parameter a.
+
+def _finite_t_once(
+    par: OverlapDiagnostics, mu: float, zm: float, zn: float, T: float, a: float, refine: float
+) -> tuple[float, None]:
+    r"""The boost-frequency quadrature of :func:`oracle_overlap_finite_t`,
+    whose Gaussian parameters are ``par`` and hyperbolic distance ``mu``,
+    on one grid; the error bound is None, since no series enters.
+
+    The window is covered by equal panels, at least ``_SPECTRAL_PANELS`` of
+    them and one per ``_SPECTRAL_ORDER_SPAN`` of :math:`\nu(\mu + 1)`, counted
+    before any node is made: past ``_MAX_GRID_VALUES`` nodes it raises
+    :class:`QuadratureError`."""
+    # Nodes are placed covariantly in s = omega''/omega_bar, so the node
+    # pattern (and hence the result to near machine precision) does not
+    # depend on the auxiliary parameter a.
     half_support = 8.0 / math.sqrt(2.0 * par.sharpness)
-    s_lo = max(1e-9, 1.0 - half_support)
-    s_hi = 1.0 + half_support
-    nu_span = (s_hi - s_lo) * par.omega_bar / a
-    n_panels = int(math.ceil(refine * max(_BOOST_PANELS, nu_span / _BOOST_ORDER_SPAN)))
-    s_nodes, s_weights = _panel_nodes(np.linspace(s_lo, s_hi, n_panels + 1))
-    omega_pp = s_nodes * par.omega_bar
-    nu = omega_pp / a
-
-    # Size the k grid before anything of its size is allocated.
-    nu_max = float(nu.max())
-    k_max = max(
-        (_ENVELOPE_DECAY + math.pi * nu_max) / (zm + zn),
-        37.5 / min(zm, zn),
-    )
-    k_nodes, k_weights = _kbar_grid(
-        nu_max=nu_max, osc_max=dxperp, decay_rate=zm + zn, kbar_max=k_max, refine=refine,
-        max_nodes=_MAX_GRID_VALUES / nu.size,
-        too_large=f"finite-duration overlap at T = {T:g} needs more than {_MAX_GRID_VALUES} "
-        f"K_inu values ({nu.size} orders up to {nu_max:.4g}); T far below 1/omega "
-        "widens the boost-frequency window without bound",
-    )
-    with np.errstate(under="ignore"):
-        gauss = np.exp(-math.pi * nu - par.sharpness * (s_nodes - 1.0) ** 2) + np.exp(
-            math.pi * nu - par.sharpness * (s_nodes + 1.0) ** 2
+    nu_bar = par.omega_bar / a
+    span = 2.0 * half_support * nu_bar
+    n_panels = refine * max(_SPECTRAL_PANELS, span * (mu + 1.0) / _SPECTRAL_ORDER_SPAN)
+    if not n_panels * _GL_NODES.size <= _MAX_GRID_VALUES:
+        raise QuadratureError(
+            f"finite-duration overlap at T = {T:g} needs more than {_MAX_GRID_VALUES} "
+            f"boost-frequency nodes (a window of {span:.4g} orders at mu = {mu:.4g}); "
+            "T far below 1/omega widens the window without bound"
         )
-    inner_weight = s_weights * par.omega_bar * gauss
-
-    x_m = k_nodes * zm
-    product, product_err = _k_products(nu, x_m, x_m if zn == zm else k_nodes * zn, refine, bound)
-    outer = k_weights * k_nodes * bessel_j0(k_nodes * dxperp)
-    integral = float(outer @ (inner_weight @ product))
+    edges = np.linspace(1.0 - half_support, 1.0 + half_support, math.ceil(n_panels) + 1)
+    s_nodes, s_weights = _panel_nodes(edges)
+    nu = s_nodes * nu_bar
+    # e^{-pi nu}/sinh(pi nu) = 2/expm1(x), x = 2 pi nu, is x/expm1(x) over
+    # pi nu.  x/expm1(x) = |x| e^{-max(x, 0)}/(-expm1(-|x|)) cannot overflow
+    # and is 1 at x = 0; the 1/nu goes into sin(nu mu)/(nu sinh mu) below.
+    x = 2.0 * math.pi * nu
+    with np.errstate(under="ignore"):
+        planck = np.abs(x) * np.exp(-np.maximum(x, 0.0))
+        denom = -np.expm1(-np.abs(x))
+        planck = np.divide(planck, denom, out=np.ones_like(x), where=denom != 0.0)
+        gauss = np.exp(-par.sharpness * (s_nodes - 1.0) ** 2)
+    # sin(nu mu)/(nu sinh mu) = sinc(nu mu) mu/sinh(mu), 1 at mu = 0
+    mu_over_sinh = 1.0 if mu == 0.0 else 2.0 * mu * math.exp(-mu) / -math.expm1(-2.0 * mu)
+    total = float(s_weights @ (gauss * planck * np.sinc(nu * (mu / math.pi))))
+    integral = par.omega_bar * mu_over_sinh / (2.0 * zm) / zn * total
     prefactor = T * T * math.exp(-par.suppression) / (math.sqrt(2.0 * math.pi**5) * a)
     value = prefactor * integral
     if not math.isfinite(value):
         raise FloatingPointError(f"finite-duration overlap is not finite at T = {T:g}, a = {a:g}")
-    if product_err is None:
-        return value, None
-    return value, prefactor * float(np.abs(outer) @ (inner_weight @ product_err))
+    return value, None
 
 
 def _overlap_finite_t(
@@ -516,8 +512,9 @@ def _overlap_finite_t(
     target = _FINITE_T_TARGET * T
     if par.suppression > 800.0:
         return 0.0, 0.0, target
+    mu = _hyperbolic_distance(traj_m, traj_n)
     return _converged(
-        lambda refine, bound: _finite_t_once(par, traj_n, traj_m, T, a, refine, bound),
+        lambda refine, bound: _finite_t_once(par, mu, traj_m.z, traj_n.z, T, a, refine),
         target,
         f"finite-duration overlap quadrature at T = {T:g}",
     )
@@ -534,33 +531,50 @@ def oracle_overlap_finite_t(
     r"""Finite-duration scalar product
     :math:`\langle\omega_i,n|\omega_j,m\rangle_F` by direct quadrature.
 
-    Evaluates
+    The overlap is the double integral
 
     .. math::
         \frac{T^2 e^{-C}}{\sqrt{2\pi^5}\,a}
-        \int_0^{k_{\max}}\!dk_\perp\,k_\perp J_0(k_\perp\Delta x_\perp)
-        \int\!d\omega''\,
-        K_{i\omega''/a}(k_\perp z_m)\,K_{i\omega''/a}(k_\perp z_n)\,
-        \Big[e^{-\pi\omega''/a} e^{-M(\omega''/\bar\omega - 1)^2}
-           + e^{+\pi\omega''/a} e^{-M(\omega''/\bar\omega + 1)^2}\Big],
+        \int_0^\infty\!dk_\perp\,k_\perp J_0(k_\perp\Delta x_\perp)
+        \int_0^\infty\!d\omega''\,
+        K_{i\nu}(k_\perp z_m)\,K_{i\nu}(k_\perp z_n)\,
+        \Big[e^{-\pi\nu} e^{-M(s - 1)^2} + e^{+\pi\nu} e^{-M(s + 1)^2}\Big],
+        \qquad \nu = \omega''/a,\; s = \omega''/\bar\omega .
 
-    with the boost-frequency window restricted to the Gaussian support
-    :math:`\bar\omega(1 \pm 8/\sqrt{2M})` clipped to positive values
-    (48 orders on the base pass and 80 on the refined one, more where the
-    window spans more than 6 orders), and
-    :math:`k_{\max}` chosen so the Bessel envelope is below 1e-16 of its
-    peak.  The second (counter-rotating) Gaussian is retained so its
-    negligibility is verified numerically rather than assumed.  The
+    :math:`K_{i\nu}` is even in :math:`\nu`, so the counter-rotating
+    Gaussian is the rotating one on :math:`\omega'' < 0`, and the
+    :math:`k_\perp` integral has the closed form
+
+    .. math::
+        F(\nu) = \frac{\pi\sin(\nu\mu)}{2 z_m z_n \sinh(\pi\nu)\sinh\mu},
+        \qquad \cosh\mu = \frac{z_m^2 + z_n^2 + \Delta x_\perp^2}{2 z_m z_n}
+
+    (:math:`\Lambda`'s identity at real order, which
+    :func:`oracle_lambda_quadrature` checks).  What is evaluated is the
+    one integral
+
+    .. math::
+        \frac{T^2 e^{-C}}{\sqrt{2\pi^5}\,a}
+        \int_{-\infty}^{\infty}\!d\omega''\,
+        e^{-\pi\nu - M(s - 1)^2} F(\nu),
+
+    over the Gaussian's support :math:`\bar\omega(1 \pm 8/\sqrt{2M})`, with
+    no clip at :math:`\omega'' = 0`: :math:`e^{-\pi\nu}/\sinh(\pi\nu) =
+    2/\operatorname{expm1}(2\pi\nu)` and :math:`\sin(\nu\mu)/\sinh\mu`
+    (:math:`\nu` at :math:`\mu = 0`) are taken in forms that hold at every
+    :math:`\nu`.  :math:`\mu` comes from the raw heights and offsets, not
+    from :math:`(\Delta\xi, \Delta\bar{x})`, so agreement with the closed
+    forms also checks that mapping.  Equal Gauss-Legendre panels cover the
+    window, six or more, and one per 2 orders over :math:`\mu + 1`.  The
     auxiliary parameter ``a`` must not affect the value; nodes are placed
     covariantly so it cancels to rounding accuracy.
 
-    Target ``1e-10 * T`` for the change a refined grid makes (plus the
-    bound on the K series error, where orders above 2 take the series;
-    smaller orders take the trapezoidal rule at every argument, which has
-    none).  The change is a refinement estimate, not an error bound.  A
-    larger change raises :class:`QuadratureError` rather than returning a
-    partial value, and so do grids that would need more than
-    ``_MAX_GRID_VALUES`` K values (T far below :math:`1/\omega`).
+    Target ``1e-10 * T`` for the change a 1.5 times refined grid makes.
+    The change is a refinement estimate, not an error bound: the window's
+    edges, the same on both grids, leave out below 2e-13 relative on the
+    tests' cases.  A larger change raises :class:`QuadratureError` rather
+    than returning a partial value, and so does a window that would need
+    more than ``_MAX_GRID_VALUES`` nodes (T far below :math:`1/\omega`).
     Strongly suppressed pairs (:math:`C > 800`, value below the
     double-precision underflow scale) return exactly 0.
     """

@@ -50,16 +50,10 @@ orders each value is summed on its own (Horner's rule for the series,
 numpy's pairwise reduction for the trapezoidal sum), so it does not
 depend on the rest of the batch; many orders share one matmul.  Against
 mpmath the series agrees to about 1e-12 relative, the trapezoidal rule
-to 3e-16 of :math:`e^{-x}`, for orders up to 40.
-
-A call with many small orders (at least ``_KTRAP_MIN_ORDERS``, none past
-``_KTRAP_NU_MAX``), as the finite-duration oracle makes, takes the
-trapezoidal rule below :math:`x_c` too, with all those arguments in one
-band: it computes the exponentials once for all orders and sums them in
-one matmul, where the series takes a cos, a sinc and a 20-term sum for
-every value.  Its error there is the rounding of the sum, a few
-:math:`\epsilon` of :math:`K_0(x) \approx \log(2/x)` absolute, so it
-carries no error bound.  Calls with few or larger orders keep the series.
+to 3e-16 of :math:`e^{-x}`, for orders up to 40.  The package calls it
+one order at a time (the :math:`\Lambda` oracle and :func:`bessel_k_imag`);
+the finite-duration oracle takes its :math:`k_\perp` integral in closed
+form and needs no :math:`K_{i\nu}`.
 """
 
 from __future__ import annotations
@@ -90,25 +84,8 @@ _KTAIL_DECAY = 43.0
 _KSTRIP_D = np.geomspace(1e-3, 1.55, 64)
 
 #: Most arguments in one band of ``_k_imag_outer`` above ``_KSERIES_X``,
-#: and in one matmul below it.
+#: and in one chunk of the power series below it.
 _KCHUNK = 2048
-
-#: Fewest orders for which ``_k_imag_outer`` takes the trapezoidal rule
-#: below ``_KSERIES_X`` too.  The rule takes its exponentials once for all
-#: orders and one matmul; the series a cos, a sinc and a 20-term sum per
-#: value.  At 300 arguments on [1e-7, 4] and orders on [0, 1.5] the two cost
-#: the same at 13-15 orders; the series takes 0.50 ms and the rule 0.36 ms
-#: at 16, 1.67 vs 0.58 ms at 48, 2.50 vs 0.70 ms at 80 (one thread).
-_KTRAP_MIN_ORDERS = 16
-
-#: Largest order for which ``_k_imag_outer`` takes the trapezoidal rule
-#: below ``_KSERIES_X``.  There the rule's rounding is absolute, a few eps
-#: of the moduli sum K_0(x) <= 16 (x >= 1e-7), while |K_inu| reaches only
-#: about sqrt(2 pi/nu) e^(-pi nu/2).  Against mpmath on [1e-7, 4] it errs
-#: by at most 97 eps of the largest |K_inu| for nu <= 2 (1.1e-14 at nu = 0,
-#: 1.4e-15 at nu = 2; the series 3.8e-15 and 3e-16), but by 442 eps at
-#: nu = 2.5 and 525 at 3.  The cap keeps it within 100 eps.
-_KTRAP_NU_MAX = 2.0
 
 #: Crossover from the power series to the quadrature.  The series sums
 #: terms of size ~e^x to a result of size ~e^-x, so it loses about
@@ -238,27 +215,19 @@ def _k_series(nu: np.ndarray, x: np.ndarray, err: np.ndarray | None) -> np.ndarr
     return out
 
 
-def _k_takes_series(nu: np.ndarray) -> bool:
-    """Whether :func:`_k_imag_outer` sums the power series for these orders'
-    arguments up to ``_KSERIES_X``: it does for fewer than
-    ``_KTRAP_MIN_ORDERS`` orders or any order past ``_KTRAP_NU_MAX``."""
-    return nu.size < _KTRAP_MIN_ORDERS or float(nu.max()) > _KTRAP_NU_MAX
-
-
 def _k_imag_outer(
     nu: np.ndarray, x: np.ndarray, refine: float = 1.0, err: np.ndarray | None = None
 ) -> np.ndarray:
     r"""``K_imag`` on the grid ``nu[:, None] x [None, :]``; ``x`` sorted ascending.
 
-    If :func:`_k_takes_series`, the ``x <= _KSERIES_X`` are summed from
-    the power series (:func:`_k_series`), which ``refine`` does not change,
-    and ``err`` (of the result's shape), if given, receives the series'
-    error bound there.  Everywhere else ``err`` receives 0: the trapezoidal
-    rule's error shows only in the change a refined step makes.
+    The ``x <= _KSERIES_X`` are summed from the power series
+    (:func:`_k_series`), which ``refine`` does not change, and ``err`` (of
+    the result's shape), if given, receives the series' error bound there.
+    Everywhere else ``err`` receives 0: the trapezoidal rule's error shows
+    only in the change a refined step makes.
 
-    The trapezoidal rule walks the rest in bands: many small orders take
-    all their ``x <= _KSERIES_X`` as one band, and the larger x go in bands
-    ``[x_min, 4 x_min]`` of at most ``_KCHUNK`` points.  Each band takes
+    The trapezoidal rule walks the rest in bands ``[x_min, 4 x_min]`` of at
+    most ``_KCHUNK`` points.  Each band takes
     nodes :math:`t_j = jh` with weight :math:`h` (:math:`h/2` at 0), up to
     ``acosh(1 + _KTAIL_DECAY/x_min)``, past which the envelope is below
     ``exp(-x - _KTAIL_DECAY)`` for every x of the band.  The integrand is
@@ -277,24 +246,20 @@ def _k_imag_outer(
     absolute accuracy: with few orders each row of the (x, t) envelope is
     summed along its contiguous t axis by numpy's pairwise reduction (error
     growth ~ log of the node count); many orders go through one BLAS matmul
-    per ``_KCHUNK`` columns of a band.
+    per band.
     """
     out = np.empty((nu.size, x.size))
     split = int(np.searchsorted(x, _KSERIES_X, side="right"))
-    series_end = split if split and _k_takes_series(nu) else 0
-    if series_end:
-        out[:, :series_end] = _k_series(nu, x[:series_end], None if err is None else err[:, :series_end])
+    if split:
+        out[:, :split] = _k_series(nu, x[:split], None if err is None else err[:, :split])
     if err is not None:
-        err[:, series_end:] = 0.0
-    bands = [(0, split)] if series_end < split else []
+        err[:, split:] = 0.0
+    d, versine = _KSTRIP_D, 1.0 - np.cos(_KSTRIP_D)
+    nu_max = float(nu.max()) if nu.size else 0.0
     start = split
     while start < x.size:
         stop = min(start + _KCHUNK, int(np.searchsorted(x, 4.0 * x[start], side="right")))
-        bands.append((start, stop))
-        start = stop
-    d, versine = _KSTRIP_D, 1.0 - np.cos(_KSTRIP_D)
-    nu_max = float(nu.max()) if nu.size else 0.0
-    for start, stop in bands:
+        cols = slice(start, stop)
         x_min = float(x[start])
         # the largest h with nu d + x (1 - cos d) - 2 pi d/h <= -_KTAIL_DECAY at some d
         h = 2.0 * math.pi * float(np.max(d / (_KTAIL_DECAY + nu_max * d + x[stop - 1] * versine))) / refine
@@ -303,16 +268,15 @@ def _k_imag_outer(
         coeff[:, 0] *= 0.5
         # e^{-x cosh t} = e^{-x} e^{-2x sinh^2(t/2)}: small exponents where the terms are large
         versine_t = 2.0 * np.sinh(0.5 * t) ** 2
-        for lo in range(start, stop, _KCHUNK):
-            cols = slice(lo, min(lo + _KCHUNK, stop))
-            with np.errstate(under="ignore"):
-                env = np.exp(-np.outer(x[cols], versine_t))
-                if nu.size <= 4:
-                    for i in range(nu.size):
-                        out[i, cols] = np.sum(env * coeff[i], axis=1)
-                else:
-                    out[:, cols] = (env @ coeff.T).T
-                out[:, cols] *= np.exp(-x[cols])
+        with np.errstate(under="ignore"):
+            env = np.exp(-np.outer(x[cols], versine_t))
+            if nu.size <= 4:
+                for i in range(nu.size):
+                    out[i, cols] = np.sum(env * coeff[i], axis=1)
+            else:
+                out[:, cols] = (env @ coeff.T).T
+            out[:, cols] *= np.exp(-x[cols])
+        start = stop
     return out
 
 

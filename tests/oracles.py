@@ -1,7 +1,8 @@
 """Independent mpmath reference implementations.
 
 Every frozen literal in the unit tests was produced by the functions in
-this module at 40 decimal digits (quadrature literals at 25).  The
+this module at 40 decimal digits (quadrature literals at 25), except
+``FINITE_T_K_ROUTE`` in ``test_overlaps``, which names its provenance.  The
 functions deliberately share no code with the package: special functions
 come from mpmath and each formula is assembled from scratch, so
 agreement is evidence rather than tautology.
@@ -121,3 +122,54 @@ def joint_state_dense(frequencies, couplings, trajectories, tol):
             out[row][col] = value
             out[col][row] = value.conjugate()
     return out
+
+
+def finite_t_spectral(omega_i, n, omega_j, m, T, a=1.0, dps: int = 40):
+    """Finite-duration overlap <omega_i, n | omega_j, m> from its 1-D
+    boost-frequency integral, on the whole line,
+
+        T^2 e^{-C} / (sqrt(2 pi^5) a) * int dw e^{-pi nu - M (s - 1)^2} F(nu),
+        F(nu) = pi sin(nu mu) / (2 z_m z_n sinh(pi nu) sinh mu),
+
+    with nu = w / a, s = w / wbar, cosh mu = (z_m^2 + z_n^2 + b^2)/(2 z_m z_n)
+    (b the transverse distance) and C, M, wbar the Gaussian parameters of
+    the pair.  ``n`` and ``m`` are (z, x, y) tuples.  The Gaussian tails
+    past 30 of its standard deviations (e^-450) are left out.
+    """
+    with mp.workdps(dps):
+        omega_i, omega_j, T, a = (mp.mpf(v) for v in (omega_i, omega_j, T, a))
+        (z_n, x_n, y_n), (z_m, x_m, y_m) = ([mp.mpf(v) for v in p] for p in (n, m))
+        zz = z_m**2 + z_n**2
+        C = (omega_j * z_m - omega_i * z_n) ** 2 * T**2 / zz
+        M = (omega_i * z_m + omega_j * z_n) ** 2 * T**2 / zz
+        wbar = a * (omega_j / z_m + omega_i / z_n) / (1 / z_m**2 + 1 / z_n**2)
+        b2 = (x_m - x_n) ** 2 + (y_m - y_n) ** 2
+        mu = mp.acosh((zz + b2) / (2 * z_m * z_n))
+
+        def integrand(w):
+            nu = w / a
+            ratio = nu if mu == 0 else mp.sin(nu * mu) / mp.sinh(mu)
+            # e^{-pi nu} / sinh(pi nu) = 2 / expm1(2 pi nu)
+            f = mp.pi * ratio / (z_m * z_n * mp.expm1(2 * mp.pi * nu))
+            return mp.exp(-M * (w / wbar - 1) ** 2) * f
+
+        sigma = wbar / mp.sqrt(2 * M)
+        # the poles of 1/expm1(2 pi nu) at nu = +-i set a finer scale near 0
+        near_zero = {s * a * mp.mpf(2) ** k for s in (-1, 1) for k in range(-2, 40)}
+        points = {wbar + k * sigma for k in range(-30, 31)} | near_zero | {mp.mpf(0)}
+        points = sorted(p for p in points if abs(p - wbar) <= 30 * sigma)
+        integral = mp.quad(integrand, points)
+        return T**2 * mp.exp(-C) / (mp.sqrt(2 * mp.pi**5) * a) * integral
+
+
+def laplace_coefficients(q, orders: int = 4, dps: int = 40):
+    """Coefficients c_k of the diagonal finite-duration overlap's approach
+    to its long-time form, rel_error = sum_k c_k / M^k, by Laplace's method:
+    c_k = h^(2k)(1) / (k! 4^k h(1)) with h(s) = s / (e^{2 pi q s} - 1)."""
+    with mp.workdps(dps):
+        q = mp.mpf(q)
+
+        def h(s):
+            return s / mp.expm1(2 * mp.pi * q * s)
+
+        return [mp.diff(h, 1, 2 * k) / (mp.factorial(k) * 4**k * h(1)) for k in range(1, orders + 1)]

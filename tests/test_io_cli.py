@@ -1283,11 +1283,12 @@ def test_cli_unwritable_artifact_is_a_config_error(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("t_list", [[0.03, 10.0], [1e-3, 10.0]], ids=["T-0.03", "T-1e-3"])
+@pytest.mark.parametrize("t_list", [[1e-5, 10.0], [1e-8, 10.0]], ids=["T-1e-5", "T-1e-8"])
 def test_cli_oracle_durations_far_below_one_over_omega_stop_before_allocating(tmp_path, t_list):
-    # Far below T = 1/omega the finite-duration grids widen without bound;
-    # the oracle sizes them first and stops at its cap, inside a 3 GB
-    # address space and without a traceback.
+    # Far below T = 1/omega the finite-duration window widens without bound
+    # (8/T orders at omega = z = 1); the oracle counts its nodes first and
+    # stops at its cap, from T = 2.3e-5 down, inside a 3 GB address space
+    # and without a traceback.
     config = _write_config(tmp_path, {"oracle": {"T_list": t_list}})
     src = str(Path(superthermal.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -1308,6 +1309,21 @@ def test_cli_oracle_durations_far_below_one_over_omega_stop_before_allocating(tm
         f"numerical non-convergence: finite-duration overlap at T = {t_list[0]:g} needs more than"
     )
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "T, want", [(0.03, 0.029426126169141886387), (1e-3, 0.031667314571438681669)], ids=["T-0.03", "T-1e-3"]
+)
+def test_cli_oracle_durations_far_below_one_over_omega_converge_under_the_cap(tmp_path, capsys, T, want):
+    # 267 and 8000 orders wide, the windows stay under the cap; the values
+    # are mpmath's whole-line integral (tests/oracles.py finite_t_spectral),
+    # to the CSV's 9 digits (test_overlaps checks them within 1e-12)
+    config = _write_config(tmp_path, {"oracle": {"T_list": [T, 10.0]}})
+    out = tmp_path / "out"
+    assert main(["oracle-validate", "--config", config, "--out", str(out)]) == 0
+    assert f"regime violation: T = {T:g} is below 1/omega" in capsys.readouterr().err
+    row = (out / "convergence.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == csv_float(T) and row[2] == csv_float(want)
 
 
 def _run_cold(tmp_path, code):

@@ -1,7 +1,9 @@
 """Field-state scalar products and their independent quadrature oracles.
 
 Frozen literals come from mpmath (``tests/oracles.py``): closed formulas
-at 40 digits, the k-bar integral at 25 digits.
+and the 1-D boost-frequency integral at 40 digits, the k-bar integral at
+25 digits.  ``FINITE_T_K_ROUTE`` alone holds values of the package's
+former finite-duration route.
 """
 
 import math
@@ -10,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from superthermal import overlaps, specfun
+from superthermal import overlaps
 from superthermal.geometry import Trajectory
 from superthermal.overlaps import (
     OverlapResult,
@@ -46,6 +48,43 @@ KBAR_QUAD_REFERENCE = 0.61463485497864431
 # q^2 F''(q)/(4 F(q)) at q=1 for F(v) = pi v / (e^{2 pi v} - 1): the
 # leading 1/M coefficient of the finite-duration diagonal deviation
 DIAG_DEVIATION_C1 = 6.777599334291417287204
+# its next two coefficients, of 1/M^2 and 1/M^3 (laplace_coefficients)
+DIAG_DEVIATION_C2 = 18.66627994170205278335
+DIAG_DEVIATION_C3 = 17.47665637305891245848
+
+# Values of the former finite-duration route, which integrated
+# K_inu(k z_m) K_inu(k z_n) over k_perp and omega'' (commit e9e8c5f), frozen
+# before the k_perp integral was taken in closed form: diagonal, offset
+# and detuned pairs, T = 2-80, a = 0.5-2.  Every window 1 +- 8/sqrt(2M)
+# stays clear of s = 0, where that route clipped.  Each agrees with
+# mpmath's finite_t_spectral within 2.7e-14 relative.
+# (omega_i, (z, x, y) of n, omega_j, (z, x, y) of m, T, a, value)
+FINITE_T_K_ROUTE = [
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 5.0, 1.0, 0.0017019759992648572),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 20.0, 0.5, 0.006006003997279375),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 80.0, 2.0, 0.02383412083071432),
+    (0.6, (1.0, 0.0, 0.0), 0.6, (1.0, 0.0, 0.0), 10.0, 0.7, 0.02312647861553175),
+    (3.0, (1 / 3, 0.0, 0.0), 3.0, (1 / 3, 0.0, 0.0), 2.0, 1.0, 0.0019613071250129213),
+    (1.4, (0.5, 0.0, 0.0), 0.7, (1.0, 0.4, 0.0), 10.0, 1.0, 0.014707402237211111),
+    (1.4, (0.5, 0.0, 0.0), 0.7, (1.0, 0.9, 0.0), 40.0, 2.0, 0.045184722923230135),
+    (2.0, (1.0, 0.0, 0.0), 1.0, (2.0, 0.4, 0.0), 80.0, 1.0, 3.4384840598882576e-05),
+    (3.0, (1 / 3, 0.0, 0.0), 1.0, (1.0, 0.4, 0.3), 20.0, 0.5, 0.004379711992049854),
+    (2.02, (0.5, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 30.0, 1.0, 0.008588413116366895),
+    (2.1, (0.5, 0.0, 0.0), 1.0, (1.0, 0.3, 0.4), 30.0, 1.5, 0.0010954366705001445),
+    (1.0, (1.0, 0.0, 0.0), 1.1, (1.0, 0.5, 0.0), 10.0, 1.0, 0.0013163704306887259),
+]
+
+# mpmath finite_t_spectral at 40 digits, on the whole boost-frequency
+# line; a = 1.  The first is CI's T_list [1, 20] row, the next two lie far
+# below T = 1/omega.
+# (omega_i, (z, x, y) of n, omega_j, (z, x, y) of m, T, value)
+FINITE_T_SPECTRAL_REFERENCE = [
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 1.0, 0.0027505279878097496226),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 0.03, 0.029426126169141886387),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 1e-3, 0.031667314571438681669),
+    (1.4, (0.5, 0.0, 0.0), 0.7, (1.0, 0.4, 0.0), 0.3, 0.0083931943288652322991),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 3.0, 0.0), 3.0, 0.0002451666387856447511),
+]
 
 
 def test_diag_overlap_reference_values():
@@ -333,41 +372,37 @@ def test_finite_t_oracle_auxiliary_parameter_independence():
 
 
 def test_finite_t_oracle_below_one_over_omega_widens_its_panels():
-    # at T = 0.2 the boost-frequency window spans about 21 orders; three
-    # fixed panels over it miss the target, one per two orders do not
+    # at T = 0.2 the boost-frequency window spans 40 orders (-19 to 21); six
+    # fixed panels over it miss the target by 41 times, one per two orders
+    # do not
     traj = Trajectory(z=1.0)
     _, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 0.2, 1.0)
     assert change < 1e-3 * target
 
 
-@pytest.mark.parametrize("pair", ["diagonal", "off-diagonal"])
-def test_finite_t_oracle_agrees_across_both_k_routes(pair, monkeypatch):
-    # At T = 10 the oracle's 48 and 80 orders lie on [0.6, 1.4], under the
-    # cap, so K below x = 4 comes from the trapezoidal rule; with the cap at
-    # 0 it comes from the series.  Both are accurate to a few eps of K_0
-    # there, and the finite-duration values of the two routes differed by
-    # at most 4e-15 relative over T = 2-80; 1e-13 leaves a margin of 25.
-    # The off-diagonal pair (z = 0.5 and 1) takes K at two argument sets.
-    if pair == "diagonal":
-        args = (1.0, Trajectory(z=1.0), 1.0, Trajectory(z=1.0))
-    else:
-        args = _aligned_pair()
-    bounds = []
-    k_products = overlaps._k_products
+def _branch_pair(omega_i, n, omega_j, m):
+    return omega_i, Trajectory(z=n[0], x_perp=n[1:]), omega_j, Trajectory(z=m[0], x_perp=m[1:])
 
-    def spy(*a):
-        product, err = k_products(*a)
-        bounds.append(err is not None)
-        return product, err
 
-    monkeypatch.setattr(overlaps, "_k_products", spy)
-    rule, rule_change, target = _overlap_finite_t(*args, 10.0, 1.0)
-    assert bounds == [False, False]  # no series, so no bound products
-    monkeypatch.setattr(specfun, "_KTRAP_NU_MAX", 0.0)
-    series, series_change, _ = _overlap_finite_t(*args, 10.0, 1.0)
-    assert bounds[2:] == [True, False]  # the refined pass carries the bound
-    assert rule == pytest.approx(series, rel=1e-13, abs=0.0)
-    assert 0.0 < rule_change < series_change <= target
+@pytest.mark.parametrize("case", FINITE_T_K_ROUTE, ids=lambda c: f"{c[0]:g}-{c[2]:g}-T{c[4]:g}-a{c[5]:g}")
+def test_finite_t_oracle_matches_the_frozen_k_route(case):
+    # The 1-D route takes the k_perp integral in closed form; on the frozen
+    # set it moved no value by more than 6.3e-15 relative.
+    *pair, T, a, want = case
+    args = _branch_pair(*pair)
+    assert 8.0 / math.sqrt(2.0 * overlap_diagnostics(*args, T, a).sharpness) < 1.0
+    assert oracle_overlap_finite_t(*args, T, a) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "case", FINITE_T_SPECTRAL_REFERENCE, ids=lambda c: f"{c[0]:g}-{c[2]:g}-b{c[3][1]:g}-T{c[4]:g}"
+)
+def test_finite_t_oracle_matches_mpmath_on_the_whole_line(case):
+    # No clip at s = 0: on every case the window 1 +- 8/sqrt(2M) reaches
+    # past s = 0, into the counter-rotating Gaussian folded onto
+    # omega'' < 0.  What the window leaves out is below 2e-13 relative here.
+    *pair, T, want = case
+    assert oracle_overlap_finite_t(*_branch_pair(*pair), T) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_finite_t_oracle_scale_freedom():
@@ -419,6 +454,19 @@ def test_convergence_report_structure():
         convergence_report(omega=1.0, z=1.0, a=1.0, T_list=(20.0, 10.0))
     with pytest.raises(ValueError):
         convergence_report(omega=1.0, z=1.0, a=1.0, T_list=())
+
+
+def test_convergence_report_approaches_the_first_order_law():
+    # Laplace's method on the diagonal's 1-D integral gives rel_error =
+    # c1/M + c2/M^2 + c3/M^3 + c4/M^4 + ..., c_k = h^(2k)(1)/(k! 4^k h(1)),
+    # h(s) = s/(e^{2 pi q s} - 1), here at q = 1 (c4 = -34).  So the gap
+    # rel_error M - c1 = c2/M + O(1/M^2) lies above c2/M and, for M >= 200,
+    # below (c2 + c3/200)/M = 18.754/M.
+    report = convergence_report(omega=1.0, z=1.0, a=1.0, T_list=(10.0, 20.0, 40.0, 80.0))
+    bound = DIAG_DEVIATION_C2 + DIAG_DEVIATION_C3 / 200.0
+    for row in report.rows:
+        gap = row.rel_error * row.M - DIAG_DEVIATION_C1
+        assert DIAG_DEVIATION_C2 < gap * row.M <= bound, row.T
 
 
 def test_convergence_report_warns_below_window_floor():
