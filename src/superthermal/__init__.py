@@ -37,7 +37,6 @@ from .detector import (
     PaperExampleResult,
     compare_with_reference,
     joint_state,
-    load_reference_matrix,
     measured_internal,
     neglog_matrix,
     paper_example,
@@ -112,7 +111,6 @@ __all__ = [
     "lambda_axis_xbar",
     "lambda_axis_xi",
     "lambda_overlap",
-    "load_reference_matrix",
     "measured_internal",
     "minkowski_to_rindler",
     "neglog_matrix",

@@ -69,7 +69,6 @@ __all__ = [
     "measured_internal",
     "neglog_matrix",
     "paper_example",
-    "load_reference_matrix",
     "compare_with_reference",
 ]
 
@@ -638,7 +637,7 @@ def paper_example() -> PaperExampleResult:
     )
 
 
-def load_reference_matrix() -> np.ndarray:
+def _load_reference_matrix() -> np.ndarray:
     """Published two-significant-figure magnitude table for the
     three-branch example, as a 12x12 array with NaN for omitted cells."""
     from .io import read_neglog_csv  # io imports this module
@@ -661,7 +660,7 @@ def compare_with_reference(neglog: np.ndarray) -> tuple[bool, list[str]]:
     Blank reference cells must be absent (NaN) in the computed table,
     and vice versa.  Returns (verdict, list of mismatch descriptions).
     """
-    reference = load_reference_matrix()
+    reference = _load_reference_matrix()
     neglog = np.asarray(neglog, dtype=float)
     if neglog.shape != reference.shape:
         return False, [f"shape {neglog.shape} != reference {reference.shape}"]

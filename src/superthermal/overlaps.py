@@ -300,10 +300,10 @@ def _kbar_grid(
     return np.concatenate([k_log, lin_nodes]), np.concatenate([w_log, lin_weights])
 
 
-def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float, bound: bool):
-    """``K_imag`` at both argument sets: the products ``K_a K_b`` per
-    (nu, node) and, if ``bound``, a bound on the error the K series puts
-    into them; else None.
+def _k_products(nu: float, x_a: np.ndarray, x_b: np.ndarray, refine: float, bound: bool):
+    """``K_imag`` of order ``nu`` at both argument sets: the products
+    ``K_a K_b`` per node and, if ``bound``, a bound on the error the K
+    series puts into them; else None.
 
     Two distinct sets (each sorted) go through one call on their merged
     arguments, so the series coefficients are set up once.  The series
@@ -312,7 +312,7 @@ def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float,
     rounding level."""
 
     def k_at(x):
-        err = np.empty((nu.size, x.size)) if bound else None
+        err = np.empty(x.size) if bound else None
         return _k_imag_outer(nu, x, refine, err=err), err
 
     if x_b is x_a:
@@ -326,8 +326,8 @@ def _k_products(nu: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, refine: float,
         x = np.empty(x_a.size + x_b.size)
         x[a], x[b] = x_a, x_b
         k, err = k_at(x)
-        k_a, k_b = k[:, a], k[:, b]
-        err_a, err_b = (None, None) if err is None else (err[:, a], err[:, b])
+        k_a, k_b = k[a], k[b]
+        err_a, err_b = (None, None) if err is None else (err[a], err[b])
     if err_a is None:
         return k_a * k_b, None
     return k_a * k_b, np.abs(k_a) * err_b + err_a * np.abs(k_b) + err_a * err_b
@@ -352,15 +352,15 @@ def _lambda_quadrature_once(
     )
     x_plus = kbar * s_plus
     x_minus = x_plus if s_minus == s_plus else kbar * s_minus
-    product, product_err = _k_products(np.array([q]), x_plus, x_minus, refine, bound)
+    product, product_err = _k_products(float(q), x_plus, x_minus, refine, bound)
     j0 = bessel_j0(np.outer(dxbar, kbar))
     measure = weights * kbar
     prefactor = 2.0 if q == 0.0 else 2.0 * math.sinh(math.pi * q) / (math.pi * q)
     scale = prefactor * math.sqrt(math.cosh(dxi))
-    value = scale * (j0 @ (measure * product[0]))
+    value = scale * (j0 @ (measure * product))
     if product_err is None:
         return value, None
-    return value, scale * (np.abs(j0) @ (measure * product_err[0]))
+    return value, scale * (np.abs(j0) @ (measure * product_err))
 
 
 #: Absolute refinement target of :func:`oracle_lambda_quadrature`.

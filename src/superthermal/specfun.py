@@ -45,14 +45,13 @@ is taken by the trapezoidal rule (Gil, Segura & Temme, ACM TOMS 30,
 (Trefethen & Weideman, SIAM Review 56, 2014).  The sorted arguments are
 taken in bands that grow by at most a factor 4; each band's step comes
 from the strip bound at its largest argument, and its nodes reach where
-the envelope drops below :math:`e^{-x-43}` at its smallest.  With few
-orders each value is summed on its own (Horner's rule for the series,
-numpy's pairwise reduction for the trapezoidal sum), so it does not
-depend on the rest of the batch; many orders share one matmul.  Against
-mpmath the series agrees to about 1e-12 relative, the trapezoidal rule
-to 3e-16 of :math:`e^{-x}`, for orders up to 40.  The package calls it
-one order at a time (the :math:`\Lambda` oracle and :func:`bessel_k_imag`);
-the finite-duration oracle takes its :math:`k_\perp` integral in closed
+the envelope drops below :math:`e^{-x-43}` at its smallest.  The kernel
+takes one order per call, and each value is summed on its own (Horner's
+rule for the series, numpy's pairwise reduction for the trapezoidal
+sum).  Against mpmath the series agrees to about 1e-12 relative, the
+trapezoidal rule to 3e-16 of :math:`e^{-x}`, for orders up to 40.  Its
+callers are the :math:`\Lambda` oracle and :func:`bessel_k_imag`; the
+finite-duration oracle takes its :math:`k_\perp` integral in closed
 form and needs no :math:`K_{i\nu}`.
 """
 
@@ -83,8 +82,7 @@ _KTAIL_DECAY = 43.0
 #: integrand is analytic for |Im t| < pi/2); 1e-3 is the best d for x ~ 9e7.
 _KSTRIP_D = np.geomspace(1e-3, 1.55, 64)
 
-#: Most arguments in one band of ``_k_imag_outer`` above ``_KSERIES_X``,
-#: and in one chunk of the power series below it.
+#: Most arguments in one band of ``_k_imag_outer`` above ``_KSERIES_X``.
 _KCHUNK = 2048
 
 #: Crossover from the power series to the quadrature.  The series sums
@@ -133,26 +131,9 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _power_sums(coeffs: np.ndarray, y: np.ndarray, horner: bool) -> np.ndarray:
-    """``sum_k coeffs[:, k] * y**k`` for every row of ``coeffs`` and every y.
-
-    Horner's rule makes each value independent of the other y; the matmul
-    against the powers of y serves many rows at once.
-    """
-    if not horner:
-        return coeffs @ (y[None, :] ** np.arange(coeffs.shape[1])[:, None])
-    acc = np.zeros((coeffs.shape[0], y.size))
-    with np.errstate(under="ignore"):
-        for k in range(coeffs.shape[1] - 1, -1, -1):
-            acc *= y
-            acc += coeffs[:, k, None]
-    return acc
-
-
-def _k_series(nu: np.ndarray, x: np.ndarray, err: np.ndarray | None) -> np.ndarray:
-    r"""``K_imag`` on ``nu[:, None] x [None, :]`` from the power series, for
-    ``0 < x <= _KSERIES_X``; ``err``, if given, receives a bound on each
-    value's error.
+def _k_series(nu: float, x: np.ndarray, err: np.ndarray | None) -> np.ndarray:
+    r"""``K_imag`` of order ``nu`` at each ``0 < x <= _KSERIES_X`` from the
+    power series; ``err``, if given, receives a bound on each value's error.
 
     With :math:`y = x^2/4`, :math:`L = \log(x/2)` and
     :math:`\phi_k = \arg\Gamma(k+1+i\nu)`,
@@ -164,7 +145,8 @@ def _k_series(nu: np.ndarray, x: np.ndarray, err: np.ndarray | None) -> np.ndarr
 
     summed as :math:`\cos(\nu L)\,Q - L\operatorname{sinc}(\nu L)\,P`
     with :math:`P = \sum_k m_k\cos\phi_k\,y^k` and
-    :math:`Q = \sum_k m_k (\sin\phi_k/\nu)\,y^k`.  Every factor stays
+    :math:`Q = \sum_k m_k (\sin\phi_k/\nu)\,y^k`, each by Horner's rule,
+    so that every value is summed on its own.  Every factor stays
     finite as :math:`\nu \to 0`, where :math:`\phi_k/\nu \to
     \psi(k+1)` gives the :math:`K_0` series, and :math:`m_k` is formed in
     log form, so no order overflows.
@@ -180,45 +162,41 @@ def _k_series(nu: np.ndarray, x: np.ndarray, err: np.ndarray | None) -> np.ndarr
 
     n = _KSERIES_TERMS
     k = np.arange(n + 1, dtype=float)
-    log_gamma = loggamma(k + 1.0 + 1j * nu[:, None])
+    log_gamma = loggamma(k + 1.0 + 1j * nu)
     phi = log_gamma.imag
-    small = nu < _KSERIES_NU_SMALL
-    phi_over_nu = np.where(small[:, None], digamma(k + 1.0), phi / np.where(small, 1.0, nu)[:, None])
+    phi_over_nu = digamma(k + 1.0) if nu < _KSERIES_NU_SMALL else phi / nu
     # log(pi nu / sinh(pi nu)), 0 at nu = 0
-    a = math.pi * np.where(nu > 0.0, nu, 1.0)
-    log_ratio = np.where(nu > 0.0, np.log(2.0 * a) - a - np.log(-np.expm1(-2.0 * a)), 0.0)
-    log_mag = log_ratio[:, None] - gammaln(k + 1.0) - log_gamma.real
+    a = math.pi * nu
+    log_ratio = np.log(2.0 * a) - a - np.log(-np.expm1(-2.0 * a)) if nu > 0.0 else 0.0
+    log_mag = log_ratio - gammaln(k + 1.0) - log_gamma.real
     with np.errstate(under="ignore"):
         mag = np.exp(log_mag)
     rows = [mag * np.cos(phi), mag * phi_over_nu * np.sinc(phi / math.pi)]
     if err is not None:
         weight = mag * (2.0 * n + np.abs(log_mag) + np.abs(phi))
         rows += [weight, weight * np.abs(phi_over_nu)]
-        inv_nu = np.full((nu.size, 1), np.inf)
-        np.divide(1.0, nu[:, None], out=inv_nu, where=nu[:, None] > 0.0)
-    coeffs = np.concatenate([r[:, :n] for r in rows])
-    m = nu.size
-    out = np.empty((m, x.size))
-    # Columns in chunks, so that the temporaries stay small for many orders.
-    for cols in (slice(i, i + _KCHUNK) for i in range(0, x.size, _KCHUNK)):
-        y = 0.25 * x[cols] ** 2
-        sums = _power_sums(coeffs, y, horner=m <= 4)
-        log_half = np.log(0.5 * x[cols])
-        nu_l = np.outer(nu, log_half)
-        out[:, cols] = np.cos(nu_l) * sums[m:2 * m] - log_half * np.sinc(nu_l / math.pi) * sums[:m]
-        if err is not None:
-            abs_l = np.abs(log_half)
-            with np.errstate(under="ignore"):
-                tail = mag[:, n, None] * y**n * np.minimum(abs_l + np.abs(phi_over_nu[:, n, None]), inv_nu)
-            size = np.minimum(abs_l * sums[2 * m:3 * m] + sums[3 * m:], sums[2 * m:3 * m] * inv_nu)
-            err[:, cols] = 2.0 * tail + _EPS * (1.0 + np.abs(nu_l) / (2.0 * n)) * size
+        inv_nu = 1.0 / nu if nu > 0.0 else math.inf
+    coeffs = np.stack(rows)
+    y = 0.25 * x**2
+    sums = np.zeros((len(rows), x.size))
+    with np.errstate(under="ignore"):
+        for j in range(n - 1, -1, -1):
+            sums *= y
+            sums += coeffs[:, j, None]
+    log_half = np.log(0.5 * x)
+    nu_l = nu * log_half
+    out = np.cos(nu_l) * sums[1] - log_half * np.sinc(nu_l / math.pi) * sums[0]
+    if err is not None:
+        abs_l = np.abs(log_half)
+        with np.errstate(under="ignore"):
+            tail = mag[n] * y**n * np.minimum(abs_l + np.abs(phi_over_nu[n]), inv_nu)
+        size = np.minimum(abs_l * sums[2] + sums[3], sums[2] * inv_nu)
+        err[:] = 2.0 * tail + _EPS * (1.0 + np.abs(nu_l) / (2.0 * n)) * size
     return out
 
 
-def _k_imag_outer(
-    nu: np.ndarray, x: np.ndarray, refine: float = 1.0, err: np.ndarray | None = None
-) -> np.ndarray:
-    r"""``K_imag`` on the grid ``nu[:, None] x [None, :]``; ``x`` sorted ascending.
+def _k_imag_outer(nu: float, x: np.ndarray, refine: float = 1.0, err: np.ndarray | None = None) -> np.ndarray:
+    r"""``K_imag`` of order ``nu`` at each ``x``; ``x`` sorted ascending.
 
     The ``x <= _KSERIES_X`` are summed from the power series
     (:func:`_k_series`), which ``refine`` does not change, and ``err`` (of
@@ -237,45 +215,37 @@ def _k_imag_outer(
     :math:`e^{\nu d + x(1 - \cos d) - 2\pi d/h}` (times
     :math:`K_0(x\cos d) \approx \log(2/x)` where x is small).  The step is
     the largest that keeps this below :math:`e^{-43}` (``_KTAIL_DECAY``) at
-    some ``d`` of ``_KSTRIP_D``, for the band's largest x and the largest
-    order, divided by ``refine``; so a refined step moves the result by
-    rounding only.
+    some ``d`` of ``_KSTRIP_D``, for the band's largest x, divided by
+    ``refine``; so a refined step moves the result by rounding only.
 
     For large :math:`\nu` the oscillatory integrand cancels down to a result
     of order :math:`e^{-\pi\nu/2}`, so the reduction over t must not lose
-    absolute accuracy: with few orders each row of the (x, t) envelope is
-    summed along its contiguous t axis by numpy's pairwise reduction (error
-    growth ~ log of the node count); many orders go through one BLAS matmul
-    per band.
+    absolute accuracy: each row of the (x, t) envelope is summed along its
+    contiguous t axis by numpy's pairwise reduction (error growth ~ log of
+    the node count).
     """
-    out = np.empty((nu.size, x.size))
+    out = np.empty(x.size)
     split = int(np.searchsorted(x, _KSERIES_X, side="right"))
     if split:
-        out[:, :split] = _k_series(nu, x[:split], None if err is None else err[:, :split])
+        out[:split] = _k_series(nu, x[:split], None if err is None else err[:split])
     if err is not None:
-        err[:, split:] = 0.0
+        err[split:] = 0.0
     d, versine = _KSTRIP_D, 1.0 - np.cos(_KSTRIP_D)
-    nu_max = float(nu.max()) if nu.size else 0.0
     start = split
     while start < x.size:
         stop = min(start + _KCHUNK, int(np.searchsorted(x, 4.0 * x[start], side="right")))
         cols = slice(start, stop)
         x_min = float(x[start])
         # the largest h with nu d + x (1 - cos d) - 2 pi d/h <= -_KTAIL_DECAY at some d
-        h = 2.0 * math.pi * float(np.max(d / (_KTAIL_DECAY + nu_max * d + x[stop - 1] * versine))) / refine
+        h = 2.0 * math.pi * float(np.max(d / (_KTAIL_DECAY + nu * d + x[stop - 1] * versine))) / refine
         t = h * np.arange(math.ceil(math.acosh(1.0 + _KTAIL_DECAY / x_min) / h) + 1)
-        coeff = h * np.cos(np.outer(nu, t))
-        coeff[:, 0] *= 0.5
+        coeff = h * np.cos(nu * t)
+        coeff[0] *= 0.5
         # e^{-x cosh t} = e^{-x} e^{-2x sinh^2(t/2)}: small exponents where the terms are large
         versine_t = 2.0 * np.sinh(0.5 * t) ** 2
         with np.errstate(under="ignore"):
             env = np.exp(-np.outer(x[cols], versine_t))
-            if nu.size <= 4:
-                for i in range(nu.size):
-                    out[i, cols] = np.sum(env * coeff[i], axis=1)
-            else:
-                out[:, cols] = (env @ coeff.T).T
-            out[:, cols] *= np.exp(-x[cols])
+            out[cols] = np.sum(env * coeff, axis=1) * np.exp(-x[cols])
         start = stop
     return out
 
@@ -316,8 +286,7 @@ def bessel_k_imag(nu, x):
         sel = np.nonzero(inverse == k)[0]
         xs = x_flat[sel]
         order = np.argsort(xs)
-        vals = _k_imag_outer(np.array([nu_val]), xs[order])[0]
-        out[sel[order]] = vals
+        out[sel[order]] = _k_imag_outer(float(nu_val), xs[order])
     return _scalar_or_array(out.reshape(shape), nu, x)
 
 

@@ -16,9 +16,9 @@ from superthermal.detector import (
     BlockDensity,
     DetectorSpec,
     MeasurementBasisVector,
+    _load_reference_matrix,
     compare_with_reference,
     joint_state,
-    load_reference_matrix,
     measured_internal,
     neglog_matrix,
     paper_example,
@@ -462,7 +462,7 @@ def test_paper_example_structure():
 
 
 def test_reference_matrix_presence_pattern():
-    reference = load_reference_matrix()
+    reference = _load_reference_matrix()
     assert reference.shape == (12, 12)
     present = ~np.isnan(reference)
     assert present.sum() == 40

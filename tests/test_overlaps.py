@@ -326,7 +326,6 @@ def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, refine,
     kbar = np.geomspace(1e-7, 40.0, 700)
     s_plus, s_minus = math.sqrt(0.5 * (math.exp(3.0) + 1.0)), math.sqrt(0.5 * (math.exp(-3.0) + 1.0))
     x_a, x_b = kbar * s_plus, kbar * s_minus
-    nu = np.array([q])
     calls = []
     k_imag_outer = overlaps._k_imag_outer
 
@@ -335,12 +334,12 @@ def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, refine,
         return k_imag_outer(*args, **kwargs)
 
     monkeypatch.setattr(overlaps, "_k_imag_outer", spy)
-    product, product_err = overlaps._k_products(nu, x_a, x_b, refine, True)
+    product, product_err = overlaps._k_products(q, x_a, x_b, refine, True)
     assert calls == [x_a.size + x_b.size]
 
-    err_a, err_b = np.empty((1, x_a.size)), np.empty((1, x_b.size))
-    k_a = k_imag_outer(nu, x_a, refine, err=err_a)
-    k_b = k_imag_outer(nu, x_b, refine, err=err_b)
+    err_a, err_b = np.empty(x_a.size), np.empty(x_b.size)
+    k_a = k_imag_outer(q, x_a, refine, err=err_a)
+    k_b = k_imag_outer(q, x_b, refine, err=err_b)
     # bounds on how far the merged K values may move: 0 up to x = 4, so
     # there products and bounds must agree bit for bit
     move_a = np.where(x_a > 4.0, 6e-16 * np.exp(-x_a), 0.0)
