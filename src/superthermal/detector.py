@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -221,8 +222,10 @@ class BlockDensity:
     a state has no ``factors``.  Either entrance checks the
     state once, where its entries are made: each shell for Hermiticity
     against the largest entry of the whole sector, ``max_entry``, and for
-    positive semidefiniteness against its whole trace; a given ground
-    block gets the same finiteness and Hermiticity check.
+    positive semidefiniteness against its whole trace, by a Cholesky
+    factorisation of the shells shifted up by that tolerance, with
+    ``eigvalsh`` deciding where it fails; a given ground block gets the
+    same finiteness and Hermiticity check.
     :meth:`to_absolute` only rescales.
 
     ``scale`` is either ``"per_eps2T"`` (the default symbolic
@@ -352,13 +355,23 @@ def _hermitian_peak(stacks, name: str) -> float:
 def _validate_groups(groups) -> float:
     """Hermiticity and positive semidefiniteness of every shell, with the
     tolerances scaled by the whole excited sector; returns its largest
-    entry magnitude."""
+    entry magnitude.  A stack of shells passes when ``blocks + s I``, s =
+    1e-10 x trace, has a Cholesky factorisation: no eigenvalue lies below
+    -s.  ``eigvalsh`` decides a stack where that fails, or where s is not a
+    normal double and so cannot shift a subnormal entry."""
     peak = _hermitian_peak([b for _, b in groups], "excited_block")
     trace = sum(float(np.trace(b, axis1=1, axis2=2).real.sum()) for _, b in groups)
+    bound = _PSD_TOL * max(trace, 0.0)
     for members, blocks in groups:
+        if sys.float_info.min <= bound <= sys.float_info.max:
+            try:
+                np.linalg.cholesky(blocks + bound * np.eye(blocks.shape[1]))
+                continue
+            except np.linalg.LinAlgError:
+                pass
         lowest = np.linalg.eigvalsh(blocks)[:, 0]
         worst = int(np.argmin(lowest))
-        if float(lowest[worst]) < -_PSD_TOL * max(trace, 0.0):
+        if float(lowest[worst]) < -bound:
             raise NonPSDShellError(
                 f"excited_block is not positive semidefinite: min eigenvalue "
                 f"{float(lowest[worst]):.3e} against trace {trace:.3e}",
@@ -479,14 +492,16 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     counts = stops - np.arange(q.size) - 1
     first = np.repeat(np.arange(q.size), counts)
     second = np.arange(first.size) + np.repeat(stops - np.cumsum(counts), counts)
-    row, col = np.sort(by_q[np.stack([first, second])], axis=0)
+    first, second = by_q[first], by_q[second]
+    row, col = np.minimum(first, second), np.maximum(first, second)
     aligned = coherence_condition(
         omegas[level[col]], heights[branch[col]], omegas[level[row]], heights[branch[row]], tol
     )
     keep = (branch[row] != branch[col]) & aligned
-    row, col = row[keep], col[keep]
-    order = np.lexsort((col, row))
-    pairs = np.stack([row[order], col[order]], axis=1)
+    # Each pair has its own key row * dim + col, so one sort of the keys
+    # orders the pairs by lower, then upper index.
+    keys = np.sort(row[keep] * q.size + col[keep])
+    pairs = np.stack(np.divmod(keys, q.size), axis=1)
     m, n = branch[pairs[:, 0]], branch[pairs[:, 1]]
     # Separations depend on the branch pair alone: one scalar call each.
     codes, inverse = np.unique(m * n_traj + n, return_inverse=True)

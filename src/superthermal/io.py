@@ -29,12 +29,13 @@ Every writer emits keys in a fixed order with ``\\n`` line endings, so
 identical inputs produce byte-identical files.
 
 Numbers become text in a few C-level passes per artifact, not one call
-per number.  :func:`format_json` gathers the floats of the object in
-document order, checks them and picks each one's %-format in one
-float64 array pass, then writes each rectangular nest of floats (a pair
-matrix, a float list) or of ints (a list of index pairs) with one ``%``
-pass over a template of its innermost lists, and one layout pass per
-level above them.  The CSV writers fill one %-template per file.
+per number.  :func:`format_json` checks the floats and picks their
+%-formats in one float64 pass over each float array's buffer and one
+over the other floats, in document order.  Float zeros are the literals
+``0.0`` and ``-0.0``; the other numbers of each rectangular nest (a pair
+matrix, a float list, a list of index pairs) go through one ``%`` pass
+over a template of its innermost lists, then one layout pass per level
+above them.  The CSV writers fill one %-template per file.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ __all__ = [
 _JSON_FLOAT = "%.17g"
 _JOINT_STATE_FORMAT = "joint_state/3"
 _CSV_FLOAT = "%.9g"
-# Each number's %-format is picked by a flag.  JSON appends ".0" where
+# Each number's %-format is picked by a code.  JSON appends ".0" where
 # %.17g prints neither "." nor "e" (an integral value below 1e17 in
-# magnitude), so parsers return a float and keep the sign of zero.  A
-# blank CSV cell is "%.0s", which consumes its NaN and prints nothing.
-_JSON_FORMATS = (_JSON_FLOAT, _JSON_FLOAT + ".0")
+# magnitude), so parsers return a float; a zero is a literal, which
+# consumes no value.  A blank CSV cell, "%.0s", consumes its NaN.
+_JSON_FORMATS = (_JSON_FLOAT, _JSON_FLOAT + ".0", "0.0", "-0.0")
 _CSV_FORMATS = (_CSV_FLOAT, "%.0s")
 # A CSV cell's format, picked by whether it is text.
 _CELL_FORMATS = (_CSV_FLOAT, "%s")
@@ -88,17 +89,20 @@ _CELL_FORMATS = (_CSV_FLOAT, "%s")
 _INLINE_WIDTH = 24
 
 
-def _json_formats(values: list[float]) -> Iterator[str]:
+def _json_formats(values: list[float] | np.ndarray) -> Iterator[str]:
     """The %-format of each JSON float, from one float64 array; every
     value must be finite."""
-    array = np.array(values, dtype=float)
+    array = np.asarray(values, dtype=float)
     finite = np.isfinite(array)
     if not finite.all():
         raise ValueError(f"JSON output requires finite numbers, got {float(array[~finite][0])}")
     point = np.trunc(array) == array
     point &= np.abs(array) < 1e17
-    # One byte (0 or 1) per value picks its format.
-    return map(_JSON_FORMATS.__getitem__, point.tobytes())
+    zero = array == 0.0
+    # One byte per value picks its format: 0 or 1 for a nonzero value,
+    # 2 or 3 (by the sign bit) for a zero.
+    codes = point.view(np.uint8) + zero + (zero & np.signbit(array))
+    return map(_JSON_FORMATS.__getitem__, codes.tobytes())
 
 
 def _csv_formats(values: list[Any], blank_nan: bool = False) -> list[str]:
@@ -140,14 +144,14 @@ def _number_nest(obj: list) -> tuple[list[Any], tuple[int, ...], type] | None:
 
 
 def _skeleton(obj: Any, leaves: list[float]) -> Any:
-    """``obj`` with its text decided except for the floats, which are
-    appended to ``leaves`` in document order.  A float or a float nest
-    becomes ``(shape, obj)``, an integer nest ``(shape, obj, "%d")``, a
-    mapping a dict of quoted keys, a sequence a list and any other value
-    its JSON text."""
+    """``obj`` with its text decided except for the numbers: each number or
+    number nest is ``(shape, values, formats)``, ``values`` being what
+    ``%`` consumes (float zeros are literals) and ``formats`` its own, or
+    None for floats appended to ``leaves`` in document order.  A mapping
+    becomes a dict of quoted keys, a sequence a list, else its JSON text."""
     if isinstance(obj, (float, np.floating)):
         leaves.append(obj)
-        return (), obj
+        return (), (obj,) if obj else (), None
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, bool):
@@ -160,12 +164,16 @@ def _skeleton(obj: Any, leaves: list[float]) -> Any:
         nest = _number_nest(obj)
         if nest is None:
             return [_skeleton(val, leaves) for val in obj]
-        if nest[2] is int:
-            return nest[1], obj, "%d"
-        leaves.extend(nest[0])
-        return nest[1], obj
+        flat, shape, kind = nest
+        if kind is int:
+            return shape, flat, repeat("%d")
+        leaves.extend(flat)
+        return shape, filter(None, flat), None
     if isinstance(obj, np.ndarray):
-        return _skeleton(obj.tolist(), leaves)
+        if obj.dtype.kind != "f" or not obj.ndim or not obj.size:
+            return _skeleton(obj.tolist(), leaves)
+        flat = obj.ravel()
+        return obj.shape, flat[flat != 0.0].tolist(), _json_formats(flat)
     if isinstance(obj, Mapping):
         return {encode_basestring_ascii(str(key)): _skeleton(val, leaves) for key, val in obj.items()}
     if isinstance(obj, (complex, np.complexfloating)):
@@ -191,15 +199,15 @@ def _lists(items: list[str], width: int, indent: int) -> list[str]:
     return lists
 
 
-def _render_nest(shape: tuple[int, ...], nest: Any, indent: int, formats: Iterator[str]) -> str:
-    """The JSON text of a number nest: one ``%`` pass writes its innermost
-    lists, then :func:`_lists` lays out each level above them."""
-    for _ in shape[1:]:
-        nest = chain.from_iterable(nest)
+def _render_nest(shape: tuple[int, ...], values: Any, indent: int, formats: Iterator[str]) -> str:
+    """The JSON text of a number or number nest: one ``%`` pass writes its
+    innermost lists, then :func:`_lists` lays out each level above them."""
+    if not shape:
+        return next(formats) % tuple(values)
     # A float's text is at most 24 characters (sign, 17 digits, point and
     # exponent), so every innermost list fits on one line.
     rows = map(", ".join, zip(*[islice(formats, math.prod(shape))] * shape[-1]))
-    items = (("[" + "]\0[".join(rows) + "]") % tuple(nest)).split("\0")
+    items = (("[" + "]\0[".join(rows) + "]") % tuple(values)).split("\0")
     for level in reversed(range(len(shape) - 1)):
         items = _lists(items, shape[level], indent + level)
     return items[0]
@@ -211,12 +219,8 @@ def _render(node: Any, indent: int, formats: Iterator[str]) -> str:
     if isinstance(node, str):
         return node
     if isinstance(node, tuple):
-        shape, nest, *integer = node
-        if integer:
-            return _render_nest(shape, nest, indent, repeat(integer[0]))
-        if not shape:
-            return next(formats) % nest
-        return _render_nest(shape, nest, indent, formats)
+        shape, values, own = node
+        return _render_nest(shape, values, indent, formats if own is None else own)
     if not node:
         return "{}" if isinstance(node, dict) else "[]"
     if isinstance(node, dict):
@@ -237,15 +241,16 @@ def format_json(obj: Any, indent: int = 0) -> str:
     24 characters long and has no newline, else one element per line.
 
     The floats of ``obj`` are checked (finite, else ``ValueError``) in one
-    array pass, and each rectangular nest of floats, such as a ``[re, im]``
-    pair matrix, or of ints is written by one ``%`` pass and one layout
-    pass per level above its innermost lists, not by one call per number.
+    pass per float array and one for the rest.  Each rectangular nest of
+    floats (a ``[re, im]`` pair matrix) or ints is written by one ``%`` pass
+    and one layout pass per level above its innermost lists, not by one
+    call per number, and a float zero as a literal.
     """
     leaves: list[float] = []
     tree = _skeleton(obj, leaves)
     formats = _json_formats(leaves)
-    # Each nest gives its floats again when it is written, so the
-    # artifact's flat copy is freed before any text is built.
+    # Each nest keeps its own values, so the artifact's flat copy is freed
+    # before any text is built.
     del leaves
     return _render(tree, indent, formats)
 
@@ -545,7 +550,8 @@ def measured_to_dict(
     """Build the JSON object for a post-measurement internal matrix.
 
     The ``(0,0)`` cell is the ground coefficient; it is stored as a 1x1
-    ``ground_block`` so the schema matches the joint-state files.
+    ``ground_block`` so the schema matches the joint-state files.  Both
+    blocks are float views of their ``[re, im]`` pairs.
     """
     matrix = np.asarray(matrix, dtype=complex)
     levels = [float(w) for w in frequencies]
@@ -555,13 +561,14 @@ def measured_to_dict(
             f"measured matrix must be {(n + 1, n + 1)} including the ground row, "
             f"got {matrix.shape}"
         )
+    pairs = np.ascontiguousarray(matrix).view(np.float64).reshape(n + 1, n + 1, 2)
     return {
         "scale": scale,
         "levels": levels,
         "trajectories": _trajectory_entries(traj_set),
         "measurement": [complex_pair(b) for b in basis_amplitudes],
-        "ground_block": matrix_to_pairs(matrix[:1, :1]),
-        "excited_block": matrix_to_pairs(matrix[1:, 1:]),
+        "ground_block": pairs[:1, :1],
+        "excited_block": pairs[1:, 1:],
     }
 
 

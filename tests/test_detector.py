@@ -7,16 +7,21 @@ branch pairs at 40 digits).
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superthermal.detector import (
     BlockDensity,
     DetectorSpec,
     MeasurementBasisVector,
+    NonPSDShellError,
     _load_reference_matrix,
+    _validate_groups,
     compare_with_reference,
     joint_state,
     measured_internal,
@@ -330,6 +335,72 @@ def test_block_density_rejects_non_hermitian_and_non_psd():
         BlockDensity(ground_block=good.ground_block, excited_block=good.excited_block[:-1])
     with pytest.raises(ValueError, match="excited sector must span"):
         BlockDensity(ground_block=good.ground_block, excited_block=good.excited_block[:-1, :-1])
+
+
+@st.composite
+def _shifted_gram_groups(draw):
+    """Shell stacks that are Gram matrices, PSD by construction: of rank
+    below their size (smallest eigenvalue 0) or lifted by 1/2 I.  Chosen
+    stacks are then shifted by -c I, with c at most half or at least twice
+    the tolerance 1e-10 x trace of the shifted sector, and every entry is
+    scaled down by a factor that can make that tolerance subnormal or 0."""
+    stacks, start = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        count, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        rank = draw(st.integers(0, k - 1))
+        parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * count * k * rank, max_size=2 * count * k * rank))
+        vectors = np.array(parts).view(complex).reshape(count, k, rank)
+        gram = vectors @ vectors.conj().transpose(0, 2, 1)
+        gram = (gram + gram.conj().transpose(0, 2, 1)) / 2.0 + draw(st.sampled_from((0.0, 0.5))) * np.eye(k)
+        members = np.arange(start, start + count * k).reshape(count, k)
+        stacks.append((members, gram, draw(st.booleans())))
+        start += count * k
+    ratio = draw(st.one_of(st.sampled_from((0.5, 2.0)), st.floats(0.0, 0.5), st.floats(2.0, 1e4)))
+    scale = draw(st.sampled_from((1.0, 1e-290, 1e-300, 1e-312, 1e-318)))
+    trace = sum(float(np.trace(g, axis1=1, axis2=2).real.sum()) for _, g, _ in stacks)
+    shifted = sum(g.shape[0] * g.shape[1] for _, g, shift in stacks if shift)
+    # c = ratio x 1e-10 x (trace - c x shifted size), solved for c
+    c = ratio * 1e-10 * trace / (1.0 + ratio * 1e-10 * shifted)
+    return [(members, scale * (g - shift * c * np.eye(g.shape[1]))) for members, g, shift in stacks]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(groups=_shifted_gram_groups())
+def test_shell_check_agrees_with_eigvalsh(groups):
+    trace = sum(float(np.trace(b, axis1=1, axis2=2).real.sum()) for _, b in groups)
+    tolerance = 1e-10 * max(trace, 0.0)
+    lowest = [np.linalg.eigvalsh(b)[:, 0] for _, b in groups]
+    failing = [g for g, low in enumerate(lowest) if low.min() < -tolerance]
+    checked = failing[0] + 1 if failing else len(groups)
+    calls = {"cholesky": 0, "eigvalsh": 0}
+
+    def counted(name, real):
+        def call(a):
+            calls[name] += 1
+            return real(a)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        if failing:
+            with pytest.raises(NonPSDShellError) as info:
+                _validate_groups(groups)
+        else:
+            assert _validate_groups(groups) == max(float(np.max(np.abs(b))) for _, b in groups)
+    if failing:
+        # the message and the shell it names are eigvalsh's
+        low = lowest[failing[0]]
+        assert f"min eigenvalue {low.min():.3e} against trace {trace:.3e}" in str(info.value)
+        assert np.array_equal(info.value.members, groups[failing[0]][0][np.argmin(low)])
+    if sys.float_info.min <= tolerance:
+        # a stack that passes by a margin passes its Cholesky test, and only
+        # the failing one goes on to eigvalsh
+        assert calls == {"cholesky": checked, "eigvalsh": int(bool(failing))}
+    else:
+        # a subnormal or zero shift cannot move a subnormal entry: every
+        # stack goes to eigvalsh
+        assert calls == {"cholesky": 0, "eigvalsh": checked}
 
 
 def test_block_density_dense_input_gives_the_same_shells():

@@ -251,6 +251,37 @@ def test_format_json_matches_the_reference_renderer(matrix, values):
     assert repr(json.loads(text)) == repr(obj)
 
 
+# the largest subnormal, and two deeper ones
+_ARRAY_FLOATS = st.one_of(_FLOATS, st.sampled_from((2.2250738585072009e-308, -1e-310, 1e-320)))
+
+
+@st.composite
+def _float_arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    values = draw(st.lists(_ARRAY_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values).reshape(shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(array=_float_arrays())
+@example(array=np.zeros((2, 3)))
+@example(array=np.full((1, 2, 2), -0.0))
+@example(array=np.array([[99999999999999984.0, 1e17, -99999999999999984.0, -1e17, 5e-324, -0.0]]))
+def test_format_json_writes_a_float_array_as_its_list(array):
+    assert format_json(array) == format_json(array.tolist()) == _reference_json(array.tolist())
+    # a strided view, and an array nested beside other floats
+    assert format_json(array.T) == format_json(array.T.tolist())
+    obj = {"x": -0.0, "array": array, "y": [0.5, 0.0], "z": [array, 0.0]}
+    assert format_json(obj) == format_json({**obj, "array": array.tolist(), "z": [array.tolist(), 0.0]})
+
+
+def test_format_json_writes_integer_zeros_as_integers():
+    # the literals 0.0 and -0.0 stand only for float zeros
+    assert format_json({"pairs": [[0, 1], [0, 2]]}) == '{\n  "pairs": [[0, 1], [0, 2]]\n}'
+    assert format_json(np.array([[0, 1], [0, 2]])) == "[[0, 1], [0, 2]]"
+    assert format_json([0, 0.0, -0.0, [0, 0], [0.0, -0.0]]) == "[0, 0.0, -0.0, [0, 0], [0.0, -0.0]]"
+
+
 _CSV_CELLS = st.one_of(_FLOATS, st.just(math.inf), st.integers(-(10**6), 10**6), st.text("ab%_ ", max_size=3))
 
 

@@ -7,7 +7,9 @@ every aligned pair within a quarter of the tolerance on each side.  The
 expected reduced populations are assembled in mpmath from the Planck
 mixture, and the expected excited block entry by entry in plain floats
 (``oracles.joint_state_dense``), independently of the package.  Each
-state also round-trips through its ``joint_state/3`` text.
+state also round-trips through its ``joint_state/3`` text.  The aligned
+pairs are also enumerated one by one on systems whose products straddle
+the tolerance.
 """
 
 import itertools
@@ -16,10 +18,12 @@ import math
 
 import mpmath as mp
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import joint_state_dense
 
+from superthermal import detector
 from superthermal.detector import (
     DetectorSpec,
     MeasurementBasisVector,
@@ -27,7 +31,7 @@ from superthermal.detector import (
     measured_internal,
     reduced_internal,
 )
-from superthermal.geometry import Trajectory, TrajectorySet
+from superthermal.geometry import Trajectory, TrajectorySet, coherence_condition
 from superthermal.io import block_density_from_dict, block_density_to_dict, format_json
 
 _HEIGHT_STEPS = (0.5, 1.0, 1.5, 2.0)
@@ -169,3 +173,55 @@ def test_joint_state_is_physical_and_reduces_to_planck_mixture(system):
     measured = measured_internal(rho, basis)[1:, 1:]
     want = np.einsum("m,jmin,n->ji", b.conj(), blocks, b)
     assert np.max(np.abs(measured - want)) <= 1e-15 * scale
+
+
+@st.composite
+def near_aligned_systems(draw):
+    """Lattice systems whose heights are jittered by up to 2.5 tol / q_max
+    relative, or not at all, so that aligned products tie exactly or
+    differ by up to about 5 tol: across the alignment test's edge and the
+    pair search's window of 2 tol.  At tol = 0.05 two levels of one branch
+    can align too."""
+    q_max = draw(st.floats(0.5, 200.0))
+    tol = draw(st.sampled_from((1e-9, 1e-6, 1e-3, 0.05)))
+    f0 = draw(st.floats(0.1, 10.0))
+    z0 = q_max / (_MAX_LEVEL_STEP * _HEIGHT_STEPS[-1] * f0)
+    steps = draw(st.lists(st.integers(1, _MAX_LEVEL_STEP), min_size=1, max_size=8, unique=True))
+    jitter = st.one_of(st.just(0.0), st.floats(-2.5, 2.5).map(lambda d: d * tol / q_max))
+    positions = {
+        (draw(st.sampled_from(_HEIGHT_STEPS)) * z0 * (1.0 + draw(jitter)), draw(st.sampled_from((0.0, 0.3))))
+        for _ in range(draw(st.integers(1, 5)))
+    }
+    return DetectorSpec(frequencies=tuple(sorted(k * f0 for k in steps))), _branches(positions), tol
+
+
+def _branches(positions):
+    amp = 1.0 / math.sqrt(len(positions))
+    return TrajectorySet(Trajectory(z=z, x_perp=(x, 0.0), amplitude=amp) for z, x in sorted(positions))
+
+
+# heights 1, 1 (a tie), 1.15 (1.5 tol off) and 1.25 and 1.35 (tol apart,
+# to rounding), and two levels that align on each branch
+@example(system=(
+    DetectorSpec(frequencies=(1.0, 1.05)),
+    _branches({(1.0, 0.0), (1.0, 0.3), (1.15, 0.0), (1.25, 0.0), (1.35, 0.0)}),
+    0.1,
+))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(system=near_aligned_systems())
+def test_pair_search_matches_brute_force_enumeration(system):
+    det, trajectories, tol = system
+    n_br = len(trajectories)
+    composites = [(omega, t.z) for omega in det.frequencies for t in trajectories]
+    brute = [
+        [a, b]
+        for a, (omega_j, z_m) in enumerate(composites)
+        for b, (omega_i, z_n) in enumerate(composites)
+        if a < b and a % n_br != b % n_br and coherence_condition(omega_i, z_n, omega_j, z_m, tol)
+    ]
+    # The factors of the pair search, before the shells are assembled and
+    # checked: a non-transitive alignment chain has pairs too.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detector, "assemble_state", lambda factors: factors)
+        factors = joint_state(det, trajectories, tol)
+    assert factors.pairs.tolist() == brute
