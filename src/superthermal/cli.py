@@ -324,7 +324,7 @@ def cmd_state(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
         ("reduced_internal.json", write_json, {
             "scale": _scale_field(emitted.scale, emitted.epsilon, emitted.T),
             "levels": [float(w) for w in cfg.detector.frequencies],
-            "values": [float(v) for v in reduced],
+            "values": reduced,
         }),
     ])
     _emit_warnings(report.violations)

@@ -28,14 +28,15 @@ empty cells for absent (exactly zero) entries.
 Every writer emits keys in a fixed order with ``\\n`` line endings, so
 identical inputs produce byte-identical files.
 
-Numbers become text in a few C-level passes per artifact, not one call
-per number.  :func:`format_json` checks the floats and picks their
-%-formats in one float64 pass over each float array's buffer and one
-over the other floats, in document order.  Float zeros are the literals
-``0.0`` and ``-0.0``; the other numbers of each rectangular nest (a pair
-matrix, a float list, a list of index pairs) go through one ``%`` pass
-over a template of its innermost lists, then one layout pass per level
-above them.  The CSV writers fill one %-template per file.
+Numbers become text in a few C-level passes per array, not one call per
+number.  :func:`format_json` walks its object once.  Each float or int
+ndarray (a pair matrix, the Planck weights, the index pairs) is checked
+and its %-formats picked in one pass over its buffer, then written by
+one ``%`` pass over a template of its innermost lists and one layout
+pass per level above them; its float zeros are the literals ``0.0`` and
+``-0.0``.  Scalars and Python lists, which artifacts keep for their few
+small fields, are written one element at a time.  The CSV writers fill
+one %-template per file.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import json
 import math
 import operator
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -62,7 +63,6 @@ __all__ = [
     "write_csv",
     "complex_pair",
     "pair_to_complex",
-    "matrix_to_pairs",
     "pairs_to_matrix",
     "block_density_to_dict",
     "block_density_from_dict",
@@ -76,10 +76,11 @@ __all__ = [
 _JSON_FLOAT = "%.17g"
 _JOINT_STATE_FORMAT = "joint_state/3"
 _CSV_FLOAT = "%.9g"
-# Each number's %-format is picked by a code.  JSON appends ".0" where
-# %.17g prints neither "." nor "e" (an integral value below 1e17 in
-# magnitude), so parsers return a float; a zero is a literal, which
-# consumes no value.  A blank CSV cell, "%.0s", consumes its NaN.
+# The %-format of each float of a JSON array, and of each CSV number, is
+# picked by a code.  JSON appends ".0" where %.17g prints neither "." nor
+# "e" (an integral value below 1e17 in magnitude), so parsers return a
+# float; a zero is a literal, which consumes no value.  A blank CSV cell,
+# "%.0s", consumes its NaN.
 _JSON_FORMATS = (_JSON_FLOAT, _JSON_FLOAT + ".0", "0.0", "-0.0")
 _CSV_FORMATS = (_CSV_FLOAT, "%.0s")
 # A CSV cell's format, picked by whether it is text.
@@ -89,9 +90,9 @@ _CELL_FORMATS = (_CSV_FLOAT, "%s")
 _INLINE_WIDTH = 24
 
 
-def _json_formats(values: list[float] | np.ndarray) -> Iterator[str]:
-    """The %-format of each JSON float, from one float64 array; every
-    value must be finite."""
+def _json_formats(values: np.ndarray) -> Iterator[str]:
+    """The %-format of each float of ``values``, from one float64 pass;
+    every value must be finite."""
     array = np.asarray(values, dtype=float)
     finite = np.isfinite(array)
     if not finite.all():
@@ -125,62 +126,15 @@ def csv_float(value: float) -> str:
     return _csv_formats([value])[0] % value
 
 
-def _number_nest(obj: list) -> tuple[list[Any], tuple[int, ...], type] | None:
-    """The leaves in row-major order, the shape and the leaf type of ``obj``
-    if it is a rectangular nest of lists of floats or of ints, else None."""
-    leaves, shape = [obj], []
-    while True:
-        kinds = set(map(type, leaves))
-        if kinds == {list}:
-            widths = set(map(len, leaves))
-            if len(widths) != 1 or 0 in widths:
-                return None
-            shape.append(widths.pop())
-            leaves = list(chain.from_iterable(leaves))
-        elif kinds == {float} or kinds == {int}:
-            return leaves, tuple(shape), kinds.pop()
-        else:
-            return None
-
-
-def _skeleton(obj: Any, leaves: list[float]) -> Any:
-    """``obj`` with its text decided except for the numbers: each number or
-    number nest is ``(shape, values, formats)``, ``values`` being what
-    ``%`` consumes (float zeros are literals) and ``formats`` its own, or
-    None for floats appended to ``leaves`` in document order.  A mapping
-    becomes a dict of quoted keys, a sequence a list, else its JSON text."""
-    if isinstance(obj, (float, np.floating)):
-        leaves.append(obj)
-        return (), (obj,) if obj else (), None
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, list):
-        nest = _number_nest(obj)
-        if nest is None:
-            return [_skeleton(val, leaves) for val in obj]
-        flat, shape, kind = nest
-        if kind is int:
-            return shape, flat, repeat("%d")
-        leaves.extend(flat)
-        return shape, filter(None, flat), None
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f" or not obj.ndim or not obj.size:
-            return _skeleton(obj.tolist(), leaves)
-        flat = obj.ravel()
-        return obj.shape, flat[flat != 0.0].tolist(), _json_formats(flat)
-    if isinstance(obj, Mapping):
-        return {encode_basestring_ascii(str(key)): _skeleton(val, leaves) for key, val in obj.items()}
-    if isinstance(obj, (complex, np.complexfloating)):
-        raise TypeError("serialize complex values as [re, im] pairs explicitly")
-    if isinstance(obj, Sequence):
-        return [_skeleton(val, leaves) for val in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+def _json_float(value: float) -> str:
+    """One JSON float: %.17g, plus ".0" where the value is integral and
+    below 1e17 in magnitude; a value that is not finite raises
+    ``ValueError``."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"JSON output requires finite numbers, got {value}")
+    text = _JSON_FLOAT % value
+    return text + ".0" if value.is_integer() and abs(value) < 1e17 else text
 
 
 def _lists(items: list[str], width: int, indent: int) -> list[str]:
@@ -199,36 +153,57 @@ def _lists(items: list[str], width: int, indent: int) -> list[str]:
     return lists
 
 
-def _render_nest(shape: tuple[int, ...], values: Any, indent: int, formats: Iterator[str]) -> str:
-    """The JSON text of a number or number nest: one ``%`` pass writes its
-    innermost lists, then :func:`_lists` lays out each level above them."""
-    if not shape:
-        return next(formats) % tuple(values)
-    # A float's text is at most 24 characters (sign, 17 digits, point and
-    # exponent), so every innermost list fits on one line.
-    rows = map(", ".join, zip(*[islice(formats, math.prod(shape))] * shape[-1]))
+def _render_array(array: np.ndarray, indent: int) -> str:
+    """The JSON text of a nonempty float or int array of at least one
+    dimension: one ``%`` pass writes its innermost lists, then
+    :func:`_lists` lays out each level above them."""
+    flat = array.ravel()
+    if array.dtype.kind == "f":
+        values, formats = flat[flat != 0.0].tolist(), _json_formats(flat)
+    else:
+        values, formats = flat.tolist(), repeat("%d", flat.size)
+    # A number's text is at most 24 characters (a float's sign, 17 digits,
+    # point and exponent; a 64-bit integer's at most 20), so every
+    # innermost list fits on one line.
+    rows = map(", ".join, zip(*[formats] * array.shape[-1]))
     items = (("[" + "]\0[".join(rows) + "]") % tuple(values)).split("\0")
-    for level in reversed(range(len(shape) - 1)):
-        items = _lists(items, shape[level], indent + level)
+    for level in reversed(range(array.ndim - 1)):
+        items = _lists(items, array.shape[level], indent + level)
     return items[0]
 
 
-def _render(node: Any, indent: int, formats: Iterator[str]) -> str:
-    """The JSON text of a :func:`_skeleton` node; its floats take the next
-    formats in document order."""
-    if isinstance(node, str):
-        return node
-    if isinstance(node, tuple):
-        shape, values, own = node
-        return _render_nest(shape, values, indent, formats if own is None else own)
-    if not node:
-        return "{}" if isinstance(node, dict) else "[]"
-    if isinstance(node, dict):
+def _render(obj: Any, indent: int) -> str:
+    """The JSON text of ``obj`` at ``indent``."""
+    if isinstance(obj, (float, np.floating)):
+        return _json_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "fiu" and obj.ndim and obj.size:
+            return _render_array(obj, indent)
+        return _render(obj.tolist(), indent)
+    if isinstance(obj, Mapping):
+        if not obj:
+            return "{}"
         inner = "  " * (indent + 1)
-        parts = [f"{inner}{key}: {_render(val, indent + 1, formats)}" for key, val in node.items()]
+        parts = [
+            f"{inner}{encode_basestring_ascii(str(key))}: {_render(val, indent + 1)}"
+            for key, val in obj.items()
+        ]
         return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
-    rendered = [_render(val, indent + 1, formats) for val in node]
-    return _lists(rendered, len(node), indent)[0]
+    if isinstance(obj, (complex, np.complexfloating)):
+        raise TypeError("serialize complex values as [re, im] pairs explicitly")
+    if isinstance(obj, Sequence):
+        if not obj:
+            return "[]"
+        return _lists([_render(val, indent + 1) for val in obj], len(obj), indent)[0]
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def format_json(obj: Any, indent: int = 0) -> str:
@@ -239,20 +214,16 @@ def format_json(obj: Any, indent: int = 0) -> str:
     stable across Python versions.  Mapping keys keep their insertion
     order.  A list is written on one line when every element is at most
     24 characters long and has no newline, else one element per line.
+    A float that is not finite raises ``ValueError``.
 
-    The floats of ``obj`` are checked (finite, else ``ValueError``) in one
-    pass per float array and one for the rest.  Each rectangular nest of
-    floats (a ``[re, im]`` pair matrix) or ints is written by one ``%`` pass
-    and one layout pass per level above its innermost lists, not by one
-    call per number, and a float zero as a literal.
+    ``obj`` is written in one recursive walk.  A float or int ndarray (a
+    ``[re, im]`` pair matrix, a list of index pairs) is written as its
+    list would be, but by one pass that checks its floats and picks their
+    formats, one ``%`` pass and one layout pass per level above its
+    innermost lists, not by one call per number, and a float zero as a
+    literal.  Scalars and Python lists are written element by element.
     """
-    leaves: list[float] = []
-    tree = _skeleton(obj, leaves)
-    formats = _json_formats(leaves)
-    # Each nest keeps its own values, so the artifact's flat copy is freed
-    # before any text is built.
-    del leaves
-    return _render(tree, indent, formats)
+    return _render(obj, indent)
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -311,12 +282,6 @@ def pair_to_complex(pair: Sequence[float]) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def matrix_to_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
-    """Convert a complex matrix to row-major nested ``[re, im]`` pairs."""
-    matrix = np.ascontiguousarray(matrix, dtype=complex)
-    return matrix.view(np.float64).reshape(*matrix.shape, 2).tolist()
-
-
 def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
     """Rebuild a complex matrix from row-major ``[re, im]`` pairs."""
     return np.array(
@@ -350,7 +315,9 @@ def block_density_to_dict(
 ) -> dict[str, Any]:
     """Build the ``joint_state/3`` JSON object of a state built from its
     factors: the couplings, Planck weights and aligned pairs with their
-    overlaps, beside the levels and trajectories."""
+    overlaps, beside the levels and trajectories.  The factors stay
+    arrays: the couplings as an (L, 2) float view of their ``[re, im]``
+    pairs, the Planck weights, the int64 pairs and the overlaps."""
     if rho.factors is None:
         raise ValueError("only a state built from its factors can be written as joint_state/3")
     if len(frequencies) != rho.level_count:
@@ -365,11 +332,11 @@ def block_density_to_dict(
         "scale": _scale_field(rho.scale, rho.epsilon, rho.T),
         "levels": [float(w) for w in frequencies],
         "trajectories": _trajectory_entries(traj_set),
-        "couplings": factors.couplings.view(np.float64).reshape(-1, 2).tolist(),
-        "planck_weights": factors.planck_weights.tolist(),
+        "couplings": factors.couplings.view(np.float64).reshape(-1, 2),
+        "planck_weights": factors.planck_weights,
         "coherences": {
-            "pairs": factors.pairs.tolist(),
-            "overlaps": factors.overlaps.tolist(),
+            "pairs": factors.pairs,
+            "overlaps": factors.overlaps,
         },
     }
 

@@ -45,7 +45,6 @@ from superthermal.io import (
     complex_pair,
     csv_float,
     format_json,
-    matrix_to_pairs,
     measured_from_dict,
     measured_to_dict,
     pair_to_complex,
@@ -174,6 +173,23 @@ def test_csv_float_format_and_nan():
         csv_float(math.nan)
 
 
+def _pair_nest(matrix):
+    """A complex matrix as row-major ``[re, im]`` pairs, as lists."""
+    matrix = np.ascontiguousarray(matrix)
+    return matrix.view(np.float64).reshape(*matrix.shape, 2).tolist()
+
+
+def _listed(obj):
+    """``obj`` with every array in its dicts and lists as its ``.tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _listed(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_listed(val) for val in obj]
+    return obj
+
+
 # Reference renderers: each artifact format as specified, one number at a
 # time.  The writers must produce exactly their bytes.
 
@@ -237,7 +253,7 @@ def _complex_matrices(draw):
 @example(matrix=np.full((1, 3), -0.0 + 0.5j), values=[])
 def test_format_json_matches_the_reference_renderer(matrix, values):
     obj = {
-        "block": matrix_to_pairs(matrix),
+        "block": _pair_nest(matrix),
         "pair": complex_pair(matrix[0, 0]),
         "values": values,
         "members": list(range(len(values))),
@@ -282,6 +298,44 @@ def test_format_json_writes_integer_zeros_as_integers():
     assert format_json([0, 0.0, -0.0, [0, 0], [0.0, -0.0]]) == "[0, 0.0, -0.0, [0, 0], [0.0, -0.0]]"
 
 
+def test_format_json_writes_other_arrays_and_scalars_as_their_lists():
+    arrays = [
+        np.array([[0, -2], [3, 2**31 - 1]], dtype=np.int32),
+        np.array([0, 7, 255], dtype=np.uint8),
+        np.array([[-(2**63), 2**63 - 1]]),
+        np.zeros((0, 2), dtype=np.int64),
+        np.zeros((2, 0)),
+        np.array([[True, False], [False, False]]),
+        np.array(0.5),
+        np.array(-0.0),
+        np.array(3, dtype=np.int32),
+        np.array(True),
+    ]
+    for array in arrays:
+        assert format_json(array) == _reference_json(array.tolist())
+        obj = {"array": array, "nested": [array, [array]]}
+        assert format_json(obj) == _reference_json(_listed(obj))
+    assert format_json(np.zeros((0, 2), dtype=np.int64)) == "[]"
+    assert format_json(np.array([True, False])) == "[true, false]"
+    scalars = [
+        (0.0, "0.0"),
+        (-0.0, "-0.0"),
+        (99999999999999984.0, "99999999999999984.0"),
+        (1e17, "1e+17"),
+        (5e-324, "4.9406564584124654e-324"),
+    ]
+    for value, text in scalars:
+        assert format_json(value) == format_json(np.float64(value)) == _reference_json(value) == text
+        assert format_json({"x": [value]}) == _reference_json({"x": [value]})
+    assert format_json(np.float32(0.5)) == _reference_json(0.5) == "0.5"
+    # a float32 scalar is written as the double it widens to
+    assert format_json(np.float32(0.1)) == _reference_json(float(np.float32(0.1)))
+    for bad in (math.inf, -math.inf, math.nan):
+        for obj in ({"x": bad}, {"a": [0.5, {"b": bad}]}, [[0.5], [np.float64(bad)]], np.float32(bad)):
+            with pytest.raises(ValueError, match="finite"):
+                format_json(obj)
+
+
 _CSV_CELLS = st.one_of(_FLOATS, st.just(math.inf), st.integers(-(10**6), 10**6), st.text("ab%_ ", max_size=3))
 
 
@@ -312,7 +366,7 @@ def test_complex_pair_round_trip():
     with pytest.raises(ValueError):
         pair_to_complex([1.0])
     matrix = np.array([[1 + 2j, 3 - 4j], [0.1j, -0.25]])
-    assert np.array_equal(pairs_to_matrix(matrix_to_pairs(matrix)), matrix)
+    assert np.array_equal(pairs_to_matrix(_pair_nest(matrix)), matrix)
 
 
 def test_block_density_json_round_trip(tmp_path):
@@ -354,7 +408,7 @@ def test_block_density_json_shell_layout(tmp_path):
     assert data["format"] == "joint_state/3"
     assert len(data["couplings"]) == 6 and len(data["planck_weights"]) == 18
     # one entry per aligned pair, lower flat index first, sorted
-    pairs = data["coherences"]["pairs"]
+    pairs = data["coherences"]["pairs"].tolist()
     assert pairs and pairs == sorted(pairs) and all(lo < hi for lo, hi in pairs)
     assert len(data["coherences"]["overlaps"]) == len(pairs)
     path = tmp_path / "state.json"
@@ -366,11 +420,13 @@ def test_block_density_json_shell_layout(tmp_path):
         assert np.array_equal(got.members, want.members)
         assert np.array_equal(got.block, want.block)  # bit-exact
 
+    # the reader's contract is the parsed file, which the mutations below edit
+    data = json.loads(format_json(block_density_to_dict(rho, det.frequencies, ts)))
     # a joint_state/2 file, with or without its format tag, names the field
     old = {key: data[key] for key in ("scale", "levels", "trajectories")}
-    old["ground_block"] = matrix_to_pairs(rho.ground_block)
+    old["ground_block"] = _pair_nest(rho.ground_block)
     old["excited_shells"] = [
-        {"members": s.members.tolist(), "block": matrix_to_pairs(s.block)} for s in rho.shells
+        {"members": s.members.tolist(), "block": _pair_nest(s.block)} for s in rho.shells
     ]
     with pytest.raises(ValueError, match="^format: missing field"):
         block_density_from_dict(old)
@@ -426,7 +482,7 @@ def test_block_density_json_shell_layout(tmp_path):
 )
 def test_block_density_json_rejects_bad_coherences(pairs, overlaps, message):
     det, ts = _two_branch_system()
-    data = block_density_to_dict(joint_state(det, ts, tol=1e-9), det.frequencies, ts)
+    data = json.loads(format_json(block_density_to_dict(joint_state(det, ts, tol=1e-9), det.frequencies, ts)))
     data["coherences"] = {"pairs": pairs, "overlaps": overlaps}
     with pytest.raises(ValueError, match=f"^{message}"):
         block_density_from_dict(data)
@@ -546,7 +602,7 @@ def test_cli_artifacts_match_the_reference_renderer(tmp_path):
         cfg.measurement.amplitudes,
     )
     for name, obj in (("joint_state.json", joint), ("measured_internal.json", measured)):
-        assert (out / name).read_text(encoding="utf-8") == _reference_json(obj) + "\n"
+        assert (out / name).read_text(encoding="utf-8") == _reference_json(_listed(obj)) + "\n"
 
 
 def test_cli_state_absolute_scale_default_T_and_warnings(tmp_path, capsys):
