@@ -432,15 +432,15 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
     rows = []
     dxbar = np.array(_ORACLE_DIFF_DXBAR)
     dxbar_cell = " ".join(csv_float(dxb) for dxb in _ORACLE_DIFF_DXBAR)
-    for q in _DEFAULT_Q_LIST:
+    closed = lambda_overlap(*np.meshgrid(_DEFAULT_Q_LIST, _ORACLE_DIFF_DXI, dxbar, indexing="ij"))
+    for q, closed_q in zip(_DEFAULT_Q_LIST, closed):
         # The quadrature sees dxi only through s+ and s-, which swap with its
         # sign, so each |dxi| takes one call and its mirrored rows share it.
         quads = {m: _lambda_quadrature(q, m, dxbar) for m in dict.fromkeys(map(abs, _ORACLE_DIFF_DXI))}
-        for dxi in _ORACLE_DIFF_DXI:
+        for dxi, closed_row in zip(_ORACLE_DIFF_DXI, closed_q):
             quad, change, target = quads[abs(dxi)]
             refinement.append(("lambda_quadrature", q, dxi, dxbar_cell, "", "", change, target))
-            closed = lambda_overlap(q, dxi, dxbar)
-            rows += [(q, dxi, dxb, c, v, v - c) for dxb, c, v in zip(_ORACLE_DIFF_DXBAR, closed, quad)]
+            rows += [(q, dxi, dxb, c, v, v - c) for dxb, c, v in zip(_ORACLE_DIFF_DXBAR, closed_row, quad)]
 
     traj = Trajectory(z=1.0)
     T_ref = T_list[-1]

@@ -73,18 +73,19 @@ _ENVELOPE_DECAY = 37.0
 #: Most values one oracle grid may need per array, about 32 MiB each: J_0
 #: values (separations x k nodes) in the Lambda oracle, boost-frequency
 #: nodes in the finite-duration oracle.  oracle-validate's Lambda calls need
-#: at most 6192 and its durations 144 nodes per pass; a large separation, or
+#: at most 5136 and its durations 144 nodes per pass; a large separation, or
 #: T far below 1/omega (8/T orders at omega = z = 1, past the cap from
 #: T = 2.3e-5), widens the grid without bound.
 _MAX_GRID_VALUES = 2**22
 
-#: Phase of a log panel (k < 0.1) per unit of ν + k Δx̄ + 1, and of a
-#: linear panel per unit of Δx̄ + 1 (J_0 is entire, so only its oscillation
-#: and the baseline count).  16-point Gauss-Legendre errs by 1e-33 over
-#: 3π/2 of e^{iφ}; twice it moved no log-panel value by more than 1e-15,
-#: and twice or four times it in the linear panels moved Λ by at most
-#: 2.2e-12 (rounding, at q = 12).
-_LOG_PHASE = 1.5 * math.pi
+#: Phase (or e-foldings) of a k̄ panel, per unit of each rate of the
+#: integrand: in log k of 2ν + k Δx̄ + 2 (the K_iν product turns at 2ν, J_0
+#: at k Δx̄, and k² grows at 2); in k of Δx̄ + 1 (the entire J_0) and of the
+#: envelope's decay rate.  16-point Gauss-Legendre errs by 4.4e-21 on cos and
+#: 1.3e-22 on e^{-φ} over it (mpmath); its bound 2^33 (16!)^4 / (33 (32!)^3)
+#: (Φ/2)^32 (Trefethen, SIAM Review 50, 2008) is 1e-20 at 11.71.  Half or a
+#: quarter of it moved Λ by at most 2.2e-12 (README's sweep; rounding, q ≥ 11).
+_GL_PHASE = 11.5
 #: Phase of a linear panel per unit of (ν + 1)/k: the branch point of K_iν
 #: at k = 0 (the log of K_0 at ν = 0), graded by the distance to it.  The
 #: rule errs by 1e-41 over π/2; at 3π/4 the Λ error reached 9 times its
@@ -93,9 +94,6 @@ _LOG_PHASE = 1.5 * math.pi
 #: Δx̄ ≤ 2.5, and the q = 0 change of oracle-validate rose from 2.3e-12 to
 #: 4.0e-10.
 _LINEAR_PHASE = 0.5 * math.pi
-#: E-foldings of the envelope per linear panel.  The rule errs by 6e-28
-#: over 7.5 of e^{-φ}; twice or four times it moved Λ by at most 3e-17.
-_DECAY_EFOLDS = 7.5
 #: Fewest panels on the boost-frequency window, ±8 standard deviations of
 #: its Gaussian.  Three or twelve instead moved no value of 24 pairs at
 #: T = 1e-3 to 80 (the tests' among them) by more than 5.3e-15 relative:
@@ -247,50 +245,45 @@ def _kbar_grid(
     decay_rate: float,
     kbar_max: float,
     refine: float,
-    max_nodes: float,
-    too_large: str,
+    separations: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     r"""Quadrature grid for :math:`\int_0^{k_{max}} dk\,k\,J_0(k\,\cdot)\,
     K_{i\nu}(k s_+) K_{i\nu}(k s_-)`.
 
-    Below k = 0.1 the panels are log-spaced, ``_LOG_PHASE`` per unit of
-    :math:`\nu` (the Bessel phases' rate in :math:`\log k`) + k
-    ``osc_max`` (the :math:`J_0` rate) + 1.  Above, each panel is the
-    narrowest of three limits, each on the rate that sets it:
-    ``_LINEAR_PHASE`` per unit of :math:`(\nu + 1)/k` (the branch point of
-    :math:`K_{i\nu}` at k = 0, so only this limit grows finer toward it),
-    ``_LOG_PHASE`` per unit of ``osc_max`` + 1 (the entire :math:`J_0` and
-    the baseline) and ``_DECAY_EFOLDS`` over ``decay_rate`` (the envelope).
-    The floor ``1e-7/refine`` lets the refinement change include the piece
-    below the base pass's floor.  The linear panels are counted in closed
-    form (their edges grow geometrically while the branch limit binds, and
-    evenly after), so a grid of more than ``max_nodes`` nodes raises
-    :class:`QuadratureError` with the ``too_large`` text before anything is
-    built.
+    Below k = 0.1 the panels are log-spaced, ``_GL_PHASE`` per unit of
+    :math:`2\nu` + k ``osc_max`` + 2.  Above, each panel is the narrowest
+    of three limits: ``_LINEAR_PHASE`` per unit of :math:`(\nu + 1)/k` (the
+    branch point of :math:`K_{i\nu}` at k = 0, so only this limit grows
+    finer toward it), and ``_GL_PHASE`` per unit of ``osc_max`` + 1 and of
+    ``decay_rate``.  The floor ``1e-7/refine`` lets the refinement change
+    include the piece below the base pass's floor.  The panels are counted
+    in closed form (the linear edges grow geometrically while the branch
+    limit binds, and evenly after), so a grid that needs more than
+    ``_MAX_GRID_VALUES`` :math:`J_0` values (``separations`` x nodes) raises
+    :class:`QuadratureError`, naming ``osc_max``, before anything is built.
     """
     k_floor = 1e-7 / refine
     k_log_end = min(0.1, 0.5 * kbar_max)
     u_lo, u_hi = math.log(k_floor), math.log(k_log_end)
-    width_u = _LOG_PHASE / (nu_max + k_log_end * osc_max + 1.0) / refine
+    width_u = _GL_PHASE / (2.0 * nu_max + k_log_end * osc_max + 2.0) / refine
     n_log = max(1, int(math.ceil((u_hi - u_lo) / width_u)))
-    max_panels = max_nodes / _GL_NODES.size
-    if n_log > max_panels:
-        raise QuadratureError(too_large)
-    log_nodes, log_weights = _panel_nodes(np.linspace(u_lo, u_hi, n_log + 1))
-    k_log = np.exp(log_nodes)
-    w_log = log_weights * k_log  # du measure -> dk measure
-
     # The branch limit c k grows the edges by 1 + c per panel up to k_turn,
     # where it meets the constant width of the other two.
     growth = _LINEAR_PHASE / (nu_max + 1.0) / refine
-    width = min(_LOG_PHASE / (osc_max + 1.0), _DECAY_EFOLDS / decay_rate) / refine
+    width = _GL_PHASE / max(osc_max + 1.0, decay_rate) / refine
     k_turn = min(width / growth, kbar_max)
     log_ratio = math.log1p(growth)
     n_geo = max(0, math.ceil(math.log(k_turn / k_log_end) / log_ratio))
     k_geo = k_log_end * math.exp(log_ratio * n_geo)
     n_flat = max(0, math.ceil((kbar_max - k_geo) / width))
-    if n_log + n_geo + n_flat > max_panels:
-        raise QuadratureError(too_large)
+    if (n_log + n_geo + n_flat) * _GL_NODES.size * separations > _MAX_GRID_VALUES:
+        raise QuadratureError(
+            f"lambda quadrature at dxbar = {osc_max:g} needs more than {_MAX_GRID_VALUES} "
+            "J_0 values (separations x k nodes); its k grid grows linearly in dxbar"
+        )
+    log_nodes, log_weights = _panel_nodes(np.linspace(u_lo, u_hi, n_log + 1))
+    k_log = np.exp(log_nodes)
+    w_log = log_weights * k_log  # du measure -> dk measure
     edges = np.concatenate([
         k_log_end * np.exp(log_ratio * np.arange(n_geo + 1)),
         k_geo + width * np.arange(1, n_flat + 1),
@@ -306,10 +299,10 @@ def _k_products(nu: float, x_a: np.ndarray, x_b: np.ndarray, refine: float, boun
     series puts into them; else None.
 
     Two distinct sets (each sorted) go through one call on their merged
-    arguments, so the series coefficients are set up once.  The series
+    arguments, so their trapezoidal bands are set up once.  The series
     sums each value on its own, so below ``_KSERIES_X`` the values and
-    bound are those of two calls; above it the trapezoidal bands regroup at
-    rounding level."""
+    bound are those of two calls; above it the bands regroup at rounding
+    level."""
 
     def k_at(x):
         err = np.empty(x.size) if bound else None
@@ -342,13 +335,9 @@ def _lambda_quadrature_once(
     s_plus = math.sqrt(0.5 * (math.exp(2.0 * dxi) + 1.0))
     s_minus = math.sqrt(0.5 * (math.exp(-2.0 * dxi) + 1.0))
     decay = s_plus + s_minus
-    kbar_max = (_ENVELOPE_DECAY + math.pi * q) / decay
-    osc_max = float(dxbar.max())
     kbar, weights = _kbar_grid(
-        nu_max=q, osc_max=osc_max, decay_rate=decay, kbar_max=kbar_max, refine=refine,
-        max_nodes=_MAX_GRID_VALUES / dxbar.size,
-        too_large=f"lambda quadrature at dxbar = {osc_max:g} needs more than {_MAX_GRID_VALUES} "
-        "J_0 values (separations x k nodes); its k grid grows linearly in dxbar",
+        nu_max=q, osc_max=float(dxbar.max()), decay_rate=decay, kbar_max=(_ENVELOPE_DECAY + math.pi * q) / decay,
+        refine=refine, separations=dxbar.size,
     )
     x_plus = kbar * s_plus
     x_minus = x_plus if s_minus == s_plus else kbar * s_minus

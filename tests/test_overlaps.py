@@ -3,7 +3,8 @@
 Frozen literals come from mpmath (``tests/oracles.py``): closed formulas
 and the 1-D boost-frequency integral at 40 digits, the k-bar integral at
 25 digits.  ``FINITE_T_K_ROUTE`` alone holds values of the package's
-former finite-duration route.
+former finite-duration route.  One test takes the closed form of Lambda
+from ``oracles.lam`` directly.
 """
 
 import math
@@ -11,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import lam
 
 from superthermal import overlaps
 from superthermal.geometry import Trajectory
@@ -218,11 +220,16 @@ def test_lambda_quadrature_at_q_zero_and_no_separation_stays_far_under_its_targe
 
 
 def test_lambda_quadrature_caps_its_grid():
-    # J_0 oscillates at the rate dxbar, so the k grid grows linearly in it;
-    # past the cap both oracles share, the call fails fast, naming dxbar.
+    # J_0 oscillates at the rate dxbar, so the k grid grows linearly in it:
+    # at q = 1, dxi = 0 the refined pass takes 1.5 (37 + pi)/2 (dxbar + 1)
+    # / _GL_PHASE linear panels of 16 nodes.  Three times the dxbar at which
+    # that meets the cap both oracles share, the call fails fast, naming it.
+    kbar_max = (overlaps._ENVELOPE_DECAY + math.pi) / 2.0
+    at_cap = overlaps._MAX_GRID_VALUES / 16 * overlaps._GL_PHASE / (1.5 * kbar_max)
+    dxbar = round(3.0 * at_cap, -4)
     start = time.perf_counter()
-    with pytest.raises(QuadratureError, match="dxbar = 100000 needs more than"):
-        oracle_lambda_quadrature(1.0, 0.0, 1e5)
+    with pytest.raises(QuadratureError, match=f"dxbar = {dxbar:g} needs more than"):
+        oracle_lambda_quadrature(1.0, 0.0, dxbar)
     assert time.perf_counter() - start < 2.0
 
 
@@ -231,7 +238,7 @@ def test_lambda_quadrature_caps_its_grid():
     (12.0, 2.5, 3.04, 24.6),  # Lambda at q = 12, dxi = 1.5: the branch limit grows the panels
     (0.0, 50.0, 2.0, 18.5),  # the separation binds from the first linear panel on
     (40.0, 5.0, 2.0, 81.3),  # the branch limit binds up to k = 20, then the separation
-    (1.4, 0.7, 1.5, 50.0),  # a finite-duration pair at z = 0.5 and 1
+    (1.4, 0.7, 1.5, 50.0),  # the branch limit binds up to k = 10, then J_0 just ahead of the envelope
 ])
 @pytest.mark.parametrize("refine", [1.0, 1.5])
 def test_kbar_grid_linear_panels_take_their_narrowest_limit(nu_max, osc_max, decay_rate, kbar_max, refine):
@@ -241,7 +248,7 @@ def test_kbar_grid_linear_panels_take_their_narrowest_limit(nu_max, osc_max, dec
     # width.
     nodes, weights = overlaps._kbar_grid(
         nu_max=nu_max, osc_max=osc_max, decay_rate=decay_rate, kbar_max=kbar_max, refine=refine,
-        max_nodes=2**22, too_large="too large",
+        separations=1,
     )
     k_log_end = min(0.1, 0.5 * kbar_max)
     linear = nodes > k_log_end
@@ -249,14 +256,64 @@ def test_kbar_grid_linear_panels_take_their_narrowest_limit(nu_max, osc_max, dec
     left = k_log_end + np.concatenate([[0.0], np.cumsum(widths)[:-1]])
     limits = np.minimum.reduce([
         overlaps._LINEAR_PHASE * left / (nu_max + 1.0),
-        np.full(left.size, overlaps._LOG_PHASE / (osc_max + 1.0)),
-        np.full(left.size, overlaps._DECAY_EFOLDS / decay_rate),
+        np.full(left.size, overlaps._GL_PHASE / (osc_max + 1.0)),
+        np.full(left.size, overlaps._GL_PHASE / decay_rate),
     ]) / refine
     assert widths.size > 1
     assert np.allclose(widths[:-1], limits[:-1], rtol=1e-12, atol=0.0)
     assert 0.0 < widths[-1] <= limits[-1] * (1.0 + 1e-12)
     assert left[-1] + widths[-1] == pytest.approx(kbar_max, rel=1e-12)
     assert np.all(nodes[linear] < kbar_max)
+
+
+def test_gl_phase_keeps_the_16_point_error_bound_under_1e_20():
+    # The Gauss-Legendre error bound for e^{i phi t/2} on [-1, 1] with n = 16
+    # nodes, 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) (phi/2)^(2n), reaches 1e-20
+    # at phi = 11.71; the budget sits within 2 % below it.
+    f = math.factorial
+    constant = 2**33 * f(16) ** 4 / (33 * f(32) ** 3)
+    at_1e_20 = 2.0 * (1e-20 / constant) ** (1.0 / 32.0)
+    assert at_1e_20 == pytest.approx(11.71, abs=5e-3)
+    assert 0.98 * at_1e_20 <= overlaps._GL_PHASE <= at_1e_20
+    assert constant * (overlaps._GL_PHASE / 2.0) ** 32 <= 1e-20
+
+
+@pytest.mark.parametrize("nu_max, osc_max, kbar_max", [
+    (0.0, 0.0, 18.5),  # Lambda at q = 0: the growth of k^2 alone
+    (12.0, 5.0, 24.6),  # the Bessel product's turning sets the width
+    (1.0, 1e4, 20.0),  # J_0 over the log region's end sets it
+    (2.0, 0.5, 0.1),  # a log region cut at kbar_max / 2
+])
+@pytest.mark.parametrize("refine", [1.0, 1.5])
+def test_kbar_grid_log_panels_take_the_phase_budget(nu_max, osc_max, kbar_max, refine):
+    # Below k = min(0.1, kbar_max / 2) the panels are equal in log k, as
+    # many as _GL_PHASE / (2 nu + k dxbar + 2) / refine takes to cover
+    # [log(1e-7 / refine), log k_end], and no wider.  A panel's 16 weights,
+    # divided by their nodes, sum to its width in log k.
+    nodes, weights = overlaps._kbar_grid(
+        nu_max=nu_max, osc_max=osc_max, decay_rate=2.0, kbar_max=kbar_max, refine=refine,
+        separations=1,
+    )
+    k_end = min(0.1, 0.5 * kbar_max)
+    log = nodes < k_end
+    widths = (weights[log] / nodes[log]).reshape(-1, 16).sum(axis=1)
+    budget = overlaps._GL_PHASE / (2.0 * nu_max + k_end * osc_max + 2.0) / refine
+    span = math.log(k_end) - math.log(1e-7 / refine)
+    assert widths.size == math.ceil(span / budget)
+    assert np.allclose(widths, span / widths.size, rtol=1e-12, atol=0.0)
+    assert widths.max() <= budget * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("q", [1.2, 3.6, 6.0, 8.4, 10.8])
+@pytest.mark.parametrize("dxi", [0.3, 1.5, 2.7])
+def test_lambda_quadrature_matches_mpmath_closed_form(q, dxi):
+    # Against the closed form at 40 digits (tests/oracles.py), not against
+    # the package's lambda_overlap; held to 1e-12 absolute, about twice the
+    # largest error here (4.5e-13 at q = 10.8).
+    dxbar = np.array([0.0, 2.5, 5.0])
+    got = oracle_lambda_quadrature(q, dxi, dxbar)
+    want = np.array([float(lam(q, dxi, x)) for x in dxbar])
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_oracles_return_their_targets_from_one_convergence_check():

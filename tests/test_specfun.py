@@ -11,7 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import k_imag, lam
 
@@ -162,13 +162,17 @@ def test_k_imag_outer_error_bound_covers_mpmath(nu):
 
 @settings(max_examples=40, deadline=None)
 @given(nu=st.floats(min_value=0.0, max_value=40.0))
+@example(nu=0.04672101770030857)  # the series errs by 1.23e-14 here (mpmath)
+@example(nu=1.1125369292536007e-308)  # the bound's 1/nu overflows
 def test_k_imag_outer_is_continuous_across_the_crossover(nu):
-    # The series serves x_c and the quadrature the next double.  Both sum
-    # terms of the size of K_0(x_c) = 0.0112 (mpmath), which sets the
-    # scale of the jump they may leave; K itself moves by ~1e-17 there.
+    # The series serves x_c and the trapezoidal rule the next double; K
+    # itself moves by ~1e-17 there.  Each side may err by its own accuracy:
+    # the series by the bound it reports at x_c, the rule by 4e-16 e^{-x}
+    # (bessel_k_imag's documented accuracy).
     x = np.array([_KSERIES_X, np.nextafter(_KSERIES_X, math.inf)])
-    below, above = _k_imag_outer(nu, x)
-    assert abs(below - above) <= 1e-12 * 0.0112
+    err = np.empty(2)
+    below, above = _k_imag_outer(nu, x, err=err)
+    assert abs(below - above) <= err[0] + 4e-16 * math.exp(-x[1])
 
 
 def test_bessel_j0_matches_scipy():
