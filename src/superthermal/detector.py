@@ -25,14 +25,18 @@ Since only aligned composites couple, the excited sector is exactly
 block-diagonal over boost-energy *shells*: the connected components of
 its coherences, whichever entrance built the state (the aligned pairs of
 its factors, or the nonzero pattern of a dense block).  :class:`BlockDensity`
-stores one small Hermitian block per shell and checks each on its own,
-once, where its entries are made; rescaling a state to absolute units
-does not check it again.  :func:`joint_state` finds the aligned pairs and
-keeps the closed form's inputs (:class:`StateFactors`: amplitudes,
-couplings, Planck weights and one :math:`\Lambda` per aligned pair),
-:func:`assemble_state` builds all shells from them in one vectorised
-pass, and the reductions below work shell by shell.  The dense matrix is
-built only on request (``BlockDensity.excited_block``).
+stores one small Hermitian block per shell, the shells of one size
+stacked together, and checks each on its own, once, where its entries
+are made; rescaling a state to absolute units does not check it again.
+The stacks come from one stable sort of the composites by (the rank of
+their shell's size, their shell's smallest member), with no loop over
+shells.  :func:`joint_state` finds the aligned pairs, takes the branch
+separations of all of them in one pass and keeps the closed form's
+inputs (:class:`StateFactors`: amplitudes, couplings, Planck weights and
+one :math:`\Lambda` per aligned pair); :func:`assemble_state` writes
+every shell from them into one buffer by one scatter per kind of entry,
+and the reductions below work shell by shell.  The dense matrix is built
+only on request (``BlockDensity.excited_block``).
 
 Tracing out the branch index leaves a weighted mixture of Planck spectra
 (:func:`reduced_internal`); conditioning on a branch measurement outcome
@@ -53,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Trajectory, TrajectorySet, coherence_condition, delta_xbar, delta_xi
+from .geometry import Trajectory, TrajectorySet, branch_separations, coherence_condition
 from .specfun import lambda_overlap, planck_weight
 
 __all__ = [
@@ -192,13 +196,22 @@ def _shell_groups(dim: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarr
         if np.array_equal(spread, labels):
             break
         labels = spread
-    order = np.argsort(labels, kind="stable")
-    by_size: dict[int, list[np.ndarray]] = {}
-    for shell in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        by_size.setdefault(shell.size, []).append(shell)
-    groups = [np.stack(picks) for picks in by_size.values()]
-    for members in groups:
-        members.setflags(write=False)
+    # A component's size, at its smallest member; each size is ranked by
+    # its first component in that order.
+    sizes = np.bincount(labels, minlength=dim)
+    found, first, counts = np.unique(sizes[sizes > 0], return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    found, counts = found[by_first], counts[by_first]
+    rank = np.zeros(dim + 1, dtype=np.int64)
+    rank[found] = np.arange(found.size)
+    # One stable sort by (size rank, label) lists each size's shells by
+    # smallest member, each with its members ascending.
+    order = np.argsort(rank[sizes[labels]] * dim + labels, kind="stable")
+    order.setflags(write=False)
+    groups, start = [], 0
+    for k, count in zip(found.tolist(), counts.tolist()):
+        groups.append(order[start:start + k * count].reshape(count, k))
+        start += k * count
     return groups
 
 
@@ -417,23 +430,24 @@ def assemble_state(factors: StateFactors) -> BlockDensity:
     phase = _cmul(_cmul(_cmul(amps[n].conj(), amps[m]), zetas[level[col]].conj()), zetas[level[row]])
     values = phase * lam * np.sqrt(weights[col]) * np.sqrt(weights[row]) / (2.0 * math.pi)
 
-    # Each composite's group, shell within the group and place in the shell.
-    group, shell, place = np.empty((3, dim), dtype=np.int64)
-    for g, stacked in enumerate(members):
-        group[stacked] = g
-        shell[stacked] = np.arange(len(stacked))[:, None]
-        place[stacked] = np.arange(stacked.shape[1])
-    groups = []
-    for g, stacked in enumerate(members):
+    # All blocks share one buffer, a group's shells one after another.
+    # Each composite has its place in its shell and the start of its row
+    # of the shell's block in the buffer.
+    base, place = np.empty((2, dim), dtype=np.int64)
+    offsets = np.cumsum([0] + [stacked.size * stacked.shape[1] for stacked in members]).tolist()
+    for stacked, offset in zip(members, offsets):
         k = stacked.shape[1]
-        blocks = np.zeros((len(stacked), k, k), dtype=complex)
-        blocks[:, np.arange(k), np.arange(k)] = diag[stacked]
-        pick = group[row] == g
-        s, a, b, part = shell[row[pick]], place[row[pick]], place[col[pick]], values[pick]
-        blocks[s, a, b] = part
-        blocks[s, b, a] = part.conj()
-        blocks.setflags(write=False)
-        groups.append((stacked, blocks))
+        base[stacked] = offset + k * np.arange(stacked.size).reshape(stacked.shape)
+        place[stacked] = np.arange(k)
+    buffer = np.zeros(offsets[-1], dtype=complex)
+    buffer[base + place] = diag
+    buffer[base[row] + place[col]] = values
+    buffer[base[col] + place[row]] = values.conj()
+    buffer.setflags(write=False)
+    groups = [
+        (stacked, buffer[offset:end].reshape(-1, stacked.shape[1], stacked.shape[1]))
+        for stacked, offset, end in zip(members, offsets, offsets[1:])
+    ]
     return BlockDensity._of_groups(
         groups, _validate_groups(groups), n_traj, "per_eps2T", None, None, factors
     )
@@ -503,11 +517,11 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     keys = np.sort(row[keep] * q.size + col[keep])
     pairs = np.stack(np.divmod(keys, q.size), axis=1)
     m, n = branch[pairs[:, 0]], branch[pairs[:, 1]]
-    # Separations depend on the branch pair alone: one scalar call each.
+    # Separations depend on the branch pair alone: one pass over the
+    # distinct pairs.
     codes, inverse = np.unique(m * n_traj + n, return_inverse=True)
-    ends = [(traj_set[int(c) // n_traj], traj_set[int(c) % n_traj]) for c in codes]
-    dxi = np.array([delta_xi(tm, tn) for tm, tn in ends], dtype=float)[inverse]
-    dxbar = np.array([delta_xbar(tm, tn) for tm, tn in ends], dtype=float)[inverse]
+    dxi, dxbar = branch_separations(traj_set, *np.divmod(codes, n_traj))
+    dxi, dxbar = dxi[inverse], dxbar[inverse]
     factors = StateFactors(
         amplitudes=np.array(traj_set.amplitudes, dtype=complex),
         couplings=np.array(det.couplings, dtype=complex),

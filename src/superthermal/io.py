@@ -29,14 +29,17 @@ Every writer emits keys in a fixed order with ``\\n`` line endings, so
 identical inputs produce byte-identical files.
 
 Numbers become text in a few C-level passes per array, not one call per
-number.  :func:`format_json` walks its object once.  Each float or int
-ndarray (a pair matrix, the Planck weights, the index pairs) is checked
-and its %-formats picked in one pass over its buffer, then written by
-one ``%`` pass over a template of its innermost lists and one layout
-pass per level above them; its float zeros are the literals ``0.0`` and
-``-0.0``.  Scalars and Python lists, which artifacts keep for their few
+number, and a zero costs no formatting.  :func:`format_json` walks its
+object once.  Each float or int ndarray (a pair matrix, the Planck
+weights, the index pairs) is checked and its %-formats picked in one
+pass over its buffer, then written by one ``%`` pass over a template of
+its innermost lists and one layout pass per level above them; its float
+zeros are the literals ``0.0`` and ``-0.0``, and an innermost list of
++0.0 alone, most of a measured matrix, is one literal left out of that
+pass.  Scalars and Python lists, which artifacts keep for their few
 small fields, are written one element at a time.  The CSV writers fill
-one %-template per file.
+one %-template per file; a blank negative-log cell is a literal, so only
+the table's numbers are formatted.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import cmath
 import json
 import math
 import operator
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -61,7 +64,6 @@ __all__ = [
     "write_json",
     "read_json",
     "write_csv",
-    "complex_pair",
     "pair_to_complex",
     "pairs_to_matrix",
     "block_density_to_dict",
@@ -76,13 +78,13 @@ __all__ = [
 _JSON_FLOAT = "%.17g"
 _JOINT_STATE_FORMAT = "joint_state/3"
 _CSV_FLOAT = "%.9g"
-# The %-format of each float of a JSON array, and of each CSV number, is
-# picked by a code.  JSON appends ".0" where %.17g prints neither "." nor
-# "e" (an integral value below 1e17 in magnitude), so parsers return a
-# float; a zero is a literal, which consumes no value.  A blank CSV cell,
-# "%.0s", consumes its NaN.
+# The %-format of each float of a JSON array, and of each negative-log
+# CSV cell, is picked by a code.  JSON appends ".0" where %.17g prints
+# neither "." nor "e" (an integral value below 1e17 in magnitude), so
+# parsers return a float.  A zero and a blank CSV cell (a NaN) are
+# literals, which consume no value.
 _JSON_FORMATS = (_JSON_FLOAT, _JSON_FLOAT + ".0", "0.0", "-0.0")
-_CSV_FORMATS = (_CSV_FLOAT, "%.0s")
+_NEGLOG_CELLS = np.array([_CSV_FLOAT, ""], dtype=object)
 # A CSV cell's format, picked by whether it is text.
 _CELL_FORMATS = (_CSV_FLOAT, "%s")
 # A list is written on one line when every element is at most this long
@@ -90,9 +92,9 @@ _CELL_FORMATS = (_CSV_FLOAT, "%s")
 _INLINE_WIDTH = 24
 
 
-def _json_formats(values: np.ndarray) -> Iterator[str]:
-    """The %-format of each float of ``values``, from one float64 pass;
-    every value must be finite."""
+def _json_codes(values: np.ndarray) -> np.ndarray:
+    """One byte per float of ``values``, its index in ``_JSON_FORMATS``,
+    from one float64 pass; every value must be finite."""
     array = np.asarray(values, dtype=float)
     finite = np.isfinite(array)
     if not finite.all():
@@ -100,19 +102,8 @@ def _json_formats(values: np.ndarray) -> Iterator[str]:
     point = np.trunc(array) == array
     point &= np.abs(array) < 1e17
     zero = array == 0.0
-    # One byte per value picks its format: 0 or 1 for a nonzero value,
-    # 2 or 3 (by the sign bit) for a zero.
-    codes = point.view(np.uint8) + zero + (zero & np.signbit(array))
-    return map(_JSON_FORMATS.__getitem__, codes.tobytes())
-
-
-def _csv_formats(values: list[Any], blank_nan: bool = False) -> list[str]:
-    """The %-format of each CSV number; NaN is a blank cell if
-    ``blank_nan``, else an error."""
-    nan = list(map(math.isnan, values))
-    if not blank_nan and any(nan):
-        raise ValueError("CSV numeric fields must not be NaN; use an empty cell")
-    return list(map(_CSV_FORMATS.__getitem__, nan))
+    # 0 or 1 for a nonzero value, 2 or 3 (by the sign bit) for a zero.
+    return point.view(np.uint8) + zero + (zero & np.signbit(array))
 
 
 def _literal(text: str) -> str:
@@ -123,7 +114,9 @@ def _literal(text: str) -> str:
 def csv_float(value: float) -> str:
     """Render one float for CSV plot data (9 significant digits)."""
     value = float(value)
-    return _csv_formats([value])[0] % value
+    if math.isnan(value):
+        raise ValueError("CSV numeric fields must not be NaN; use an empty cell")
+    return _CSV_FLOAT % value
 
 
 def _json_float(value: float) -> str:
@@ -142,31 +135,51 @@ def _lists(items: list[str], width: int, indent: int) -> list[str]:
     on one line when every item is at most 24 characters long and has no
     newline, else one item per line."""
     pad = "  " * indent
-    inner = pad + "  "
-    layouts = ("[\n" + inner, ",\n" + inner, "\n" + pad + "]"), ("[", ", ", "]")
+    inner = "\n" + pad + "  "
     lists = []
     for start in range(0, len(items), width):
         group = items[start:start + width]
-        fits = max(map(len, group)) <= _INLINE_WIDTH and not any(map(operator.contains, group, repeat("\n")))
-        head, sep, tail = layouts[fits]
-        lists.append(head + sep.join(group) + tail)
+        if max(map(len, group)) <= _INLINE_WIDTH:
+            # The joined line has a newline where an item has one.
+            line = ", ".join(group)
+            if "\n" not in line:
+                lists.append("[" + line + "]")
+                continue
+        lists.append("[" + inner + ("," + inner).join(group) + "\n" + pad + "]")
     return lists
 
 
 def _render_array(array: np.ndarray, indent: int) -> str:
     """The JSON text of a nonempty float or int array of at least one
     dimension: one ``%`` pass writes its innermost lists, then
-    :func:`_lists` lays out each level above them."""
+    :func:`_lists` lays out each level above them.  A float list of +0.0
+    alone is a literal, so only the other lists take that pass."""
     flat = array.ravel()
+    width = array.shape[-1]
+    literal = None
     if array.dtype.kind == "f":
-        values, formats = flat[flat != 0.0].tolist(), _json_formats(flat)
+        codes = _json_codes(flat).reshape(-1, width)
+        values = flat[flat != 0.0].tolist()
+        # A list of +0.0 alone (code 2) is a literal; only an array with at
+        # least a list's worth of zeros can hold one.
+        if flat.size - len(values) >= width:
+            written = (codes != 2).any(axis=1)
+            if not written.all():
+                literal = "[" + ", ".join(["0.0"] * width) + "]"
+                codes = codes[written]
+        formats = map(_JSON_FORMATS.__getitem__, codes.tobytes())
     else:
         values, formats = flat.tolist(), repeat("%d", flat.size)
     # A number's text is at most 24 characters (a float's sign, 17 digits,
     # point and exponent; a 64-bit integer's at most 20), so every
     # innermost list fits on one line.
-    rows = map(", ".join, zip(*[formats] * array.shape[-1]))
+    rows = map(", ".join, zip(*[formats] * width))
     items = (("[" + "]\0[".join(rows) + "]") % tuple(values)).split("\0")
+    if literal is not None:
+        texts = np.empty(written.size, dtype=object)
+        texts.fill(literal)
+        np.put(texts, np.flatnonzero(written), items)
+        items = texts.tolist()
     for level in reversed(range(array.ndim - 1)):
         items = _lists(items, array.shape[level], indent + level)
     return items[0]
@@ -220,8 +233,9 @@ def format_json(obj: Any, indent: int = 0) -> str:
     ``[re, im]`` pair matrix, a list of index pairs) is written as its
     list would be, but by one pass that checks its floats and picks their
     formats, one ``%`` pass and one layout pass per level above its
-    innermost lists, not by one call per number, and a float zero as a
-    literal.  Scalars and Python lists are written element by element.
+    innermost lists, not by one call per number; a float zero, and an
+    innermost list of +0.0 alone, is a literal.  Scalars and Python lists
+    are written element by element.
     """
     return _render(obj, indent)
 
@@ -269,7 +283,7 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequenc
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def complex_pair(value: complex) -> list[float]:
+def _complex_pair(value: complex) -> list[float]:
     """Represent one complex number as a ``[re, im]`` pair."""
     value = complex(value)
     return [value.real, value.imag]
@@ -302,7 +316,7 @@ def _trajectory_entries(traj_set: TrajectorySet) -> list[dict[str, Any]]:
             "z": float(traj.z),
             "x": float(traj.x_perp[0]),
             "y": float(traj.x_perp[1]),
-            "A": complex_pair(traj.amplitude),
+            "A": _complex_pair(traj.amplitude),
         }
         for traj in traj_set
     ]
@@ -533,7 +547,7 @@ def measured_to_dict(
         "scale": scale,
         "levels": levels,
         "trajectories": _trajectory_entries(traj_set),
-        "measurement": [complex_pair(b) for b in basis_amplitudes],
+        "measurement": [_complex_pair(b) for b in basis_amplitudes],
         "ground_block": pairs[:1, :1],
         "excited_block": pairs[1:, 1:],
     }
@@ -556,13 +570,13 @@ def measured_from_dict(data: Mapping[str, Any]) -> tuple[np.ndarray, list[float]
 def write_neglog_csv(path: str | Path, matrix: np.ndarray) -> None:
     """Write a negative-log magnitude table as CSV.
 
-    NaN marks an exactly-zero source entry and becomes an empty cell.
+    NaN marks an exactly-zero source entry and becomes an empty cell,
+    written as a literal: only the other cells are formatted.
     """
     matrix = np.asarray(matrix, dtype=float)
-    values = matrix.ravel().tolist()
-    formats = iter(_csv_formats(values, blank_nan=True))
-    lines = [",".join(islice(formats, matrix.shape[1])) for _ in range(matrix.shape[0])]
-    text = ("\n".join(lines) + "\n") % tuple(values)
+    blank = np.isnan(matrix)
+    cells = _NEGLOG_CELLS[blank.view(np.uint8)].tolist()
+    text = ("\n".join(map(",".join, cells)) + "\n") % tuple(matrix[~blank].tolist())
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 

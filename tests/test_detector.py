@@ -21,6 +21,7 @@ from superthermal.detector import (
     MeasurementBasisVector,
     NonPSDShellError,
     _load_reference_matrix,
+    _shell_groups,
     _validate_groups,
     compare_with_reference,
     joint_state,
@@ -32,6 +33,8 @@ from superthermal.detector import (
 from superthermal.geometry import MU, Trajectory, TrajectorySet, validate_regime
 from superthermal.io import block_density_from_dict, block_density_to_dict, format_json
 from superthermal.specfun import lambda_overlap, planck_weight
+
+from oracles import joint_state_dense
 
 RNG = np.random.default_rng(515253)
 
@@ -444,6 +447,71 @@ def test_every_entrance_gives_the_same_shells(frequencies, branches, tol, shells
         for got, want in zip(other.shells, rho.shells):
             assert np.array_equal(got.members, want.members)
             assert np.array_equal(got.block, want.block)
+
+
+def _components_by_size(dim, rows, cols):
+    """The documented shell stacking, one composite at a time: the
+    connected components of the pairs, members ascending, shells by
+    smallest member, grouped by size in order of each size's first shell."""
+    root = list(range(dim))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in zip(rows, cols):
+        root[find(a)] = find(b)
+    shells = {}
+    for a in range(dim):
+        shells.setdefault(find(a), []).append(a)
+    by_size = {}
+    for shell in sorted(shells.values()):
+        by_size.setdefault(len(shell), []).append(shell)
+    return list(by_size.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 40), data=st.data())
+def test_shell_groups_are_the_components_stacked_by_size(dim, data):
+    # random pair graphs, self-pairs and repeats included; with at most
+    # dim pairs some composites stay isolated
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), max_size=dim))
+    rows = np.array([a for a, _ in pairs], dtype=np.int64)
+    cols = np.array([b for _, b in pairs], dtype=np.int64)
+    groups = _shell_groups(dim, rows, cols)
+    assert [g.tolist() for g in groups] == _components_by_size(dim, rows.tolist(), cols.tolist())
+    assert all(g.dtype == np.int64 and not g.flags.writeable for g in groups)
+
+
+def test_lattice_shells_are_the_components_and_read_back():
+    # a lattice like the benchmark's: 36 levels on 17 branches at four
+    # heights, several branches per height, so shells of many sizes
+    levels, branches = 36, 17
+    amps = np.array([1.0 + 0.5j * (n % 2) for n in range(branches)])
+    amps /= np.linalg.norm(amps)
+    ts = TrajectorySet(
+        Trajectory(z=0.5 * (n % 4 + 1), x_perp=(0.25 * (n // 4), 0.1 * (n % 3)), amplitude=a)
+        for n, a in enumerate(amps)
+    )
+    det = DetectorSpec(frequencies=tuple(0.125 * (i + 1) for i in range(levels)),
+                       couplings=tuple(0.5 + 0.4j * (i % 3 - 1) for i in range(levels)))
+    rho = joint_state(det, ts, tol=1e-9)
+    pairs = rho.factors.pairs
+    groups = [members.tolist() for members, _ in rho._groups]
+    assert groups == _components_by_size(levels * branches, pairs[:, 0].tolist(), pairs[:, 1].tolist())
+    assert len(groups) >= 5
+    brute = np.array(
+        joint_state_dense(det.frequencies, det.couplings, [(t.z, *t.x_perp, t.amplitude) for t in ts], 1e-9),
+        dtype=complex,
+    )
+    excited = rho.excited_block
+    assert np.array_equal(excited != 0.0, brute != 0.0)
+    assert np.max(np.abs(excited - brute)) <= 1e-15 * np.max(np.abs(brute))
+    back = block_density_from_dict(json.loads(format_json(block_density_to_dict(rho, det.frequencies, ts))))[0]
+    assert len(back._groups) == len(rho._groups)
+    for (got_members, got), (want_members, want) in zip(back._groups, rho._groups):
+        assert np.array_equal(got_members, want_members) and np.array_equal(got, want)
 
 
 def test_same_branch_levels_in_one_shell_stay_uncoupled():

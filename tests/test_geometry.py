@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superthermal.geometry import (
     MU,
@@ -11,6 +13,7 @@ from superthermal.geometry import (
     Trajectory,
     TrajectorySet,
     WedgeError,
+    branch_separations,
     coherence_condition,
     delta_xbar,
     delta_xi,
@@ -99,6 +102,55 @@ def test_alignment_variables():
     # |dx| = 0.5; sqrt((1 + 4)/2) = sqrt(2.5)
     assert delta_xbar(m, n) == pytest.approx(0.5 * math.sqrt(2.5), rel=1e-15)
     assert delta_xbar(n, m) == delta_xbar(m, n)
+
+
+# Heights whose squares, reciprocal squares and ratios under- or
+# overflow, and offsets whose differences overflow.
+_EDGE_HEIGHTS = (5e-324, 1e-200, 1e-160, 2e-160, 0.5, 1.0, 1e149, 1e200, 1.7976931348623157e308)
+_EDGE_OFFSETS = (0.0, -0.0, 1.0, -1e308, 1e308, 1e-300)
+
+
+@st.composite
+def _trajectory_sets(draw):
+    positive = st.floats(min_value=5e-324, max_value=1.7976931348623157e308, allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    keys = draw(st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_EDGE_HEIGHTS), positive),
+            st.one_of(st.sampled_from(_EDGE_OFFSETS), finite),
+            st.one_of(st.sampled_from(_EDGE_OFFSETS), finite),
+        ),
+        min_size=1, max_size=6, unique=True,
+    ))
+    amp = 1.0 / math.sqrt(len(keys))
+    return TrajectorySet(Trajectory(z=z, x_perp=(x, y), amplitude=amp) for z, x, y in keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traj_set=_trajectory_sets())
+@example(traj_set=TrajectorySet([Trajectory(z=1e-160, amplitude=0.6),
+                                 Trajectory(z=1e149, x_perp=(1.0, 0.0), amplitude=0.8)]))
+@example(traj_set=TrajectorySet([Trajectory(z=1.0, x_perp=(-1e308, 0.0), amplitude=0.6),
+                                 Trajectory(z=1.0, x_perp=(1e308, 0.0), amplitude=0.8)]))
+# heights whose z**2 (Python's pow) is not z * z
+@example(traj_set=TrajectorySet([Trajectory(z=1.8765586949267836, amplitude=0.6),
+                                 Trajectory(z=0.9058897421895353, x_perp=(1.0, 0.0), amplitude=0.8)]))
+@example(traj_set=TrajectorySet([Trajectory(z=1e200, amplitude=0.6),
+                                 Trajectory(z=1e200, x_perp=(1.0, -1e308), amplitude=0.8)]))
+def test_branch_separations_are_the_scalar_functions_bit_for_bit(traj_set):
+    n = len(traj_set)
+    # every ordered pair, repeated to at least 32 pairs: fewer take the
+    # scalar functions themselves
+    codes = np.tile(np.arange(n * n), -(-32 // (n * n)))
+    m_idx, n_idx = np.divmod(codes, n)
+    # the CLI's floating-point state: an overflow in numpy raises
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        dxi, dxbar = branch_separations(traj_set, m_idx, n_idx)
+    want_xi = [delta_xi(traj_set[a], traj_set[b]) for a, b in zip(m_idx, n_idx)]
+    want_xbar = [delta_xbar(traj_set[a], traj_set[b]) for a, b in zip(m_idx, n_idx)]
+    # equal bits: the same value, sign of zero and infinity
+    assert dxi.tobytes() == np.array(want_xi).tobytes()
+    assert dxbar.tobytes() == np.array(want_xbar).tobytes()
 
 
 def test_coherence_condition():

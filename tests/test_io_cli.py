@@ -40,9 +40,9 @@ from superthermal.detector import (
 )
 from superthermal.geometry import MU, Trajectory, TrajectorySet
 from superthermal.io import (
+    _complex_pair,
     block_density_from_dict,
     block_density_to_dict,
-    complex_pair,
     csv_float,
     format_json,
     measured_from_dict,
@@ -254,7 +254,7 @@ def _complex_matrices(draw):
 def test_format_json_matches_the_reference_renderer(matrix, values):
     obj = {
         "block": _pair_nest(matrix),
-        "pair": complex_pair(matrix[0, 0]),
+        "pair": _complex_pair(matrix[0, 0]),
         "values": values,
         "members": list(range(len(values))),
         "pairs": [[k, -k] for k in range(len(values))],
@@ -278,9 +278,29 @@ def _float_arrays(draw):
     return np.array(values).reshape(shape)
 
 
+@st.composite
+def _sparse_arrays(draw):
+    """Arrays shaped like a measured matrix's [re, im] pairs, up to
+    (12, 12, 2): mostly +0.0, with a few -0.0 and a few nonzeros."""
+    shape = tuple(draw(st.lists(st.integers(1, 12), max_size=2))) + (draw(st.integers(1, 2)),)
+    array = np.zeros(shape)
+    cells = draw(st.dictionaries(st.integers(0, array.size - 1), st.one_of(st.just(-0.0), _ARRAY_FLOATS),
+                                 max_size=6))
+    array.flat[list(cells)] = list(cells.values())
+    return array
+
+
+_MATRIX_WITH_AN_INLINE_ROW = np.zeros((3, 4, 2))
+# row 1's only nonzero pair is "[0.5, 0.0]", so row 1 stays on one line;
+# row 2's long pair puts row 2 one pair per line
+_MATRIX_WITH_AN_INLINE_ROW[1, 2, 0] = 0.5
+_MATRIX_WITH_AN_INLINE_ROW[2, 0, 1] = -1.0 / 3.0
+
+
 @settings(max_examples=100, deadline=None)
-@given(array=_float_arrays())
+@given(array=st.one_of(_float_arrays(), _sparse_arrays()))
 @example(array=np.zeros((2, 3)))
+@example(array=_MATRIX_WITH_AN_INLINE_ROW)
 @example(array=np.full((1, 2, 2), -0.0))
 @example(array=np.array([[99999999999999984.0, 1e17, -99999999999999984.0, -1e17, 5e-324, -0.0]]))
 def test_format_json_writes_a_float_array_as_its_list(array):
@@ -339,10 +359,25 @@ def test_format_json_writes_other_arrays_and_scalars_as_their_lists():
 _CSV_CELLS = st.one_of(_FLOATS, st.just(math.inf), st.integers(-(10**6), 10**6), st.text("ab%_ ", max_size=3))
 
 
+@st.composite
+def _mostly_blank_tables(draw):
+    """Negative-log tables of a mostly-zero matrix, up to 12 x 12: NaN
+    except for a few cells."""
+    table = np.full((draw(st.integers(1, 12)), draw(st.integers(1, 12))), math.nan)
+    cells = draw(st.dictionaries(st.integers(0, table.size - 1), st.one_of(_FLOATS, st.just(math.inf)),
+                                 max_size=6))
+    table.flat[list(cells)] = list(cells.values())
+    return table
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     rows=st.lists(st.lists(_CSV_CELLS, min_size=3, max_size=3), max_size=5),
-    table=st.lists(st.lists(st.one_of(_FLOATS, st.just(math.nan)), min_size=3, max_size=3), max_size=4),
+    table=st.one_of(
+        st.lists(st.lists(st.one_of(_FLOATS, st.just(math.nan)), min_size=3, max_size=3), max_size=4).map(
+            lambda table: np.array(table, dtype=float).reshape(len(table), 3)),
+        _mostly_blank_tables(),
+    ),
 )
 def test_csv_writers_match_the_reference_renderer(rows, table):
     header = ("a", "b%", "c")
@@ -350,8 +385,8 @@ def test_csv_writers_match_the_reference_renderer(rows, table):
         path = Path(tmp) / "rows.csv"
         write_csv(path, header, [*zip(*rows)])
         assert path.read_text(encoding="utf-8") == _reference_csv([header, *rows])
-        write_neglog_csv(path, np.array(table, dtype=float).reshape(len(table), 3))
-        assert path.read_text(encoding="utf-8") == _reference_csv(table or [[]])
+        write_neglog_csv(path, table)
+        assert path.read_text(encoding="utf-8") == _reference_csv(table.tolist() or [[]])
         with pytest.raises(ValueError, match="NaN"):
             write_csv(path, header, [*zip(*rows, ("x", math.nan, 1.0))])
     for cell in rows[0] if rows else ():
@@ -362,7 +397,7 @@ def test_csv_writers_match_the_reference_renderer(rows, table):
 def test_complex_pair_round_trip():
     values = [1.5 - 2.25j, 0.0 + 0.0j, -3.0 + 4.0j]
     for v in values:
-        assert pair_to_complex(complex_pair(v)) == v
+        assert pair_to_complex(_complex_pair(v)) == v
     with pytest.raises(ValueError):
         pair_to_complex([1.0])
     matrix = np.array([[1 + 2j, 3 - 4j], [0.1j, -0.25]])
