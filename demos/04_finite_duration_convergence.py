@@ -6,12 +6,10 @@ The closed-form state assembly assumes a long Gaussian interaction
 window.  How long is long?  This script evaluates the finite-duration
 scalar product by direct quadrature — an oracle sharing no code with
 the closed forms — and watches it converge to the asymptotic value at
-first order in the inverse sharpness.  It also demonstrates that the
-choice of boost rate used to parameterize the worldlines is pure
-bookkeeping: physical numbers do not depend on it.
+first order in the inverse sharpness.
 """
 
-from superthermal import Trajectory, convergence_report, oracle_overlap_finite_t, overlap_diagnostics
+from superthermal import Trajectory, convergence_report, overlap_diagnostics
 
 # ---------------------------------------------------------------------------
 # 1. Convergence of the norm
@@ -21,7 +19,7 @@ from superthermal import Trajectory, convergence_report, oracle_overlap_finite_t
 # parameter M = 2 omega^2 T^2 controls the error: first-order decay
 # means slope -1 in log-log.
 
-report = convergence_report(omega=1.0, z=1.0, a=1.0, T_list=(10.0, 20.0, 40.0, 80.0))
+report = convergence_report(omega=1.0, z=1.0, T_list=(10.0, 20.0, 40.0, 80.0))
 print("finite-window norm against its asymptotic value:")
 print(f"  {'T':>5} {'M':>9} {'oracle':>14} {'asymptotic':>14} {'rel_error':>11}")
 for row in report.rows:
@@ -45,16 +43,3 @@ print(f"  suppression C = {diag.suppression:.3e}   sharpness M = {diag.sharpness
 diag = overlap_diagnostics(2.02, Trajectory(z=0.5), 1.0, Trajectory(z=1.0), T=40.0)
 print("misaligned by 1% (omega=2.02):")
 print(f"  suppression C = {diag.suppression:.3f}  ->  e^-C = {2.718281828459045 ** -diag.suppression:.2e}")
-
-# ---------------------------------------------------------------------------
-# 3. Boost-rate independence
-#
-# Parameterizing the same worldlines with a different boost rate a
-# rescales intermediate quantities but not the physical overlap: the
-# oracle returns the same number for every a.
-
-traj = Trajectory(z=1.0)
-print("\nfinite-window norm at T = 40 for three boost rates:")
-for a in (0.5, 1.0, 2.0):
-    value = oracle_overlap_finite_t(1.0, traj, 1.0, traj, 40.0, a=a)
-    print(f"  a = {a}:  {complex(value).real:.15e}")

@@ -23,9 +23,9 @@ Subcommands
     requested ``q`` plus the two on-axis CSVs.
 ``oracle-validate``
     Cross-check closed forms against the independent quadrature oracles
-    and write ``convergence.csv``, ``lambda_oracle_diff.csv``,
-    ``a_sweep.csv`` and ``oracle_refinement.csv`` (the change each oracle
-    call's grid refinement made, against its target).
+    and write ``convergence.csv``, ``lambda_oracle_diff.csv`` and
+    ``oracle_refinement.csv`` (the change each oracle call's grid
+    refinement made, against its target).
 ``paper-example``
     Run the built-in three-trajectory demonstration, write its 12x12
     negative-log table and a comparison report against the embedded
@@ -36,17 +36,17 @@ Subcommands
 
 Configuration is one JSON file with sections ``detector``,
 ``trajectories``, ``interaction``, ``measurement``, ``output``,
-``continuum`` and ``oracle``; complex numbers are ``[re, im]`` pairs.  A
-flag overrides the field :data:`_FLAGS` names (``--out`` is
-``output.directory``), and every configuration error names its field.
-Each command computes all of its results before it creates the output
-directory, so a failed run writes nothing.  Exit codes: 0 success,
-2 configuration error (an output directory that cannot be created or
-written into too, and a ``lambda-grid`` run of more than
-:data:`_MAX_GRID_CELLS` cells, q values x ``--grid`` squared), 3
-numerical failure (a quadrature that does not converge or whose grids
-would pass their size cap, an overflow, NaN or division by zero in the
-formulas, or a ``paper-example`` FAIL verdict).
+``continuum`` and ``oracle``; complex numbers are ``[re, im]`` pairs.
+Keys that no command reads are ignored.  A flag overrides the field
+:data:`_FLAGS` names (``--out`` is ``output.directory``), and every
+configuration error names its field.  Each command computes all of its
+results before it creates the output directory, so a failed run writes
+nothing.  Exit codes: 0 success, 2 configuration error (an output
+directory that cannot be created or written into too, and a
+``lambda-grid`` run of more than :data:`_MAX_GRID_CELLS` cells, q values
+x ``--grid`` squared), 3 numerical failure (a quadrature that does not
+converge or whose grids would pass their size cap, an overflow, NaN or
+division by zero in the formulas, or a ``paper-example`` FAIL verdict).
 
 Identical configuration produces byte-identical files: floats are
 emitted through fixed formats and every iteration order is fixed.
@@ -77,7 +77,7 @@ from .detector import (
     paper_example,
     reduced_internal,
 )
-from .geometry import Trajectory, TrajectorySet, validate_regime
+from .geometry import TrajectorySet, validate_regime
 from .io import (
     _as_complex,
     _scale_field,
@@ -89,7 +89,7 @@ from .io import (
     write_json,
     write_neglog_csv,
 )
-from .overlaps import QuadratureError, _lambda_quadrature, _overlap_finite_t, convergence_report
+from .overlaps import QuadratureError, _lambda_quadrature, convergence_report
 from .specfun import lambda_axis_xbar, lambda_axis_xi, lambda_overlap
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "build_run_config", "main"]
@@ -99,7 +99,6 @@ _DEFAULT_GRID_STEPS = 25
 _DEFAULT_T_LIST = (10.0, 20.0, 40.0, 80.0)
 _ORACLE_DIFF_DXI = (-1.5, 0.0, 1.5)
 _ORACLE_DIFF_DXBAR = (0.0, 1.0, 2.5)
-_A_SWEEP_VALUES = (0.5, 1.0, 2.0)
 
 #: Most cells (q values x steps^2) one lambda-grid run tabulates: one q at
 #: --grid 1024, which costs about 3 s and 0.5 GB (0.4 KB per cell).
@@ -269,9 +268,6 @@ def build_run_config(raw: Mapping[str, Any]) -> RunConfig:
                 f"not match {len(trajectories)} trajectories"
             )
     scale = _get(raw, "output.scale", _scale_name, "per_eps2T")
-    # Only oracle-validate uses the boost rate, but every command that
-    # reads the interaction section rejects a bad one.
-    _get(raw, "interaction.rindler_a", _positive, 1.0)
     return RunConfig(detector, trajectories, eps, T_value, tol, measurement, scale)
 
 
@@ -414,20 +410,15 @@ def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
 
 def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Cross-check closed forms against the quadrature oracles."""
-    rindler_a = _get(tree, "interaction.rindler_a", _positive, 1.0)
     T_list = _get(tree, "oracle.T_list", _float_list, _DEFAULT_T_LIST)
     try:
-        report = convergence_report(omega=1.0, z=1.0, a=rindler_a, T_list=T_list)
+        report = convergence_report(omega=1.0, z=1.0, T_list=T_list)
     except ValueError as exc:
         raise ConfigError(f"oracle.T_list: {exc}") from exc
-    # One row per compared (q, dxi) or (T, a): q, dxi, dxbar, then T and a
-    # (finite-duration rows only; their pair is omega = 1 on one branch at
-    # z = 1).  Rows that share an oracle call repeat its change.
-    same_branch = (1.0, 0.0, "0")
-    refinement = [
-        ("finite_t", *same_branch, r.T, rindler_a, r.change, r.target)
-        for r in report.rows
-    ]
+    # One row per compared (q, dxi) or T: q, dxi, dxbar, then T (finite-
+    # duration rows only; their pair is omega = 1 on one branch at z = 1).
+    # Rows that share an oracle call repeat its change.
+    refinement = [("finite_t", 1.0, 0.0, "0", r.T, r.change, r.target) for r in report.rows]
 
     rows = []
     dxbar = np.array(_ORACLE_DIFF_DXBAR)
@@ -439,29 +430,17 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
         quads = {m: _lambda_quadrature(q, m, dxbar) for m in dict.fromkeys(map(abs, _ORACLE_DIFF_DXI))}
         for dxi, closed_row in zip(_ORACLE_DIFF_DXI, closed_q):
             quad, change, target = quads[abs(dxi)]
-            refinement.append(("lambda_quadrature", q, dxi, dxbar_cell, "", "", change, target))
+            refinement.append(("lambda_quadrature", q, dxi, dxbar_cell, "", change, target))
             rows += [(q, dxi, dxb, c, v, v - c) for dxb, c, v in zip(_ORACLE_DIFF_DXBAR, closed_row, quad)]
 
-    traj = Trajectory(z=1.0)
-    T_ref = T_list[-1]
-    last = report.rows[-1]
-    sweep_rows = []
-    for a in _A_SWEEP_VALUES:
-        if a == rindler_a:  # the convergence report's last call
-            value, change, target = last.oracle, last.change, last.target
-        else:
-            value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, T_ref, a)
-        refinement.append(("finite_t", *same_branch, T_ref, a, change, target))
-        sweep_rows.append((a, T_ref, value))
     convergence = ("T", "M", "oracle", "asymptotic", "rel_error")
     _write_outputs(tree, [
         ("convergence.csv", write_csv, convergence,
          [[getattr(r, name) for r in report.rows] for name in convergence]),
         ("lambda_oracle_diff.csv", write_csv,
          ("q", "dxi", "dxbar", "closed", "quadrature", "diff"), [*zip(*rows)]),
-        ("a_sweep.csv", write_csv, ("a", "T", "oracle"), [*zip(*sweep_rows)]),
         ("oracle_refinement.csv", write_csv,
-         ("oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"), [*zip(*refinement)]),
+         ("oracle", "q", "dxi", "dxbar", "T", "change", "target"), [*zip(*refinement)]),
     ])
     _emit_warnings(report.warnings)
     return 0

@@ -585,12 +585,18 @@ def measured_internal(rho: BlockDensity, basis: MeasurementBasisVector) -> np.nd
     # The branch overlap B^dagger A as a sum of products without fused
     # multiply-adds, so that orthogonal amplitudes cancel exactly.
     out[0, 0] = abs(_cmul(b.conj(), rho.factors.amplitudes).sum()) ** 2
+    cells, terms = [], []
     for members, blocks in rho._groups:
         level, branch = np.divmod(members, rho.traj_count)
-        terms = b[branch].conj()[:, :, None] * blocks * b[branch][:, None, :]
-        # A shell can hold two branches of one level, so the same output
-        # cell may recur within a block: add.at accumulates every term.
-        np.add.at(out, (1 + level[:, :, None], 1 + level[:, None, :]), terms)
+        terms.append((b[branch].conj()[:, :, None] * blocks * b[branch][:, None, :]).ravel())
+        cells.append(((1 + level[:, :, None]) * (levels + 1) + 1 + level[:, None, :]).ravel())
+    # A shell can hold two branches of one level, so the same output cell
+    # may recur: bincount sums every term, in order, once per part, and
+    # each part goes into its own view of out.
+    cell, term = np.concatenate(cells), np.concatenate(terms)
+    flat = out.reshape(-1)
+    flat.real += np.bincount(cell, weights=term.real, minlength=flat.size)
+    flat.imag += np.bincount(cell, weights=term.imag, minlength=flat.size)
     return out
 
 

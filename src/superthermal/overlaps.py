@@ -18,10 +18,9 @@ This module provides those asymptotic closed forms plus two independent
 quadrature routes used to validate them:
 
 * :func:`oracle_overlap_finite_t` — the finite-duration overlap as one
-  integral over the boost frequency :math:`\omega''` on the whole line,
-  with the Gaussian window factor, the auxiliary Rindler parameter ``a``
-  (which must drop out of the result) and the transverse-momentum
-  integral :math:`\int dk\,k\,J_0 K_{i\nu} K_{i\nu}` in closed form;
+  integral over the boost frequency :math:`\nu` on the whole line, with
+  the Gaussian window factor and the transverse-momentum integral
+  :math:`\int dk\,k\,J_0 K_{i\nu} K_{i\nu}` in closed form;
 * :func:`oracle_lambda_quadrature` — the
   :math:`\bar{k}`-integral representation of :math:`\Lambda` in terms of
   a product of modified Bessel functions of imaginary order, which checks
@@ -138,8 +137,9 @@ class OverlapDiagnostics:
     ``suppression`` is the exponent :math:`C` damping misaligned pairs
     (the overlap carries :math:`e^{-C}`), ``sharpness`` is the exponent
     scale :math:`M` controlling the :math:`O(1/M)` approach to the
-    asymptotic forms, ``omega_bar`` is the center of the boost-frequency
-    Gaussian and ``width`` its standard scale
+    asymptotic forms, ``omega_bar`` is the center of the Gaussian over the
+    boost frequency :math:`\nu` (the dimensionless order of
+    :math:`K_{i\nu}`) and ``width`` its standard scale
     :math:`\\bar\\omega/\\sqrt{2M}`.  ``q_row`` and ``q_col`` are the two
     boost-energy products whose mismatch drives ``suppression``.
     """
@@ -211,7 +211,6 @@ def overlap_diagnostics(
     omega_j: float,
     traj_m: Trajectory,
     T: float,
-    a: float = 1.0,
 ) -> OverlapDiagnostics:
     r"""Expose the finite-duration Gaussian parameters
     (:math:`C`, :math:`M`, :math:`\bar\omega`, width) for a pair of
@@ -219,15 +218,15 @@ def overlap_diagnostics(
     instead of through the binary condition alone; the finite-duration
     oracle integrates over the same Gaussian.
     """
-    if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0 and a > 0.0):
-        raise ValueError("the finite-duration overlap requires omega_i, omega_j, T, a > 0")
+    if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0):
+        raise ValueError("the finite-duration overlap requires omega_i, omega_j, T > 0")
     zm, zn = traj_m.z, traj_n.z
     zz = zm * zm + zn * zn
     q_row = omega_j * zm
     q_col = omega_i * zn
     suppression = (q_row - q_col) ** 2 * T * T / zz
     sharpness = (omega_i * zm + omega_j * zn) ** 2 * T * T / zz
-    omega_bar = a * (omega_j / zm + omega_i / zn) / (1.0 / zm**2 + 1.0 / zn**2)
+    omega_bar = (omega_j / zm + omega_i / zn) / (1.0 / zm**2 + 1.0 / zn**2)
     width = omega_bar / math.sqrt(2.0 * sharpness)
     return OverlapDiagnostics(
         suppression=suppression,
@@ -441,7 +440,7 @@ def _hyperbolic_distance(traj_m: Trajectory, traj_n: Trajectory) -> float:
 
 
 def _finite_t_once(
-    par: OverlapDiagnostics, mu: float, zm: float, zn: float, T: float, a: float, refine: float
+    par: OverlapDiagnostics, mu: float, zm: float, zn: float, T: float, refine: float
 ) -> tuple[float, None]:
     r"""The boost-frequency quadrature of :func:`oracle_overlap_finite_t`,
     whose Gaussian parameters are ``par`` and hyperbolic distance ``mu``,
@@ -451,12 +450,8 @@ def _finite_t_once(
     them and one per ``_SPECTRAL_ORDER_SPAN`` of :math:`\nu(\mu + 1)`, counted
     before any node is made: past ``_MAX_GRID_VALUES`` nodes it raises
     :class:`QuadratureError`."""
-    # Nodes are placed covariantly in s = omega''/omega_bar, so the node
-    # pattern (and hence the result to near machine precision) does not
-    # depend on the auxiliary parameter a.
     half_support = 8.0 / math.sqrt(2.0 * par.sharpness)
-    nu_bar = par.omega_bar / a
-    span = 2.0 * half_support * nu_bar
+    span = 2.0 * half_support * par.omega_bar
     n_panels = refine * max(_SPECTRAL_PANELS, span * (mu + 1.0) / _SPECTRAL_ORDER_SPAN)
     if not n_panels * _GL_NODES.size <= _MAX_GRID_VALUES:
         raise QuadratureError(
@@ -466,7 +461,7 @@ def _finite_t_once(
         )
     edges = np.linspace(1.0 - half_support, 1.0 + half_support, math.ceil(n_panels) + 1)
     s_nodes, s_weights = _panel_nodes(edges)
-    nu = s_nodes * nu_bar
+    nu = s_nodes * par.omega_bar
     # e^{-pi nu}/sinh(pi nu) = 2/expm1(x), x = 2 pi nu, is x/expm1(x) over
     # pi nu.  x/expm1(x) = |x| e^{-max(x, 0)}/(-expm1(-|x|)) cannot overflow
     # and is 1 at x = 0; the 1/nu goes into sin(nu mu)/(nu sinh mu) below.
@@ -480,10 +475,10 @@ def _finite_t_once(
     mu_over_sinh = 1.0 if mu == 0.0 else 2.0 * mu * math.exp(-mu) / -math.expm1(-2.0 * mu)
     total = float(s_weights @ (gauss * planck * np.sinc(nu * (mu / math.pi))))
     integral = par.omega_bar * mu_over_sinh / (2.0 * zm) / zn * total
-    prefactor = T * T * math.exp(-par.suppression) / (math.sqrt(2.0 * math.pi**5) * a)
+    prefactor = T * T * math.exp(-par.suppression) / math.sqrt(2.0 * math.pi**5)
     value = prefactor * integral
     if not math.isfinite(value):
-        raise FloatingPointError(f"finite-duration overlap is not finite at T = {T:g}, a = {a:g}")
+        raise FloatingPointError(f"finite-duration overlap is not finite at T = {T:g}")
     return value, None
 
 
@@ -493,17 +488,16 @@ def _overlap_finite_t(
     omega_j: float,
     traj_m: Trajectory,
     T: float,
-    a: float,
 ) -> tuple[float, float, float]:
     """:func:`oracle_overlap_finite_t` with its change and target (see
     :func:`_converged`); the change is 0 for a suppressed pair."""
-    par = overlap_diagnostics(omega_i, traj_n, omega_j, traj_m, T, a)
+    par = overlap_diagnostics(omega_i, traj_n, omega_j, traj_m, T)
     target = _FINITE_T_TARGET * T
     if par.suppression > 800.0:
         return 0.0, 0.0, target
     mu = _hyperbolic_distance(traj_m, traj_n)
     return _converged(
-        lambda refine, bound: _finite_t_once(par, mu, traj_m.z, traj_n.z, T, a, refine),
+        lambda refine, bound: _finite_t_once(par, mu, traj_m.z, traj_n.z, T, refine),
         target,
         f"finite-duration overlap quadrature at T = {T:g}",
     )
@@ -515,7 +509,6 @@ def oracle_overlap_finite_t(
     omega_j: float,
     traj_m: Trajectory,
     T: float,
-    a: float = 1.0,
 ) -> float:
     r"""Finite-duration scalar product
     :math:`\langle\omega_i,n|\omega_j,m\rangle_F` by direct quadrature.
@@ -523,15 +516,16 @@ def oracle_overlap_finite_t(
     The overlap is the double integral
 
     .. math::
-        \frac{T^2 e^{-C}}{\sqrt{2\pi^5}\,a}
+        \frac{T^2 e^{-C}}{\sqrt{2\pi^5}}
         \int_0^\infty\!dk_\perp\,k_\perp J_0(k_\perp\Delta x_\perp)
-        \int_0^\infty\!d\omega''\,
+        \int_0^\infty\!d\nu\,
         K_{i\nu}(k_\perp z_m)\,K_{i\nu}(k_\perp z_n)\,
         \Big[e^{-\pi\nu} e^{-M(s - 1)^2} + e^{+\pi\nu} e^{-M(s + 1)^2}\Big],
-        \qquad \nu = \omega''/a,\; s = \omega''/\bar\omega .
+        \qquad s = \nu/\bar\omega,
 
-    :math:`K_{i\nu}` is even in :math:`\nu`, so the counter-rotating
-    Gaussian is the rotating one on :math:`\omega'' < 0`, and the
+    over the boost frequency :math:`\nu`.  :math:`K_{i\nu}` is even in
+    :math:`\nu`, so the counter-rotating Gaussian is the rotating one on
+    :math:`\nu < 0`, and the
     :math:`k_\perp` integral has the closed form
 
     .. math::
@@ -543,20 +537,18 @@ def oracle_overlap_finite_t(
     one integral
 
     .. math::
-        \frac{T^2 e^{-C}}{\sqrt{2\pi^5}\,a}
-        \int_{-\infty}^{\infty}\!d\omega''\,
+        \frac{T^2 e^{-C}}{\sqrt{2\pi^5}}
+        \int_{-\infty}^{\infty}\!d\nu\,
         e^{-\pi\nu - M(s - 1)^2} F(\nu),
 
     over the Gaussian's support :math:`\bar\omega(1 \pm 8/\sqrt{2M})`, with
-    no clip at :math:`\omega'' = 0`: :math:`e^{-\pi\nu}/\sinh(\pi\nu) =
+    no clip at :math:`\nu = 0`: :math:`e^{-\pi\nu}/\sinh(\pi\nu) =
     2/\operatorname{expm1}(2\pi\nu)` and :math:`\sin(\nu\mu)/\sinh\mu`
     (:math:`\nu` at :math:`\mu = 0`) are taken in forms that hold at every
     :math:`\nu`.  :math:`\mu` comes from the raw heights and offsets, not
     from :math:`(\Delta\xi, \Delta\bar{x})`, so agreement with the closed
     forms also checks that mapping.  Equal Gauss-Legendre panels cover the
-    window, six or more, and one per 2 orders over :math:`\mu + 1`.  The
-    auxiliary parameter ``a`` must not affect the value; nodes are placed
-    covariantly so it cancels to rounding accuracy.
+    window, six or more, and one per 2 orders over :math:`\mu + 1`.
 
     Target ``1e-10 * T`` for the change a 1.5 times refined grid makes.
     The change is a refinement estimate, not an error bound: the window's
@@ -567,7 +559,7 @@ def oracle_overlap_finite_t(
     Strongly suppressed pairs (:math:`C > 800`, value below the
     double-precision underflow scale) return exactly 0.
     """
-    return _overlap_finite_t(omega_i, traj_n, omega_j, traj_m, T, a)[0]
+    return _overlap_finite_t(omega_i, traj_n, omega_j, traj_m, T)[0]
 
 
 @dataclass(frozen=True)
@@ -599,7 +591,7 @@ class ConvergenceReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceReport:
+def convergence_report(omega: float, z: float, T_list) -> ConvergenceReport:
     r"""Compare :func:`oracle_overlap_finite_t` against the asymptotic
     norm :func:`diag_overlap` over increasing durations.
 
@@ -609,8 +601,8 @@ def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceR
     switching transients dominate and the asymptotic comparison is not
     meaningful.
     """
-    if not (omega > 0.0 and z > 0.0 and a > 0.0):
-        raise ValueError("convergence_report requires omega, z, a > 0")
+    if not (omega > 0.0 and z > 0.0):
+        raise ValueError("convergence_report requires omega, z > 0")
     T_values = [float(T) for T in T_list]
     if not T_values:
         raise ValueError("T_list must be non-empty")
@@ -628,7 +620,7 @@ def convergence_report(omega: float, z: float, a: float, T_list) -> ConvergenceR
                 "switching transients dominate and the asymptotic comparison "
                 "is unreliable"
             )
-        oracle, change, target = _overlap_finite_t(omega, traj, omega, traj, T, a)
+        oracle, change, target = _overlap_finite_t(omega, traj, omega, traj, T)
         asymptotic = diag_overlap(omega, z, T)
         rows.append(ConvergenceRow(
             T=T, M=2.0 * omega * omega * T * T, oracle=oracle, asymptotic=asymptotic,

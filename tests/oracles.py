@@ -10,6 +10,8 @@ agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 
 
@@ -80,8 +82,6 @@ def joint_state_dense(frequencies, couplings, trajectories, tol):
     q taken from the lower flat index and the upper entry conjugated.
     ``trajectories`` are (z, x, y, amplitude) tuples in branch order.
     """
-    import math
-
     n_traj = len(trajectories)
     size = len(frequencies) * n_traj
 
@@ -124,42 +124,101 @@ def joint_state_dense(frequencies, couplings, trajectories, tol):
     return out
 
 
-def finite_t_spectral(omega_i, n, omega_j, m, T, a=1.0, dps: int = 40):
+def finite_t_spectral(omega_i, n, omega_j, m, T, dps: int = 40):
     """Finite-duration overlap <omega_i, n | omega_j, m> from its 1-D
     boost-frequency integral, on the whole line,
 
-        T^2 e^{-C} / (sqrt(2 pi^5) a) * int dw e^{-pi nu - M (s - 1)^2} F(nu),
+        T^2 e^{-C} / sqrt(2 pi^5) * int dnu e^{-pi nu - M (s - 1)^2} F(nu),
         F(nu) = pi sin(nu mu) / (2 z_m z_n sinh(pi nu) sinh mu),
 
-    with nu = w / a, s = w / wbar, cosh mu = (z_m^2 + z_n^2 + b^2)/(2 z_m z_n)
-    (b the transverse distance) and C, M, wbar the Gaussian parameters of
-    the pair.  ``n`` and ``m`` are (z, x, y) tuples.  The Gaussian tails
+    over the boost frequency nu, with s = nu / wbar, cosh mu = (z_m^2 +
+    z_n^2 + b^2)/(2 z_m z_n) (b the transverse distance) and C, M, wbar
+    the Gaussian parameters of the pair.  ``n`` and ``m`` are (z, x, y) tuples.  The Gaussian tails
     past 30 of its standard deviations (e^-450) are left out.
     """
     with mp.workdps(dps):
-        omega_i, omega_j, T, a = (mp.mpf(v) for v in (omega_i, omega_j, T, a))
+        omega_i, omega_j, T = (mp.mpf(v) for v in (omega_i, omega_j, T))
         (z_n, x_n, y_n), (z_m, x_m, y_m) = ([mp.mpf(v) for v in p] for p in (n, m))
         zz = z_m**2 + z_n**2
         C = (omega_j * z_m - omega_i * z_n) ** 2 * T**2 / zz
         M = (omega_i * z_m + omega_j * z_n) ** 2 * T**2 / zz
-        wbar = a * (omega_j / z_m + omega_i / z_n) / (1 / z_m**2 + 1 / z_n**2)
+        wbar = (omega_j / z_m + omega_i / z_n) / (1 / z_m**2 + 1 / z_n**2)
         b2 = (x_m - x_n) ** 2 + (y_m - y_n) ** 2
         mu = mp.acosh((zz + b2) / (2 * z_m * z_n))
 
-        def integrand(w):
-            nu = w / a
+        def integrand(nu):
             ratio = nu if mu == 0 else mp.sin(nu * mu) / mp.sinh(mu)
             # e^{-pi nu} / sinh(pi nu) = 2 / expm1(2 pi nu)
             f = mp.pi * ratio / (z_m * z_n * mp.expm1(2 * mp.pi * nu))
-            return mp.exp(-M * (w / wbar - 1) ** 2) * f
+            return mp.exp(-M * (nu / wbar - 1) ** 2) * f
 
         sigma = wbar / mp.sqrt(2 * M)
         # the poles of 1/expm1(2 pi nu) at nu = +-i set a finer scale near 0
-        near_zero = {s * a * mp.mpf(2) ** k for s in (-1, 1) for k in range(-2, 40)}
+        near_zero = {s * mp.mpf(2) ** k for s in (-1, 1) for k in range(-2, 40)}
         points = {wbar + k * sigma for k in range(-30, 31)} | near_zero | {mp.mpf(0)}
         points = sorted(p for p in points if abs(p - wbar) <= 30 * sigma)
         integral = mp.quad(integrand, points)
-        return T**2 * mp.exp(-C) / (mp.sqrt(2 * mp.pi**5) * a) * integral
+        return T**2 * mp.exp(-C) / mp.sqrt(2 * mp.pi**5) * integral
+
+
+def finite_t_wightman(omega_i, n, omega_j, m, T, dps: int = 20):
+    """Finite-duration overlap <omega_i, n | omega_j, m> from the vacuum
+    Wightman function along the two branches,
+
+        W = 1 / (4 pi^2 (|dx|^2 - (dt - i eps)^2))
+          = 1 / (8 pi^2 z_m z_n (cosh mu - cosh(d eta - i eps))),
+
+    each branch switched along its proper time tau = z eta by
+    chi(tau) = (2 pi)^(-1/4) e^(-tau^2 / (4 T^2)).  The centre-of-time
+    integral is Gaussian, and what is left is one integral on the line
+    w = u - i theta:
+
+        T e^{-C} / (4 pi^2 sqrt(2 (z_m^2 + z_n^2)))
+            * int du e^{-kappa w^2 - i qbar w} / (cosh mu - cosh w),
+        kappa = z_m^2 z_n^2 / (4 T^2 (z_m^2 + z_n^2)),
+        qbar = (omega_j z_m z_n^2 + omega_i z_n z_m^2) / (z_m^2 + z_n^2),
+
+    with C = (omega_j z_m - omega_i z_n)^2 T^2 / (z_m^2 + z_n^2) and
+    cosh mu = (z_m^2 + z_n^2 + b^2) / (2 z_m z_n), b the transverse
+    distance.  ``n`` and ``m`` are (z, x, y) tuples.
+
+    The poles sit at w = +-mu and 2 pi below them, so every 0 < theta <
+    2 pi gives the same value; theta = min(qbar / (2 kappa), pi) is the
+    Gaussian's saddle, or the line midway between the pole rows.  The
+    integrand at -u is the conjugate of the one at u, so the integral is
+    twice the real part of the one over u >= 0.  On theta = pi it turns at
+    a rate near qbar and cancels down to about e^{-pi qbar} of its size:
+    breakpoints every pi/qbar and ceil(pi qbar / ln 10) digits beyond
+    ``dps``.  Near u = mu the line passes within theta of a pole (the
+    double pole at w = 0 on the diagonal), so breakpoints also lie at mu +-
+    theta 2^k.  Past U, where e^{-kappa U^2 - (U - mu)} falls below the
+    working precision, one last interval runs to infinity.
+    """
+    qbar_estimate = (omega_j * m[0] * n[0] ** 2 + omega_i * n[0] * m[0] ** 2) / (m[0] ** 2 + n[0] ** 2)
+    digits = dps + math.ceil(math.pi * qbar_estimate / math.log(10))
+    with mp.workdps(digits):
+        omega_i, omega_j, T = (mp.mpf(v) for v in (omega_i, omega_j, T))
+        (z_n, x_n, y_n), (z_m, x_m, y_m) = ([mp.mpf(v) for v in p] for p in (n, m))
+        zz = z_m**2 + z_n**2
+        C = (omega_j * z_m - omega_i * z_n) ** 2 * T**2 / zz
+        kappa = z_m**2 * z_n**2 / (4 * T**2 * zz)
+        qbar = (omega_j * z_m * z_n**2 + omega_i * z_n * z_m**2) / zz
+        cosh_mu = (zz + (x_m - x_n) ** 2 + (y_m - y_n) ** 2) / (2 * z_m * z_n)
+        mu = mp.acosh(cosh_mu)
+        theta = min(qbar / (2 * kappa), mp.pi)
+
+        def integrand(u):
+            w = mp.mpc(u, -theta)
+            return mp.exp(-kappa * w**2 - 1j * qbar * w) / (cosh_mu - mp.cosh(w))
+
+        decay = digits * mp.log(10)
+        end = mu + (mp.sqrt(1 + 4 * kappa * decay) - 1) / (2 * kappa)
+        step = mp.pi / qbar
+        points = {k * step for k in range(int(end / step) + 1)} | {mu}
+        points |= {mu + s * theta * 2**k for s in (-1, 1) for k in range(64) if theta * 2**k < step}
+        points = sorted(p for p in points if 0 <= p <= end) + [mp.inf]
+        integral = 2 * mp.re(mp.quad(integrand, points, method="gauss-legendre"))
+        return T * mp.exp(-C) / (4 * mp.pi**2 * mp.sqrt(2 * zz)) * integral
 
 
 def laplace_coefficients(q, orders: int = 4, dps: int = 40):

@@ -35,6 +35,8 @@ from superthermal.overlaps import (
 )
 from superthermal.specfun import lambda_axis_xbar, lambda_axis_xi, lambda_overlap
 
+from test_overlaps import FINITE_T_K_ROUTE
+
 NEGLOG_11 = 3.079241539661914724446
 NEGLOG_77 = 10.45795881443162827351
 NEGLOG_8_12 = 34.22778635527267164831
@@ -106,9 +108,7 @@ def test_criterion_3_axis_forms(capsys):
 
 def test_criterion_4_finite_duration_convergence(capsys):
     with criterion(capsys, 4, "finite-duration error decays at first order"):
-        report = convergence_report(
-            omega=1.0, z=1.0, a=1.0, T_list=(10.0, 20.0, 40.0, 80.0)
-        )
+        report = convergence_report(omega=1.0, z=1.0, T_list=(10.0, 20.0, 40.0, 80.0))
         errors = [row.rel_error for row in report.rows]
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert report.slope == pytest.approx(-1.0, abs=0.3)
@@ -116,20 +116,13 @@ def test_criterion_4_finite_duration_convergence(capsys):
 
 def test_criterion_5_boost_rate_independence(capsys):
     with criterion(capsys, 5, "physical overlaps independent of the boost rate"):
-        traj = Trajectory(z=1.0)
-        traj_n = Trajectory(z=0.5)
-        traj_m = Trajectory(z=1.0)
-        for omega_i, tn, omega_j, tm in (
-            (1.0, traj, 1.0, traj),
-            (2.0, traj_n, 1.0, traj_m),
-        ):
-            values = [
-                complex(oracle_overlap_finite_t(omega_i, tn, omega_j, tm, 40.0, a=a))
-                for a in (0.5, 1.0, 2.0)
-            ]
-            center = values[1]
-            for v in values:
-                assert abs(v - center) <= 1e-8 * abs(center)
+        # values the former route froze at boost rates a = 0.5 to 2; the
+        # oracle takes no boost rate and must meet every one
+        for omega_i, n, omega_j, m, T, _, want in FINITE_T_K_ROUTE:
+            got = oracle_overlap_finite_t(
+                omega_i, Trajectory(z=n[0], x_perp=n[1:]), omega_j, Trajectory(z=m[0], x_perp=m[1:]), T
+            )
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_criterion_6_scale_freedom(capsys):

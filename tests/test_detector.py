@@ -484,9 +484,9 @@ def test_shell_groups_are_the_components_stacked_by_size(dim, data):
     assert all(g.dtype == np.int64 and not g.flags.writeable for g in groups)
 
 
-def test_lattice_shells_are_the_components_and_read_back():
-    # a lattice like the benchmark's: 36 levels on 17 branches at four
-    # heights, several branches per height, so shells of many sizes
+def _lattice_36x17():
+    """A lattice like the benchmark's: 36 levels on 17 branches at four
+    heights, several branches per height, so shells of many sizes."""
     levels, branches = 36, 17
     amps = np.array([1.0 + 0.5j * (n % 2) for n in range(branches)])
     amps /= np.linalg.norm(amps)
@@ -496,7 +496,12 @@ def test_lattice_shells_are_the_components_and_read_back():
     )
     det = DetectorSpec(frequencies=tuple(0.125 * (i + 1) for i in range(levels)),
                        couplings=tuple(0.5 + 0.4j * (i % 3 - 1) for i in range(levels)))
-    rho = joint_state(det, ts, tol=1e-9)
+    return det, ts, joint_state(det, ts, tol=1e-9)
+
+
+def test_lattice_shells_are_the_components_and_read_back():
+    det, ts, rho = _lattice_36x17()
+    levels, branches = rho.level_count, rho.traj_count
     pairs = rho.factors.pairs
     groups = [members.tolist() for members, _ in rho._groups]
     assert groups == _components_by_size(levels * branches, pairs[:, 0].tolist(), pairs[:, 1].tolist())
@@ -512,6 +517,27 @@ def test_lattice_shells_are_the_components_and_read_back():
     assert len(back._groups) == len(rho._groups)
     for (got_members, got), (want_members, want) in zip(back._groups, rho._groups):
         assert np.array_equal(got_members, want_members) and np.array_equal(got, want)
+
+
+def test_measured_internal_sums_like_add_at_bit_for_bit():
+    # branches n and n + 4 share a height, so a shell holds one level on
+    # two branches and its measured cell recurs; a basis with zero and
+    # imaginary entries gives terms of both signs in both parts
+    det, ts, rho = _lattice_36x17()
+    level_rows = [row for members, _ in rho._groups for row in (members // rho.traj_count).tolist()]
+    assert any(len(set(row)) < len(row) for row in level_rows)
+    b = np.array([(0.3, 0.0, -0.2j, 0.1 - 0.4j)[n % 4] for n in range(rho.traj_count)])
+    basis = MeasurementBasisVector(amplitudes=tuple(b / np.linalg.norm(b)))
+    got = measured_internal(rho, basis)
+    want = np.zeros_like(got)
+    want[0, 0] = got[0, 0]
+    b = basis.vector
+    for members, blocks in rho._groups:
+        level, branch = np.divmod(members, rho.traj_count)
+        terms = b[branch].conj()[:, :, None] * blocks * b[branch][:, None, :]
+        np.add.at(want, (1 + level[:, :, None], 1 + level[:, None, :]), terms)
+    assert np.signbit(want.real).any() and np.signbit(want.imag).any()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_same_branch_levels_in_one_shell_stay_uncoupled():

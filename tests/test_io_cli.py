@@ -760,11 +760,9 @@ def test_cli_oracle_validate(tmp_path, monkeypatch):
     assert len(errors) == 2
     assert errors[1] < errors[0]
 
-    sweep = (out / "a_sweep.csv").read_text().splitlines()
-    assert sweep[0] == "a,T,oracle"
-    oracle_cells = {line.split(",")[2] for line in sweep[1:]}
-    assert len(sweep[1:]) == 3
-    assert len(oracle_cells) == 1  # boost-rate independence, to all printed digits
+    assert sorted(p.name for p in out.iterdir()) == [
+        "convergence.csv", "lambda_oracle_diff.csv", "oracle_refinement.csv",
+    ]
 
     diff_rows = (out / "lambda_oracle_diff.csv").read_text().splitlines()
     assert diff_rows[0] == "q,dxi,dxbar,closed,quadrature,diff"
@@ -778,20 +776,18 @@ def test_cli_oracle_validate(tmp_path, monkeypatch):
         if dxi == "1.5":
             assert by_key[q, "-1.5", dxbar] == quad
 
-    # one row per compared (q, dxi) or (T, a): two durations, 4 q x 3 dxi,
-    # three a values
+    # one row per compared (q, dxi) or T: two durations, 4 q x 3 dxi
     refinement = [line.split(",") for line in (out / "oracle_refinement.csv").read_text().splitlines()]
-    assert refinement[0] == ["oracle", "q", "dxi", "dxbar", "T", "a", "change", "target"]
+    assert refinement[0] == ["oracle", "q", "dxi", "dxbar", "T", "change", "target"]
     calls = refinement[1:]
-    assert [row[0] for row in calls] == ["finite_t"] * 2 + ["lambda_quadrature"] * 12 + ["finite_t"] * 3
+    assert [row[0] for row in calls] == ["finite_t"] * 2 + ["lambda_quadrature"] * 12
     assert [row[4] for row in calls[:2]] == ["5", "10"]
-    assert {row[3] for row in calls[2:14]} == {"0 1 2.5"}
-    assert [row[5] for row in calls[14:]] == ["0.5", "1", "2"]
+    assert {row[3] for row in calls[2:]} == {"0 1 2.5"}
     for row in calls:
-        change, target = float(row[6]), float(row[7])
+        change, target = float(row[5]), float(row[6])
         assert 0.0 <= change <= target
         assert target == (1e-8 if row[0] == "lambda_quadrature" else 1e-10 * float(row[4]))
-    lambda_rows = {(row[1], row[2]): row[6] for row in calls[2:14]}
+    lambda_rows = {(row[1], row[2]): row[5] for row in calls[2:]}
     assert all(lambda_rows[q, "-1.5"] == lambda_rows[q, "1.5"] for q in ("0", "1", "2", "10"))
     # each q = 10 call's refined pass (run first) has at least 1.4 times the
     # base pass's k nodes, so its change measures a refinement; q = 10 takes
@@ -801,27 +797,25 @@ def test_cli_oracle_validate(tmp_path, monkeypatch):
     assert all(fine >= 1.4 * base for fine, base in pairs)
 
 
-def test_cli_oracle_validate_reuses_the_convergence_call_in_its_a_sweep(tmp_path, monkeypatch):
-    # At the default a = 1 the a-sweep's call at T_list[-1] is the
-    # convergence report's last one, so the run makes one finite-duration
-    # call per duration and two for the other a values.
-    calls = []
-    finite_t = overlaps._overlap_finite_t
-
-    def counted(*args):
-        calls.append(args[4:])
-        return finite_t(*args)
-
-    monkeypatch.setattr(overlaps, "_overlap_finite_t", counted)
-    monkeypatch.setattr(cli, "_overlap_finite_t", counted)
-    out = tmp_path / "out"
-    assert main(["oracle-validate", "--out", str(out)]) == 0
-    T_list = cli._DEFAULT_T_LIST
-    assert calls == [(T, 1.0) for T in T_list] + [(T_list[-1], 0.5), (T_list[-1], 2.0)]
-    convergence = (out / "convergence.csv").read_text().splitlines()
-    sweep = (out / "a_sweep.csv").read_text().splitlines()
-    assert sweep[2].split(",")[:2] == ["1", "80"]
-    assert sweep[2].split(",")[2] == convergence[-1].split(",")[2]
+def test_cli_ignores_the_retired_boost_rate_key(tmp_path):
+    # interaction.rindler_a once set the finite-duration oracle's boost
+    # rate, which cancels from every overlap; a config that still carries
+    # it, whatever its value, writes the files of the same config without it
+    for command, tree in (
+        ("state", _lattice_tree()),
+        ("measure", _lattice_tree()),
+        ("oracle-validate", {"interaction": {}, "oracle": {"T_list": [5.0, 10.0]}}),
+    ):
+        base = tmp_path / command / "base"
+        assert main([command, "--config", _write_config(tmp_path, tree), "--out", str(base)]) == 0
+        names = sorted(p.name for p in base.iterdir())
+        for k, value in enumerate((0.7, 0, 1e-310, "abc")):
+            tree["interaction"]["rindler_a"] = value
+            out = tmp_path / command / str(k)
+            assert main([command, "--config", _write_config(tmp_path, tree), "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (base / name).read_bytes(), (command, value, name)
 
 
 def test_cli_paper_example(tmp_path, capsys):
@@ -1003,7 +997,6 @@ def test_offdiag_coefficient_of_an_omega_array_is_the_scalar_calls():
         ),
         (lambda t: t.update(output={"scale": "bogus"}), "output.scale"),
         (lambda t: t["trajectories"][0].update(A=["a", "b"]), "trajectories[0].A"),
-        (lambda t: t["interaction"].update(rindler_a=0.0), "interaction.rindler_a"),
         (lambda t: t["detector"].update(couplings=[1.0, math.nan]), "detector.couplings"),
         (lambda t: t["trajectories"][1].update(x=math.nan), "x_perp must be finite"),
     ],
@@ -1360,13 +1353,8 @@ def test_cli_non_finite_q_is_a_config_error(tmp_path, capsys, q):
     "argv, tree, message",
     [
         (["oracle-validate"], {"oracle": {"T_list": [10.0, 1e308]}}, "FloatingPointError: invalid"),
-        (
-            ["oracle-validate"],
-            {"interaction": {"rindler_a": 1e-310}},
-            "FloatingPointError: finite-duration overlap is not finite at T = 10, a = 1e-310",
-        ),
     ],
-    ids=["T-1e308", "a-1e-310"],
+    ids=["T-1e308"],
 )
 def test_cli_non_finite_results_are_numerical_failures(tmp_path, capsys, argv, tree, message):
     out = tmp_path / "out"

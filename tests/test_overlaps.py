@@ -4,7 +4,8 @@ Frozen literals come from mpmath (``tests/oracles.py``): closed formulas
 and the 1-D boost-frequency integral at 40 digits, the k-bar integral at
 25 digits.  ``FINITE_T_K_ROUTE`` alone holds values of the package's
 former finite-duration route.  One test takes the closed form of Lambda
-from ``oracles.lam`` directly.
+from ``oracles.lam`` directly, and one the finite-duration overlap from
+``oracles.finite_t_wightman``.
 """
 
 import math
@@ -12,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import lam
+from oracles import finite_t_wightman, lam
 
 from superthermal import overlaps
 from superthermal.geometry import Trajectory
@@ -57,9 +58,11 @@ DIAG_DEVIATION_C3 = 17.47665637305891245848
 # Values of the former finite-duration route, which integrated
 # K_inu(k z_m) K_inu(k z_n) over k_perp and omega'' (commit e9e8c5f), frozen
 # before the k_perp integral was taken in closed form: diagonal, offset
-# and detuned pairs, T = 2-80, a = 0.5-2.  Every window 1 +- 8/sqrt(2M)
-# stays clear of s = 0, where that route clipped.  Each agrees with
-# mpmath's finite_t_spectral within 2.7e-14 relative.
+# and detuned pairs, T = 2-80.  That route took a boost rate a, which set
+# nu = omega''/a; each value was computed at the a it lists (0.5-2), so
+# they check that the overlap does not depend on it.  Every window
+# 1 +- 8/sqrt(2M) stays clear of s = 0, where that route clipped.  Each
+# agrees with mpmath's finite_t_spectral within 2.7e-14 relative.
 # (omega_i, (z, x, y) of n, omega_j, (z, x, y) of m, T, a, value)
 FINITE_T_K_ROUTE = [
     (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 5.0, 1.0, 0.0017019759992648572),
@@ -77,7 +80,7 @@ FINITE_T_K_ROUTE = [
 ]
 
 # mpmath finite_t_spectral at 40 digits, on the whole boost-frequency
-# line; a = 1.  The first is CI's T_list [1, 20] row, the next two lie far
+# line.  The first is CI's T_list [1, 20] row, the next two lie far
 # below T = 1/omega.
 # (omega_i, (z, x, y) of n, omega_j, (z, x, y) of m, T, value)
 FINITE_T_SPECTRAL_REFERENCE = [
@@ -174,11 +177,9 @@ def test_overlap_diagnostics_fields():
         (omega_i * traj_m.z + omega_j * traj_n.z) ** 2 * T * T / zz, rel=1e-15
     )
     assert diag.width == pytest.approx(diag.omega_bar / math.sqrt(2 * diag.sharpness), rel=1e-15)
-    # the auxiliary frequency scale is linear in a; the exponents are not
-    scaled = overlap_diagnostics(omega_i, traj_n, omega_j, traj_m, T, a=2.0)
-    assert scaled.omega_bar == pytest.approx(2.0 * diag.omega_bar, rel=1e-15)
-    assert scaled.suppression == diag.suppression
-    assert scaled.sharpness == diag.sharpness
+    # the boost frequency the Wightman route's Gaussian turns at
+    zm, zn = traj_m.z, traj_n.z
+    assert diag.omega_bar == pytest.approx((omega_j * zm * zn**2 + omega_i * zn * zm**2) / zz, rel=1e-15)
 
 
 def test_lambda_quadrature_matches_mpmath_and_closed_form():
@@ -321,12 +322,12 @@ def test_oracles_return_their_targets_from_one_convergence_check():
     assert np.array_equal(values, oracle_lambda_quadrature(1.0, 0.4, [0.0, 1.2]))
     assert target == 1e-8 and 0.0 <= change <= target
     traj = Trajectory(z=1.0)
-    value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 20.0, 1.0)
+    value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 20.0)
     assert value == oracle_overlap_finite_t(1.0, traj, 1.0, traj, 20.0)
     assert target == 1e-10 * 20.0 and 0.0 < change <= target
     # a suppressed pair keeps its target
-    assert _overlap_finite_t(3.0, traj, 1.0, traj, 200.0, 1.0) == (0.0, 0.0, 1e-10 * 200.0)
-    assert convergence_report(1.0, 1.0, 1.0, [10.0]).rows[0].target == 1e-10 * 10.0
+    assert _overlap_finite_t(3.0, traj, 1.0, traj, 200.0) == (0.0, 0.0, 1e-10 * 200.0)
+    assert convergence_report(1.0, 1.0, [10.0]).rows[0].target == 1e-10 * 10.0
 
     # The refined pass runs first with the K series bound, the base pass
     # without; their difference plus the bound is held to the target.
@@ -419,20 +420,12 @@ def test_finite_t_oracle_approaches_diag_with_1_over_M():
     assert deviation * M == pytest.approx(DIAG_DEVIATION_C1, abs=0.02)
 
 
-def test_finite_t_oracle_auxiliary_parameter_independence():
-    traj = Trajectory(z=1.0)
-    base = oracle_overlap_finite_t(1.0, traj, 1.0, traj, 40.0, a=1.0)
-    for a in (0.5, 2.0):
-        other = oracle_overlap_finite_t(1.0, traj, 1.0, traj, 40.0, a=a)
-        assert other.real == pytest.approx(base.real, rel=1e-12)
-
-
 def test_finite_t_oracle_below_one_over_omega_widens_its_panels():
     # at T = 0.2 the boost-frequency window spans 40 orders (-19 to 21); six
     # fixed panels over it miss the target by 41 times, one per two orders
     # do not
     traj = Trajectory(z=1.0)
-    _, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 0.2, 1.0)
+    _, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 0.2)
     assert change < 1e-3 * target
 
 
@@ -442,12 +435,13 @@ def _branch_pair(omega_i, n, omega_j, m):
 
 @pytest.mark.parametrize("case", FINITE_T_K_ROUTE, ids=lambda c: f"{c[0]:g}-{c[2]:g}-T{c[4]:g}-a{c[5]:g}")
 def test_finite_t_oracle_matches_the_frozen_k_route(case):
-    # The 1-D route takes the k_perp integral in closed form; on the frozen
-    # set it moved no value by more than 6.3e-15 relative.
-    *pair, T, a, want = case
+    # The 1-D route takes the k_perp integral in closed form and has no
+    # boost rate; on the frozen set it moved no value by more than 6.3e-15
+    # relative.
+    *pair, T, _, want = case
     args = _branch_pair(*pair)
-    assert 8.0 / math.sqrt(2.0 * overlap_diagnostics(*args, T, a).sharpness) < 1.0
-    assert oracle_overlap_finite_t(*args, T, a) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert 8.0 / math.sqrt(2.0 * overlap_diagnostics(*args, T).sharpness) < 1.0
+    assert oracle_overlap_finite_t(*args, T) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -459,6 +453,38 @@ def test_finite_t_oracle_matches_mpmath_on_the_whole_line(case):
     # omega'' < 0.  What the window leaves out is below 2e-13 relative here.
     *pair, T, want = case
     assert oracle_overlap_finite_t(*_branch_pair(*pair), T) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# Pairs for the Wightman route: diagonal q = 1 from T = 0.03 (where the
+# contour passes 0.0036 from the double pole at w = 0) to 20, q = 0.6, 0.5
+# and 3, an offset pair, an aligned pair across z = 1 and 2 at T = 80, a
+# detuned pair and a wide separation at equal heights.
+# (omega_i, (z, x, y) of n, omega_j, (z, x, y) of m, T)
+FINITE_T_WIGHTMAN_CASES = [
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 1.0),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 20.0),
+    (0.6, (1.0, 0.0, 0.0), 0.6, (1.0, 0.0, 0.0), 10.0),
+    (0.5, (1.0, 0.0, 0.0), 0.5, (1.0, 0.0, 0.0), 0.5),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0), 0.03),
+    (1.4, (0.5, 0.4, 0.0), 0.7, (1.0, 0.9, 0.0), 10.0),
+    (2.0, (1.0, 0.0, 0.0), 1.0, (2.0, 0.4, 0.0), 80.0),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.2, 0.3, 0.0), 3.0),
+    (1.0, (1.0, 0.0, 0.0), 1.0, (1.0, 3.0, 0.0), 3.0),
+    (3.0, (1.0, 0.0, 0.0), 3.0, (1.0, 0.0, 0.0), 20.0),
+]
+
+
+@pytest.mark.parametrize(
+    "case", FINITE_T_WIGHTMAN_CASES, ids=lambda c: f"{c[0]:g}-{c[2]:g}-z{c[3][0]:g}-b{c[3][1]:g}-T{c[4]:g}"
+)
+def test_finite_t_oracle_matches_the_wightman_route(case):
+    # The vacuum two-point function along the branches, integrated in
+    # mpmath, shares neither F(nu) nor the boost-frequency window with the
+    # oracle: it checks the prefactor, C, M and the centre omega_bar.
+    *pair, T = case
+    want = float(finite_t_wightman(*pair, T))
+    got = oracle_overlap_finite_t(*_branch_pair(*pair), T)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_finite_t_oracle_scale_freedom():
@@ -494,7 +520,7 @@ def test_finite_t_oracle_suppresses_misaligned_pairs():
 
 
 def test_convergence_report_structure():
-    report = convergence_report(omega=1.0, z=1.0, a=1.0, T_list=(10.0, 20.0))
+    report = convergence_report(omega=1.0, z=1.0, T_list=(10.0, 20.0))
     assert [row.T for row in report.rows] == [10.0, 20.0]
     assert [row.M for row in report.rows] == [200.0, 800.0]
     for row in report.rows:
@@ -507,9 +533,9 @@ def test_convergence_report_structure():
     assert not report.warnings
 
     with pytest.raises(ValueError):
-        convergence_report(omega=1.0, z=1.0, a=1.0, T_list=(20.0, 10.0))
+        convergence_report(omega=1.0, z=1.0, T_list=(20.0, 10.0))
     with pytest.raises(ValueError):
-        convergence_report(omega=1.0, z=1.0, a=1.0, T_list=())
+        convergence_report(omega=1.0, z=1.0, T_list=())
 
 
 def test_convergence_report_approaches_the_first_order_law():
@@ -518,7 +544,7 @@ def test_convergence_report_approaches_the_first_order_law():
     # h(s) = s/(e^{2 pi q s} - 1), here at q = 1 (c4 = -34).  So the gap
     # rel_error M - c1 = c2/M + O(1/M^2) lies above c2/M and, for M >= 200,
     # below (c2 + c3/200)/M = 18.754/M.
-    report = convergence_report(omega=1.0, z=1.0, a=1.0, T_list=(10.0, 20.0, 40.0, 80.0))
+    report = convergence_report(omega=1.0, z=1.0, T_list=(10.0, 20.0, 40.0, 80.0))
     bound = DIAG_DEVIATION_C2 + DIAG_DEVIATION_C3 / 200.0
     for row in report.rows:
         gap = row.rel_error * row.M - DIAG_DEVIATION_C1
@@ -526,5 +552,5 @@ def test_convergence_report_approaches_the_first_order_law():
 
 
 def test_convergence_report_warns_below_window_floor():
-    report = convergence_report(omega=1.0, z=1.0, a=1.0, T_list=(0.5, 10.0))
+    report = convergence_report(omega=1.0, z=1.0, T_list=(0.5, 10.0))
     assert any("regime violation" in w for w in report.warnings)
