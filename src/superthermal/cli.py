@@ -20,7 +20,9 @@ Subcommands
     by eps^2 T; the neglog table stays per unit eps^2 T.
 ``lambda-grid``
     Tabulate the overlap factor over separation grids: one CSV per
-    requested ``q`` plus the two on-axis CSVs.
+    requested ``q``, named by its 9-digit text, plus the two on-axis
+    CSVs.  Two ``--q`` values with the same 9-digit text (or one value
+    given twice) would share a file, so they are a configuration error.
 ``oracle-validate``
     Cross-check closed forms against the independent quadrature oracles
     and write ``convergence.csv``, ``lambda_oracle_diff.csv`` and
@@ -32,7 +34,8 @@ Subcommands
     reference matrix.
 ``continuum``
     Evaluate continuous-spectrum kernel slices on configured grids and
-    write them as CSV.
+    write them as CSV.  Its grid axes and frequency lists must be flat,
+    nonempty lists of numbers.
 
 Configuration is one JSON file with sections ``detector``,
 ``trajectories``, ``interaction``, ``measurement``, ``output``,
@@ -213,10 +216,6 @@ def _complex_list(values: Any) -> list[complex]:
     return [_as_complex(v) for v in values]
 
 
-def _float_array(values: Any) -> np.ndarray:
-    return np.asarray(values, dtype=float)
-
-
 def _scale_name(value: Any) -> str:
     if value not in ("per_eps2T", "absolute"):
         raise ValueError(f"expected 'per_eps2T' or 'absolute', got {value!r}")
@@ -368,6 +367,12 @@ def _parse_q_list(text: str | None) -> tuple[float, ...]:
         raise ConfigError("--q: values must be nonnegative")
     if not all(math.isfinite(q) for q in values):
         raise ConfigError("--q: values must be finite")
+    seen: dict[str, float] = {}
+    for q in values:
+        tag = _q_tag(q)
+        if tag in seen:
+            raise ConfigError(f"--q: {seen[tag]!r} and {q!r} both name lambda_grid_q{tag}.csv")
+        seen[tag] = q
     return values
 
 
@@ -415,10 +420,10 @@ def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> in
         report = convergence_report(omega=1.0, z=1.0, T_list=T_list)
     except ValueError as exc:
         raise ConfigError(f"oracle.T_list: {exc}") from exc
-    # One row per compared (q, dxi) or T: q, dxi, dxbar, then T (finite-
-    # duration rows only; their pair is omega = 1 on one branch at z = 1).
-    # Rows that share an oracle call repeat its change.
-    refinement = [("finite_t", 1.0, 0.0, "0", r.T, r.change, r.target) for r in report.rows]
+    # One row per compared (q, dxi) or T: q, dxi, then dxbar and T as text
+    # (T on finite-duration rows only; their pair is omega = 1 on one branch
+    # at z = 1).  Rows that share an oracle call repeat its change.
+    refinement = [("finite_t", 1.0, 0.0, "0", csv_float(r.T), r.change, r.target) for r in report.rows]
 
     rows = []
     dxbar = np.array(_ORACLE_DIFF_DXBAR)
@@ -479,7 +484,7 @@ def _parse_continuum(tree: Mapping[str, Any]):
     omega_grid)`` systems: the configured one and its exact scale
     transformation (lengths doubled, frequencies halved), which must be
     representable too."""
-    x, y, z = (_get(tree, f"continuum.amplitude.{key}", _float_array) for key in "xyz")
+    x, y, z = (np.array(_get(tree, f"continuum.amplitude.{key}", _float_list)) for key in "xyz")
     values = _get(tree, "continuum.amplitude.values", _complex_list)
     expected = x.size * y.size * z.size
     if len(values) != expected:
@@ -492,7 +497,7 @@ def _parse_continuum(tree: Mapping[str, Any]):
         amplitude = SmearedAmplitude(x, y, z, grid_values, spacings)
     except ValueError as exc:
         raise ConfigError(f"continuum.amplitude: {exc}") from exc
-    omega = _get(tree, "continuum.coupling.omega", _float_array)
+    omega = np.array(_get(tree, "continuum.coupling.omega", _float_list))
     coupling_values = _get(tree, "continuum.coupling.values", _complex_list)
     if omega.size != len(coupling_values):
         raise ConfigError("continuum.coupling: omega and values must have equal length")
@@ -518,8 +523,8 @@ def _parse_continuum(tree: Mapping[str, Any]):
         return height
 
     z_fixed = _get(tree, "continuum.z_fixed", grid_height)
-    omega_grid = _get(tree, "continuum.omega_grid", _float_array)
-    if omega_grid.ndim != 1 or omega_grid.size == 0 or not np.all(omega_grid > 0.0):
+    omega_grid = np.array(_get(tree, "continuum.omega_grid", _float_list))
+    if not np.all(omega_grid > 0.0):
         raise ConfigError("continuum.omega_grid: must be positive frequencies")
     # The rescaled system halves both the grid and the table, so this one
     # check covers it too.

@@ -604,20 +604,14 @@ def neglog_matrix(rho_internal: np.ndarray, level_count: int) -> np.ndarray:
     r"""Magnitude table :math:`-\log_{10}|\rho_{ji}|` over the excited
     levels, with structurally absent (exactly zero) entries marked NaN.
 
-    Accepts either the full ``(level_count+1)``-square internal matrix
-    (the ground row/column is dropped) or the bare level-square block.
-    Intended for per-unit-:math:`\varepsilon^2 T` matrices, matching the
-    published presentation.
+    Takes the ``(level_count+1)``-square measured internal matrix and
+    drops its ground row and column.  Intended for per-unit-
+    :math:`\varepsilon^2 T` matrices, matching the published presentation.
     """
     matrix = np.asarray(rho_internal, dtype=complex)
-    if matrix.shape == (level_count + 1, level_count + 1):
-        matrix = matrix[1:, 1:]
-    elif matrix.shape != (level_count, level_count):
-        raise ValueError(
-            f"expected a {level_count}- or {level_count + 1}-square matrix, "
-            f"got shape {matrix.shape}"
-        )
-    mags = np.abs(matrix)
+    if matrix.shape != (level_count + 1, level_count + 1):
+        raise ValueError(f"expected a {level_count + 1}-square matrix, got shape {matrix.shape}")
+    mags = np.abs(matrix[1:, 1:])
     out = np.full(mags.shape, np.nan)
     mask = mags > 0.0
     out[mask] = -np.log10(mags[mask])

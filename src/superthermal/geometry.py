@@ -6,9 +6,11 @@ A uniformly accelerated pointlike system that stays at Rindler height
 coordinate maps
 
 .. math::
-    T = z \sinh(a t), \qquad Z = z \cosh(a t),
+    T = z \sinh t, \qquad Z = z \cosh t,
 
-the relative quantities between two trajectories,
+whose Rindler time :math:`t` is the dimensionless boost parameter (the
+boost rate cancels from every quantity this package computes, so the
+maps take none), the relative quantities between two trajectories,
 
 .. math::
     \Delta\xi_{mn} = \log(z_m/z_n), \qquad
@@ -165,41 +167,35 @@ class RegimeReport:
         return not self.violations
 
 
-def rindler_to_minkowski(t: float, x: float, y: float, z: float, a: float = 1.0):
+def rindler_to_minkowski(t: float, x: float, y: float, z: float):
     r"""Map Rindler coordinates ``(t, x, y, z)`` to Minkowski ``(T, X, Y, Z)``.
 
     .. math::
-        T = z \sinh(a t), \quad X = x, \quad Y = y, \quad Z = z \cosh(a t).
+        T = z \sinh t, \quad X = x, \quad Y = y, \quad Z = z \cosh t.
 
     The image always satisfies :math:`Z > |T|` (right wedge) and
     :math:`Z^2 - T^2 = z^2`.
     """
     if not z > 0.0:
         raise ValueError(f"rindler_to_minkowski requires z > 0, got z={z}")
-    if not a > 0.0:
-        raise ValueError(f"rindler_to_minkowski requires a > 0, got a={a}")
-    at = a * t
-    return (z * math.sinh(at), x, y, z * math.cosh(at))
+    return (z * math.sinh(t), x, y, z * math.cosh(t))
 
 
-def minkowski_to_rindler(T: float, X: float, Y: float, Z: float, a: float = 1.0):
+def minkowski_to_rindler(T: float, X: float, Y: float, Z: float):
     r"""Inverse of :func:`rindler_to_minkowski` on the right wedge.
 
     .. math::
-        z = \sqrt{Z^2 - T^2}, \qquad t = \operatorname{atanh}(T/Z)/a.
+        z = \sqrt{Z^2 - T^2}, \qquad t = \operatorname{atanh}(T/Z).
 
     Raises
     ------
     WedgeError
         If the event does not satisfy :math:`Z > |T|`.
     """
-    if not a > 0.0:
-        raise ValueError(f"minkowski_to_rindler requires a > 0, got a={a}")
     if not Z > abs(T):
         raise WedgeError(f"event (T={T}, Z={Z}) lies outside the right wedge Z > |T|")
     z = math.sqrt((Z - T) * (Z + T))
-    t = math.atanh(T / Z) / a
-    return (t, X, Y, z)
+    return (math.atanh(T / Z), X, Y, z)
 
 
 def delta_xi(m: Trajectory, n: Trajectory) -> float:

@@ -38,8 +38,8 @@ zeros are the literals ``0.0`` and ``-0.0``, and an innermost list of
 +0.0 alone, most of a measured matrix, is one literal left out of that
 pass.  Scalars and Python lists, which artifacts keep for their few
 small fields, are written one element at a time.  The CSV writers fill
-one %-template per file; a blank negative-log cell is a literal, so only
-the table's numbers are formatted.
+one %-template per file: a :func:`write_csv` column is all text or all
+numbers, and a blank negative-log cell is a literal.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import operator
 from collections.abc import Mapping, Sequence
-from itertools import compress, islice, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -85,8 +84,6 @@ _CSV_FLOAT = "%.9g"
 # literals, which consume no value.
 _JSON_FORMATS = (_JSON_FLOAT, _JSON_FLOAT + ".0", "0.0", "-0.0")
 _NEGLOG_CELLS = np.array([_CSV_FLOAT, ""], dtype=object)
-# A CSV cell's format, picked by whether it is text.
-_CELL_FORMATS = (_CSV_FLOAT, "%s")
 # A list is written on one line when every element is at most this long
 # and has no newline.
 _INLINE_WIDTH = 24
@@ -104,11 +101,6 @@ def _json_codes(values: np.ndarray) -> np.ndarray:
     zero = array == 0.0
     # 0 or 1 for a nonzero value, 2 or 3 (by the sign bit) for a zero.
     return point.view(np.uint8) + zero + (zero & np.signbit(array))
-
-
-def _literal(text: str) -> str:
-    """``text`` as a piece of a %-template that prints it verbatim."""
-    return text.replace("%", "%%")
 
 
 def csv_float(value: float) -> str:
@@ -168,13 +160,14 @@ def _render_array(array: np.ndarray, indent: int) -> str:
                 literal = "[" + ", ".join(["0.0"] * width) + "]"
                 codes = codes[written]
         formats = map(_JSON_FORMATS.__getitem__, codes.tobytes())
+        template = "[" + "]\0[".join(map(", ".join, zip(*[formats] * width))) + "]"
     else:
-        values, formats = flat.tolist(), repeat("%d", flat.size)
+        values = flat.tolist()
+        template = "\0".join(["[" + ", ".join(["%d"] * width) + "]"] * (flat.size // width))
     # A number's text is at most 24 characters (a float's sign, 17 digits,
     # point and exponent; a 64-bit integer's at most 20), so every
     # innermost list fits on one line.
-    rows = map(", ".join, zip(*[formats] * width))
-    items = (("[" + "]\0[".join(rows) + "]") % tuple(values)).split("\0")
+    items = (template % tuple(values)).split("\0")
     if literal is not None:
         texts = np.empty(written.size, dtype=object)
         texts.fill(literal)
@@ -219,7 +212,7 @@ def _render(obj: Any, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def format_json(obj: Any, indent: int = 0) -> str:
+def format_json(obj: Any) -> str:
     """Serialize ``obj`` to JSON text with fixed float formatting.
 
     Standard ``json.dumps`` delegates float formatting to ``repr``; this
@@ -237,7 +230,7 @@ def format_json(obj: Any, indent: int = 0) -> str:
     innermost list of +0.0 alone, is a literal.  Scalars and Python lists
     are written element by element.
     """
-    return _render(obj, indent)
+    return _render(obj, 0)
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -252,34 +245,29 @@ def read_json(path: str | Path) -> Any:
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
     """Write a CSV file with a header line, then one row per entry of the
-    equally long ``columns``, with 9-digit numeric cells.
+    equally long ``columns``, one column per header name.
 
-    Cells that are strings pass through verbatim; numbers are formatted as
-    by :func:`csv_float`.  A column of numbers is checked for NaN and the
-    file written by one ``%`` pass over a row template repeated per row;
-    only a column that mixes text and numbers takes a format per cell.
+    A column is all text, whose cells pass through verbatim, or all
+    numbers, formatted as by :func:`csv_float`; a column that mixes the
+    two raises ``ValueError`` naming its header, as does a NaN.  The file
+    is written by one ``%`` pass over a row template repeated per row.
     Line endings are ``\\n``.
     """
     width = len(columns)
     rows = len(columns[0]) if columns else 0
     cells: list[Any] = [None] * (rows * width)
-    formats: list[Any] = []
+    formats = []
     for j, column in enumerate(columns):
         values = column.tolist() if isinstance(column, np.ndarray) else list(column)
         cells[j::width] = values  # a column of another length raises ValueError
-        textual = list(map(isinstance, values, repeat(str)))
-        if any(map(math.isnan, compress(values, map(operator.not_, textual)))):
-            raise ValueError("CSV numeric fields must not be NaN; use an empty cell")
-        formats.append(list(map(_CELL_FORMATS.__getitem__, textual)) if any(textual) else _CSV_FLOAT)
-    if all(isinstance(fmt, str) for fmt in formats):
-        body = (",".join(formats) + "\n") * rows
-    else:
-        grid: list[str] = [""] * len(cells)
-        for j, fmt in enumerate(formats):
-            grid[j::width] = [fmt] * rows if isinstance(fmt, str) else fmt
-        pieces = iter(grid)
-        body = "".join([",".join(islice(pieces, width)) + "\n" for _ in range(rows)])
-    text = (_literal(",".join(header)) + "\n" + body) % tuple(cells)
+        texts = sum(map(isinstance, values, repeat(str)))
+        if 0 < texts < len(values):
+            raise ValueError(f"CSV column {header[j]!r} mixes text and numbers")
+        if not texts and any(map(math.isnan, values)):
+            raise ValueError(f"CSV column {header[j]!r}: numeric fields must not be NaN; use an empty cell")
+        formats.append("%s" if texts else _CSV_FLOAT)
+    body = (",".join(formats) + "\n") * rows
+    text = (",".join(header).replace("%", "%%") + "\n" + body) % tuple(cells)
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -553,18 +541,34 @@ def measured_to_dict(
     }
 
 
+def _pair_block(value: Any, size: int, name: str) -> np.ndarray:
+    """A ``size``-square block of finite ``[re, im]`` pairs as a complex matrix."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name}: expected rows of [re, im] pairs")
+    try:
+        block = pairs_to_matrix(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if block.shape != (size, size) or not np.all(np.isfinite(block)):
+        raise ValueError(f"{name}: expected a {size}x{size} block of finite [re, im] pairs")
+    return block
+
+
 def measured_from_dict(data: Mapping[str, Any]) -> tuple[np.ndarray, list[float]]:
-    """Parse a measured-matrix JSON object back to the full array."""
-    levels = [float(w) for w in data["levels"]]
-    ground = pairs_to_matrix(data["ground_block"])
-    excited = pairs_to_matrix(data["excited_block"])
+    """Parse a measured-matrix JSON object back to the full array.
+
+    A missing field, a block of the wrong shape, a cell that is not an
+    ``[re, im]`` pair and a value that is not finite raise ``ValueError``
+    naming the field.
+    """
+    if not isinstance(data, Mapping) or not isinstance(data.get("levels"), list):
+        raise ValueError("levels: expected a list of numbers")
+    levels = _real_array(data["levels"], len(data["levels"]), "levels")
     n = len(levels)
-    if ground.shape != (1, 1) or excited.shape != (n, n):
-        raise ValueError("measured-matrix blocks have inconsistent shapes")
     out = np.zeros((n + 1, n + 1), dtype=complex)
-    out[0, 0] = ground[0, 0]
-    out[1:, 1:] = excited
-    return out, levels
+    out[:1, :1] = _pair_block(data.get("ground_block"), 1, "ground_block")
+    out[1:, 1:] = _pair_block(data.get("excited_block"), n, "excited_block")
+    return out, levels.tolist()
 
 
 def write_neglog_csv(path: str | Path, matrix: np.ndarray) -> None:

@@ -102,7 +102,7 @@ _KSERIES_NU_SMALL = 1e-8
 _EPS = np.finfo(float).eps
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
+def _as_floats(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
@@ -282,8 +282,8 @@ def bessel_k_imag(nu, x):
     ValueError
         If any entry of ``x`` is not strictly positive.
     """
-    nu_arr = np.abs(_as_float_array(nu, "nu"))
-    x_arr = _as_float_array(x, "x")
+    nu_arr = np.abs(_as_floats(nu, "nu"))
+    x_arr = _as_floats(x, "x")
     if not np.all(x_arr > 0.0):
         raise ValueError("bessel_k_imag requires x > 0")
     nu_b, x_b = np.broadcast_arrays(nu_arr, x_arr)
@@ -397,8 +397,8 @@ def lambda_overlap(q, dxi, dxbar):
         Nonnegative scaled transverse separation; ``+inf`` (branches
         infinitely far apart) gives exactly 0, the limit.
     """
-    q_arr = _as_float_array(q, "q")
-    dxi_arr = _as_float_array(dxi, "dxi")
+    q_arr = _as_floats(q, "q")
+    dxi_arr = _as_floats(dxi, "dxi")
     dxbar_arr = np.asarray(dxbar, dtype=float)
     if not np.all(q_arr >= 0.0):
         raise ValueError("lambda_overlap requires q >= 0")
@@ -416,8 +416,8 @@ def lambda_axis_xi(q, dxi):
         \Lambda = \frac{\sin(q\,\Delta\xi)}{q\,\sinh\Delta\xi}
                   \frac{1}{\sqrt{\cosh\Delta\xi}} .
     """
-    q_arr = _as_float_array(q, "q")
-    dxi_arr = _as_float_array(dxi, "dxi")
+    q_arr = _as_floats(q, "q")
+    dxi_arr = _as_floats(dxi, "dxi")
     if not np.all(q_arr >= 0.0):
         raise ValueError("lambda_axis_xi requires q >= 0")
     return _scalar_or_array(_lambda_of_alpha(q_arr, np.abs(dxi_arr), dxi_arr), q, dxi)
@@ -430,8 +430,8 @@ def lambda_axis_xbar(q, dxbar):
         \Lambda = \frac{\sin(q g)}{q\,\sinh g},
         \qquad g = 2\,\operatorname{arcsinh}(\Delta\bar{x}/2).
     """
-    q_arr = _as_float_array(q, "q")
-    dxbar_arr = _as_float_array(dxbar, "dxbar")
+    q_arr = _as_floats(q, "q")
+    dxbar_arr = _as_floats(dxbar, "dxbar")
     if not np.all(q_arr >= 0.0):
         raise ValueError("lambda_axis_xbar requires q >= 0")
     if not np.all(dxbar_arr >= 0.0):
@@ -464,8 +464,8 @@ def planck_weight(omega, z):
     exponent past the float range gives 0; a weight past it (:math:`z`
     below about 1e-309) raises ``OverflowError``.
     """
-    omega_arr = _as_float_array(omega, "omega")
-    z_arr = _as_float_array(z, "z")
+    omega_arr = _as_floats(omega, "omega")
+    z_arr = _as_floats(z, "z")
     if not np.all(omega_arr >= 0.0):
         raise ValueError("planck_weight requires omega >= 0")
     if not np.all(z_arr > 0.0):

@@ -251,16 +251,10 @@ def test_neglog_matrix_blanks_and_shapes():
     assert table.shape == (12, 12)
     assert table[0, 0] == pytest.approx(NEGLOG_11, rel=1e-12)
     assert math.isnan(table[0, 6])  # no alignment between omega_1 and omega_7
-    # the excited block alone gives the same table
-    assert np.allclose(
-        neglog_matrix(measured[1:, 1:], det.level_count),
-        table,
-        rtol=0,
-        atol=0,
-        equal_nan=True,
-    )
-    with pytest.raises(ValueError):
-        neglog_matrix(measured[:5, :5], det.level_count)
+    # only the full matrix, ground row included, is accepted
+    for part in (measured[1:, 1:], measured[:5, :5]):
+        with pytest.raises(ValueError, match="13-square"):
+            neglog_matrix(part, det.level_count)
 
 
 def _refuse_validation(groups):

@@ -39,11 +39,10 @@ def test_round_trip_rindler_minkowski():
         x = float(RNG.uniform(-2, 2))
         y = float(RNG.uniform(-2, 2))
         z = float(RNG.uniform(0.05, 5))
-        a = float(RNG.uniform(0.3, 2))
-        T, X, Y, Z = rindler_to_minkowski(t, x, y, z, a)
+        T, X, Y, Z = rindler_to_minkowski(t, x, y, z)
         assert Z > abs(T)
         assert Z * Z - T * T == pytest.approx(z * z, rel=1e-12)
-        t2, x2, y2, z2 = minkowski_to_rindler(T, X, Y, Z, a)
+        t2, x2, y2, z2 = minkowski_to_rindler(T, X, Y, Z)
         assert t2 == pytest.approx(t, rel=1e-9, abs=1e-9)
         assert (x2, y2) == (x, y)
         assert z2 == pytest.approx(z, rel=1e-12)

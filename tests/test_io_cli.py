@@ -246,12 +246,25 @@ def _complex_matrices(draw):
     return np.array(parts).view(complex).reshape(rows, cols)
 
 
+_INT64_EXTREMES = (-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _int_arrays(draw):
+    """int64 arrays of one to three dimensions, negative values and the
+    int64 extremes among their entries."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    entries = st.one_of(st.integers(*_INT64_EXTREMES), st.integers(-9, 9), st.sampled_from(_INT64_EXTREMES))
+    values = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=np.int64).reshape(shape)
+
+
 @settings(max_examples=200, deadline=None)
-@given(matrix=_complex_matrices(), values=st.lists(_FLOATS, max_size=6))
-@example(matrix=np.array([[1e14 + 0.5j, 1e15 + 0.5j]]), values=[1e14, 0.5])
-@example(matrix=np.zeros((2, 2), dtype=complex), values=[-0.0])
-@example(matrix=np.full((1, 3), -0.0 + 0.5j), values=[])
-def test_format_json_matches_the_reference_renderer(matrix, values):
+@given(matrix=_complex_matrices(), values=st.lists(_FLOATS, max_size=6), ints=_int_arrays())
+@example(matrix=np.array([[1e14 + 0.5j, 1e15 + 0.5j]]), values=[1e14, 0.5], ints=np.array(_INT64_EXTREMES))
+@example(matrix=np.zeros((2, 2), dtype=complex), values=[-0.0], ints=np.zeros((2, 2, 2), dtype=np.int64))
+@example(matrix=np.full((1, 3), -0.0 + 0.5j), values=[], ints=np.array([[-(2**63)] * 4, [-1, 0, 1, 2**63 - 1]]))
+def test_format_json_matches_the_reference_renderer(matrix, values, ints):
     obj = {
         "block": _pair_nest(matrix),
         "pair": _complex_pair(matrix[0, 0]),
@@ -259,12 +272,14 @@ def test_format_json_matches_the_reference_renderer(matrix, values):
         "members": list(range(len(values))),
         "pairs": [[k, -k] for k in range(len(values))],
         "nested": [{"z": v, "empty": []} for v in values],
+        "ints": ints,
+        "int_nest": [ints, {"ints": ints}],
     }
     text = format_json(obj)
-    assert text == _reference_json(obj)
+    assert text == _reference_json(_listed(obj))
     # every float comes back bit for bit (repr tells -0.0 from 0.0), and
     # every integer as an integer
-    assert repr(json.loads(text)) == repr(obj)
+    assert repr(json.loads(text)) == repr(_listed(obj))
 
 
 # the largest subnormal, and two deeper ones
@@ -356,7 +371,17 @@ def test_format_json_writes_other_arrays_and_scalars_as_their_lists():
                 format_json(obj)
 
 
-_CSV_CELLS = st.one_of(_FLOATS, st.just(math.inf), st.integers(-(10**6), 10**6), st.text("ab%_ ", max_size=3))
+_CSV_NUMBERS = st.one_of(_FLOATS, st.just(math.inf), st.integers(-(10**6), 10**6))
+_CSV_TEXTS = st.text("ab%_ ", max_size=3)
+
+
+@st.composite
+def _csv_columns(draw):
+    """Three equally long columns of up to five cells, each all numbers or
+    all text."""
+    rows = draw(st.integers(0, 5))
+    return [draw(st.lists(draw(st.sampled_from((_CSV_NUMBERS, _CSV_TEXTS))), min_size=rows, max_size=rows))
+            for _ in range(3)]
 
 
 @st.composite
@@ -372,24 +397,32 @@ def _mostly_blank_tables(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    rows=st.lists(st.lists(_CSV_CELLS, min_size=3, max_size=3), max_size=5),
+    columns=_csv_columns(),
     table=st.one_of(
         st.lists(st.lists(st.one_of(_FLOATS, st.just(math.nan)), min_size=3, max_size=3), max_size=4).map(
             lambda table: np.array(table, dtype=float).reshape(len(table), 3)),
         _mostly_blank_tables(),
     ),
 )
-def test_csv_writers_match_the_reference_renderer(rows, table):
+def test_csv_writers_match_the_reference_renderer(columns, table):
     header = ("a", "b%", "c")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
-        write_csv(path, header, [*zip(*rows)])
-        assert path.read_text(encoding="utf-8") == _reference_csv([header, *rows])
+        write_csv(path, header, columns)
+        assert path.read_text(encoding="utf-8") == _reference_csv([header, *zip(*columns)])
         write_neglog_csv(path, table)
         assert path.read_text(encoding="utf-8") == _reference_csv(table.tolist() or [[]])
-        with pytest.raises(ValueError, match="NaN"):
-            write_csv(path, header, [*zip(*rows, ("x", math.nan, 1.0))])
-    for cell in rows[0] if rows else ():
+        # a NaN in a column of numbers, and a first cell of the other kind
+        # in a column of two or more, raise naming the column
+        for j, column in enumerate(columns):
+            text = bool(column) and isinstance(column[0], str)
+            bad = [] if text or not column else [(math.nan, "numeric fields must not be NaN")]
+            if len(column) > 1:
+                bad.append((0.5 if text else "x", "mixes text and numbers"))
+            for cell, message in bad:
+                with pytest.raises(ValueError, match=f"^CSV column '{header[j]}'.* {message}"):
+                    write_csv(path, header, [*columns[:j], [cell, *column[1:]], *columns[j + 1:]])
+    for cell in (column[0] for column in columns if column):
         if not isinstance(cell, str):
             assert csv_float(cell) == "%.9g" % cell
 
@@ -548,8 +581,40 @@ def test_measured_json_round_trip(tmp_path):
     back, levels = measured_from_dict(read_json(path))
     assert np.array_equal(back, measured)
     assert levels == [1.0, 2.0]
+    with pytest.raises(ValueError, match="^levels: expected a list of numbers"):
+        measured_from_dict([read_json(path)])
     with pytest.raises(ValueError):
         measured_to_dict(measured[:2, :2], det.frequencies, ts, basis.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.clear(), "levels: expected a list of numbers"),
+        (lambda d: d.pop("levels"), "levels: expected a list of numbers"),
+        (lambda d: d.update(levels=2.0), "levels: expected a list of numbers"),
+        (lambda d: d["levels"].__setitem__(1, math.nan), "levels: expected 2 finite numbers"),
+        (lambda d: d["levels"].__setitem__(1, "x"), "levels: could not convert"),
+        (lambda d: d.pop("ground_block"), "ground_block: expected rows of \\[re, im\\] pairs"),
+        (lambda d: d.update(excited_block=0.5), "excited_block: expected rows of \\[re, im\\] pairs"),
+        (lambda d: d.update(excited_block=d["ground_block"]), "excited_block: expected a 2x2 block"),
+        (lambda d: d["excited_block"][0].__setitem__(1, [0.5, 0.0, 0.0]), "excited_block: expected a \\[re, im\\] pair"),
+        (lambda d: d["excited_block"][0].__setitem__(1, [0.5]), "excited_block: expected a \\[re, im\\] pair"),
+        (lambda d: d["excited_block"][0].__setitem__(1, 0.5), "excited_block: object of type 'float' has no len"),
+        (lambda d: d["excited_block"][1].pop(), "excited_block: setting an array element"),
+        (lambda d: d["excited_block"].pop(), "excited_block: expected a 2x2 block"),
+        (lambda d: d["excited_block"][1][1].__setitem__(0, math.nan), "excited_block: expected a 2x2 block of finite"),
+        (lambda d: d["ground_block"][0][0].__setitem__(1, math.inf), "ground_block: expected a 1x1 block of finite"),
+    ],
+)
+def test_measured_json_rejects_bad_fields(mutate, message):
+    det, ts = _two_branch_system()
+    basis = MeasurementBasisVector(amplitudes=ts.amplitudes)
+    measured = measured_internal(joint_state(det, ts, tol=1e-9), basis)
+    data = json.loads(format_json(measured_to_dict(measured, det.frequencies, ts, basis.amplitudes)))
+    mutate(data)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        measured_from_dict(data)
 
 
 def test_neglog_csv_round_trip(tmp_path):
@@ -738,6 +803,20 @@ def test_cli_lambda_grid(tmp_path):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == f"q,{column},lambda"
         assert len(lines) == 1 + 2 * 6
+
+
+@pytest.mark.parametrize(
+    "q, tag",
+    [("1.0000000001,1.0000000002", "1"), ("2,0.5,2", "2"), ("0,1.5,1.50000000001", "1.5")],
+)
+def test_cli_lambda_grid_q_values_that_share_a_file_are_a_config_error(tmp_path, capsys, q, tag):
+    # each q names its file by its 9-digit text
+    out = tmp_path / "out"
+    assert main(["lambda-grid", f"--q={q}", "--grid", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --q: ")
+    assert err.endswith(f" both name lambda_grid_q{tag}.csv\n")
+    assert not out.exists()
 
 
 def test_cli_oracle_validate(tmp_path, monkeypatch):
@@ -1018,6 +1097,12 @@ def test_cli_config_errors_name_the_field(tmp_path, capsys, mutate, fragment):
         (lambda c: c.update(z_fixed="abc"), "continuum.z_fixed"),
         (lambda c: c.update(z_fixed=0.75), "continuum.z_fixed"),
         (lambda c: c["amplitude"].update(x=["q"]), "continuum.amplitude.x"),
+        # a nested list is not flattened, and a scalar is not a list
+        (lambda c: c["amplitude"].update(x=[[-0.5, 0.5]]), "continuum.amplitude.x: float() argument"),
+        (lambda c: c["coupling"].update(omega=[[0.05, 1.0, 60.0]]), "continuum.coupling.omega: float() argument"),
+        (lambda c: c.update(omega_grid=[[1.0], [2.0]]), "continuum.omega_grid: float() argument"),
+        (lambda c: c.update(omega_grid=2.0), "continuum.omega_grid: must be a nonempty list"),
+        (lambda c: c["amplitude"].update(z=[]), "continuum.amplitude.z: must be a nonempty list"),
         (lambda c: c.update(omega_grid=[1.0, 61.0]), "continuum.omega_grid"),
     ],
 )
