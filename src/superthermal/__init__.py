@@ -77,7 +77,7 @@ from .specfun import (
     planck_weight,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "MU",

@@ -21,8 +21,8 @@ Subcommands
 ``lambda-grid``
     Tabulate the overlap factor over separation grids: one CSV per
     requested ``q``, named by its 9-digit text, plus the two on-axis
-    CSVs.  Two ``--q`` values with the same 9-digit text (or one value
-    given twice) would share a file, so they are a configuration error.
+    CSVs.  Two ``--q`` values with the same 9-digit text (-0 reads as 0)
+    would share a file, so they are a configuration error.
 ``oracle-validate``
     Cross-check closed forms against the independent quadrature oracles
     and write ``convergence.csv``, ``lambda_oracle_diff.csv`` and
@@ -40,6 +40,8 @@ Subcommands
 Configuration is one JSON file with sections ``detector``,
 ``trajectories``, ``interaction``, ``measurement``, ``output``,
 ``continuum`` and ``oracle``; complex numbers are ``[re, im]`` pairs.
+A number must be a JSON number: a string, a boolean or an integer past
+the float range is a configuration error.
 Keys that no command reads are ignored.  A flag overrides the field
 :data:`_FLAGS` names (``--out`` is ``output.directory``), and every
 configuration error names its field.  Each command computes all of its
@@ -83,6 +85,8 @@ from .detector import (
 from .geometry import TrajectorySet, validate_regime
 from .io import (
     _as_complex,
+    _real,
+    _reals,
     _scale_field,
     block_density_to_dict,
     csv_float,
@@ -162,7 +166,7 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
 _MISSING = object()
 
 
-def _get(tree: Mapping[str, Any], path: str, convert: Callable[[Any], Any] = float,
+def _get(tree: Mapping[str, Any], path: str, convert: Callable[[Any], Any],
          default: Any = _MISSING) -> Any:
     """Read the field at the dotted ``path`` through ``convert``.
 
@@ -191,23 +195,17 @@ def _get(tree: Mapping[str, Any], path: str, convert: Callable[[Any], Any] = flo
 
 
 def _positive(value: Any) -> float:
-    value = float(value)
+    value = _real(value)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"must be positive and finite, got {value}")
     return value
 
 
 def _unit_interval(value: Any) -> float:
-    value = float(value)
+    value = _real(value)
     if not 0.0 < value < 1.0:
         raise ValueError(f"must lie in (0, 1), got {value}")
     return value
-
-
-def _float_list(value: Any) -> tuple[float, ...]:
-    if not isinstance(value, list) or not value:
-        raise ValueError("must be a nonempty list")
-    return tuple(float(v) for v in value)
 
 
 def _complex_list(values: Any) -> list[complex]:
@@ -232,7 +230,7 @@ def build_run_config(raw: Mapping[str, Any]) -> RunConfig:
     ``q_tolerance`` to ``epsilon``.  Without a ``measurement`` section,
     ``measurement`` is ``None``.
     """
-    freqs = _get(raw, "detector.frequencies", _float_list)
+    freqs = _get(raw, "detector.frequencies", _reals)
     couplings = _get(raw, "detector.couplings", _complex_list, None)
     try:
         detector = DetectorSpec(freqs, tuple(couplings) if couplings is not None else None)
@@ -358,7 +356,7 @@ def _parse_q_list(text: str | None) -> tuple[float, ...]:
     if text is None:
         return _DEFAULT_Q_LIST
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(float(tok) + 0.0 for tok in text.split(",") if tok.strip())  # -0 reads as +0
     except ValueError as exc:
         raise ConfigError(f"--q: {exc}") from exc
     if not values:
@@ -415,7 +413,7 @@ def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
 
 def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Cross-check closed forms against the quadrature oracles."""
-    T_list = _get(tree, "oracle.T_list", _float_list, _DEFAULT_T_LIST)
+    T_list = _get(tree, "oracle.T_list", _reals, _DEFAULT_T_LIST)
     try:
         report = convergence_report(omega=1.0, z=1.0, T_list=T_list)
     except ValueError as exc:
@@ -473,31 +471,25 @@ def cmd_paper_example(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     return 0 if ok else 3
 
 
-def _spacings(value: Any) -> tuple[float, float, float]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValueError("expected [dx, dy, dz]")
-    return tuple(float(v) for v in value)
-
-
 def _parse_continuum(tree: Mapping[str, Any]):
     """The ``continuum`` section as two ``(amplitude, coupling, z_fixed,
     omega_grid)`` systems: the configured one and its exact scale
     transformation (lengths doubled, frequencies halved), which must be
     representable too."""
-    x, y, z = (np.array(_get(tree, f"continuum.amplitude.{key}", _float_list)) for key in "xyz")
+    x, y, z = (np.array(_get(tree, f"continuum.amplitude.{key}", _reals)) for key in "xyz")
     values = _get(tree, "continuum.amplitude.values", _complex_list)
     expected = x.size * y.size * z.size
     if len(values) != expected:
         raise ConfigError(
             f"continuum.amplitude.values: expected {expected} row-major samples, got {len(values)}"
         )
-    spacings = _get(tree, "continuum.amplitude.spacings", _spacings, None)
+    spacings = _get(tree, "continuum.amplitude.spacings", lambda v: _reals(v, 3), None)
     try:
         grid_values = np.array(values, dtype=complex).reshape(x.size, y.size, z.size)
         amplitude = SmearedAmplitude(x, y, z, grid_values, spacings)
     except ValueError as exc:
         raise ConfigError(f"continuum.amplitude: {exc}") from exc
-    omega = np.array(_get(tree, "continuum.coupling.omega", _float_list))
+    omega = np.array(_get(tree, "continuum.coupling.omega", _reals))
     coupling_values = _get(tree, "continuum.coupling.values", _complex_list)
     if omega.size != len(coupling_values):
         raise ConfigError("continuum.coupling: omega and values must have equal length")
@@ -518,12 +510,12 @@ def _parse_continuum(tree: Mapping[str, Any]):
         ) from exc
 
     def grid_height(value: Any) -> float:
-        height = float(value)
+        height = _real(value)
         amplitude.index_of((amplitude.x[0], amplitude.y[0], height))
         return height
 
     z_fixed = _get(tree, "continuum.z_fixed", grid_height)
-    omega_grid = np.array(_get(tree, "continuum.omega_grid", _float_list))
+    omega_grid = np.array(_get(tree, "continuum.omega_grid", _reals))
     if not np.all(omega_grid > 0.0):
         raise ConfigError("continuum.omega_grid: must be positive frequencies")
     # The rescaled system halves both the grid and the table, so this one

@@ -28,6 +28,10 @@ empty cells for absent (exactly zero) entries.
 Every writer emits keys in a fixed order with ``\\n`` line endings, so
 identical inputs produce byte-identical files.
 
+Every number a config or an artifact file supplies is read by :func:`_real`
+and must be a JSON int or float: a string, a boolean, ``null`` or an int
+past the float range raises ``ValueError`` naming the field.
+
 Numbers become text in a few C-level passes per array, not one call per
 number, and a zero costs no formatting.  :func:`format_json` walks its
 object once.  Each float or int ndarray (a pair matrix, the Planck
@@ -63,8 +67,6 @@ __all__ = [
     "write_json",
     "read_json",
     "write_csv",
-    "pair_to_complex",
-    "pairs_to_matrix",
     "block_density_to_dict",
     "block_density_from_dict",
     "parse_trajectories",
@@ -277,20 +279,6 @@ def _complex_pair(value: complex) -> list[float]:
     return [value.real, value.imag]
 
 
-def pair_to_complex(pair: Sequence[float]) -> complex:
-    """Rebuild a complex number from a ``[re, im]`` pair."""
-    if len(pair) != 2:
-        raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def pairs_to_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
-    """Rebuild a complex matrix from row-major ``[re, im]`` pairs."""
-    return np.array(
-        [[pair_to_complex(cell) for cell in row] for row in rows], dtype=complex
-    )
-
-
 def _scale_field(scale: str, epsilon: float | None, T: float | None) -> Any:
     """An artifact's ``"per_eps2T"`` or ``{"absolute": {"epsilon", "T"}}`` scale."""
     if scale == "per_eps2T":
@@ -343,6 +331,33 @@ def block_density_to_dict(
     }
 
 
+def _real(value: Any) -> float:
+    """A JSON int or float, not a bool and within the float range, as a float; else ``ValueError``."""
+    if type(value) is float:  # most numbers: skip the checks below
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"could not convert {type(value).__name__} to a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("could not convert an integer past the float range") from None
+
+
+def _reals(values: Any, size: int | None = None) -> list[float]:
+    """A JSON list of ``size`` numbers (by default, of at least one) as floats."""
+    if not isinstance(values, list) or (not values if size is None else len(values) != size):
+        raise ValueError("must be a nonempty list of numbers" if size is None
+                         else f"expected a list of {size} numbers")
+    return [_real(v) for v in values]
+
+
+def _pair(value: Any) -> list[float]:
+    """A JSON ``[re, im]`` pair as two floats read by :func:`_real`."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError("expected a [re, im] pair")
+    return [_real(value[0]), _real(value[1])]
+
+
 def _parse_scale(field: Any) -> tuple[str, float | None, float | None]:
     if field == "per_eps2T":
         return "per_eps2T", None, None
@@ -350,7 +365,7 @@ def _parse_scale(field: Any) -> tuple[str, float | None, float | None]:
         values = []
         for key in ("epsilon", "T"):
             try:
-                values.append(float(field["absolute"][key]))
+                values.append(_real(field["absolute"][key]))
             except (KeyError, TypeError, ValueError) as exc:
                 why = "missing field" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"scale.absolute.{key}: {why}") from exc
@@ -360,12 +375,7 @@ def _parse_scale(field: Any) -> tuple[str, float | None, float | None]:
 
 def _as_complex(value: Any) -> complex:
     """A finite JSON number or ``[re, im]`` pair as a complex number."""
-    if isinstance(value, (int, float)):
-        out = complex(value)
-    elif isinstance(value, list):
-        out = pair_to_complex(value)
-    else:
-        raise ValueError("expected a number or [re, im] pair")
+    out = complex(*_pair(value)) if isinstance(value, list) else complex(_real(value))
     if not cmath.isfinite(out):
         raise ValueError(f"must be finite, got {value!r}")
     return out
@@ -392,11 +402,11 @@ def parse_trajectories(entries: Any) -> TrajectorySet:
         if "z" not in entry:
             raise ValueError(f"trajectories[{k}].z: missing required field")
         fields = {"x": 0.0, "y": 0.0, "A": None}
-        for key, convert in (("z", float), ("x", float), ("y", float), ("A", _as_complex)):
+        for key, convert in (("z", _real), ("x", _real), ("y", _real), ("A", _as_complex)):
             if key in entry:
                 try:
                     fields[key] = convert(entry[key])
-                except (TypeError, ValueError) as exc:
+                except ValueError as exc:
                     raise ValueError(f"trajectories[{k}].{key}: {exc}") from exc
         positions.append((fields["z"], fields["x"], fields["y"]))
         amplitudes.append(fields["A"])
@@ -418,13 +428,11 @@ def parse_trajectories(entries: Any) -> TrajectorySet:
 
 def _real_array(values: Any, size: int, name: str) -> np.ndarray:
     """``size`` finite JSON numbers as a float array."""
-    if not isinstance(values, list) or len(values) != size:
-        raise ValueError(f"{name}: expected a list of {size} numbers")
     try:
-        array = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        array = np.array(_reals(values, size), dtype=float)
+    except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    if array.shape != (size,) or not np.all(np.isfinite(array)):
+    if not np.all(np.isfinite(array)):
         raise ValueError(f"{name}: expected {size} finite numbers")
     return array
 
@@ -436,15 +444,13 @@ def _coherences(field: Any, n_traj: int, dim: int) -> tuple[np.ndarray, np.ndarr
     if not isinstance(field, Mapping) or set(field) != {"pairs", "overlaps"}:
         raise ValueError("coherences: expected an object of pairs and overlaps")
     raw = field["pairs"]
-    try:
-        pairs = np.array(raw) if raw != [] else np.zeros((0, 2), dtype=np.int64)
-    except ValueError:
-        pairs = None
-    if pairs is None or pairs.dtype.kind != "i" or pairs.shape != (len(raw), 2):
+    # exact types: a bool is not an index
+    if not (isinstance(raw, list) and all(type(p) is list and [*map(type, p)] == [int, int] for p in raw)):
         raise ValueError("coherences.pairs: expected a list of [lower, upper] integer pairs")
-    lower, upper = pairs[:, 0], pairs[:, 1]
-    if not (np.all(lower >= 0) and np.all(lower < upper) and np.all(upper < dim)):
+    if not all(0 <= lower < upper < dim for lower, upper in raw):
         raise ValueError(f"coherences.pairs: need 0 <= lower < upper < {dim}")
+    pairs = np.array(raw, dtype=np.int64).reshape(-1, 2)
+    lower, upper = pairs[:, 0], pairs[:, 1]
     if len(np.unique(lower * dim + upper)) != len(pairs):
         raise ValueError("coherences.pairs: a pair occurs twice")
     if np.any(lower % n_traj == upper % n_traj):
@@ -452,7 +458,7 @@ def _coherences(field: Any, n_traj: int, dim: int) -> tuple[np.ndarray, np.ndarr
     overlaps = _real_array(field["overlaps"], len(pairs), "coherences.overlaps")
     if not np.all(np.abs(overlaps) <= 1.0):
         raise ValueError("coherences.overlaps: need |Lambda| <= 1")
-    return pairs.astype(np.int64), overlaps
+    return pairs, overlaps
 
 
 def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list[float], TrajectorySet]:
@@ -474,11 +480,9 @@ def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list
         if key not in data:
             raise ValueError(f"{key}: missing field of a {_JOINT_STATE_FORMAT} file")
     scale, epsilon, T = _parse_scale(data["scale"])
-    if not isinstance(data["levels"], list):
-        raise ValueError("levels: expected a list of numbers")
     try:
-        levels = [float(w) for w in data["levels"]]
-    except (TypeError, ValueError) as exc:
+        levels = _reals(data["levels"])
+    except ValueError as exc:
         raise ValueError(f"levels: {exc}") from exc
     traj_set = parse_trajectories(data["trajectories"])
     couplings = data["couplings"]
@@ -545,13 +549,16 @@ def _pair_block(value: Any, size: int, name: str) -> np.ndarray:
     """A ``size``-square block of finite ``[re, im]`` pairs as a complex matrix."""
     if not isinstance(value, list):
         raise ValueError(f"{name}: expected rows of [re, im] pairs")
+    shape = f"{name}: expected a {size}x{size} block of finite [re, im] pairs"
+    if len(value) != size or not all(isinstance(row, list) and len(row) == size for row in value):
+        raise ValueError(shape)
     try:
-        block = pairs_to_matrix(value)
-    except (TypeError, ValueError) as exc:
+        pairs = np.array([_pair(cell) for row in value for cell in row], dtype=float)
+    except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
-    if block.shape != (size, size) or not np.all(np.isfinite(block)):
-        raise ValueError(f"{name}: expected a {size}x{size} block of finite [re, im] pairs")
-    return block
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError(shape)
+    return pairs.reshape(-1).view(complex).reshape(size, size)
 
 
 def measured_from_dict(data: Mapping[str, Any]) -> tuple[np.ndarray, list[float]]:

@@ -1,7 +1,8 @@
 """Exit-code property of every subcommand.
 
 A valid config has one or two of its fields mutated: a value replaced by
-0, -1, 1e-310, 1e308, +-Infinity, NaN, a string, a list or null, or the
+0, -1, 1e-310, 1e308, +-Infinity, NaN, a string (also a number's string
+form), true, an integer past the float range, a list or null, or the
 field dropped (``lambda-grid`` draws its ``--q`` and ``--grid`` values
 instead); ``state`` and ``measure`` may also move both branches to
 heights from the smallest subnormal to near the largest double, with or
@@ -11,7 +12,9 @@ stderr starts with ``config error:`` for 2 and ``numerical failure:``
 (or ``numerical non-convergence:``) for 3, and holds only ``warning:``
 lines for 0.  A nonzero exit leaves no ``--out`` directory behind, and
 a run that succeeds exits 2 with ``config error: output.directory:``
-once its ``--out`` lies under a regular file.
+once its ``--out`` lies under a regular file.  A number given as its
+string form, as true or as an integer past the float range is a config
+error that names its field.
 """
 
 import contextlib
@@ -62,7 +65,14 @@ CONTINUUM = {
 ORACLE = {"interaction": {"rindler_a": 1.0}, "oracle": {"T_list": [5.0, 10.0]}}
 
 _DROP = "<drop>"
-MUTATIONS = (0, -1, 1e-310, 1e308, math.inf, -math.inf, math.nan, "abc", [1.0], None, _DROP)
+_HUGE = 10**400  # a JSON integer past the float range
+MUTATIONS = (0, -1, 1e-310, 1e308, math.inf, -math.inf, math.nan, "abc", "1.0", True, _HUGE, [1.0], None,
+             _DROP)
+
+
+def _label(value) -> str:
+    """A mutation as test ids and failure messages show it."""
+    return "10**400" if value is _HUGE else repr(value)
 
 # Legal heights whose squares, reciprocal squares and pairwise ratios
 # under- or overflow; 5e-324 is the smallest subnormal.
@@ -269,7 +279,7 @@ def test_lambda_grid_past_the_cell_cap_is_a_config_error(tmp_path, argv):
 @pytest.mark.parametrize(
     "path, value",
     [
-        pytest.param(path, value, id=f"{'.'.join(map(str, path))}={value!r}")
+        pytest.param(path, value, id=f"{'.'.join(map(str, path))}={_label(value)}")
         for path in (("oracle", "T_list"), ("oracle", "T_list", 0), ("oracle", "T_list", 1),
                      ("interaction", "rindler_a"))
         for value in MUTATIONS
@@ -291,3 +301,47 @@ def test_paper_example_bad_output_directory_exits_2(tmp_path, directory):
     code, text = _main(["paper-example", "--config", str(config)])
     assert code == 2
     assert text.startswith("config error: output.directory:"), text
+
+
+# Keys that no command reads; whatever they hold, the run succeeds.
+_UNREAD = {("interaction", "rindler_a")}
+
+
+def _field(path) -> str:
+    """The config field of a leaf as error messages name it: dotted keys,
+    a trajectory's index, and no index inside a list-valued field."""
+    text = ""
+    for key in path:
+        if isinstance(key, int):
+            if text != "trajectories":
+                break
+            text += f"[{key}]"
+        else:
+            text += f".{key}" if text else key
+    return text
+
+
+@pytest.mark.parametrize(
+    "command, base",
+    [("state", BASE), ("measure", BASE), ("continuum", CONTINUUM), ("oracle-validate", ORACLE)],
+    ids=["state", "measure", "continuum", "oracle-validate"],
+)
+def test_numbers_that_are_not_json_numbers_are_config_errors(tmp_path, command, base):
+    leaves = {}
+    for path in _paths(base):
+        node = base
+        for key in path:
+            node = node[key]
+        if path[:2] not in _UNREAD and type(node) in (int, float):
+            leaves[path] = node
+    assert leaves
+    cases = [(path, value) for path, number in leaves.items() for value in (str(number), True, _HUGE)]
+    for k, (path, value) in enumerate(cases):
+        config = tmp_path / f"config{k}.json"
+        config.write_text(json.dumps(_mutated(base, [(path, value)])), encoding="utf-8")
+        out = tmp_path / f"out{k}"
+        code, text = _main([command, "--config", str(config), "--out", str(out)])
+        case = (path, _label(value), code, text)
+        assert code == 2, case
+        assert text.startswith(f"config error: {_field(path)}: "), case
+        assert not out.exists(), case

@@ -40,15 +40,15 @@ from superthermal.detector import (
 )
 from superthermal.geometry import MU, Trajectory, TrajectorySet
 from superthermal.io import (
+    _as_complex,
     _complex_pair,
+    _pair_block,
     block_density_from_dict,
     block_density_to_dict,
     csv_float,
     format_json,
     measured_from_dict,
     measured_to_dict,
-    pair_to_complex,
-    pairs_to_matrix,
     read_json,
     read_neglog_csv,
     write_csv,
@@ -430,11 +430,11 @@ def test_csv_writers_match_the_reference_renderer(columns, table):
 def test_complex_pair_round_trip():
     values = [1.5 - 2.25j, 0.0 + 0.0j, -3.0 + 4.0j]
     for v in values:
-        assert pair_to_complex(_complex_pair(v)) == v
+        assert _as_complex(_complex_pair(v)) == v
     with pytest.raises(ValueError):
-        pair_to_complex([1.0])
+        _as_complex([1.0])
     matrix = np.array([[1 + 2j, 3 - 4j], [0.1j, -0.25]])
-    assert np.array_equal(pairs_to_matrix(_pair_nest(matrix)), matrix)
+    assert np.array_equal(_pair_block(_pair_nest(matrix), 2, "block"), matrix)
 
 
 def test_block_density_json_round_trip(tmp_path):
@@ -517,11 +517,29 @@ def test_block_density_json_shell_layout(tmp_path):
     # a malformed field raises ValueError naming it, never another error
     scale = data["scale"]["absolute"]
     for key, value, message in [
-        ("levels", 5, "levels: expected a list of numbers"),
-        ("levels", None, "levels: expected a list of numbers"),
+        ("levels", 5, "levels: must be a nonempty list of numbers"),
+        ("levels", None, "levels: must be a nonempty list of numbers"),
         ("levels", ["a"], "levels: could not convert"),
         ("scale", {"absolute": dict(scale, epsilon="x")}, "scale.absolute.epsilon: could not"),
-        ("scale", {"absolute": dict(scale, T=[1.0])}, "scale.absolute.T: float\\(\\) arg"),
+        ("scale", {"absolute": dict(scale, T=[1.0])}, "scale.absolute.T: could not convert list"),
+        # a number's string form, a bool or an int past the float range is
+        # not a JSON number, whatever float() would make of it
+        ("levels", [str(data["levels"][0]), *data["levels"][1:]], "levels: could not convert str"),
+        ("levels", [10**400, *data["levels"][1:]], "levels: could not convert an integer past"),
+        ("planck_weights", [str(data["planck_weights"][0]), *data["planck_weights"][1:]],
+         "planck_weights: could not convert str"),
+        ("planck_weights", [True, *data["planck_weights"][1:]], "planck_weights: could not convert bool"),
+        ("planck_weights", [10**400, *data["planck_weights"][1:]],
+         "planck_weights: could not convert an integer past"),
+        # flat indices 0 and 1 lie on branches 0 and 1, so [0, 1] is a legal pair
+        ("coherences", {"pairs": [[0, True]], "overlaps": [0.5]},
+         "coherences.pairs: expected a list of \\[lower, upper\\] integer pairs"),
+        ("trajectories", [dict(data["trajectories"][0], z=str(data["trajectories"][0]["z"])),
+                          *data["trajectories"][1:]], "trajectories\\[0\\].z: could not convert str"),
+        ("scale", {"absolute": dict(scale, epsilon=str(scale["epsilon"]))},
+         "scale.absolute.epsilon: could not convert str"),
+        ("scale", {"absolute": dict(scale, T=True)}, "scale.absolute.T: could not convert bool"),
+        ("scale", {"absolute": dict(scale, T=10**400)}, "scale.absolute.T: could not convert an integer past"),
         ("scale", {"absolute": {}}, "scale.absolute.epsilon: missing field"),
         ("scale", {"absolute": {"epsilon": 0.05}}, "scale.absolute.T: missing field"),
         ("scale", "absolute", "scale: expected 'per_eps2T' or an absolute object"),
@@ -546,6 +564,9 @@ def test_block_density_json_shell_layout(tmp_path):
         ([[[0], [1]]], [0.5], "coherences.pairs: expected a list of \\[lower, upper\\] integer pairs"),
         ([[0, 1]], [1.5], "coherences.overlaps: need \\|Lambda\\| <= 1"),
         ([[0, 1]], ["x"], "coherences.overlaps: could not convert"),
+        ([[0, True]], [0.5], "coherences.pairs: expected a list of \\[lower, upper\\] integer pairs"),
+        ([[0, 10**400]], [0.5], "coherences.pairs: need 0 <= lower < upper < 4"),
+        ([[0, 1]], ["0.5"], "coherences.overlaps: could not convert str"),
     ],
 )
 def test_block_density_json_rejects_bad_coherences(pairs, overlaps, message):
@@ -600,8 +621,20 @@ def test_measured_json_round_trip(tmp_path):
         (lambda d: d.update(excited_block=d["ground_block"]), "excited_block: expected a 2x2 block"),
         (lambda d: d["excited_block"][0].__setitem__(1, [0.5, 0.0, 0.0]), "excited_block: expected a \\[re, im\\] pair"),
         (lambda d: d["excited_block"][0].__setitem__(1, [0.5]), "excited_block: expected a \\[re, im\\] pair"),
-        (lambda d: d["excited_block"][0].__setitem__(1, 0.5), "excited_block: object of type 'float' has no len"),
-        (lambda d: d["excited_block"][1].pop(), "excited_block: setting an array element"),
+        # These two ids, and three of test_cli_continuum_config_errors_name_the_field's,
+        # keep the names the cases had when they matched Python's and numpy's own messages.
+        pytest.param(lambda d: d["excited_block"][0].__setitem__(1, 0.5), "excited_block: expected a \\[re, im\\] pair",
+                     id="<lambda>-excited_block: object of type 'float' has no len"),
+        pytest.param(lambda d: d["excited_block"][1].pop(), "excited_block: expected a 2x2 block",
+                     id="<lambda>-excited_block: setting an array element"),
+        # a number's string form, a bool or an int past the float range is
+        # not a JSON number, whatever float() would make of it
+        (lambda d: d["levels"].__setitem__(1, "2.0"), "levels: could not convert str"),
+        (lambda d: d["levels"].__setitem__(0, True), "levels: could not convert bool"),
+        (lambda d: d["levels"].__setitem__(1, 10**400), "levels: could not convert an integer past"),
+        (lambda d: d["excited_block"][0][1].__setitem__(0, "0.5"), "excited_block: could not convert str"),
+        (lambda d: d["excited_block"][1][1].__setitem__(1, True), "excited_block: could not convert bool"),
+        (lambda d: d["ground_block"][0][0].__setitem__(0, 10**400), "ground_block: could not convert an integer past"),
         (lambda d: d["excited_block"].pop(), "excited_block: expected a 2x2 block"),
         (lambda d: d["excited_block"][1][1].__setitem__(0, math.nan), "excited_block: expected a 2x2 block of finite"),
         (lambda d: d["ground_block"][0][0].__setitem__(1, math.inf), "ground_block: expected a 1x1 block of finite"),
@@ -658,7 +691,7 @@ def test_cli_state_artifacts(tmp_path):
     assert joint["levels"] == [1.0, 2.0]
     rho, _, _ = block_density_from_dict(joint)
     assert np.array_equal(rho.excited_block, rho.excited_block.conj().T)
-    amps = np.array([pair_to_complex(t["A"]) for t in joint["trajectories"]])
+    amps = np.array([_as_complex(t["A"]) for t in joint["trajectories"]])
     assert np.array_equal(rho.ground_block, np.outer(amps, amps.conj()))
     reduced = read_json(out / "reduced_internal.json")
     assert reduced["scale"] == "per_eps2T"
@@ -807,7 +840,7 @@ def test_cli_lambda_grid(tmp_path):
 
 @pytest.mark.parametrize(
     "q, tag",
-    [("1.0000000001,1.0000000002", "1"), ("2,0.5,2", "2"), ("0,1.5,1.50000000001", "1.5")],
+    [("1.0000000001,1.0000000002", "1"), ("2,0.5,2", "2"), ("0,1.5,1.50000000001", "1.5"), ("0,-0", "0")],
 )
 def test_cli_lambda_grid_q_values_that_share_a_file_are_a_config_error(tmp_path, capsys, q, tag):
     # each q names its file by its 9-digit text
@@ -817,6 +850,17 @@ def test_cli_lambda_grid_q_values_that_share_a_file_are_a_config_error(tmp_path,
     assert err.startswith("config error: --q: ")
     assert err.endswith(f" both name lambda_grid_q{tag}.csv\n")
     assert not out.exists()
+
+
+def test_cli_lambda_grid_minus_zero_writes_the_q0_file(tmp_path):
+    # -0 reads as +0: its file and table rows are those of --q 0
+    runs = {}
+    for q in ("0", "-0"):
+        out = tmp_path / q
+        assert main(["lambda-grid", f"--q={q}", "--grid", "3", "--out", str(out)]) == 0
+        runs[q] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert "lambda_grid_q0.csv" in runs["-0"]
+    assert runs["-0"] == runs["0"]
 
 
 def test_cli_oracle_validate(tmp_path, monkeypatch):
@@ -1098,9 +1142,13 @@ def test_cli_config_errors_name_the_field(tmp_path, capsys, mutate, fragment):
         (lambda c: c.update(z_fixed=0.75), "continuum.z_fixed"),
         (lambda c: c["amplitude"].update(x=["q"]), "continuum.amplitude.x"),
         # a nested list is not flattened, and a scalar is not a list
-        (lambda c: c["amplitude"].update(x=[[-0.5, 0.5]]), "continuum.amplitude.x: float() argument"),
-        (lambda c: c["coupling"].update(omega=[[0.05, 1.0, 60.0]]), "continuum.coupling.omega: float() argument"),
-        (lambda c: c.update(omega_grid=[[1.0], [2.0]]), "continuum.omega_grid: float() argument"),
+        pytest.param(lambda c: c["amplitude"].update(x=[[-0.5, 0.5]]), "continuum.amplitude.x: could not convert list",
+                     id="<lambda>-continuum.amplitude.x: float() argument"),
+        pytest.param(lambda c: c["coupling"].update(omega=[[0.05, 1.0, 60.0]]),
+                     "continuum.coupling.omega: could not convert list",
+                     id="<lambda>-continuum.coupling.omega: float() argument"),
+        pytest.param(lambda c: c.update(omega_grid=[[1.0], [2.0]]), "continuum.omega_grid: could not convert list",
+                     id="<lambda>-continuum.omega_grid: float() argument"),
         (lambda c: c.update(omega_grid=2.0), "continuum.omega_grid: must be a nonempty list"),
         (lambda c: c["amplitude"].update(z=[]), "continuum.amplitude.z: must be a nonempty list"),
         (lambda c: c.update(omega_grid=[1.0, 61.0]), "continuum.omega_grid"),
@@ -1143,7 +1191,7 @@ def test_cli_legal_edge_systems_succeed(tmp_path, frequencies, heights, command)
         assert members == list(range(len(frequencies) * len(heights)))
         blocks = [shell.block for shell in shells]
     else:
-        blocks = [pairs_to_matrix(read_json(out / "measured_internal.json")["excited_block"])]
+        blocks = [measured_from_dict(read_json(out / "measured_internal.json"))[0]]
     assert all(np.all(np.isfinite(block)) for block in blocks)
 
 
