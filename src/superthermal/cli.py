@@ -82,10 +82,9 @@ from .detector import (
     paper_example,
     reduced_internal,
 )
-from .geometry import TrajectorySet, validate_regime
+from .geometry import TrajectorySet, _number, validate_regime
 from .io import (
     _as_complex,
-    _real,
     _reals,
     _scale_field,
     block_density_to_dict,
@@ -195,14 +194,14 @@ def _get(tree: Mapping[str, Any], path: str, convert: Callable[[Any], Any],
 
 
 def _positive(value: Any) -> float:
-    value = _real(value)
+    value = _number(value)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"must be positive and finite, got {value}")
     return value
 
 
 def _unit_interval(value: Any) -> float:
-    value = _real(value)
+    value = _number(value)
     if not 0.0 < value < 1.0:
         raise ValueError(f"must lie in (0, 1), got {value}")
     return value
@@ -510,7 +509,7 @@ def _parse_continuum(tree: Mapping[str, Any]):
         ) from exc
 
     def grid_height(value: Any) -> float:
-        height = _real(value)
+        height = _number(value)
         amplitude.index_of((amplitude.x[0], amplitude.y[0], height))
         return height
 

@@ -30,8 +30,8 @@ stacked together, and checks each on its own, once, where its entries
 are made; rescaling a state to absolute units does not check it again.
 The stacks come from one stable sort of the composites by (the rank of
 their shell's size, their shell's smallest member), with no loop over
-shells.  :func:`joint_state` finds the aligned pairs, takes the branch
-separations of all of them in one pass and keeps the closed form's
+shells.  :func:`joint_state` finds the aligned pairs, takes the geometry
+of :math:`\Lambda` once per branch pair and keeps the closed form's
 inputs (:class:`StateFactors`: amplitudes, couplings, Planck weights and
 one :math:`\Lambda` per aligned pair); :func:`assemble_state` writes
 every shell from them into one buffer by one scatter per kind of entry,
@@ -57,8 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Trajectory, TrajectorySet, branch_separations, coherence_condition
-from .specfun import lambda_overlap, planck_weight
+from .geometry import Trajectory, TrajectorySet, _number, branch_separations, coherence_condition
+from .specfun import _overlap_geometry, _overlap_of_geometry, planck_weight
 
 __all__ = [
     "DetectorSpec",
@@ -96,7 +96,7 @@ class DetectorSpec:
     couplings: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
-        freqs = tuple(float(w) for w in self.frequencies)
+        freqs = tuple(_number(w, "frequencies", float, k) for k, w in enumerate(self.frequencies))
         if not freqs:
             raise ValueError("DetectorSpec requires at least one level")
         if freqs[0] <= 0.0 or any(not math.isfinite(w) for w in freqs):
@@ -106,11 +106,9 @@ class DetectorSpec:
         if self.couplings is None:
             coup = tuple(1.0 + 0.0j for _ in freqs)
         else:
-            coup = tuple(complex(c) for c in self.couplings)
+            coup = tuple(_number(c, "couplings", complex, k) for k, c in enumerate(self.couplings))
             if len(coup) != len(freqs):
-                raise ValueError(
-                    f"{len(freqs)} frequencies but {len(coup)} couplings"
-                )
+                raise ValueError(f"{len(freqs)} frequencies but {len(coup)} couplings")
             if any(abs(c) > 1.0 + 1e-12 for c in coup):
                 raise ValueError("couplings must satisfy |zeta| <= 1")
         object.__setattr__(self, "frequencies", freqs)
@@ -128,7 +126,7 @@ class MeasurementBasisVector:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        amps = tuple(complex(b) for b in self.amplitudes)
+        amps = tuple(_number(b, "amplitudes", complex, k) for k, b in enumerate(self.amplitudes))
         if not amps:
             raise ValueError("measurement vector must be non-empty")
         norm = sum(abs(b) ** 2 for b in amps)
@@ -232,14 +230,14 @@ class BlockDensity:
     components of its aligned pairs.  The constructor takes it from
     outside instead: a ``ground_block`` matrix and a dense square
     ``excited_block``, whose nonzero pattern gives the components.  Such
-    a state has no ``factors``.  Either entrance checks the
-    state once, where its entries are made: each shell for Hermiticity
-    against the largest entry of the whole sector, ``max_entry``, and for
-    positive semidefiniteness against its whole trace, by a Cholesky
-    factorisation of the shells shifted up by that tolerance, with
-    ``eigvalsh`` deciding where it fails; a given ground block gets the
-    same finiteness and Hermiticity check.
-    :meth:`to_absolute` only rescales.
+    a state has no ``factors``.  Either entrance checks the state once,
+    where its entries are made.  Outside input is checked for finiteness
+    and Hermiticity, each shell against the largest entry of the whole
+    sector, ``max_entry``, and so is a given ground block; a state built
+    from factors is Hermitian by construction, and its finiteness and
+    ``max_entry`` are read off the entries its factors make.  Both check
+    every shell for positive semidefiniteness against the whole trace
+    (:func:`_validate_groups`).  :meth:`to_absolute` only rescales.
 
     ``scale`` is either ``"per_eps2T"`` (the default symbolic
     normalization: excited entries per unit :math:`\\varepsilon^2 T`) or
@@ -279,7 +277,9 @@ class BlockDensity:
             blocks = excited[members[:, :, None], members[:, None, :]]
             blocks.setflags(write=False)
             groups.append((members, blocks))
-        self._setup(groups, _validate_groups(groups), n, scale, epsilon, T, None, ground)
+        peak = _hermitian_peak([b for _, b in groups], "excited_block")
+        _validate_groups(groups)
+        self._setup(groups, peak, n, scale, epsilon, T, None, ground)
 
     @classmethod
     def _of_groups(cls, groups, max_entry, traj_count, scale, epsilon, T, factors, ground=None):
@@ -365,14 +365,14 @@ def _hermitian_peak(stacks, name: str) -> float:
     return peak
 
 
-def _validate_groups(groups) -> float:
-    """Hermiticity and positive semidefiniteness of every shell, with the
-    tolerances scaled by the whole excited sector; returns its largest
-    entry magnitude.  A stack of shells passes when ``blocks + s I``, s =
-    1e-10 x trace, has a Cholesky factorisation: no eigenvalue lies below
-    -s.  ``eigvalsh`` decides a stack where that fails, or where s is not a
-    normal double and so cannot shift a subnormal entry."""
-    peak = _hermitian_peak([b for _, b in groups], "excited_block")
+def _validate_groups(groups) -> None:
+    """Positive semidefiniteness of every shell, against 1e-10 x the trace of
+    the whole excited sector, for both entrances: Hermiticity is checked
+    before, on outside input, or made by construction, from factors.  A
+    stack passes when ``blocks + s I``, s = 1e-10 x trace, has a Cholesky
+    factorisation: no eigenvalue lies below -s.  ``eigvalsh`` decides a stack
+    where that fails, or where s is not a normal double and so cannot shift
+    a subnormal entry."""
     trace = sum(float(np.trace(b, axis1=1, axis2=2).real.sum()) for _, b in groups)
     bound = _PSD_TOL * max(trace, 0.0)
     for members, blocks in groups:
@@ -390,7 +390,6 @@ def _validate_groups(groups) -> float:
                 f"{float(lowest[worst]):.3e} against trace {trace:.3e}",
                 members[worst],
             )
-    return peak
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -404,14 +403,15 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def assemble_state(factors: StateFactors) -> BlockDensity:
     r"""The per-unit-:math:`\varepsilon^2 T` state of the closed form's
-    factors, one Hermitian block per shell, checked like every
-    :class:`BlockDensity`.
+    factors, one Hermitian block per shell.
 
     Diagonal entries are :math:`|A_n|^2 |\zeta_i|^2 P_{in}/2\pi`; the
     entry of each aligned pair :math:`(j,m) < (i,n)` is
     :math:`A_n^* A_m \zeta_i^* \zeta_j \Lambda \sqrt{P_{in}}\sqrt{P_{jm}}/2\pi`
     and its mirror the conjugate.  The shells are the connected
     components of the pairs.  The state keeps the factors, read-only.
+    Every block is Hermitian by construction, so the entries are checked
+    for finiteness and their peak taken where they are made.
     """
     for array in factors:
         array.setflags(write=False)
@@ -426,9 +426,12 @@ def assemble_state(factors: StateFactors) -> BlockDensity:
     amp2 = np.array([abs(a) ** 2 for a in amps.tolist()])
     zeta2 = np.array([abs(c) ** 2 for c in zetas.tolist()])
     diag = amp2[branch] * zeta2[level] * weights / (2.0 * math.pi)
-    m, n = branch[row], branch[col]
-    phase = _cmul(_cmul(_cmul(amps[n].conj(), amps[m]), zetas[level[col]].conj()), zetas[level[row]])
-    values = phase * lam * np.sqrt(weights[col]) * np.sqrt(weights[row]) / (2.0 * math.pi)
+    branch_phase = _cmul(amps.conj()[None, :], amps[:, None])  # A_n^* A_m at [m, n]
+    phase = _cmul(_cmul(branch_phase[branch[row], branch[col]], zetas.conj()[level[col]]), zetas[level[row]])
+    root = np.sqrt(weights)
+    values = phase * lam * root[col] * root[row] / (2.0 * math.pi)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(values))):
+        raise ValueError("excited_block has non-finite entries")
 
     # All blocks share one buffer, a group's shells one after another.
     # Each composite has its place in its shell and the start of its row
@@ -448,9 +451,9 @@ def assemble_state(factors: StateFactors) -> BlockDensity:
         (stacked, buffer[offset:end].reshape(-1, stacked.shape[1], stacked.shape[1]))
         for stacked, offset, end in zip(members, offsets, offsets[1:])
     ]
-    return BlockDensity._of_groups(
-        groups, _validate_groups(groups), n_traj, "per_eps2T", None, None, factors
-    )
+    _validate_groups(groups)
+    max_entry = max(float(np.max(np.abs(diag))), float(np.max(np.abs(values), initial=0.0)))
+    return BlockDensity._of_groups(groups, max_entry, n_traj, "per_eps2T", None, None, factors)
 
 
 def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> BlockDensity:
@@ -516,18 +519,16 @@ def joint_state(det: DetectorSpec, traj_set: TrajectorySet, tol: float) -> Block
     # orders the pairs by lower, then upper index.
     keys = np.sort(row[keep] * q.size + col[keep])
     pairs = np.stack(np.divmod(keys, q.size), axis=1)
-    m, n = branch[pairs[:, 0]], branch[pairs[:, 1]]
-    # Separations depend on the branch pair alone: one pass over the
-    # distinct pairs.
-    codes, inverse = np.unique(m * n_traj + n, return_inverse=True)
-    dxi, dxbar = branch_separations(traj_set, *np.divmod(codes, n_traj))
-    dxi, dxbar = dxi[inverse], dxbar[inverse]
+    # Lambda's geometry depends on the branch pair alone: it is taken once
+    # per distinct pair and gathered, and only its phase q alpha per pair.
+    codes, inverse = np.unique(branch[pairs[:, 0]] * n_traj + branch[pairs[:, 1]], return_inverse=True)
+    geometry = _overlap_geometry(*branch_separations(traj_set, *np.divmod(codes, n_traj)))
     factors = StateFactors(
         amplitudes=np.array(traj_set.amplitudes, dtype=complex),
         couplings=np.array(det.couplings, dtype=complex),
         planck_weights=weights,
         pairs=pairs,
-        overlaps=lambda_overlap(q[pairs[:, 0]], dxi, dxbar),
+        overlaps=_overlap_of_geometry(q[pairs[:, 0]], *(part[inverse] for part in geometry)),
     )
     try:
         return assemble_state(factors)

@@ -54,6 +54,26 @@ __all__ = [
 MU = math.log(1.0 / (2.0 * math.pi) + 1.0) / (2.0 * math.pi)
 
 
+def _number(value, name=None, kind=float, index=None):
+    """``value`` as ``kind``, the one rule for every number the package reads:
+    a string, a bool, ``None``, an int past the float range and whatever
+    else ``kind`` cannot take raise ``ValueError``, prefixed by ``name``
+    (``name[index]`` with an index) where one is given."""
+    if type(value) is kind:  # most numbers: skip the checks below
+        return value
+    why = f"could not convert {type(value).__name__} to a number"
+    if not isinstance(value, (str, bool, np.bool_)):
+        try:
+            return kind(value)
+        except TypeError:
+            pass
+        except OverflowError:
+            why = "could not convert an integer past the float range"
+    if name is not None:
+        why = f"{name}: {why}" if index is None else f"{name}[{index}]: {why}"
+    raise ValueError(why)
+
+
 class WedgeError(ValueError):
     """Raised for Minkowski events outside the right Rindler wedge."""
 
@@ -77,14 +97,15 @@ class Trajectory:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "z", _number(self.z, "z"))
         if not (self.z > 0.0 and math.isfinite(self.z)):
             raise ValueError(f"trajectory requires z > 0, got z={self.z}")
-        if len(self.x_perp) != 2:
+        if not isinstance(self.x_perp, (tuple, list, np.ndarray)) or len(self.x_perp) != 2:
             raise ValueError("x_perp must be a pair (x, y)")
-        object.__setattr__(self, "x_perp", (float(self.x_perp[0]), float(self.x_perp[1])))
+        object.__setattr__(self, "x_perp", tuple(_number(c, "x_perp") for c in self.x_perp))
         if not all(math.isfinite(c) for c in self.x_perp):
             raise ValueError(f"x_perp must be finite, got {self.x_perp}")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
+        object.__setattr__(self, "amplitude", _number(self.amplitude, "amplitude", complex))
         if not (math.isfinite(self.amplitude.real) and math.isfinite(self.amplitude.imag)):
             raise ValueError("amplitude must be finite")
 

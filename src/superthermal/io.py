@@ -28,9 +28,10 @@ empty cells for absent (exactly zero) entries.
 Every writer emits keys in a fixed order with ``\\n`` line endings, so
 identical inputs produce byte-identical files.
 
-Every number a config or an artifact file supplies is read by :func:`_real`
-and must be a JSON int or float: a string, a boolean, ``null`` or an int
-past the float range raises ``ValueError`` naming the field.
+Every number a config or an artifact file supplies is read by
+:func:`~superthermal.geometry._number`, as the Python constructors read
+theirs, and must be a JSON int or float: a string, a boolean, ``null``
+or an int past the float range raises ``ValueError`` naming the field.
 
 Numbers become text in a few C-level passes per array, not one call per
 number, and a zero costs no formatting.  :func:`format_json` walks its
@@ -60,7 +61,7 @@ from typing import Any
 import numpy as np
 
 from .detector import BlockDensity, DetectorSpec, StateFactors, assemble_state
-from .geometry import Trajectory, TrajectorySet
+from .geometry import Trajectory, TrajectorySet, _number
 
 __all__ = [
     "format_json",
@@ -331,16 +332,12 @@ def block_density_to_dict(
     }
 
 
-def _real(value: Any) -> float:
-    """A JSON int or float, not a bool and within the float range, as a float; else ``ValueError``."""
-    if type(value) is float:  # most numbers: skip the checks below
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"could not convert {type(value).__name__} to a number")
+def _named(name: str, read, *args) -> Any:
+    """``read(*args)``, with a ``ValueError`` it raises prefixed by ``name``."""
     try:
-        return float(value)
-    except OverflowError:
-        raise ValueError("could not convert an integer past the float range") from None
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _reals(values: Any, size: int | None = None) -> list[float]:
@@ -348,14 +345,14 @@ def _reals(values: Any, size: int | None = None) -> list[float]:
     if not isinstance(values, list) or (not values if size is None else len(values) != size):
         raise ValueError("must be a nonempty list of numbers" if size is None
                          else f"expected a list of {size} numbers")
-    return [_real(v) for v in values]
+    return [_number(v) for v in values]
 
 
 def _pair(value: Any) -> list[float]:
-    """A JSON ``[re, im]`` pair as two floats read by :func:`_real`."""
+    """A JSON ``[re, im]`` pair as two floats read by :func:`_number`."""
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError("expected a [re, im] pair")
-    return [_real(value[0]), _real(value[1])]
+    return [_number(value[0]), _number(value[1])]
 
 
 def _parse_scale(field: Any) -> tuple[str, float | None, float | None]:
@@ -365,7 +362,7 @@ def _parse_scale(field: Any) -> tuple[str, float | None, float | None]:
         values = []
         for key in ("epsilon", "T"):
             try:
-                values.append(_real(field["absolute"][key]))
+                values.append(_number(field["absolute"][key]))
             except (KeyError, TypeError, ValueError) as exc:
                 why = "missing field" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"scale.absolute.{key}: {why}") from exc
@@ -375,7 +372,7 @@ def _parse_scale(field: Any) -> tuple[str, float | None, float | None]:
 
 def _as_complex(value: Any) -> complex:
     """A finite JSON number or ``[re, im]`` pair as a complex number."""
-    out = complex(*_pair(value)) if isinstance(value, list) else complex(_real(value))
+    out = complex(*_pair(value)) if isinstance(value, list) else complex(_number(value))
     if not cmath.isfinite(out):
         raise ValueError(f"must be finite, got {value!r}")
     return out
@@ -402,7 +399,7 @@ def parse_trajectories(entries: Any) -> TrajectorySet:
         if "z" not in entry:
             raise ValueError(f"trajectories[{k}].z: missing required field")
         fields = {"x": 0.0, "y": 0.0, "A": None}
-        for key, convert in (("z", _real), ("x", _real), ("y", _real), ("A", _as_complex)):
+        for key, convert in (("z", _number), ("x", _number), ("y", _number), ("A", _as_complex)):
             if key in entry:
                 try:
                     fields[key] = convert(entry[key])
@@ -417,21 +414,14 @@ def parse_trajectories(entries: Any) -> TrajectorySet:
         )
     if not given:
         amplitudes = [complex(1.0 / math.sqrt(len(amplitudes)))] * len(amplitudes)
-    try:
-        return TrajectorySet(
-            Trajectory(z=z, x_perp=(x, y), amplitude=a)
-            for (z, x, y), a in zip(positions, amplitudes)
-        )
-    except ValueError as exc:
-        raise ValueError(f"trajectories: {exc}") from exc
+    return _named("trajectories", TrajectorySet, (
+        Trajectory(z=z, x_perp=(x, y), amplitude=a) for (z, x, y), a in zip(positions, amplitudes)
+    ))
 
 
 def _real_array(values: Any, size: int, name: str) -> np.ndarray:
     """``size`` finite JSON numbers as a float array."""
-    try:
-        array = np.array(_reals(values, size), dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+    array = np.array(_named(name, _reals, values, size), dtype=float)
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name}: expected {size} finite numbers")
     return array
@@ -480,18 +470,12 @@ def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list
         if key not in data:
             raise ValueError(f"{key}: missing field of a {_JOINT_STATE_FORMAT} file")
     scale, epsilon, T = _parse_scale(data["scale"])
-    try:
-        levels = _reals(data["levels"])
-    except ValueError as exc:
-        raise ValueError(f"levels: {exc}") from exc
+    levels = _named("levels", _reals, data["levels"])
     traj_set = parse_trajectories(data["trajectories"])
     couplings = data["couplings"]
     if not isinstance(couplings, list):
         raise ValueError("couplings: expected a list of [re, im] pairs")
-    try:
-        det = DetectorSpec(levels, tuple(map(_as_complex, couplings)))
-    except ValueError as exc:
-        raise ValueError(f"levels, couplings: {exc}") from exc
+    det = _named("levels, couplings", lambda: DetectorSpec(levels, tuple(map(_as_complex, couplings))))
     dim = det.level_count * len(traj_set)
     weights = _real_array(data["planck_weights"], dim, "planck_weights")
     if not np.all(weights >= 0.0):
@@ -506,10 +490,7 @@ def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list
     )
     rho = assemble_state(factors)
     if scale == "absolute":
-        try:
-            rho = rho.to_absolute(epsilon, T)
-        except ValueError as exc:
-            raise ValueError(f"scale: {exc}") from exc
+        rho = _named("scale", rho.to_absolute, epsilon, T)
     return rho, levels, traj_set
 
 
@@ -552,10 +533,7 @@ def _pair_block(value: Any, size: int, name: str) -> np.ndarray:
     shape = f"{name}: expected a {size}x{size} block of finite [re, im] pairs"
     if len(value) != size or not all(isinstance(row, list) and len(row) == size for row in value):
         raise ValueError(shape)
-    try:
-        pairs = np.array([_pair(cell) for row in value for cell in row], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+    pairs = np.array(_named(name, lambda: [_pair(cell) for row in value for cell in row]), dtype=float)
     if not np.all(np.isfinite(pairs)):
         raise ValueError(shape)
     return pairs.reshape(-1).view(complex).reshape(size, size)
@@ -564,7 +542,9 @@ def _pair_block(value: Any, size: int, name: str) -> np.ndarray:
 def measured_from_dict(data: Mapping[str, Any]) -> tuple[np.ndarray, list[float]]:
     """Parse a measured-matrix JSON object back to the full array.
 
-    A missing field, a block of the wrong shape, a cell that is not an
+    ``scale``, ``trajectories`` and the ``measurement`` amplitudes are
+    checked too, as :func:`block_density_from_dict` checks its fields.  A
+    missing field, a block of the wrong shape, a cell that is not an
     ``[re, im]`` pair and a value that is not finite raise ``ValueError``
     naming the field.
     """
@@ -572,6 +552,12 @@ def measured_from_dict(data: Mapping[str, Any]) -> tuple[np.ndarray, list[float]
         raise ValueError("levels: expected a list of numbers")
     levels = _real_array(data["levels"], len(data["levels"]), "levels")
     n = len(levels)
+    _parse_scale(data.get("scale"))
+    count = len(parse_trajectories(data.get("trajectories")))
+    if not isinstance(basis := data.get("measurement"), list) or len(basis) != count:
+        raise ValueError(f"measurement: expected {count} amplitudes, one per trajectory")
+    for k, amplitude in enumerate(basis):
+        _named(f"measurement[{k}]", _as_complex, amplitude)
     out = np.zeros((n + 1, n + 1), dtype=complex)
     out[:1, :1] = _pair_block(data.get("ground_block"), 1, "ground_block")
     out[1:, 1:] = _pair_block(data.get("excited_block"), n, "excited_block")

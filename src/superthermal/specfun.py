@@ -349,24 +349,30 @@ def _sinc_of_phase(q: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         return np.where(phase > _PHASE_LIMIT, 0.0, np.sinc(phase / np.pi))
 
 
-def _lambda_of_alpha(q: np.ndarray, alpha, dxi) -> np.ndarray:
-    r""":math:`\Lambda` from its hyperbolic separation :math:`\alpha`:
-    :math:`\operatorname{sinc}(q\alpha)\,(\alpha/\sinh\alpha)
-    /\sqrt{\cosh\Delta\xi}`, with :math:`\alpha/\sinh\alpha` stable at
-    both ends.
-
-    Past :math:`\alpha = 746`, :math:`e^{-\alpha}` is 0 and so is
-    :math:`\alpha/\sinh\alpha`; :math:`\alpha` is clipped there, since
-    from 9e307 on :math:`2\alpha` overflows and inf times 0 is NaN.
-    Where :math:`\cosh\Delta\xi` overflows the result is 0, its limit.
-    """
+def _alpha_factors(alpha, dxi, far):
+    r"""The factors of :math:`\Lambda` that :math:`q` leaves alone: :math:`\alpha`,
+    :math:`\alpha/\sinh\alpha`, :math:`\sqrt{\cosh\Delta\xi}` (inf where
+    cosh overflows, so :math:`\Lambda` is 0, its limit) and ``far`` (0 too).
+    Past :math:`\alpha = 746`, :math:`e^{-\alpha}` and :math:`\alpha/\sinh\alpha`
+    are 0; :math:`\alpha` is clipped there, since from 9e307 on
+    :math:`2\alpha` overflows and inf times 0 is NaN."""
     alpha = np.asarray(alpha, dtype=float)
     clipped = np.minimum(alpha, 746.0)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         x_over_sinh = 2.0 * clipped * np.exp(-clipped) / (-np.expm1(-2.0 * clipped))
         x_over_sinh = np.where(alpha < 1e-6, 1.0 - alpha**2 / 6.0, x_over_sinh)
-        core = _sinc_of_phase(q, alpha) * x_over_sinh
-        return core / np.sqrt(np.cosh(dxi))
+        return alpha, x_over_sinh, np.sqrt(np.cosh(dxi)), far
+
+
+def _overlap_geometry(dxi, dxbar):
+    r"""The part of :math:`\Lambda` that the two trajectories alone fix."""
+    return _alpha_factors(_alpha_from_geometry(dxi, dxbar), dxi, dxbar == np.inf)
+
+
+def _overlap_of_geometry(q, alpha, x_over_sinh, root_cosh, far):
+    r""":math:`\Lambda = \operatorname{sinc}(q\alpha)\,(\alpha/\sinh\alpha)
+    /\sqrt{\cosh\Delta\xi}` from :func:`_alpha_factors`."""
+    return np.where(far, 0.0, _sinc_of_phase(q, alpha) * x_over_sinh / root_cosh)
 
 
 def lambda_overlap(q, dxi, dxbar):
@@ -387,6 +393,9 @@ def lambda_overlap(q, dxi, dxbar):
     :math:`\Delta\xi` gives a finite value, 0 once
     :math:`\cosh\Delta\xi` overflows.
 
+    It is :func:`_overlap_of_geometry` (the phase :math:`q\alpha`) of
+    :func:`_overlap_geometry`, which the joint state takes once per branch pair.
+
     Parameters
     ----------
     q : array_like
@@ -404,9 +413,8 @@ def lambda_overlap(q, dxi, dxbar):
         raise ValueError("lambda_overlap requires q >= 0")
     if not np.all(dxbar_arr >= 0.0):  # NaN fails this too
         raise ValueError("lambda_overlap requires dxbar >= 0")
-    far = dxbar_arr == np.inf
-    out = _lambda_of_alpha(q_arr, _alpha_from_geometry(dxi_arr, dxbar_arr), dxi_arr)
-    return _scalar_or_array(np.where(far, 0.0, out), q, dxi, dxbar)
+    out = _overlap_of_geometry(q_arr, *_overlap_geometry(dxi_arr, dxbar_arr))
+    return _scalar_or_array(out, q, dxi, dxbar)
 
 
 def lambda_axis_xi(q, dxi):
@@ -420,7 +428,7 @@ def lambda_axis_xi(q, dxi):
     dxi_arr = _as_floats(dxi, "dxi")
     if not np.all(q_arr >= 0.0):
         raise ValueError("lambda_axis_xi requires q >= 0")
-    return _scalar_or_array(_lambda_of_alpha(q_arr, np.abs(dxi_arr), dxi_arr), q, dxi)
+    return _scalar_or_array(_overlap_of_geometry(q_arr, *_alpha_factors(np.abs(dxi_arr), dxi_arr, False)), q, dxi)
 
 
 def lambda_axis_xbar(q, dxbar):
@@ -437,7 +445,7 @@ def lambda_axis_xbar(q, dxbar):
     if not np.all(dxbar_arr >= 0.0):
         raise ValueError("lambda_axis_xbar requires dxbar >= 0")
     g = 2.0 * np.arcsinh(0.5 * dxbar_arr)
-    return _scalar_or_array(_lambda_of_alpha(q_arr, g, 0.0), q, dxbar)
+    return _scalar_or_array(_overlap_of_geometry(q_arr, *_alpha_factors(g, 0.0, False)), q, dxbar)
 
 
 def _planck_factor(x, y):

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superthermal.detector import (
@@ -20,9 +20,12 @@ from superthermal.detector import (
     DetectorSpec,
     MeasurementBasisVector,
     NonPSDShellError,
+    StateFactors,
+    _hermitian_peak,
     _load_reference_matrix,
     _shell_groups,
     _validate_groups,
+    assemble_state,
     compare_with_reference,
     joint_state,
     measured_internal,
@@ -30,7 +33,7 @@ from superthermal.detector import (
     paper_example,
     reduced_internal,
 )
-from superthermal.geometry import MU, Trajectory, TrajectorySet, validate_regime
+from superthermal.geometry import MU, Trajectory, TrajectorySet, delta_xbar, delta_xi, validate_regime
 from superthermal.io import block_density_from_dict, block_density_to_dict, format_json
 from superthermal.specfun import lambda_overlap, planck_weight
 
@@ -73,6 +76,20 @@ def test_detector_spec_validation():
     det = DetectorSpec(frequencies=(1.0, 2.0))
     assert det.couplings == (1.0 + 0j, 1.0 + 0j)
     assert det.level_count == 2
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None], ids=["str", "bool", "None"])
+def test_detector_spec_refuses_text_bools_and_none_naming_the_field(bad):
+    kind = type(bad).__name__
+    with pytest.raises(ValueError, match=f"^frequencies\\[0\\]: could not convert {kind} to a number$"):
+        DetectorSpec([bad, 2.0])
+    with pytest.raises(ValueError, match=f"^couplings\\[1\\]: could not convert {kind} to a number$"):
+        DetectorSpec([0.5, 2.0], [1.0, bad])
+    with pytest.raises(ValueError, match="could not convert str"):
+        DetectorSpec(["0.5", "2"])
+    # numbers of any numeric type still convert
+    det = DetectorSpec(np.arange(1, 3), [np.float32(0.5), np.complex64(0.5j)])
+    assert det == DetectorSpec((1.0, 2.0), (0.5, 0.5j))
 
 
 def test_measurement_basis_validation():
@@ -384,7 +401,9 @@ def test_shell_check_agrees_with_eigvalsh(groups):
             with pytest.raises(NonPSDShellError) as info:
                 _validate_groups(groups)
         else:
-            assert _validate_groups(groups) == max(float(np.max(np.abs(b))) for _, b in groups)
+            assert _validate_groups(groups) is None
+    # the dense entrance's peak, taken before the shell check
+    assert _hermitian_peak([b for _, b in groups], "excited_block") == max(float(np.max(np.abs(b))) for _, b in groups)
     if failing:
         # the message and the shell it names are eigvalsh's
         low = lowest[failing[0]]
@@ -511,6 +530,73 @@ def test_lattice_shells_are_the_components_and_read_back():
     assert len(back._groups) == len(rho._groups)
     for (got_members, got), (want_members, want) in zip(back._groups, rho._groups):
         assert np.array_equal(got_members, want_members) and np.array_equal(got, want)
+
+
+def _ratio_edge():
+    """Two branches whose height ratio, 1e309, is past the float range, so
+    cosh of their separation overflows; one aligned pair, q = 1e-3."""
+    amp = 1.0 / math.sqrt(2.0)
+    ts = TrajectorySet((Trajectory(z=1e-160, amplitude=amp), Trajectory(z=1e149, amplitude=amp)))
+    det = DetectorSpec(frequencies=(1e-152, 1e157))
+    return det, ts, joint_state(det, ts, tol=0.01)
+
+
+@pytest.mark.parametrize("system", [_lattice_36x17, _ratio_edge], ids=["lattice_36x17", "ratio"])
+def test_overlaps_are_lambda_of_each_pairs_scalar_geometry(system):
+    # Lambda's geometry is taken once per branch pair; each overlap must be
+    # lambda_overlap of its own pair's q and scalar separations, bit for bit.
+    det, ts, rho = system()
+    n_traj = rho.traj_count
+    want = []
+    for lower, upper in rho.factors.pairs.tolist():
+        m, n = ts[lower % n_traj], ts[upper % n_traj]
+        want.append(lambda_overlap(det.frequencies[lower // n_traj] * m.z, delta_xi(m, n), delta_xbar(m, n)))
+    assert want
+    assert np.array_equal(np.array(want).view(np.uint64), rho.factors.overlaps.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levels=st.integers(1, 6),
+    heights=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    scale=st.floats(0.05, 40.0),
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=22, max_size=22),
+)
+def test_factor_built_blocks_are_hermitian_and_peak_is_max_entry(levels, heights, scale, parts):
+    # a lattice, so products align across branches and shells have many
+    # members; amplitudes and couplings complex.  The factor entrance takes
+    # Hermiticity from its construction and its peak from the factors.
+    amps = np.array(parts[:10]).view(complex)[: len(heights)]
+    assume(np.linalg.norm(amps) > 0.1)
+    amps /= np.linalg.norm(amps)
+    ts = TrajectorySet(
+        Trajectory(z=0.5 * k, x_perp=(0.3 * n, 0.0), amplitude=a) for n, (k, a) in enumerate(zip(heights, amps))
+    )
+    couplings = np.array(parts[10:]).view(complex)[:levels] / math.sqrt(2.0)
+    det = DetectorSpec(frequencies=tuple(scale * (i + 1) for i in range(levels)), couplings=tuple(couplings))
+    rho = joint_state(det, ts, tol=1e-9)
+    back = block_density_from_dict(json.loads(format_json(block_density_to_dict(rho, det.frequencies, ts))))[0]
+    for state in (rho, back):
+        blocks = [b for _, b in state._groups]
+        assert all(np.array_equal(b, b.conj().transpose(0, 2, 1)) for b in blocks)
+        assert state.max_entry == max(float(np.max(np.abs(b))) for b in blocks)
+
+
+def test_assemble_state_refuses_non_finite_products():
+    det, ts, rho = _lattice_36x17()
+    factors = rho.factors
+    infinite = factors.overlaps.copy()
+    infinite[3] = np.inf
+    # inf times a complex phase with a zero part is NaN
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="excited_block has non-finite entries"):
+        assemble_state(factors._replace(overlaps=infinite))
+    # a Planck weight near the float range times a coupling above 1
+    huge = StateFactors(
+        amplitudes=np.array([1.0 + 0j]), couplings=np.array([2.0 + 0j]),
+        planck_weights=np.array([1e308]), pairs=np.zeros((0, 2), dtype=np.int64), overlaps=np.zeros(0),
+    )
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="excited_block has non-finite entries"):
+        assemble_state(huge)
 
 
 def test_measured_internal_sums_like_add_at_bit_for_bit():

@@ -72,6 +72,21 @@ def test_trajectory_validation():
     assert traj.position_key() == (0.5, 0.3, -0.2)
 
 
+@pytest.mark.parametrize("field", ["z", "x_perp", "amplitude"])
+@pytest.mark.parametrize("bad", ["0.5", True, None], ids=["str", "bool", "None"])
+def test_trajectory_refuses_text_bools_and_none_naming_the_field(field, bad):
+    # the constructor keeps the readers' rule: a number is not a string, a
+    # bool or None; numbers of any numeric type still convert
+    value = (bad, 0.0) if field == "x_perp" else bad
+    with pytest.raises(ValueError, match=f"^{field}: could not convert {type(bad).__name__} to a number$"):
+        Trajectory(**{"z": 1.0, field: value})
+    with pytest.raises(ValueError, match="x_perp must be a pair"):
+        Trajectory(z=1.0, x_perp=bad)
+    traj = Trajectory(z=np.int64(2), x_perp=[np.float32(0.5), 1], amplitude=np.complex64(1.0))
+    assert traj == Trajectory(z=2.0, x_perp=(0.5, 1.0), amplitude=1.0 + 0j)
+    assert type(traj.z) is float
+
+
 def test_trajectory_set_sorts_and_normalizes():
     a = 1.0 / math.sqrt(2.0)
     ts = TrajectorySet(

@@ -638,6 +638,17 @@ def test_measured_json_round_trip(tmp_path):
         (lambda d: d["excited_block"].pop(), "excited_block: expected a 2x2 block"),
         (lambda d: d["excited_block"][1][1].__setitem__(0, math.nan), "excited_block: expected a 2x2 block of finite"),
         (lambda d: d["ground_block"][0][0].__setitem__(1, math.inf), "ground_block: expected a 1x1 block of finite"),
+        # the fields beside the blocks are checked as a joint state's are
+        (lambda d: d["trajectories"][0].__setitem__("z", "0.5"), "trajectories\\[0\\].z: could not convert str"),
+        (lambda d: d.pop("trajectories"), "trajectories: must be a list"),
+        (lambda d: d.update(scale={"absolute": {"epsilon": "0.01", "T": 10.0}}),
+         "scale.absolute.epsilon: could not convert str"),
+        (lambda d: d.update(scale="absolute"), "scale: expected 'per_eps2T' or an absolute object"),
+        (lambda d: d.pop("measurement"), "measurement: expected 2 amplitudes, one per trajectory"),
+        (lambda d: d["measurement"].pop(), "measurement: expected 2 amplitudes, one per trajectory"),
+        (lambda d: d["measurement"].__setitem__(1, [0.5]), "measurement\\[1\\]: expected a \\[re, im\\] pair"),
+        (lambda d: d["measurement"].__setitem__(0, ["0.5", 0.0]), "measurement\\[0\\]: could not convert str"),
+        (lambda d: d["measurement"].__setitem__(1, [math.inf, 0.0]), "measurement\\[1\\]: must be finite"),
     ],
 )
 def test_measured_json_rejects_bad_fields(mutate, message):

@@ -18,6 +18,8 @@ from oracles import k_imag, lam
 from superthermal.specfun import (
     _KSERIES_X,
     _k_imag_outer,
+    _overlap_geometry,
+    _overlap_of_geometry,
     bessel_j0,
     bessel_k_imag,
     lambda_axis_xbar,
@@ -282,6 +284,42 @@ def test_lambda_is_finite_and_bounded_everywhere(q, dxi, dxbar):
     value = lambda_overlap(q, dxi, dxbar)
     assert math.isfinite(value)
     assert abs(value) <= 1.0
+
+
+# Separations at the edges of the overlap's branches: alpha below 1e-6
+# (its series), alpha in log form (dxbar ~ 1e200), cosh(dxi) past the
+# float range (|dxi| >= 711) and dxbar = 0 or inf.
+_EDGE_GEOMETRY = [(dxi, dxbar) for dxi in (0.0, 1e-9, -0.4, 711.0, -1e3) for dxbar in (0.0, 1e-9, 1.3, 1e200, math.inf)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    geometry=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from((0.0, 1e-9, 711.0, -1e3)), st.floats(allow_nan=False, allow_infinity=False)),
+            st.one_of(st.sampled_from((0.0, 1e-9, 1e200, math.inf)), st.floats(min_value=0.0, allow_infinity=True)),
+        ),
+        min_size=1, max_size=6, unique=True,
+    ),
+    data=st.data(),
+)
+@example(geometry=_EDGE_GEOMETRY, data=None)
+def test_lambda_split_gathered_per_geometry_equals_lambda_bit_for_bit(geometry, data):
+    # joint_state takes Lambda's geometry once per distinct branch pair and
+    # gathers it into the per-pair phase: every value must be lambda_overlap's.
+    qs = st.one_of(st.sampled_from((0.0, 1e308)), st.floats(min_value=0.0, max_value=1e308))
+    if data is None:  # the edge grid: each geometry at q = 0, 1.5 and 1e308
+        picks = [(k, q) for k in range(len(geometry)) for q in (0.0, 1.5, 1e308)]
+    else:
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(geometry) - 1), qs), min_size=1, max_size=20))
+    index = np.array([k for k, _ in picks])
+    q = np.array([q for _, q in picks])
+    dxi, dxbar = np.array(geometry).T
+    parts = _overlap_geometry(dxi, dxbar)
+    split = _overlap_of_geometry(q, *(part[index] for part in parts))
+    whole = lambda_overlap(q, dxi[index], dxbar[index])
+    assert np.array_equal(split.view(np.uint64), whole.view(np.uint64))
 
 
 def test_lambda_symmetry_in_dxi():
