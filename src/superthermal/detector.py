@@ -109,7 +109,7 @@ class DetectorSpec:
             coup = tuple(_number(c, "couplings", complex, k) for k, c in enumerate(self.couplings))
             if len(coup) != len(freqs):
                 raise ValueError(f"{len(freqs)} frequencies but {len(coup)} couplings")
-            if any(abs(c) > 1.0 + 1e-12 for c in coup):
+            if not all(abs(c) <= 1.0 + 1e-12 for c in coup):  # NaN included
                 raise ValueError("couplings must satisfy |zeta| <= 1")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "couplings", coup)
@@ -130,7 +130,7 @@ class MeasurementBasisVector:
         if not amps:
             raise ValueError("measurement vector must be non-empty")
         norm = sum(abs(b) ** 2 for b in amps)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN included
             raise ValueError(
                 f"measurement amplitudes must satisfy sum |B|^2 = 1, got {norm!r}"
             )
@@ -409,7 +409,9 @@ def assemble_state(factors: StateFactors) -> BlockDensity:
     entry of each aligned pair :math:`(j,m) < (i,n)` is
     :math:`A_n^* A_m \zeta_i^* \zeta_j \Lambda \sqrt{P_{in}}\sqrt{P_{jm}}/2\pi`
     and its mirror the conjugate.  The shells are the connected
-    components of the pairs.  The state keeps the factors, read-only.
+    components of the pairs.  A pair outside ``0 <= lower < upper < dim``,
+    a repeated pair and a pair within one branch raise ``ValueError``
+    naming ``pairs``.  The state keeps the factors, read-only.
     Every block is Hermitian by construction, so the entries are checked
     for finiteness and their peak taken where they are made.
     """
@@ -420,6 +422,15 @@ def assemble_state(factors: StateFactors) -> BlockDensity:
     dim = weights.size
     level, branch = np.divmod(np.arange(dim), n_traj)
     row, col = pairs[:, 0], pairs[:, 1]
+    if not np.all((0 <= row) & (row < col) & (col < dim)):
+        raise ValueError(f"pairs: need 0 <= lower < upper < {dim}")
+    keys = row * dim + col
+    # pairs in sorted order, as joint_state makes them, skip the sort
+    if np.any(keys[1:] <= keys[:-1]) and np.any(np.diff(np.sort(keys)) == 0):
+        raise ValueError("pairs: a pair occurs twice")
+    branch_row, branch_col = branch[row], branch[col]
+    if np.any(branch_row == branch_col):
+        raise ValueError("pairs: a pair must join two branches")
     members = _shell_groups(dim, row, col)
     # Python's abs(complex) is hypot, which numpy's complex abs can miss by
     # an ulp; the populations keep the former.
@@ -427,7 +438,7 @@ def assemble_state(factors: StateFactors) -> BlockDensity:
     zeta2 = np.array([abs(c) ** 2 for c in zetas.tolist()])
     diag = amp2[branch] * zeta2[level] * weights / (2.0 * math.pi)
     branch_phase = _cmul(amps.conj()[None, :], amps[:, None])  # A_n^* A_m at [m, n]
-    phase = _cmul(_cmul(branch_phase[branch[row], branch[col]], zetas.conj()[level[col]]), zetas[level[row]])
+    phase = _cmul(_cmul(branch_phase[branch_row, branch_col], zetas.conj()[level[col]]), zetas[level[row]])
     root = np.sqrt(weights)
     values = phase * lam * root[col] * root[row] / (2.0 * math.pi)
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(values))):

@@ -20,15 +20,14 @@ maps take none), the relative quantities between two trajectories,
 the dimensionless products :math:`q_{jm} = \omega_j z_m` whose (near)
 degeneracy controls which coherences survive, and order-of-magnitude
 checks on the interaction time and the largest acceleration.
-:func:`branch_separations` takes the two relative quantities for many
-branch pairs of one set at once, bit for bit as the scalar functions.
+:func:`branch_separations` maps the two scalar functions over many branch
+pairs of one set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -255,58 +254,16 @@ def delta_xbar(m: Trajectory, n: Trajectory) -> float:
     return offset / low * math.sqrt(0.5 * (1.0 + (low / high) ** 2))
 
 
-#: Below this many pairs, :func:`branch_separations` calls the scalar
-#: functions: their cost per pair is below the array pass's fixed cost.
-_ARRAY_PAIRS = 32
-
-
-def _inverse_square(z: float) -> float:
-    """``1 / z**2`` as :func:`delta_xbar` takes it, ``inf`` where that raises."""
-    try:
-        return 1.0 / z**2
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
-
-
 def branch_separations(
     traj_set: TrajectorySet, m: np.ndarray, n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     r""":math:`\Delta\xi` and :math:`\Delta\bar{x}` of the branch pairs
-    ``(traj_set[m[k]], traj_set[n[k]])`` as two float arrays, equal bit for
-    bit to :func:`delta_xi` and :func:`delta_xbar` of each pair.
-
-    The arithmetic is numpy's, which rounds as Python's float operations
-    do.  The three steps whose numpy forms can differ by an ulp are math's
-    own: ``z**2`` and :math:`\log z` once per branch, and ``math.log`` of
-    the height ratio and ``math.hypot`` of the offset once per pair, mapped
-    over the pairs' arrays.  Fewer than 32 pairs take the scalar functions
-    themselves."""
-    if m.size < _ARRAY_PAIRS:
-        ends = [(traj_set[a], traj_set[b]) for a, b in zip(m.tolist(), n.tolist())]
-        return (np.array([delta_xi(*pair) for pair in ends], dtype=float),
-                np.array([delta_xbar(*pair) for pair in ends], dtype=float))
-    heights = traj_set.heights
-    z = np.array(heights)
-    x, y = np.array([t.x_perp for t in traj_set]).T
-    log_z = np.array(list(map(math.log, heights)))
-    inv2 = np.array(list(map(_inverse_square, heights)))
-    z_m, z_n = z[m], z[n]
-    # Python's float operations overflow to inf without raising; the NaN of
-    # a zero offset times an infinite root is set to 0 below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = z_m / z_n
-        dxi = log_z[m] - log_z[n]
-        inside = (ratio > 0.0) & (ratio < math.inf)
-        dxi[inside] = list(map(math.log, ratio[inside].tolist()))
-        offset = np.array(list(map(math.hypot, (x[m] - x[n]).tolist(), (y[m] - y[n]).tolist())))
-        xbar = offset * np.sqrt(0.5 * (inv2[m] + inv2[n]))
-        far = np.isinf(xbar)
-        if far.any():
-            low, high = np.minimum(z_m, z_n)[far], np.maximum(z_m, z_n)[far]
-            squares = list(map(pow, (low / high).tolist(), repeat(2)))
-            xbar[far] = offset[far] / low * np.sqrt(0.5 * (1.0 + np.array(squares)))
-    xbar[offset == 0.0] = 0.0
-    return dxi, xbar
+    ``(traj_set[m[k]], traj_set[n[k]])`` as two float arrays: :func:`delta_xi`
+    and :func:`delta_xbar` of each pair."""
+    trajs = traj_set.trajectories
+    ms, ns = [trajs[a] for a in m.tolist()], [trajs[b] for b in n.tolist()]
+    return (np.fromiter(map(delta_xi, ms, ns), float, len(ms)),
+            np.fromiter(map(delta_xbar, ms, ns), float, len(ms)))
 
 
 def coherence_condition(

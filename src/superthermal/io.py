@@ -427,24 +427,19 @@ def _real_array(values: Any, size: int, name: str) -> np.ndarray:
     return array
 
 
-def _coherences(field: Any, n_traj: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``pairs`` and ``overlaps`` of a ``coherences`` field, checked:
-    distinct cross-branch pairs of flat indices below ``dim``, lower index
-    first, each with a finite |Lambda| <= 1."""
+def _coherences(field: Any, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``pairs`` and ``overlaps`` of a ``coherences`` field: integer
+    pairs, which :func:`~superthermal.detector.assemble_state` checks, each
+    with a finite |Lambda| <= 1."""
     if not isinstance(field, Mapping) or set(field) != {"pairs", "overlaps"}:
         raise ValueError("coherences: expected an object of pairs and overlaps")
     raw = field["pairs"]
     # exact types: a bool is not an index
     if not (isinstance(raw, list) and all(type(p) is list and [*map(type, p)] == [int, int] for p in raw)):
         raise ValueError("coherences.pairs: expected a list of [lower, upper] integer pairs")
-    if not all(0 <= lower < upper < dim for lower, upper in raw):
-        raise ValueError(f"coherences.pairs: need 0 <= lower < upper < {dim}")
-    pairs = np.array(raw, dtype=np.int64).reshape(-1, 2)
-    lower, upper = pairs[:, 0], pairs[:, 1]
-    if len(np.unique(lower * dim + upper)) != len(pairs):
-        raise ValueError("coherences.pairs: a pair occurs twice")
-    if np.any(lower % n_traj == upper % n_traj):
-        raise ValueError("coherences.pairs: a pair must join two branches")
+    # indices clipped to [-1, dim], which fit an int64, stay out of range
+    # exactly where they were
+    pairs = np.array([[min(max(i, -1), dim) for i in p] for p in raw], dtype=np.int64).reshape(-1, 2)
     overlaps = _real_array(field["overlaps"], len(pairs), "coherences.overlaps")
     if not np.all(np.abs(overlaps) <= 1.0):
         raise ValueError("coherences.overlaps: need |Lambda| <= 1")
@@ -480,7 +475,7 @@ def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list
     weights = _real_array(data["planck_weights"], dim, "planck_weights")
     if not np.all(weights >= 0.0):
         raise ValueError("planck_weights: must be nonnegative")
-    pairs, overlaps = _coherences(data["coherences"], len(traj_set), dim)
+    pairs, overlaps = _coherences(data["coherences"], dim)
     factors = StateFactors(
         amplitudes=np.array(traj_set.amplitudes, dtype=complex),
         couplings=np.array(det.couplings, dtype=complex),
@@ -488,7 +483,12 @@ def block_density_from_dict(data: Mapping[str, Any]) -> tuple[BlockDensity, list
         pairs=pairs,
         overlaps=overlaps,
     )
-    rho = assemble_state(factors)
+    try:
+        rho = assemble_state(factors)
+    except ValueError as exc:  # the pair rule is assemble_state's, naming pairs
+        if not str(exc).startswith("pairs:"):
+            raise
+        raise ValueError(f"coherences.{exc}") from exc
     if scale == "absolute":
         rho = _named("scale", rho.to_absolute, epsilon, T)
     return rho, levels, traj_set

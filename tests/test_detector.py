@@ -92,6 +92,24 @@ def test_detector_spec_refuses_text_bools_and_none_naming_the_field(bad):
     assert det == DetectorSpec((1.0, 2.0), (0.5, 0.5j))
 
 
+NON_FINITE = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+              complex(0.0, -math.inf), complex(math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_detector_spec_refuses_non_finite_couplings(bad):
+    with pytest.raises(ValueError, match="^couplings must satisfy"):
+        DetectorSpec(frequencies=(1.0, 2.0), couplings=(1.0, bad))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_measurement_basis_refuses_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="^measurement amplitudes must satisfy"):
+        MeasurementBasisVector(amplitudes=(bad,))
+    with pytest.raises(ValueError, match="^measurement amplitudes must satisfy"):
+        MeasurementBasisVector(amplitudes=(0.6, bad))
+
+
 def test_measurement_basis_validation():
     with pytest.raises(ValueError):
         MeasurementBasisVector(amplitudes=(1.0, 1.0))
@@ -597,6 +615,28 @@ def test_assemble_state_refuses_non_finite_products():
     )
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="excited_block has non-finite entries"):
         assemble_state(huge)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([[0, 0]], "pairs: need 0 <= lower < upper < 4"),  # would overwrite a population
+        ([[1, 0]], "pairs: need 0 <= lower < upper < 4"),
+        ([[-1, 1]], "pairs: need 0 <= lower < upper < 4"),
+        ([[0, 4]], "pairs: need 0 <= lower < upper < 4"),
+        ([[0, 3], [0, 1], [0, 3]], "pairs: a pair occurs twice"),
+        ([[0, 1], [1, 3]], "pairs: a pair must join two branches"),
+    ],
+)
+def test_assemble_state_refuses_pairs_outside_the_pair_rule(pairs, message):
+    # two levels on two branches: composites 0 and 2 on branch 0, 1 and 3 on 1
+    pairs = np.array(pairs, dtype=np.int64)
+    factors = StateFactors(
+        amplitudes=np.array([0.6, 0.8j]), couplings=np.array([1.0 + 0j, 1.0 + 0j]),
+        planck_weights=np.full(4, 0.5), pairs=pairs, overlaps=np.full(len(pairs), 0.5),
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assemble_state(factors)
 
 
 def test_measured_internal_sums_like_add_at_bit_for_bit():

@@ -5,7 +5,9 @@ and the 1-D boost-frequency integral at 40 digits, the k-bar integral at
 25 digits.  ``FINITE_T_K_ROUTE`` alone holds values of the package's
 former finite-duration route.  One test takes the closed form of Lambda
 from ``oracles.lam`` directly, and one the finite-duration overlap from
-``oracles.finite_t_wightman``.
+``oracles.finite_t_wightman``.  One rebuilds the paper example's measured
+table from the finite-duration oracle and compares its limit with the
+closed form.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from oracles import finite_t_wightman, lam
 
 from superthermal import overlaps
+from superthermal.detector import paper_example
 from superthermal.geometry import Trajectory
 from superthermal.overlaps import (
     OverlapResult,
@@ -517,6 +520,37 @@ def test_finite_t_oracle_suppresses_misaligned_pairs():
     aligned = oracle_overlap_finite_t(2.0, traj_n, 1.0, traj_m, 30.0)
     ratio = value.real / aligned.real
     assert ratio == pytest.approx(math.exp(-diag.suppression), rel=0.05)
+
+
+def _paper_table_from_the_oracle(T):
+    """The paper example's measured excited matrix at duration T, entry by
+    entry from the finite-duration overlaps of the raw trajectories:
+    rho_ji = sum_{n,m} B_m^* A_n^* B_n A_m zeta_i^* zeta_j <omega_i,n|omega_j,m>_T / T,
+    here with A = B = 1/sqrt(3) on z = 0.5, 1, 1.5 and unit couplings."""
+    amp = 1.0 / math.sqrt(3.0)
+    trajectories = [Trajectory(z=z) for z in (0.5, 1.0, 1.5)]
+    levels = [float(i) for i in range(1, 13)]
+    return np.array([
+        [sum(amp**4 * oracle_overlap_finite_t(omega_i, n, omega_j, m, T) for m in trajectories for n in trajectories) / T
+         for omega_i in levels]
+        for omega_j in levels
+    ])
+
+
+def test_paper_table_is_the_finite_duration_limit():
+    # The relative deviation of the finite-duration table falls as 1/M with
+    # M ~ T^2, so Richardson's rule R(T) = (4 rho(2T) - rho(T))/3 leaves an
+    # O(1/M^2) error that falls by 16 per doubling of T: the step
+    # R(160) - R(320) is then 15 times the error of R(320), which it bounds.
+    # A misaligned pair has C = dq^2 T^2/(z_m^2 + z_n^2) > 800 from T ~ 120,
+    # where the oracle returns exactly 0, so the absent cells are exact.
+    closed = paper_example().measured[1:, 1:]
+    present = closed != 0.0
+    tables = [_paper_table_from_the_oracle(T) for T in (160.0, 320.0, 640.0)]
+    for table in tables:
+        assert np.array_equal(table != 0.0, present)
+    coarse, fine = ((4.0 * tables[k + 1] - tables[k]) / 3.0 for k in (0, 1))
+    assert np.all(np.abs(fine - closed)[present] <= np.abs(fine - coarse)[present])
 
 
 def test_convergence_report_structure():

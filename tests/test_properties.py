@@ -9,7 +9,9 @@ mixture, and the expected excited block entry by entry in plain floats
 (``oracles.joint_state_dense``), independently of the package.  Each
 state also round-trips through its ``joint_state/3`` text.  The aligned
 pairs are also enumerated one by one on systems whose products straddle
-the tolerance.
+the tolerance.  Rescaling lengths by 4^k and frequencies by 4^-k must
+leave the overlaps bit for bit and scale every excited entry by exactly
+4^-k.
 """
 
 import itertools
@@ -225,3 +227,66 @@ def test_pair_search_matches_brute_force_enumeration(system):
         patch.setattr(detector, "assemble_state", lambda factors: factors)
         factors = joint_state(det, trajectories, tol)
     assert factors.pairs.tolist() == brute
+
+
+def _lattice_unit(draw, n):
+    """A unit vector of ``n`` complex entries with small integer parts, so
+    that no entry is subnormal."""
+    parts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=n, max_size=n))
+    vec = [complex(re, im) for re, im in parts]
+    norm = math.sqrt(sum(abs(v) ** 2 for v in vec))
+    if norm == 0.0:
+        return [complex(1.0 / math.sqrt(n))] * n
+    return [v / norm for v in vec]
+
+
+@st.composite
+def covariance_systems(draw):
+    """Lattice systems of 1-6 levels on 1-5 branches with complex
+    amplitudes and couplings and transverse offsets.  Products q = omega z
+    stay below 48 and offsets below a few heights, so no Planck weight,
+    overlap or entry comes near the subnormal range."""
+    tol = draw(st.sampled_from((1e-9, 1e-6, 1e-3)))
+    f0 = draw(st.floats(0.1, 10.0))
+    z0 = draw(st.floats(0.05, 1.0)) / f0
+    steps = draw(st.lists(st.integers(1, _MAX_LEVEL_STEP), min_size=1, max_size=6, unique=True))
+    couplings = tuple(c * draw(st.sampled_from((0.25, 0.5, 1.0))) for c in _lattice_unit(draw, len(steps)))
+    det = DetectorSpec(frequencies=tuple(sorted(k * f0 for k in steps)), couplings=couplings)
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(_HEIGHT_STEPS), st.sampled_from((0.0, 0.3, -1.2)), st.sampled_from((0.0, 0.4))),
+        min_size=1, max_size=5, unique=True,
+    ))
+    amps = _lattice_unit(draw, len(keys))
+    trajectories = TrajectorySet(
+        Trajectory(z=h * z0, x_perp=(x * z0, y * z0), amplitude=a) for (h, x, y), a in zip(keys, amps)
+    )
+    return det, trajectories, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(system=covariance_systems(), k=st.sampled_from((-4, -2, 2, 6)))
+def test_state_is_scale_covariant_bit_for_bit(system, k):
+    # z -> s z, x_perp -> s x_perp and omega -> omega / s leave q, dxi and
+    # dxbar unchanged and scale every Planck weight P = omega/expm1(2 pi q)
+    # by 1/s.  With s a power of 4, each of these is exact in floating
+    # point, and so is sqrt(P / s) = sqrt(P) / 2^k: every excited entry
+    # scales by 1/s exactly (an odd power of 2 would not give that root).
+    det, trajectories, tol = system
+    s = 4.0**k
+    scaled_det = DetectorSpec(tuple(w / s for w in det.frequencies), det.couplings)
+    scaled_trajectories = TrajectorySet(
+        Trajectory(z=s * t.z, x_perp=(s * t.x_perp[0], s * t.x_perp[1]), amplitude=t.amplitude)
+        for t in trajectories
+    )
+    rho, scaled = joint_state(det, trajectories, tol), joint_state(scaled_det, scaled_trajectories, tol)
+    assert scaled.factors.pairs.tobytes() == rho.factors.pairs.tobytes()
+    assert scaled.factors.overlaps.tobytes() == rho.factors.overlaps.tobytes()
+    assert scaled.factors.planck_weights.tobytes() == (rho.factors.planck_weights / s).tobytes()
+    assert reduced_internal(scaled).tobytes() == (reduced_internal(rho) / s).tobytes()
+    # complex entries as their float parts: a complex quotient can flip the
+    # sign of a zero part
+    assert scaled.excited_block.tobytes() == (rho.excited_block.view(float) / s).tobytes()
+    basis = MeasurementBasisVector(amplitudes=trajectories.amplitudes[::-1])
+    measured, scaled_measured = measured_internal(rho, basis), measured_internal(scaled, basis)
+    assert scaled_measured[0, 0] == measured[0, 0]
+    assert scaled_measured[1:, 1:].tobytes() == (measured[1:, 1:].copy().view(float) / s).tobytes()
