@@ -22,7 +22,8 @@ Subcommands
     Tabulate the overlap factor over separation grids: one CSV per
     requested ``q``, named by its 9-digit text, plus the two on-axis
     CSVs.  Two ``--q`` values with the same 9-digit text (-0 reads as 0)
-    would share a file, so they are a configuration error.
+    would share a file, so they are a configuration error, as is an empty
+    entry of the list.
 ``oracle-validate``
     Cross-check closed forms against the independent quadrature oracles
     and write ``convergence.csv``, ``lambda_oracle_diff.csv`` and
@@ -354,12 +355,15 @@ def cmd_measure(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
 def _parse_q_list(text: str | None) -> tuple[float, ...]:
     if text is None:
         return _DEFAULT_Q_LIST
+    tokens = text.split(",")
     try:
-        values = tuple(float(tok) + 0.0 for tok in text.split(",") if tok.strip())  # -0 reads as +0
+        values = tuple(float(tok) + 0.0 for tok in tokens if tok.strip())  # -0 reads as +0
     except ValueError as exc:
         raise ConfigError(f"--q: {exc}") from exc
     if not values:
         raise ConfigError("--q: expected a comma-separated list of values")
+    if len(values) < len(tokens):
+        raise ConfigError(f"--q: {text!r} has an empty entry")
     if any(q < 0.0 for q in values):
         raise ConfigError("--q: values must be nonnegative")
     if not all(math.isfinite(q) for q in values):
@@ -378,6 +382,12 @@ def _q_tag(q: float) -> str:
     return text.replace("-", "m").replace("+", "")
 
 
+def _texts(values) -> np.ndarray:
+    """The :func:`csv_float` text of each of ``values``, as an object array:
+    a table that repeats a few values down a column formats each once."""
+    return np.array([csv_float(v) for v in values], dtype=object)
+
+
 def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Tabulate the overlap factor over separation grids."""
     q_list = _parse_q_list(args.q)
@@ -389,20 +399,21 @@ def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
                           f"{_MAX_GRID_CELLS} cells")
     xi = np.linspace(-3.0, 3.0, steps)
     xbar = np.linspace(0.0, 5.0, steps)
+    xi_text, xbar_text = _texts(xi), _texts(xbar)
     # One row per (dxi, dxbar) cell, dxbar running fastest.
-    grid_columns = (np.repeat(xi, steps), np.tile(xbar, steps))
+    grid_columns = (np.repeat(xi_text, steps), np.tile(xbar_text, steps))
     tables = []
     for q in q_list:
         values = lambda_overlap(q, xi[:, None], xbar[None, :])
         tables.append((f"lambda_grid_q{_q_tag(q)}.csv", write_csv, ("dxi", "dxbar", "lambda"),
                        (*grid_columns, values.ravel())))
-    for name, axis, closed_form in (
-        ("xi", xi, lambda_axis_xi),
-        ("xbar", xbar, lambda_axis_xbar),
+    for name, axis, axis_text, closed_form in (
+        ("xi", xi, xi_text, lambda_axis_xi),
+        ("xbar", xbar, xbar_text, lambda_axis_xbar),
     ):
         axis_columns = (
-            np.repeat(q_list, steps),
-            np.tile(axis, len(q_list)),
+            np.repeat(_texts(q_list), steps),
+            np.tile(axis_text, len(q_list)),
             np.concatenate([closed_form(q, axis) for q in q_list]),
         )
         tables.append((f"lambda_axis_{name}.csv", write_csv, ("q", f"d{name}", "lambda"), axis_columns))
@@ -532,11 +543,13 @@ def _parse_continuum(tree: Mapping[str, Any]):
 
 def _diagonal_columns(amp: SmearedAmplitude, zeta: CouplingFunction, zf: float, omegas):
     """The slice table's columns, one row per (omega, x, y): the diagonal
-    kernel at q = omega zf, which is real."""
+    kernel at q = omega zf, which is real.  Every column but the kernel's
+    repeats a few values, so it is text."""
     values = _diagonal_kernel(amp, zeta, zf, omegas)
-    q, x, y = (a.ravel() for a in np.meshgrid(omegas * zf, amp.x, amp.y, indexing="ij"))
-    z = np.full(q.size, zf)
-    return q, x, y, z, x, y, z, values.ravel(), np.zeros(q.size)
+    axes = (_texts(omegas * zf), _texts(amp.x), _texts(amp.y))
+    q, x, y = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    z = [csv_float(zf)] * q.size
+    return q, x, y, z, x, y, z, values.ravel(), [csv_float(0.0)] * q.size
 
 
 def cmd_continuum(tree: Mapping[str, Any], args: argparse.Namespace) -> int:

@@ -43,8 +43,10 @@ zeros are the literals ``0.0`` and ``-0.0``, and an innermost list of
 +0.0 alone, most of a measured matrix, is one literal left out of that
 pass.  Scalars and Python lists, which artifacts keep for their few
 small fields, are written one element at a time.  The CSV writers fill
-one %-template per file: a :func:`write_csv` column is all text or all
-numbers, and a blank negative-log cell is a literal.
+one %-template per file: a :func:`write_csv` column is all text, written
+verbatim, or all numbers, and a blank negative-log cell is a literal.  A
+float ndarray column is checked for NaN in one numpy pass, a list column
+(such as a table that mixes text and number columns) cell by cell.
 """
 
 from __future__ import annotations
@@ -252,21 +254,29 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequenc
 
     A column is all text, whose cells pass through verbatim, or all
     numbers, formatted as by :func:`csv_float`; a column that mixes the
-    two raises ``ValueError`` naming its header, as does a NaN.  The file
-    is written by one ``%`` pass over a row template repeated per row.
-    Line endings are ``\\n``.
+    two raises ``ValueError`` naming its header, as does a NaN.  A float
+    ndarray column is checked for NaN in one numpy pass; any other column
+    is checked cell by cell.  So a caller that repeats a few values down a
+    column can format each once with :func:`csv_float` and pass the texts.
+    The file is written by one ``%`` pass over a row template repeated per
+    row.  Line endings are ``\\n``.
     """
     width = len(columns)
     rows = len(columns[0]) if columns else 0
     cells: list[Any] = [None] * (rows * width)
     formats = []
     for j, column in enumerate(columns):
-        values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        array = isinstance(column, np.ndarray)
+        values = column.tolist() if array else list(column)
         cells[j::width] = values  # a column of another length raises ValueError
-        texts = sum(map(isinstance, values, repeat(str)))
-        if 0 < texts < len(values):
-            raise ValueError(f"CSV column {header[j]!r} mixes text and numbers")
-        if not texts and any(map(math.isnan, values)):
+        if array and column.dtype.kind == "f":
+            texts, nan = 0, np.isnan(column).any()
+        else:
+            texts = sum(map(isinstance, values, repeat(str)))
+            if 0 < texts < len(values):
+                raise ValueError(f"CSV column {header[j]!r} mixes text and numbers")
+            nan = not texts and any(map(math.isnan, values))
+        if nan:
             raise ValueError(f"CSV column {header[j]!r}: numeric fields must not be NaN; use an empty cell")
         formats.append("%s" if texts else _CSV_FLOAT)
     body = (",".join(formats) + "\n") * rows

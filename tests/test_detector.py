@@ -746,6 +746,15 @@ def test_paper_example_structure():
     assert ratios == expected
 
 
+def test_paper_example_is_built_once_with_read_only_arrays():
+    result = paper_example()
+    assert paper_example() is result
+    for array in (result.measured, result.neglog, _load_reference_matrix()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    assert _load_reference_matrix() is _load_reference_matrix()
+
+
 def test_reference_matrix_presence_pattern():
     reference = _load_reference_matrix()
     assert reference.shape == (12, 12)

@@ -412,6 +412,25 @@ def test_csv_writers_match_the_reference_renderer(columns, table):
         assert path.read_text(encoding="utf-8") == _reference_csv([header, *zip(*columns)])
         write_neglog_csv(path, table)
         assert path.read_text(encoding="utf-8") == _reference_csv(table.tolist() or [[]])
+        # each numeric column again as a float array, which is checked in one
+        # pass: the same bytes, an inf written, and a NaN refused with the
+        # list form's message
+        arrays = [column if column and isinstance(column[0], str) else np.array(column, dtype=float)
+                  for column in columns]
+        write_csv(path, header, arrays)
+        assert path.read_text(encoding="utf-8") == _reference_csv([header, *zip(*columns)])
+        for j, column in enumerate(arrays):
+            if not isinstance(column, np.ndarray) or not column.size:
+                continue
+            changed = [*columns[:j], [math.inf, *columns[j][1:]], *columns[j + 1:]]
+            write_csv(path, header, [*arrays[:j], np.array(changed[j], dtype=float), *arrays[j + 1:]])
+            assert path.read_text(encoding="utf-8") == _reference_csv([header, *zip(*changed)])
+            messages = []
+            for bad in ([math.nan, *columns[j][1:]], np.array([math.nan, *columns[j][1:]], dtype=float)):
+                with pytest.raises(ValueError, match=f"^CSV column '{header[j]}'") as raised:
+                    write_csv(path, header, [*arrays[:j], bad, *arrays[j + 1:]])
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
         # a NaN in a column of numbers, and a first cell of the other kind
         # in a column of two or more, raise naming the column
         for j, column in enumerate(columns):
@@ -836,6 +855,8 @@ def test_cli_lambda_grid(tmp_path):
     assert main(["lambda-grid", "--out", str(out), "--q", "0,1.5", "--grid", "6"]) == 0
     from superthermal.specfun import lambda_overlap
 
+    xi, xbar = np.linspace(-3.0, 3.0, 6), np.linspace(0.0, 5.0, 6)
+
     for tag, q in (("0", 0.0), ("1.5", 1.5)):
         path = out / f"lambda_grid_q{tag}.csv"
         lines = path.read_text().splitlines()
@@ -843,10 +864,17 @@ def test_cli_lambda_grid(tmp_path):
         assert len(lines) == 1 + 36
         dxi, dxb, lam = (float(tok) for tok in lines[8].split(","))
         assert lam == pytest.approx(float(lambda_overlap(q, dxi, dxb)), rel=1e-8)
-    for name, column in (("lambda_axis_xi.csv", "dxi"), ("lambda_axis_xbar.csv", "dxbar")):
+        # every row's coordinates are the text of the grid values, dxbar fastest
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            f"{csv_float(a)},{csv_float(b)}" for a in xi for b in xbar
+        ]
+    for name, column, axis in (("lambda_axis_xi.csv", "dxi", xi), ("lambda_axis_xbar.csv", "dxbar", xbar)):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == f"q,{column},lambda"
         assert len(lines) == 1 + 2 * 6
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            f"{csv_float(q)},{csv_float(v)}" for q in (0.0, 1.5) for v in axis
+        ]
 
 
 @pytest.mark.parametrize(
@@ -968,6 +996,19 @@ def test_cli_paper_example(tmp_path, capsys):
     assert table[7, 11] == pytest.approx(NEGLOG_8_12, rel=1e-8)
 
 
+def test_cli_paper_example_twice_in_one_process_writes_the_same_files(tmp_path, capsys):
+    # the example is built once per process; a second run must not see any
+    # state the first one left
+    runs = []
+    for run in range(2):
+        out = tmp_path / str(run)
+        assert main(["paper-example", "--out", str(out)]) == 0
+        runs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert capsys.readouterr().out == "verdict: PASS\n" * 2
+    assert sorted(runs[0]) == ["neglog_matrix.csv", "paper_example_report.txt"]
+    assert runs[0] == runs[1]
+
+
 def _continuum_tree():
     value = 1.0 / math.sqrt(2.0)
     return {
@@ -1024,6 +1065,24 @@ def test_cli_continuum(tmp_path):
         assert w == omega
         assert q == omega * 1.0
         assert v == pytest.approx(expected, rel=1e-8)
+
+    # on a 2 x 3 transverse grid every row's coordinates are the text of its
+    # (omega, x, y) point, in row-major order, in both slices
+    tree = _continuum_tree()
+    tree["continuum"]["amplitude"].update(
+        y=[-0.25, 0.0, 0.25], values=[[math.sqrt(2.0 / 3.0), 0.0]] * 12, spacings=[1.0, 0.25, 0.5])
+    tree["continuum"].update(z_fixed=0.5, omega_grid=[1.0, 2.0, 3.5])
+    config = _write_config(tmp_path, tree, "grid.json")
+    out = tmp_path / "grid"
+    assert main(["continuum", "--config", config, "--out", str(out)]) == 0
+    for name, s in (("continuum_slice.csv", 1.0), ("continuum_slice_rescaled.csv", 2.0)):
+        zf = s * 0.5
+        points = [[w / s * zf, s * x, s * y, zf] for w in (1.0, 2.0, 3.5) for x in (-0.5, 0.5)
+                  for y in (-0.25, 0.0, 0.25)]
+        rows = [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+        assert [row[:7] + row[8:] for row in rows] == [
+            [*map(csv_float, point), *map(csv_float, point[1:]), "0"] for point in points
+        ]
 
 
 def test_cli_continuum_accepts_the_table_end_after_round_trip(tmp_path):
@@ -1082,7 +1141,7 @@ def test_cli_continuum_rows_are_the_general_kernel(tmp_path, tree):
         assert len(rows) == len(want)
         for row, value in zip(rows, want):
             assert row[7] == pytest.approx(value.real, rel=1e-12, abs=0.0)
-            assert row[8] == 0.0
+            assert row[8] == "0"  # the im column is the text of exactly 0
         hx, hy, _ = amp.spacings
         kernel_sums = np.sum(np.reshape([v.real for v in want], (len(omegas), -1)), axis=1) * hx * hy
         spectrum = continuum_spectrum_slice(amp, zeta, zf, omegas)
@@ -1489,6 +1548,15 @@ def test_cli_non_finite_q_is_a_config_error(tmp_path, capsys, q):
     out = tmp_path / "out"
     assert main(["lambda-grid", "--out", str(out), f"--q={q}", "--grid", "4"]) == 2
     assert capsys.readouterr().err == "config error: --q: values must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["1,,2", "1,2,"])
+def test_cli_empty_q_entry_is_a_config_error(tmp_path, capsys, q):
+    # an empty entry is refused, not dropped
+    out = tmp_path / "out"
+    assert main(["lambda-grid", "--out", str(out), f"--q={q}", "--grid", "4"]) == 2
+    assert capsys.readouterr().err == f"config error: --q: {q!r} has an empty entry\n"
     assert not out.exists()
 
 

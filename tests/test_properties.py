@@ -11,7 +11,9 @@ state also round-trips through its ``joint_state/3`` text.  The aligned
 pairs are also enumerated one by one on systems whose products straddle
 the tolerance.  Rescaling lengths by 4^k and frequencies by 4^-k must
 leave the overlaps bit for bit and scale every excited entry by exactly
-4^-k.
+4^-k.  Conjugating the amplitudes, couplings and measured superposition
+must conjugate the measured matrix bit for bit (up to the sign of a zero
+part) and leave the Planck weights and populations as they are.
 """
 
 import itertools
@@ -290,3 +292,34 @@ def test_state_is_scale_covariant_bit_for_bit(system, k):
     measured, scaled_measured = measured_internal(rho, basis), measured_internal(scaled, basis)
     assert scaled_measured[0, 0] == measured[0, 0]
     assert scaled_measured[1:, 1:].tobytes() == (measured[1:, 1:].copy().view(float) / s).tobytes()
+
+
+@st.composite
+def conjugation_cases(draw):
+    """A covariance system and a measured superposition B of its branches."""
+    det, trajectories, tol = draw(covariance_systems())
+    return det, trajectories, tol, _lattice_unit(draw, len(trajectories))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=conjugation_cases())
+def test_conjugating_amplitudes_couplings_and_basis_conjugates_the_measured_matrix(case):
+    # Every entry is a product of the amplitudes, couplings and basis
+    # entries, or of their conjugates, with real P and Lambda; a complex
+    # product and a sum round the same way for (a, b) and (a, -b), so the
+    # conjugated system gives the conjugated matrix to the last bit.  Only
+    # the sign of a zero part may differ (x - x is +0.0 either way), so both
+    # sides are compared after adding +0.0, which maps -0.0 to +0.0.
+    det, trajectories, tol, basis = case
+    conj_det = DetectorSpec(det.frequencies, tuple(c.conjugate() for c in det.couplings))
+    conj_trajectories = TrajectorySet(
+        Trajectory(z=t.z, x_perp=t.x_perp, amplitude=t.amplitude.conjugate()) for t in trajectories
+    )
+    rho, conj = joint_state(det, trajectories, tol), joint_state(conj_det, conj_trajectories, tol)
+    assert conj.factors.pairs.tobytes() == rho.factors.pairs.tobytes()
+    assert conj.factors.overlaps.tobytes() == rho.factors.overlaps.tobytes()
+    assert conj.factors.planck_weights.tobytes() == rho.factors.planck_weights.tobytes()
+    assert reduced_internal(conj).tobytes() == reduced_internal(rho).tobytes()
+    measured = measured_internal(rho, MeasurementBasisVector(amplitudes=tuple(basis)))
+    conj_measured = measured_internal(conj, MeasurementBasisVector(amplitudes=tuple(b.conjugate() for b in basis)))
+    assert (conj_measured.view(float) + 0.0).tobytes() == (measured.conj().view(float) + 0.0).tobytes()
