@@ -71,7 +71,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .continuum import CouplingFunction, SmearedAmplitude, _diagonal_kernel, continuum_spectrum_slice
+from .continuum import CouplingFunction, SmearedAmplitude, _diagonal_kernel, _spectrum_of_kernel
 from .detector import (
     DetectorSpec,
     MeasurementBasisVector,
@@ -541,11 +541,11 @@ def _parse_continuum(tree: Mapping[str, Any]):
     )
 
 
-def _diagonal_columns(amp: SmearedAmplitude, zeta: CouplingFunction, zf: float, omegas):
-    """The slice table's columns, one row per (omega, x, y): the diagonal
-    kernel at q = omega zf, which is real.  Every column but the kernel's
-    repeats a few values, so it is text."""
-    values = _diagonal_kernel(amp, zeta, zf, omegas)
+def _diagonal_columns(system, values: np.ndarray):
+    """The slice table's columns of a parsed ``system``, one row per (omega,
+    x, y): ``values``, its real diagonal kernel at q = omega zf, and the
+    coordinates, which repeat a few values each, as text."""
+    amp, _, zf, omegas = system
     axes = (_texts(omegas * zf), _texts(amp.x), _texts(amp.y))
     q, x, y = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
     z = [csv_float(zf)] * q.size
@@ -564,14 +564,14 @@ def cmd_continuum(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     transverse-aggregated spectrum at the fixed height.
     """
     system, rescaled = _parse_continuum(tree)
-    _, _, z_fixed, omega_grid = system
+    amplitude, _, z_fixed, omega_grid = system
+    kernel = _diagonal_kernel(*system)
     header = ("q", "x", "y", "z", "xp", "yp", "zp", "re", "im")
-    spectrum = continuum_spectrum_slice(*system)
     _write_outputs(tree, [
-        ("continuum_slice.csv", write_csv, header, _diagonal_columns(*system)),
-        ("continuum_slice_rescaled.csv", write_csv, header, _diagonal_columns(*rescaled)),
+        ("continuum_slice.csv", write_csv, header, _diagonal_columns(system, kernel)),
+        ("continuum_slice_rescaled.csv", write_csv, header, _diagonal_columns(rescaled, _diagonal_kernel(*rescaled))),
         ("continuum_spectrum.csv", write_csv, ("omega", "q", "value"),
-         (omega_grid, omega_grid * z_fixed, spectrum)),
+         (omega_grid, omega_grid * z_fixed, _spectrum_of_kernel(amplitude, kernel))),
     ])
     return 0
 

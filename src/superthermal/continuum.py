@@ -301,5 +301,9 @@ def continuum_spectrum_slice(
     A Planck-weighted spectrum: for :math:`\omega z \gtrsim 1` it decays
     monotonically along the thermal tail.
     """
-    hx, hy, _ = amplitude.spacings
-    return _diagonal_kernel(amplitude, coupling, z_fixed, omega_grid).sum(axis=(-2, -1)) * hx * hy
+    return _spectrum_of_kernel(amplitude, _diagonal_kernel(amplitude, coupling, z_fixed, omega_grid))
+
+
+def _spectrum_of_kernel(amplitude: SmearedAmplitude, kernel: np.ndarray) -> np.ndarray:
+    """:func:`continuum_spectrum_slice` from its :func:`_diagonal_kernel`, summed over the transverse cells."""
+    return kernel.sum(axis=(-2, -1)) * amplitude.spacings[0] * amplitude.spacings[1]

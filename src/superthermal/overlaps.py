@@ -45,9 +45,10 @@ from .geometry import Trajectory, coherence_condition, delta_xbar, delta_xi
 from .specfun import (
     _GL_NODES,
     _k_imag_outer,
+    _overlap_geometry,
+    _overlap_of_geometry,
     _panel_nodes,
     bessel_j0,
-    lambda_overlap,
     planck_weight,
 )
 
@@ -152,6 +153,13 @@ class OverlapDiagnostics:
     q_col: float
 
 
+def _require_finite(what: str, **values: float) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{what} requires a finite {name}, got {value}")
+
+
 def diag_overlap(omega: float, z: float, T: float) -> float:
     r"""Norm of a single-branch excitation:
     :math:`\frac{T}{2\pi}\,\frac{\omega}{e^{2\pi\omega z}-1}`.
@@ -160,11 +168,8 @@ def diag_overlap(omega: float, z: float, T: float) -> float:
     """
     if not (omega > 0.0 and z > 0.0 and T > 0.0):
         raise ValueError("diag_overlap requires omega, z, T > 0")
+    _require_finite("diag_overlap", T=T)
     return T / (2.0 * math.pi) * planck_weight(omega, z)
-
-
-def _pair_key(omega: float, traj: Trajectory) -> tuple[float, float, float, float]:
-    return (omega, traj.z, traj.x_perp[0], traj.x_perp[1])
 
 
 def offdiag_overlap(
@@ -186,22 +191,23 @@ def offdiag_overlap(
               \langle\omega_j,m|\omega_j,m\rangle}\;
         \Lambda(q, \Delta\xi_{mn}, \Delta\bar{x}_{mn}),
 
-    with :math:`q` the shared product :math:`\omega z`.  As in
-    :func:`~superthermal.detector.joint_state`, the lexicographically smaller
-    ``(omega, z, x, y)`` side of the pair supplies :math:`q`, so swapping
-    ``(omega_i, traj_n)`` with ``(omega_j, traj_m)`` returns the exact
-    conjugate (here: the identical real value) even when the two products
-    differ within the tolerance.
+    with :math:`q` the shared product :math:`\omega z`, taken as in
+    :func:`~superthermal.detector.joint_state` from the lexicographically
+    smaller ``(omega, z, x, y)`` side, so that swapping the two sides keeps it
+    even when the products differ within the tolerance (the value can still
+    move by an ulp, through :math:`\Delta\xi = \log(z_m/z_n)`).  Both norms
+    come from one :func:`~superthermal.specfun.planck_weight` call.
     """
     if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0):
         raise ValueError("offdiag_overlap requires positive frequencies and T")
+    _require_finite("offdiag_overlap", omega_i=omega_i, omega_j=omega_j, T=T)
     if not coherence_condition(omega_i, traj_n.z, omega_j, traj_m.z, tol):
         return OverlapResult(value=0j, condition_met=False, q=None)
-    omega_lo, traj_lo = min((omega_i, traj_n), (omega_j, traj_m), key=lambda p: _pair_key(*p))
+    omega_lo, traj_lo = min((omega_i, traj_n), (omega_j, traj_m), key=lambda p: (p[0], p[1].z, *p[1].x_perp))
     q = omega_lo * traj_lo.z
-    value = math.sqrt(
-        diag_overlap(omega_i, traj_n.z, T) * diag_overlap(omega_j, traj_m.z, T)
-    ) * lambda_overlap(q, delta_xi(traj_m, traj_n), delta_xbar(traj_m, traj_n))
+    norm_i, norm_j = (T / (2.0 * math.pi) * planck_weight([omega_i, omega_j], [traj_n.z, traj_m.z])).tolist()
+    geometry = _overlap_geometry(np.asarray(delta_xi(traj_m, traj_n)), np.asarray(delta_xbar(traj_m, traj_n)))
+    value = math.sqrt(norm_i * norm_j) * float(_overlap_of_geometry(q, *geometry))
     return OverlapResult(value=complex(value), condition_met=True, q=q)
 
 
@@ -220,6 +226,7 @@ def overlap_diagnostics(
     """
     if not (omega_i > 0.0 and omega_j > 0.0 and T > 0.0):
         raise ValueError("the finite-duration overlap requires omega_i, omega_j, T > 0")
+    _require_finite("the finite-duration overlap", omega_i=omega_i, omega_j=omega_j, T=T)
     zm, zn = traj_m.z, traj_n.z
     zz = zm * zm + zn * zn
     q_row = omega_j * zm
@@ -439,27 +446,28 @@ def _hyperbolic_distance(traj_m: Trajectory, traj_n: Trajectory) -> float:
     return 2.0 * math.asinh(gap / (2.0 * math.sqrt(zm) * math.sqrt(zn)))
 
 
-def _finite_t_once(
-    par: OverlapDiagnostics, mu: float, zm: float, zn: float, T: float, refine: float
-) -> tuple[float, None]:
+def _finite_t_grids(par: OverlapDiagnostics, mu: float, zm: float, zn: float, T: float) -> dict[float, float]:
     r"""The boost-frequency quadrature of :func:`oracle_overlap_finite_t`,
     whose Gaussian parameters are ``par`` and hyperbolic distance ``mu``,
-    on one grid; the error bound is None, since no series enters.
+    on the 1.5 times refined and the base grid of :func:`_converged`, keyed
+    by refinement: the integrand is evaluated once on both grids' nodes.
 
     The window is covered by equal panels, at least ``_SPECTRAL_PANELS`` of
     them and one per ``_SPECTRAL_ORDER_SPAN`` of :math:`\nu(\mu + 1)`, counted
-    before any node is made: past ``_MAX_GRID_VALUES`` nodes it raises
-    :class:`QuadratureError`."""
+    before any node is made: past ``_MAX_GRID_VALUES`` nodes on the refined
+    grid it raises :class:`QuadratureError`."""
     half_support = 8.0 / math.sqrt(2.0 * par.sharpness)
     span = 2.0 * half_support * par.omega_bar
-    n_panels = refine * max(_SPECTRAL_PANELS, span * (mu + 1.0) / _SPECTRAL_ORDER_SPAN)
-    if not n_panels * _GL_NODES.size <= _MAX_GRID_VALUES:
+    n_panels = max(_SPECTRAL_PANELS, span * (mu + 1.0) / _SPECTRAL_ORDER_SPAN)
+    if not 1.5 * n_panels * _GL_NODES.size <= _MAX_GRID_VALUES:
         raise QuadratureError(
             f"finite-duration overlap at T = {T:g} needs more than {_MAX_GRID_VALUES} "
             f"boost-frequency nodes (a window of {span:.4g} orders at mu = {mu:.4g}); "
             "T far below 1/omega widens the window without bound"
         )
-    edges = np.linspace(1.0 - half_support, 1.0 + half_support, math.ceil(n_panels) + 1)
+    counts = [math.ceil(refine * n_panels) for refine in (1.5, 1.0)]
+    # one edge list; the panel joining the two grids is left out of both sums
+    edges = np.concatenate([np.linspace(1.0 - half_support, 1.0 + half_support, n + 1) for n in counts])
     s_nodes, s_weights = _panel_nodes(edges)
     nu = s_nodes * par.omega_bar
     # e^{-pi nu}/sinh(pi nu) = 2/expm1(x), x = 2 pi nu, is x/expm1(x) over
@@ -473,13 +481,16 @@ def _finite_t_once(
         gauss = np.exp(-par.sharpness * (s_nodes - 1.0) ** 2)
     # sin(nu mu)/(nu sinh mu) = sinc(nu mu) mu/sinh(mu), 1 at mu = 0
     mu_over_sinh = 1.0 if mu == 0.0 else 2.0 * mu * math.exp(-mu) / -math.expm1(-2.0 * mu)
-    total = float(s_weights @ (gauss * planck * np.sinc(nu * (mu / math.pi))))
-    integral = par.omega_bar * mu_over_sinh / (2.0 * zm) / zn * total
+    terms = gauss * planck * np.sinc(nu * (mu / math.pi))
     prefactor = T * T * math.exp(-par.suppression) / math.sqrt(2.0 * math.pi**5)
-    value = prefactor * integral
-    if not math.isfinite(value):
+    fine = counts[0] * _GL_NODES.size
+    values = {}
+    for refine, part in ((1.5, slice(fine)), (1.0, slice(fine + _GL_NODES.size, None))):
+        integral = par.omega_bar * mu_over_sinh / (2.0 * zm) / zn * float(s_weights[part] @ terms[part])
+        values[refine] = prefactor * integral
+    if not all(map(math.isfinite, values.values())):
         raise FloatingPointError(f"finite-duration overlap is not finite at T = {T:g}")
-    return value, None
+    return values
 
 
 def _overlap_finite_t(
@@ -495,9 +506,9 @@ def _overlap_finite_t(
     target = _FINITE_T_TARGET * T
     if par.suppression > 800.0:
         return 0.0, 0.0, target
-    mu = _hyperbolic_distance(traj_m, traj_n)
+    values = _finite_t_grids(par, _hyperbolic_distance(traj_m, traj_n), traj_m.z, traj_n.z, T)
     return _converged(
-        lambda refine, bound: _finite_t_once(par, mu, traj_m.z, traj_n.z, T, refine),
+        lambda refine, bound: (values[refine], None),
         target,
         f"finite-duration overlap quadrature at T = {T:g}",
     )

@@ -100,6 +100,7 @@ _KSERIES_TERMS = 20
 _KSERIES_NU_SMALL = 1e-8
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _as_floats(x, name: str) -> np.ndarray:
@@ -338,7 +339,7 @@ def _alpha_from_geometry(dxi: np.ndarray, dxbar: np.ndarray) -> np.ndarray:
 
 #: Past this phase q alpha, |Lambda| <= 1/(q alpha) is below the smallest
 #: normal double, and Lambda is its limit 0.
-_PHASE_LIMIT = 1.0 / np.finfo(float).tiny
+_PHASE_LIMIT = 1.0 / _TINY
 
 
 def _sinc_of_phase(q: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -472,16 +473,17 @@ def planck_weight(omega, z):
     exponent past the float range gives 0; a weight past it (:math:`z`
     below about 1e-309) raises ``OverflowError``.
     """
-    omega_arr = _as_floats(omega, "omega")
-    z_arr = _as_floats(z, "z")
-    if not np.all(omega_arr >= 0.0):
-        raise ValueError("planck_weight requires omega >= 0")
-    if not np.all(z_arr > 0.0):
-        raise ValueError("planck_weight requires z > 0")
+    omega_arr = np.asarray(omega, dtype=float)
+    z_arr = np.asarray(z, dtype=float)
+    # one pass per input; the ordered checks below only pick the message
+    if not (((omega_arr >= 0.0) & (omega_arr < np.inf)).all() and ((z_arr > 0.0) & (z_arr < np.inf)).all()):
+        _as_floats(omega, "omega")
+        _as_floats(z, "z")
+        raise ValueError("planck_weight requires " + ("z > 0" if np.all(omega_arr >= 0.0) else "omega >= 0"))
     with np.errstate(over="ignore"):
         exponent = 2.0 * np.pi * omega_arr * z_arr
         generic = _planck_factor(omega_arr, exponent)
-        out = np.where(exponent < np.finfo(float).tiny, 1.0 / (2.0 * np.pi * z_arr), generic)
-    if np.any(np.isinf(out)):
+        out = np.where(exponent < _TINY, 1.0 / (2.0 * np.pi * z_arr), generic)
+    if np.isinf(out).any():
         raise OverflowError("planck_weight overflows: omega/(e^(2 pi omega z) - 1) is past the float range")
     return _scalar_or_array(out, omega, z)

@@ -26,6 +26,7 @@ import superthermal
 from superthermal import cli, overlaps
 from superthermal.cli import main
 from superthermal.continuum import (
+    _diagonal_kernel,
     continuum_joint_kernel,
     continuum_offdiag_coefficient,
     continuum_spectrum_slice,
@@ -1130,10 +1131,9 @@ def test_cli_continuum_rows_are_the_general_kernel(tmp_path, tree):
     out = tmp_path / "out"
     assert main(["continuum", "--config", config, "--out", str(out)]) == 0
     system, rescaled = cli._parse_continuum(tree)
-    for (amp, zeta, zf, omegas), name in (
-        (system, "continuum_slice.csv"), (rescaled, "continuum_slice_rescaled.csv")
-    ):
-        rows = [*zip(*cli._diagonal_columns(amp, zeta, zf, omegas))]
+    for parsed, name in ((system, "continuum_slice.csv"), (rescaled, "continuum_slice_rescaled.csv")):
+        amp, zeta, zf, omegas = parsed
+        rows = [*zip(*cli._diagonal_columns(parsed, _diagonal_kernel(*parsed)))]
         lines = (out / name).read_text().splitlines()[1:]
         assert [",".join(map(csv_float, row)) for row in rows] == lines
         points = [(float(x), float(y), zf) for x in amp.x for y in amp.y]

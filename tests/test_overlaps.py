@@ -15,11 +15,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import finite_t_wightman, lam
 
 from superthermal import overlaps
 from superthermal.detector import paper_example
-from superthermal.geometry import Trajectory
+from superthermal.geometry import Trajectory, delta_xbar, delta_xi
 from superthermal.overlaps import (
     OverlapResult,
     QuadratureError,
@@ -33,7 +35,7 @@ from superthermal.overlaps import (
     oracle_overlap_finite_t,
     overlap_diagnostics,
 )
-from superthermal.specfun import lambda_overlap
+from superthermal.specfun import lambda_overlap, planck_weight
 
 # (omega, z, T, value) — mpmath (T / 2 pi) omega / (e^{2 pi omega z} - 1)
 DIAG_REFERENCE = [
@@ -157,6 +159,66 @@ def test_offdiag_overlap_condition_gate():
         offdiag_overlap(2.0, traj_n, 1.0, traj_m, T=60.0, tol=0.0)
     with pytest.raises(ValueError):
         offdiag_overlap(2.0, traj_n, 1.0, traj_m, T=-1.0, tol=1e-9)
+
+
+@st.composite
+def aligned_pairs(draw):
+    """An aligned pair (omega_i, n, omega_j, m) with random heights and
+    offsets, its products omega_j z_m and omega_i z_n at most tol / 2
+    apart, a duration T and the tolerance tol."""
+    tol = draw(st.sampled_from((1e-9, 1e-6, 1e-3, 0.1)))
+    q = draw(st.floats(0.01, 30.0))
+    z_n = draw(st.floats(0.1, 10.0))
+    z_m = z_n * draw(st.sampled_from((1.0, 0.5, 2.0))) * draw(st.floats(0.25, 4.0))
+    offset = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    traj_n = Trajectory(z=z_n, x_perp=(draw(offset), draw(offset)))
+    traj_m = Trajectory(z=z_m, x_perp=(draw(offset), draw(offset)))
+    omega_j = (q + draw(st.floats(-0.5, 0.5)) * tol) / z_m
+    T = draw(st.floats(0.03, 1e4))
+    return q / z_n, traj_n, omega_j, traj_m, T, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(aligned_pairs())
+def test_offdiag_overlap_is_the_scalar_closed_forms_bit_for_bit(pair):
+    # the geometric mean of the two norms times Lambda, with q from the
+    # lexicographically smaller (omega, z, x, y) side, to the last bit
+    omega_i, traj_n, omega_j, traj_m, T, tol = pair
+    res = offdiag_overlap(omega_i, traj_n, omega_j, traj_m, T, tol)
+    assert res.condition_met
+    omega_lo, traj_lo = min((omega_i, traj_n), (omega_j, traj_m),
+                            key=lambda p: (p[0], p[1].z, *p[1].x_perp))
+    q = omega_lo * traj_lo.z
+    norms = math.sqrt(diag_overlap(omega_i, traj_n.z, T) * diag_overlap(omega_j, traj_m.z, T))
+    assert res.q == q
+    assert res.value == complex(norms * lambda_overlap(q, delta_xi(traj_m, traj_n), delta_xbar(traj_m, traj_n)))
+    for omega, z in ((omega_i, traj_n.z), (omega_j, traj_m.z)):
+        assert diag_overlap(omega, z, T) == T / (2.0 * math.pi) * planck_weight(omega, z)
+
+
+_traj = Trajectory(z=0.5)
+_other = Trajectory(z=1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: diag_overlap(1.0, 1.0, math.inf), "T"),
+        (lambda: offdiag_overlap(2.0, _traj, 1.0, _other, math.inf, 1e-9), "T"),
+        (lambda: offdiag_overlap(math.inf, _traj, 1.0, _other, 10.0, 1e-9), "omega_i"),
+        (lambda: offdiag_overlap(2.0, _traj, math.inf, _other, 10.0, 1e-9), "omega_j"),
+        (lambda: oracle_overlap_finite_t(math.inf, _traj, 1.0, _other, 10.0), "omega_i"),
+        (lambda: oracle_overlap_finite_t(2.0, _traj, math.inf, _other, 10.0), "omega_j"),
+        (lambda: oracle_overlap_finite_t(2.0, _traj, 1.0, _other, math.inf), "T"),
+    ],
+    ids=["diag-T", "offdiag-T", "offdiag-omega_i", "offdiag-omega_j",
+         "oracle-omega_i", "oracle-omega_j", "oracle-T"],
+)
+def test_finite_duration_path_refuses_a_non_finite_frequency_or_duration(call, name):
+    # each used to return inf, a silent zero, or warn before failing
+    with pytest.raises(ValueError, match=f"requires a finite {name}, got inf"):
+        call()
 
 
 def test_overlap_result_invariant():

@@ -323,3 +323,30 @@ def test_conjugating_amplitudes_couplings_and_basis_conjugates_the_measured_matr
     measured = measured_internal(rho, MeasurementBasisVector(amplitudes=tuple(basis)))
     conj_measured = measured_internal(conj, MeasurementBasisVector(amplitudes=tuple(b.conjugate() for b in basis)))
     assert (conj_measured.view(float) + 0.0).tobytes() == (measured.conj().view(float) + 0.0).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(system=covariance_systems())
+def test_each_coherence_has_the_visibility_of_its_overlap(system):
+    # |rho_ab| = |Lambda_ab| sqrt(rho_aa rho_bb) for every aligned pair: the
+    # paper's distinguishability statement.  Both sides round the same
+    # product |A_n A_m zeta_i zeta_j Lambda| sqrt(P_a P_b) / fl(2 pi).  To
+    # first order in u = eps/2, with every operation correctly rounded,
+    # hypot and pow within 1 ulp (2u) and a complex product within sqrt(5) u
+    # (Brent, Percival & Zimmermann, Math. Comp. 76, 2007):
+    #   rho_ab: three complex products (3 sqrt(5) u), the products by
+    #     Lambda and by the two roots and the quotient by 2 pi (4u), the two
+    #     square roots (2u) and its modulus (2u): (3 sqrt(5) + 8) u;
+    #   rho_aa: |A|^2 and |zeta|^2 (hypot doubled plus pow, 6u each) and
+    #     three more roundings, 15u; sqrt(rho_aa) sqrt(rho_bb) |Lambda|:
+    #     2 (7.5u + u) + 2u = 19u.
+    # So the two sides differ by at most (3 sqrt(5) + 27) u = 16.9 eps of
+    # either.  No entry here comes near the subnormal range, where these
+    # relative bounds fail.
+    rho = joint_state(*system)
+    block = rho.excited_block
+    bound = (3.0 * math.sqrt(5.0) + 27.0) * np.finfo(float).eps / 2.0
+    for (a, b), overlap in zip(rho.factors.pairs.tolist(), rho.factors.overlaps.tolist()):
+        assert block[a, a].imag == block[b, b].imag == 0.0
+        want = abs(overlap) * math.sqrt(block[a, a].real) * math.sqrt(block[b, b].real)
+        assert abs(abs(complex(block[a, b])) - want) <= bound * want, (a, b)

@@ -190,13 +190,59 @@ def test_lambda_reference_values():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (q, dxi, dxbar)
 
 
-def _lambda_envelope(q, dxi, dxbar):
-    """Amplitude of the oscillation in Lambda: |sinc(q alpha)| <= min(1, 1/(q alpha))."""
+def _lambda_scale(dxi, dxbar):
+    """alpha and Lambda without its sinc, (alpha / sinh alpha) / sqrt(cosh dxi)."""
     with mp.workdps(40):
         dxi, dxbar = mp.mpf(dxi), mp.mpf(dxbar)
-        alpha = mp.acosh(1 + 2 * mp.sinh(dxi / 2) ** 2 + dxbar**2 / (2 * mp.cosh(dxi)))
-        sinc_bound = 1 if q * alpha <= 1 else 1 / (q * alpha)
-        return sinc_bound * alpha / (mp.sinh(alpha) * mp.sqrt(mp.cosh(dxi)))
+        d = 2 * mp.sinh(dxi / 2) ** 2 + dxbar**2 / (2 * mp.cosh(dxi))
+        alpha = mp.log1p(d + mp.sqrt(d * (d + 2)))
+        ratio = alpha / mp.sinh(alpha) if alpha else mp.mpf(1)
+        return alpha, ratio / mp.sqrt(mp.cosh(dxi))
+
+
+def _lambda_envelope(q, dxi, dxbar):
+    """Amplitude of the oscillation in Lambda: |sinc(q alpha)| <= min(1, 1/(q alpha))."""
+    alpha, scale = _lambda_scale(dxi, dxbar)
+    with mp.workdps(40):
+        return scale if q * alpha <= 1 else scale / (q * alpha)
+
+
+_separation = st.one_of(st.just(0.0), st.floats(-8.0, 1.3).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.one_of(st.floats(0.0, 1e6), st.floats(-3.0, 6.0).map(lambda e: 10.0**e)),
+    dxi=st.tuples(st.sampled_from((-1.0, 1.0)), _separation).map(lambda p: p[0] * p[1]),
+    dxbar=_separation,
+)
+def test_lambda_matches_mpmath_within_its_rounding_bound(q, dxi, dxbar):
+    # Rounding bound, to first order in u = eps/2, with every operation
+    # correctly rounded and sinh, cosh, log1p, exp, expm1 and sin within
+    # 1 ulp (2u; numpy's own accuracy tests hold float64 to that):
+    #   d = 2 sinh^2(dxi/2) + dxbar^2/(2 cosh dxi), a sum of nonnegative
+    #     terms: 5u and 4u, plus u for the sum: 6u;
+    #   w = d + sqrt(d (d + 2)): 7u, 14u, 8u, then 9u;
+    #   alpha = log1p(w): relative 9u + 2u = 11u, since log1p's condition
+    #     number w / ((1 + w) log1p w) is at most 1; absolutely
+    #     9u + 2u alpha, so the error Dalpha <= min(11 alpha, 9 + 2 alpha) u;
+    #   the phase q alpha and np.sinc's x / pi and pi y add 3u, so sin's
+    #     argument is off by 14u relative, and sinc(x) by at most
+    #     sup|x sinc'(x)| 14u = 1.064 * 14u <= 15u absolutely;
+    #   sin and the quotient: 3u of |sinc|; alpha / sinh alpha: Dalpha
+    #     (|d log(alpha / sinh alpha) / d alpha| <= 1) plus 6u of rounding;
+    #     sqrt(cosh dxi): 2u; the two products: 2u.
+    # So |error| <= (15u + |sinc| (13u + Dalpha)) S with S = (alpha / sinh
+    # alpha) / sqrt(cosh dxi), and |sinc| <= 1 gives (14 + min(5.5 alpha,
+    # 4.5 + alpha)) eps S.  S is _lambda_envelope times max(1, q alpha):
+    # past q alpha = 1 the phase's own rounding, q alpha u, sets the error,
+    # not the envelope's 1/(q alpha).
+    got = lambda_overlap(q, dxi, dxbar)
+    want = lam(q, dxi, dxbar)
+    alpha, scale = _lambda_scale(dxi, dxbar)
+    with mp.workdps(40):
+        bound = (14 + min(5.5 * alpha, 4.5 + alpha)) * np.finfo(float).eps * scale
+        assert abs(mp.mpf(got) - want) <= bound, (q, dxi, dxbar, float(abs(mp.mpf(got) - want) / bound))
 
 
 @pytest.mark.parametrize("dxbar", [1e77, 1e150, 1e300])
