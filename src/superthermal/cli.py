@@ -27,8 +27,8 @@ Subcommands
 ``oracle-validate``
     Cross-check closed forms against the independent quadrature oracles
     and write ``convergence.csv``, ``lambda_oracle_diff.csv`` and
-    ``oracle_refinement.csv`` (the change each oracle call's grid
-    refinement made, against its target).
+    ``oracle_refinement.csv`` (each oracle call's change, its
+    Kronrod-Gauss difference and error terms, against its target).
 ``paper-example``
     Run the built-in three-trajectory demonstration, write its 12x12
     negative-log table and a comparison report against the embedded

@@ -26,12 +26,12 @@ quadrature routes used to validate them:
   a product of modified Bessel functions of imaginary order, which checks
   that closed form at :math:`\nu = q`.
 
-Both raise :class:`QuadratureError` rather than return a value whose
-refinement change (:func:`_converged`: refined minus base grid, plus the
-:math:`K_{i\nu}` series bound in the :math:`\Lambda` oracle) passes their
-target; the private entries :func:`_lambda_quadrature` and
-:func:`_overlap_finite_t` return that change and the target with the
-value.
+Each takes one pass of the 33-point Gauss--Kronrod rule, and raises
+:class:`QuadratureError` (:func:`_converged`) rather than return a value
+whose change passes its target: the Kronrod sum less its embedded Gauss
+sum, plus in the :math:`\Lambda` oracle the error terms of
+:func:`_lambda_quadrature`.  The private entries return that change and
+the target with the value.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ import numpy as np
 
 from .geometry import Trajectory, coherence_condition, delta_xbar, delta_xi
 from .specfun import (
-    _GL_NODES,
+    _EPS,
+    _KSERIES_X,
+    _PANEL_POINTS,
     _k_imag_outer,
     _overlap_geometry,
     _overlap_of_geometry,
@@ -73,18 +75,18 @@ _ENVELOPE_DECAY = 37.0
 #: Most values one oracle grid may need per array, about 32 MiB each: J_0
 #: values (separations x k nodes) in the Lambda oracle, boost-frequency
 #: nodes in the finite-duration oracle.  oracle-validate's Lambda calls need
-#: at most 5136 and its durations 144 nodes per pass; a large separation, or
-#: T far below 1/omega (8/T orders at omega = z = 1, past the cap from
-#: T = 2.3e-5), widens the grid without bound.
+#: at most 7227 and its durations 198 nodes; a large separation, or T far
+#: below 1/omega (8/T orders at omega = z = 1, past the cap from
+#: T = 3.2e-5), widens the grid without bound.
 _MAX_GRID_VALUES = 2**22
 
 #: Phase (or e-foldings) of a k̄ panel, per unit of each rate of the
 #: integrand: in log k of 2ν + k Δx̄ + 2 (the K_iν product turns at 2ν, J_0
 #: at k Δx̄, and k² grows at 2); in k of Δx̄ + 1 (the entire J_0) and of the
-#: envelope's decay rate.  16-point Gauss-Legendre errs by 4.4e-21 on cos and
-#: 1.3e-22 on e^{-φ} over it (mpmath); its bound 2^33 (16!)^4 / (33 (32!)^3)
-#: (Φ/2)^32 (Trefethen, SIAM Review 50, 2008) is 1e-20 at 11.71.  Half or a
-#: quarter of it moved Λ by at most 2.2e-12 (README's sweep; rounding, q ≥ 11).
+#: envelope's decay rate.  A panel's embedded 16-point Gauss rule errs by
+#: 4.4e-21 on cos and 1.3e-22 on e^{-φ} over it (mpmath); its bound 2^33
+#: (16!)^4 / (33 (32!)^3) (Φ/2)^32 (Trefethen, SIAM Review 50, 2008) is
+#: 1e-20 at 11.71.  Half or a quarter of it moved Λ by at most 2.2e-12.
 _GL_PHASE = 11.5
 #: Phase of a linear panel per unit of (ν + 1)/k: the branch point of K_iν
 #: at k = 0 (the log of K_0 at ν = 0), graded by the distance to it.  The
@@ -207,7 +209,7 @@ def offdiag_overlap(
     q = omega_lo * traj_lo.z
     norm_i, norm_j = (T / (2.0 * math.pi) * planck_weight([omega_i, omega_j], [traj_n.z, traj_m.z])).tolist()
     geometry = _overlap_geometry(np.asarray(delta_xi(traj_m, traj_n)), np.asarray(delta_xbar(traj_m, traj_n)))
-    value = math.sqrt(norm_i * norm_j) * float(_overlap_of_geometry(q, *geometry))
+    value = math.sqrt(norm_i) * math.sqrt(norm_j) * float(_overlap_of_geometry(q, *geometry))
     return OverlapResult(value=complex(value), condition_met=True, q=q)
 
 
@@ -246,63 +248,60 @@ def overlap_diagnostics(
 
 
 def _kbar_grid(
-    nu_max: float,
-    osc_max: float,
-    decay_rate: float,
-    kbar_max: float,
-    refine: float,
-    separations: int,
-) -> tuple[np.ndarray, np.ndarray]:
+    nu_max: float, osc_max: float, decay_rate: float, kbar_max: float, separations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r"""Quadrature grid for :math:`\int_0^{k_{max}} dk\,k\,J_0(k\,\cdot)\,
-    K_{i\nu}(k s_+) K_{i\nu}(k s_-)`.
+    K_{i\nu}(k s_+) K_{i\nu}(k s_-)`: the nodes, their Kronrod weights and
+    their embedded Gauss weights (:func:`~superthermal.specfun._panel_nodes`).
 
-    Below k = 0.1 the panels are log-spaced, ``_GL_PHASE`` per unit of
-    :math:`2\nu` + k ``osc_max`` + 2.  Above, each panel is the narrowest
-    of three limits: ``_LINEAR_PHASE`` per unit of :math:`(\nu + 1)/k` (the
-    branch point of :math:`K_{i\nu}` at k = 0, so only this limit grows
-    finer toward it), and ``_GL_PHASE`` per unit of ``osc_max`` + 1 and of
-    ``decay_rate``.  The floor ``1e-7/refine`` lets the refinement change
-    include the piece below the base pass's floor.  The panels are counted
-    in closed form (the linear edges grow geometrically while the branch
-    limit binds, and evenly after), so a grid that needs more than
-    ``_MAX_GRID_VALUES`` :math:`J_0` values (``separations`` x nodes) raises
-    :class:`QuadratureError`, naming ``osc_max``, before anything is built.
-    """
-    k_floor = 1e-7 / refine
+    The first panel, [1e-7/1.5, 1e-7], is the floor panel.  Up to k = 0.1
+    the panels are log-spaced, ``_GL_PHASE`` per unit of :math:`2\nu` + k
+    ``osc_max`` + 2.  Above, each panel is the narrowest of three limits:
+    ``_LINEAR_PHASE`` per unit of :math:`(\nu + 1)/k` (the branch point of
+    :math:`K_{i\nu}` at k = 0, so only this limit grows finer toward it),
+    and ``_GL_PHASE`` per unit of ``osc_max`` + 1 and of ``decay_rate``.
+    The panels are counted in closed form (the linear edges grow
+    geometrically while the branch limit binds, and evenly after), so a
+    grid that needs more than ``_MAX_GRID_VALUES`` :math:`J_0` values
+    (``separations`` x nodes) raises :class:`QuadratureError`, naming
+    ``osc_max``, before anything is built."""
+    k_floor = 1e-7
     k_log_end = min(0.1, 0.5 * kbar_max)
     u_lo, u_hi = math.log(k_floor), math.log(k_log_end)
-    width_u = _GL_PHASE / (2.0 * nu_max + k_log_end * osc_max + 2.0) / refine
+    width_u = _GL_PHASE / (2.0 * nu_max + k_log_end * osc_max + 2.0)
     n_log = max(1, int(math.ceil((u_hi - u_lo) / width_u)))
     # The branch limit c k grows the edges by 1 + c per panel up to k_turn,
     # where it meets the constant width of the other two.
-    growth = _LINEAR_PHASE / (nu_max + 1.0) / refine
-    width = _GL_PHASE / max(osc_max + 1.0, decay_rate) / refine
+    growth = _LINEAR_PHASE / (nu_max + 1.0)
+    width = _GL_PHASE / max(osc_max + 1.0, decay_rate)
     k_turn = min(width / growth, kbar_max)
     log_ratio = math.log1p(growth)
     n_geo = max(0, math.ceil(math.log(k_turn / k_log_end) / log_ratio))
     k_geo = k_log_end * math.exp(log_ratio * n_geo)
     n_flat = max(0, math.ceil((kbar_max - k_geo) / width))
-    if (n_log + n_geo + n_flat) * _GL_NODES.size * separations > _MAX_GRID_VALUES:
+    if (1 + n_log + n_geo + n_flat) * _PANEL_POINTS * separations > _MAX_GRID_VALUES:
         raise QuadratureError(
             f"lambda quadrature at dxbar = {osc_max:g} needs more than {_MAX_GRID_VALUES} "
             "J_0 values (separations x k nodes); its k grid grows linearly in dxbar"
         )
-    log_nodes, log_weights = _panel_nodes(np.linspace(u_lo, u_hi, n_log + 1))
+    log_nodes, *log_weights = _panel_nodes(np.append(math.log(k_floor / 1.5), np.linspace(u_lo, u_hi, n_log + 1)))
     k_log = np.exp(log_nodes)
-    w_log = log_weights * k_log  # du measure -> dk measure
     edges = np.concatenate([
         k_log_end * np.exp(log_ratio * np.arange(n_geo + 1)),
         k_geo + width * np.arange(1, n_flat + 1),
     ])
-    lin_nodes, lin_weights = _panel_nodes(np.append(edges[edges < kbar_max], kbar_max))
+    lin_nodes, *lin_weights = _panel_nodes(np.append(edges[edges < kbar_max], kbar_max))
+    # Kronrod and Gauss weights, du measure -> dk measure on the log panels
+    weights = [np.concatenate([w * k_log, v]) for w, v in zip(log_weights, lin_weights)]
+    return np.concatenate([k_log, lin_nodes]), *weights
 
-    return np.concatenate([k_log, lin_nodes]), np.concatenate([w_log, lin_weights])
 
-
-def _k_products(nu: float, x_a: np.ndarray, x_b: np.ndarray, refine: float, bound: bool):
-    """``K_imag`` of order ``nu`` at both argument sets: the products
-    ``K_a K_b`` per node and, if ``bound``, a bound on the error the K
-    series puts into them; else None.
+def _k_products(nu: float, x_a: np.ndarray, x_b: np.ndarray):
+    r"""``K_imag`` of order ``nu`` at both argument sets, at the trapezoidal
+    step over 1.5: per node, the products ``K_a K_b``, a bound on the error
+    the K series puts into them, and an estimate of the rounding that the
+    trapezoidal values put into them, :math:`\epsilon K_0(x) \approx
+    \epsilon\sqrt{\pi/2x}\,e^{-x}` each.
 
     Two distinct sets (each sorted) go through one call on their merged
     arguments, so their trapezoidal bands are set up once.  The series
@@ -311,11 +310,12 @@ def _k_products(nu: float, x_a: np.ndarray, x_b: np.ndarray, refine: float, boun
     level."""
 
     def k_at(x):
-        err = np.empty(x.size) if bound else None
-        return _k_imag_outer(nu, x, refine, err=err), err
+        err = np.empty(x.size)
+        k = _k_imag_outer(nu, x, 1.5, err=err)
+        return np.stack([k, err, np.where(x > _KSERIES_X, _EPS * np.sqrt(0.5 * math.pi / x) * np.exp(-x), 0.0)])
 
     if x_b is x_a:
-        k_a, err_a = k_b, err_b = k_at(x_a)
+        (k_a, err_a, rnd_a) = (k_b, err_b, rnd_b) = k_at(x_a)
     else:
         # Both sets are sorted, so a value's place in the merged set is its
         # own index plus the count of the other set's values before it (an
@@ -324,74 +324,37 @@ def _k_products(nu: float, x_a: np.ndarray, x_b: np.ndarray, refine: float, boun
         b = np.arange(x_b.size) + np.searchsorted(x_a, x_b, side="right")
         x = np.empty(x_a.size + x_b.size)
         x[a], x[b] = x_a, x_b
-        k, err = k_at(x)
-        k_a, k_b = k[a], k[b]
-        err_a, err_b = (None, None) if err is None else (err[a], err[b])
-    if err_a is None:
-        return k_a * k_b, None
-    return k_a * k_b, np.abs(k_a) * err_b + err_a * np.abs(k_b) + err_a * err_b
+        merged = k_at(x)
+        (k_a, err_a, rnd_a), (k_b, err_b, rnd_b) = merged[:, a], merged[:, b]
+    abs_a, abs_b = np.abs(k_a), np.abs(k_b)
+    return k_a * k_b, abs_a * err_b + err_a * abs_b + err_a * err_b, abs_a * rnd_b + rnd_a * abs_b
 
 
-def _lambda_quadrature_once(
-    q: float, dxi: float, dxbar: np.ndarray, refine: float, bound: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The quadrature of :func:`oracle_lambda_quadrature` on one grid and,
-    if ``bound``, a bound on the error the series part of ``K_iq`` puts
-    into it (else None)."""
-    s_plus = math.sqrt(0.5 * (math.exp(2.0 * dxi) + 1.0))
-    s_minus = math.sqrt(0.5 * (math.exp(-2.0 * dxi) + 1.0))
-    decay = s_plus + s_minus
-    kbar, weights = _kbar_grid(
-        nu_max=q, osc_max=float(dxbar.max()), decay_rate=decay, kbar_max=(_ENVELOPE_DECAY + math.pi * q) / decay,
-        refine=refine, separations=dxbar.size,
-    )
-    x_plus = kbar * s_plus
-    x_minus = x_plus if s_minus == s_plus else kbar * s_minus
-    product, product_err = _k_products(float(q), x_plus, x_minus, refine, bound)
-    j0 = bessel_j0(np.outer(dxbar, kbar))
-    measure = weights * kbar
-    prefactor = 2.0 if q == 0.0 else 2.0 * math.sinh(math.pi * q) / (math.pi * q)
-    scale = prefactor * math.sqrt(math.cosh(dxi))
-    value = scale * (j0 @ (measure * product))
-    if product_err is None:
-        return value, None
-    return value, scale * (np.abs(j0) @ (measure * product_err))
-
-
-#: Absolute refinement target of :func:`oracle_lambda_quadrature`.
+#: Absolute target of :func:`oracle_lambda_quadrature`'s change.
 _LAMBDA_TARGET = 1e-8
 
-#: Absolute refinement target of :func:`oracle_overlap_finite_t`, per unit T.
+#: Absolute target of :func:`oracle_overlap_finite_t`'s change, per unit T.
 _FINITE_T_TARGET = 1e-10
 
 
-def _converged(one_pass, target: float, what: str):
-    """Run ``one_pass(refine, bound)`` on the refined grid, with the bound on
-    the K series error, and then on the base grid.  Returns the refined
-    value, its change (what the refinement moved plus that bound, which a
-    finer grid does not reduce; the largest entry for an array) and
-    ``target``; a change past ``target`` raises :class:`QuadratureError`
-    naming ``what``.  A pass whose K values all come from the trapezoidal
-    rule returns None for the bound, and the change is the refinement's
-    alone."""
-    # The refined grid is the larger, so it meets the size cap first; only
-    # its pass needs the K series bound.
-    fine, series_err = one_pass(1.5, True)
-    base, _ = one_pass(1.0, False)
-    moved = np.abs(fine - base)
-    change = float(np.max(moved if series_err is None else moved + series_err))
-    if change > target:
-        bound = "" if series_err is None else " plus the K series bound"
-        raise QuadratureError(
-            f"{what} did not converge: grid refinement{bound} "
-            f"changed the result by {change:.3e} (target {target:.1e})"
-        )
-    return fine, change, target
+def _converged(value, change: float, target: float, what: str):
+    """The three, unless ``change`` is past ``target`` or NaN: then :class:`QuadratureError` naming ``what``."""
+    if not change <= target:
+        raise QuadratureError(f"{what} did not converge: its change is {change:.3e} (target {target:.1e})")
+    return value, change, target
 
 
 def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float, float]:
-    """:func:`oracle_lambda_quadrature` on an array of ``dxbar``, with its
-    change and target (see :func:`_converged`)."""
+    r""":func:`oracle_lambda_quadrature` on an array of ``dxbar``, with its
+    change and target (see :func:`_converged`).
+
+    The change, the largest over the separations, sums |Kronrod - Gauss|;
+    the floor panel's part, which exceeds the piece below it that no panel
+    takes (at q = 0, :math:`k K_0^2` grows like :math:`k \log^2 k`); the K
+    series bound carried through :math:`|J_0|\,w\,\bar{k}`; and the root
+    sum of squares of each trapezoidal K value's rounding, carried the same
+    way, an estimate and not a bound, which grows like
+    :math:`e^{\pi q}\epsilon` against :math:`\Lambda`."""
     if not (q >= 0.0 and math.isfinite(q)):
         raise ValueError(f"oracle_lambda_quadrature requires q >= 0, got {q}")
     if math.pi * q > 700.0:
@@ -399,11 +362,29 @@ def _lambda_quadrature(q: float, dxi: float, dxbar) -> tuple[np.ndarray, float, 
     dxbar_arr = np.atleast_1d(np.asarray(dxbar, dtype=float))
     if not np.all(dxbar_arr >= 0.0):
         raise ValueError("oracle_lambda_quadrature requires dxbar >= 0")
-    return _converged(
-        lambda refine, bound: _lambda_quadrature_once(q, dxi, dxbar_arr, refine, bound),
-        _LAMBDA_TARGET,
-        f"lambda quadrature at q={q}, dxi={dxi}",
+    s_plus = math.sqrt(0.5 * (math.exp(2.0 * dxi) + 1.0))
+    s_minus = math.sqrt(0.5 * (math.exp(-2.0 * dxi) + 1.0))
+    decay = s_plus + s_minus
+    kbar, weights, gauss = _kbar_grid(
+        nu_max=q, osc_max=float(dxbar_arr.max()), decay_rate=decay, kbar_max=(_ENVELOPE_DECAY + math.pi * q) / decay,
+        separations=dxbar_arr.size,
     )
+    x_plus = kbar * s_plus
+    x_minus = x_plus if s_minus == s_plus else kbar * s_minus
+    product, bound, rounding = _k_products(float(q), x_plus, x_minus)
+    j0 = bessel_j0(np.outer(dxbar_arr, kbar))
+    measure = weights * kbar
+    integrand = measure * product
+    prefactor = 2.0 if q == 0.0 else 2.0 * math.sinh(math.pi * q) / (math.pi * q)
+    scale = prefactor * math.sqrt(math.cosh(dxi))
+    change = (
+        np.abs(j0 @ ((weights - gauss) * kbar * product))
+        + np.abs(j0[:, :_PANEL_POINTS] @ integrand[:_PANEL_POINTS])
+        + np.abs(j0) @ (measure * bound)
+        + np.sqrt(j0**2 @ (measure * rounding) ** 2)
+    )
+    what = f"lambda quadrature at q={q}, dxi={dxi}"
+    return _converged(scale * (j0 @ integrand), scale * float(np.max(change)), _LAMBDA_TARGET, what)
 
 
 def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
@@ -422,11 +403,10 @@ def oracle_lambda_quadrature(q: float, dxi: float, dxbar):
     ``dxbar`` may be an array: the expensive Bessel products are computed
     once and shared across all transverse separations.
 
-    Target 1e-8 for the change a refined grid makes, plus the bound on
-    the K series error; a larger change raises :class:`QuadratureError`.
-    The change is a refinement estimate, not an error bound: near the
-    rounding floor the two grids can agree more closely than either agrees
-    with the closed form.  The integral depends on ``dxi`` only through
+    Target 1e-8 for the change (:func:`_lambda_quadrature`); a larger one
+    raises :class:`QuadratureError`.  The change is an estimate, not an
+    error bound: near the rounding floor it can fall below the distance
+    to the closed form.  The integral depends on ``dxi`` only through
     :math:`s_\pm`, which swap with its sign, so ``-dxi`` gives the same
     value to the last bit.
     """
@@ -446,29 +426,31 @@ def _hyperbolic_distance(traj_m: Trajectory, traj_n: Trajectory) -> float:
     return 2.0 * math.asinh(gap / (2.0 * math.sqrt(zm) * math.sqrt(zn)))
 
 
-def _finite_t_grids(par: OverlapDiagnostics, mu: float, zm: float, zn: float, T: float) -> dict[float, float]:
+def _finite_t_quadrature(par: OverlapDiagnostics, mu: float, zm: float, zn: float, T: float) -> tuple[float, float]:
     r"""The boost-frequency quadrature of :func:`oracle_overlap_finite_t`,
-    whose Gaussian parameters are ``par`` and hyperbolic distance ``mu``,
-    on the 1.5 times refined and the base grid of :func:`_converged`, keyed
-    by refinement: the integrand is evaluated once on both grids' nodes.
+    whose Gaussian parameters are ``par`` and hyperbolic distance ``mu``:
+    its Kronrod value and the size of its Kronrod-Gauss difference.
 
     The window is covered by equal panels, at least ``_SPECTRAL_PANELS`` of
     them and one per ``_SPECTRAL_ORDER_SPAN`` of :math:`\nu(\mu + 1)`, counted
-    before any node is made: past ``_MAX_GRID_VALUES`` nodes on the refined
-    grid it raises :class:`QuadratureError`."""
+    before any node is made.  A window narrower than the spacing of doubles
+    at s = 1 (an infinite M aside) and one past ``_MAX_GRID_VALUES`` nodes
+    raise :class:`QuadratureError`."""
     half_support = 8.0 / math.sqrt(2.0 * par.sharpness)
+    if math.isfinite(par.sharpness) and 2.0 * half_support < math.ulp(1.0):
+        raise QuadratureError(f"finite-duration overlap at T = {T:g}: its window, s = 1 +- {half_support:.3g}, "
+                              "is narrower than the spacing of doubles at s = 1")
     span = 2.0 * half_support * par.omega_bar
     n_panels = max(_SPECTRAL_PANELS, span * (mu + 1.0) / _SPECTRAL_ORDER_SPAN)
-    if not 1.5 * n_panels * _GL_NODES.size <= _MAX_GRID_VALUES:
+    if not n_panels * _PANEL_POINTS <= _MAX_GRID_VALUES:
         raise QuadratureError(
             f"finite-duration overlap at T = {T:g} needs more than {_MAX_GRID_VALUES} "
             f"boost-frequency nodes (a window of {span:.4g} orders at mu = {mu:.4g}); "
             "T far below 1/omega widens the window without bound"
         )
-    counts = [math.ceil(refine * n_panels) for refine in (1.5, 1.0)]
-    # one edge list; the panel joining the two grids is left out of both sums
-    edges = np.concatenate([np.linspace(1.0 - half_support, 1.0 + half_support, n + 1) for n in counts])
-    s_nodes, s_weights = _panel_nodes(edges)
+    s_nodes, s_weights, s_gauss = _panel_nodes(
+        np.linspace(1.0 - half_support, 1.0 + half_support, math.ceil(n_panels) + 1)
+    )
     nu = s_nodes * par.omega_bar
     # e^{-pi nu}/sinh(pi nu) = 2/expm1(x), x = 2 pi nu, is x/expm1(x) over
     # pi nu.  x/expm1(x) = |x| e^{-max(x, 0)}/(-expm1(-|x|)) cannot overflow
@@ -478,27 +460,20 @@ def _finite_t_grids(par: OverlapDiagnostics, mu: float, zm: float, zn: float, T:
         planck = np.abs(x) * np.exp(-np.maximum(x, 0.0))
         denom = -np.expm1(-np.abs(x))
         planck = np.divide(planck, denom, out=np.ones_like(x), where=denom != 0.0)
-        gauss = np.exp(-par.sharpness * (s_nodes - 1.0) ** 2)
+        window = np.exp(-par.sharpness * (s_nodes - 1.0) ** 2)
     # sin(nu mu)/(nu sinh mu) = sinc(nu mu) mu/sinh(mu), 1 at mu = 0
     mu_over_sinh = 1.0 if mu == 0.0 else 2.0 * mu * math.exp(-mu) / -math.expm1(-2.0 * mu)
-    terms = gauss * planck * np.sinc(nu * (mu / math.pi))
-    prefactor = T * T * math.exp(-par.suppression) / math.sqrt(2.0 * math.pi**5)
-    fine = counts[0] * _GL_NODES.size
-    values = {}
-    for refine, part in ((1.5, slice(fine)), (1.0, slice(fine + _GL_NODES.size, None))):
-        integral = par.omega_bar * mu_over_sinh / (2.0 * zm) / zn * float(s_weights[part] @ terms[part])
-        values[refine] = prefactor * integral
-    if not all(map(math.isfinite, values.values())):
+    terms = window * planck * np.sinc(nu * (mu / math.pi))
+    scale = T * T * math.exp(-par.suppression) / math.sqrt(2.0 * math.pi**5) * par.omega_bar * mu_over_sinh
+    value = scale / (2.0 * zm) / zn * float(s_weights @ terms)
+    change = scale / (2.0 * zm) / zn * abs(float((s_weights - s_gauss) @ terms))
+    if not (math.isfinite(value) and math.isfinite(change)):
         raise FloatingPointError(f"finite-duration overlap is not finite at T = {T:g}")
-    return values
+    return value, change
 
 
 def _overlap_finite_t(
-    omega_i: float,
-    traj_n: Trajectory,
-    omega_j: float,
-    traj_m: Trajectory,
-    T: float,
+    omega_i: float, traj_n: Trajectory, omega_j: float, traj_m: Trajectory, T: float
 ) -> tuple[float, float, float]:
     """:func:`oracle_overlap_finite_t` with its change and target (see
     :func:`_converged`); the change is 0 for a suppressed pair."""
@@ -506,12 +481,8 @@ def _overlap_finite_t(
     target = _FINITE_T_TARGET * T
     if par.suppression > 800.0:
         return 0.0, 0.0, target
-    values = _finite_t_grids(par, _hyperbolic_distance(traj_m, traj_n), traj_m.z, traj_n.z, T)
-    return _converged(
-        lambda refine, bound: (values[refine], None),
-        target,
-        f"finite-duration overlap quadrature at T = {T:g}",
-    )
+    value, change = _finite_t_quadrature(par, _hyperbolic_distance(traj_m, traj_n), traj_m.z, traj_n.z, T)
+    return _converged(value, change, target, f"finite-duration overlap quadrature at T = {T:g}")
 
 
 def oracle_overlap_finite_t(
@@ -558,15 +529,17 @@ def oracle_overlap_finite_t(
     (:math:`\nu` at :math:`\mu = 0`) are taken in forms that hold at every
     :math:`\nu`.  :math:`\mu` comes from the raw heights and offsets, not
     from :math:`(\Delta\xi, \Delta\bar{x})`, so agreement with the closed
-    forms also checks that mapping.  Equal Gauss-Legendre panels cover the
-    window, six or more, and one per 2 orders over :math:`\mu + 1`.
+    forms also checks that mapping.  Equal 33-point Gauss-Kronrod panels
+    cover the window, six or more, and one per 2 orders over
+    :math:`\mu + 1`.
 
-    Target ``1e-10 * T`` for the change a 1.5 times refined grid makes.
-    The change is a refinement estimate, not an error bound: the window's
-    edges, the same on both grids, leave out below 2e-13 relative on the
-    tests' cases.  A larger change raises :class:`QuadratureError` rather
-    than returning a partial value, and so does a window that would need
-    more than ``_MAX_GRID_VALUES`` nodes (T far below :math:`1/\omega`).
+    Target ``1e-10 * T`` for the change, the Kronrod less the embedded
+    Gauss sum: an estimate, not an error bound (the window's edges leave
+    out below 2e-13 relative on the tests' cases).  A larger change raises
+    :class:`QuadratureError`, and so do a window that would need more than
+    ``_MAX_GRID_VALUES`` nodes (T far below :math:`1/\omega`) and one
+    narrower than the spacing of doubles at s = 1 (from T = 3.6e16 at
+    :math:`\omega = z = 1`).
     Strongly suppressed pairs (:math:`C > 800`, value below the
     double-precision underflow scale) return exactly 0.
     """
@@ -576,7 +549,7 @@ def oracle_overlap_finite_t(
 @dataclass(frozen=True)
 class ConvergenceRow:
     """One duration sample of the oracle-vs-asymptotic comparison;
-    ``change`` is the oracle's achieved refinement change and ``target``
+    ``change`` is the oracle's Kronrod-Gauss difference and ``target``
     the bound it was held to."""
 
     T: float

@@ -232,3 +232,27 @@ def laplace_coefficients(q, orders: int = 4, dps: int = 40):
             return s / mp.expm1(2 * mp.pi * q * s)
 
         return [mp.diff(h, 1, 2 * k) / (mp.factorial(k) * 4**k * h(1)) for k in range(1, orders + 1)]
+
+
+def stieltjes_roots(n: int, dps: int = 40):
+    """Roots of the Stieltjes polynomial E_{n+1} of the Legendre weight,
+    ascending: the n + 1 nodes the Kronrod rule adds to n-point
+    Gauss-Legendre.
+
+    E_{n+1} is, up to a factor, the polynomial part of 1/Q_n(z) at
+    infinity, Q_n the Legendre function of the second kind (Monegato, SIAM
+    Review 24, 1982).  Q_n(z) = c z^{-n-1} 2F1((n+1)/2, (n+2)/2; n+3/2;
+    1/z^2) with c = sqrt(pi) n! / (2^{n+1} Gamma(n + 3/2)); the series in
+    1/z^2 is inverted term by term."""
+    with mp.workdps(dps):
+        terms = n // 2 + 1
+        a, b, c = mp.mpf(n + 1) / 2, mp.mpf(n + 2) / 2, mp.mpf(n) + mp.mpf(3) / 2
+        series = [mp.rf(a, k) * mp.rf(b, k) / (mp.rf(c, k) * mp.factorial(k)) for k in range(terms)]
+        inverse = [mp.mpf(1)]
+        for k in range(1, terms):
+            inverse.append(-mp.fsum(series[j] * inverse[k - j] for j in range(1, k + 1)))
+        # z^{n+1} sum_k inverse_k z^{-2k}, highest degree first
+        coeffs = [mp.mpf(0)] * (n + 2)
+        for k, value in enumerate(inverse):
+            coeffs[2 * k] = value
+        return sorted(mp.re(r) for r in mp.polyroots(coeffs, maxsteps=200, extraprec=2 * dps))

@@ -910,9 +910,9 @@ def test_cli_oracle_validate(tmp_path, monkeypatch):
     grid, grids = overlaps._kbar_grid, []
 
     def counted_grid(**kw):
-        nodes, weights = grid(**kw)
+        nodes, weights, gauss = grid(**kw)
         grids.append((kw["nu_max"], nodes.size))
-        return nodes, weights
+        return nodes, weights, gauss
 
     monkeypatch.setattr(overlaps, "_kbar_grid", counted_grid)
     assert main(["oracle-validate", "--config", config, "--out", str(out)]) == 0
@@ -952,12 +952,11 @@ def test_cli_oracle_validate(tmp_path, monkeypatch):
         assert target == (1e-8 if row[0] == "lambda_quadrature" else 1e-10 * float(row[4]))
     lambda_rows = {(row[1], row[2]): row[5] for row in calls[2:]}
     assert all(lambda_rows[q, "-1.5"] == lambda_rows[q, "1.5"] for q in ("0", "1", "2", "10"))
-    # each q = 10 call's refined pass (run first) has at least 1.4 times the
-    # base pass's k nodes, so its change measures a refinement; q = 10 takes
-    # one call per |dxi|
-    pairs = [(fine, base) for (q, fine), (_, base) in zip(grids[::2], grids[1::2]) if q == 10.0]
-    assert len(pairs) == 2
-    assert all(fine >= 1.4 * base for fine, base in pairs)
+    # each Lambda call, one per q and |dxi|, builds one k grid of 33-node
+    # Kronrod panels, and q = 10 takes more nodes than q = 0 at each |dxi|
+    assert [q for q, _ in grids] == [q for q in (0.0, 1.0, 2.0, 10.0) for _ in range(2)]
+    assert all(size % 33 == 0 for _, size in grids)
+    assert all(high > low for (_, low), (_, high) in zip(grids[:2], grids[-2:]))
 
 
 def test_cli_ignores_the_retired_boost_rate_key(tmp_path):

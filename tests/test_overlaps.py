@@ -11,6 +11,7 @@ closed form.
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -173,7 +174,8 @@ def aligned_pairs(draw):
     offset = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
     traj_n = Trajectory(z=z_n, x_perp=(draw(offset), draw(offset)))
     traj_m = Trajectory(z=z_m, x_perp=(draw(offset), draw(offset)))
-    omega_j = (q + draw(st.floats(-0.5, 0.5)) * tol) / z_m
+    # detuned by at most tol / 2 and never past q / 2, so omega_j > 0
+    omega_j = (q + draw(st.floats(-0.5, 0.5)) * min(tol, q)) / z_m
     T = draw(st.floats(0.03, 1e4))
     return q / z_n, traj_n, omega_j, traj_m, T, tol
 
@@ -189,11 +191,21 @@ def test_offdiag_overlap_is_the_scalar_closed_forms_bit_for_bit(pair):
     omega_lo, traj_lo = min((omega_i, traj_n), (omega_j, traj_m),
                             key=lambda p: (p[0], p[1].z, *p[1].x_perp))
     q = omega_lo * traj_lo.z
-    norms = math.sqrt(diag_overlap(omega_i, traj_n.z, T) * diag_overlap(omega_j, traj_m.z, T))
+    norms = math.sqrt(diag_overlap(omega_i, traj_n.z, T)) * math.sqrt(diag_overlap(omega_j, traj_m.z, T))
     assert res.q == q
     assert res.value == complex(norms * lambda_overlap(q, delta_xi(traj_m, traj_n), delta_xbar(traj_m, traj_n)))
     for omega, z in ((omega_i, traj_n.z), (omega_j, traj_m.z)):
         assert diag_overlap(omega, z, T) == T / (2.0 * math.pi) * planck_weight(omega, z)
+
+
+def test_offdiag_overlap_stays_finite_where_the_product_of_its_norms_overflows():
+    # at T = 1e300 each norm is about 1e297, so their product overflows;
+    # sqrt(n_i) sqrt(n_j) does not
+    res = offdiag_overlap(2.0, Trajectory(z=0.5), 1.0, Trajectory(z=1.0), 1e300, 1e-9)
+    norms = [diag_overlap(omega, z, 1e300) for omega, z in ((2.0, 0.5), (1.0, 1.0))]
+    assert math.isinf(norms[0] * norms[1])
+    assert res.condition_met and math.isfinite(res.value.real)
+    assert res.value == complex(math.sqrt(norms[0]) * math.sqrt(norms[1]) * lambda_overlap(1.0, math.log(2.0), 0.0))
 
 
 _traj = Trajectory(z=0.5)
@@ -287,11 +299,11 @@ def test_lambda_quadrature_at_q_zero_and_no_separation_stays_far_under_its_targe
 
 def test_lambda_quadrature_caps_its_grid():
     # J_0 oscillates at the rate dxbar, so the k grid grows linearly in it:
-    # at q = 1, dxi = 0 the refined pass takes 1.5 (37 + pi)/2 (dxbar + 1)
-    # / _GL_PHASE linear panels of 16 nodes.  Three times the dxbar at which
-    # that meets the cap both oracles share, the call fails fast, naming it.
+    # at q = 1, dxi = 0 it takes (37 + pi)/2 (dxbar + 1) / _GL_PHASE linear
+    # panels of 33 nodes.  Three times the dxbar at which that meets the
+    # cap both oracles share, the call fails fast, naming it.
     kbar_max = (overlaps._ENVELOPE_DECAY + math.pi) / 2.0
-    at_cap = overlaps._MAX_GRID_VALUES / 16 * overlaps._GL_PHASE / (1.5 * kbar_max)
+    at_cap = overlaps._MAX_GRID_VALUES / 33 * overlaps._GL_PHASE / kbar_max
     dxbar = round(3.0 * at_cap, -4)
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match=f"dxbar = {dxbar:g} needs more than"):
@@ -306,25 +318,24 @@ def test_lambda_quadrature_caps_its_grid():
     (40.0, 5.0, 2.0, 81.3),  # the branch limit binds up to k = 20, then the separation
     (1.4, 0.7, 1.5, 50.0),  # the branch limit binds up to k = 10, then J_0 just ahead of the envelope
 ])
-@pytest.mark.parametrize("refine", [1.0, 1.5])
-def test_kbar_grid_linear_panels_take_their_narrowest_limit(nu_max, osc_max, decay_rate, kbar_max, refine):
+def test_kbar_grid_linear_panels_take_their_narrowest_limit(nu_max, osc_max, decay_rate, kbar_max):
     # The linear panels are counted in closed form; each but the last is as
     # wide as the narrowest of its three limits at its left edge, and the
-    # last ends at kbar_max.  A panel's 16 Gauss-Legendre weights sum to its
-    # width.
-    nodes, weights = overlaps._kbar_grid(
-        nu_max=nu_max, osc_max=osc_max, decay_rate=decay_rate, kbar_max=kbar_max, refine=refine,
-        separations=1,
+    # last ends at kbar_max.  A panel's 33 Kronrod weights sum to its width,
+    # and so do its 16 embedded Gauss weights.
+    nodes, weights, gauss = overlaps._kbar_grid(
+        nu_max=nu_max, osc_max=osc_max, decay_rate=decay_rate, kbar_max=kbar_max, separations=1,
     )
     k_log_end = min(0.1, 0.5 * kbar_max)
     linear = nodes > k_log_end
-    widths = weights[linear].reshape(-1, 16).sum(axis=1)
+    widths = weights[linear].reshape(-1, 33).sum(axis=1)
+    assert np.allclose(gauss[linear].reshape(-1, 33).sum(axis=1), widths, rtol=1e-14, atol=0.0)
     left = k_log_end + np.concatenate([[0.0], np.cumsum(widths)[:-1]])
     limits = np.minimum.reduce([
         overlaps._LINEAR_PHASE * left / (nu_max + 1.0),
         np.full(left.size, overlaps._GL_PHASE / (osc_max + 1.0)),
         np.full(left.size, overlaps._GL_PHASE / decay_rate),
-    ]) / refine
+    ])
     assert widths.size > 1
     assert np.allclose(widths[:-1], limits[:-1], rtol=1e-12, atol=0.0)
     assert 0.0 < widths[-1] <= limits[-1] * (1.0 + 1e-12)
@@ -350,21 +361,24 @@ def test_gl_phase_keeps_the_16_point_error_bound_under_1e_20():
     (1.0, 1e4, 20.0),  # J_0 over the log region's end sets it
     (2.0, 0.5, 0.1),  # a log region cut at kbar_max / 2
 ])
-@pytest.mark.parametrize("refine", [1.0, 1.5])
-def test_kbar_grid_log_panels_take_the_phase_budget(nu_max, osc_max, kbar_max, refine):
-    # Below k = min(0.1, kbar_max / 2) the panels are equal in log k, as
-    # many as _GL_PHASE / (2 nu + k dxbar + 2) / refine takes to cover
-    # [log(1e-7 / refine), log k_end], and no wider.  A panel's 16 weights,
-    # divided by their nodes, sum to its width in log k.
-    nodes, weights = overlaps._kbar_grid(
-        nu_max=nu_max, osc_max=osc_max, decay_rate=2.0, kbar_max=kbar_max, refine=refine,
-        separations=1,
+def test_kbar_grid_log_panels_take_the_phase_budget(nu_max, osc_max, kbar_max):
+    # The floor panel [1e-7 / 1.5, 1e-7] comes first.  Above it and below
+    # k = min(0.1, kbar_max / 2) the panels are equal in log k, as many as
+    # _GL_PHASE / (2 nu + k dxbar + 2) takes to cover [log 1e-7, log k_end],
+    # and no wider.  A panel's 33 Kronrod weights, and its 16 embedded Gauss
+    # weights, divided by their nodes, sum to its width in log k.
+    nodes, weights, gauss = overlaps._kbar_grid(
+        nu_max=nu_max, osc_max=osc_max, decay_rate=2.0, kbar_max=kbar_max, separations=1,
     )
     k_end = min(0.1, 0.5 * kbar_max)
     log = nodes < k_end
-    widths = (weights[log] / nodes[log]).reshape(-1, 16).sum(axis=1)
-    budget = overlaps._GL_PHASE / (2.0 * nu_max + k_end * osc_max + 2.0) / refine
-    span = math.log(k_end) - math.log(1e-7 / refine)
+    widths = (weights[log] / nodes[log]).reshape(-1, 33).sum(axis=1)
+    assert np.allclose((gauss[log] / nodes[log]).reshape(-1, 33).sum(axis=1), widths, rtol=1e-14, atol=0.0)
+    assert np.all((nodes[:33] > 1e-7 / 1.5) & (nodes[:33] < 1e-7))
+    assert widths[0] == pytest.approx(math.log(1.5), rel=1e-12)
+    widths = widths[1:]
+    budget = overlaps._GL_PHASE / (2.0 * nu_max + k_end * osc_max + 2.0)
+    span = math.log(k_end) - math.log(1e-7)
     assert widths.size == math.ceil(span / budget)
     assert np.allclose(widths, span / widths.size, rtol=1e-12, atol=0.0)
     assert widths.max() <= budget * (1.0 + 1e-12)
@@ -394,31 +408,23 @@ def test_oracles_return_their_targets_from_one_convergence_check():
     assert _overlap_finite_t(3.0, traj, 1.0, traj, 200.0) == (0.0, 0.0, 1e-10 * 200.0)
     assert convergence_report(1.0, 1.0, [10.0]).rows[0].target == 1e-10 * 10.0
 
-    # The refined pass runs first with the K series bound, the base pass
-    # without; their difference plus the bound is held to the target.
-    calls = []
-
-    def one_pass(refine, bound):
-        calls.append((refine, bound))
-        return np.array([1.0, 1.0 + refine * 1e-8]), (np.full(2, 1e-9) if bound else None)
-
-    fine, change, target = _converged(one_pass, 1e-8, "test")
-    assert np.array_equal(fine, [1.0, 1.0 + 1.5e-8])
-    assert change == pytest.approx(6e-9) and target == 1e-8
-    assert calls == [(1.5, True), (1.0, False)]
-    with pytest.raises(QuadratureError, match="test did not converge: .* by 6.000e-09 "):
-        _converged(one_pass, 5e-9, "test")
-    # a refined pass with no series bound: the change is the refinement's alone
-    _, change, _ = _converged(lambda refine, bound: one_pass(refine, False), 1e-8, "test")
-    assert change == pytest.approx(5e-9)
+    # One pass gives the value and its change; the one check holds the
+    # change to the target, and a NaN change fails it too.
+    values = np.array([1.0, 2.0])
+    assert _converged(values, 6e-9, 1e-8, "test") == (values, 6e-9, 1e-8)
+    assert _converged(values, 1e-8, 1e-8, "test")[1] == 1e-8
+    for change in (6e-9, math.nan):
+        with pytest.raises(QuadratureError, match=f"test did not converge: its change is {change:.3e} "):
+            _converged(values, change, 5e-9, "test")
 
 
 @pytest.mark.parametrize("dxi", [-1.5, 0.0, 1.5])
 def test_lambda_quadrature_change_bounds_its_error_at_q_zero(dxi):
     # At q = 0, K_0^2 grows like log^2 k, so the piece of the integral
-    # below the base pass's k-bar floor is the largest error; the refined
-    # pass starts lower, and its reported change must cover that error.
-    # (At q >= 1 the residual is rounding, which the change need not cover.)
+    # below the grid's k-bar floor is the largest error; the part of the
+    # floor panel [1e-7 / 1.5, 1e-7], which the change carries, must cover
+    # it.  (At q >= 1 the residual is rounding, which the change need not
+    # cover.)
     dxbar = np.array([0.0, 1.0, 2.5])
     values, change, _ = _lambda_quadrature(0.0, dxi, dxbar)
     error = float(np.max(np.abs(values - lambda_overlap(0.0, dxi, dxbar))))
@@ -439,13 +445,14 @@ def test_lambda_quadrature_even_in_dxi():
 
 
 @pytest.mark.parametrize("q", [0.0, 1.2, 6.0, 12.0])
-@pytest.mark.parametrize("refine", [1.0, 1.5])
-def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, refine, monkeypatch):
+def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, monkeypatch):
     # One order takes the series, so both argument sets x_+- = k s_+- go
-    # through one K call.  The series sums each value on its own, so below
-    # x = 4 the values and their bound are those of two separate calls, bit
-    # for bit; above, the trapezoidal bands regroup, which moves K by at
-    # most 6e-16 e^-x, twice the rule's accuracy against mpmath.
+    # through one K call, at the trapezoidal step over 1.5.  The series sums
+    # each value on its own, so below x = 4 the values and their bound are
+    # those of two separate calls, bit for bit; above, the trapezoidal bands
+    # regroup, which moves K by at most 6e-16 e^-x, twice the rule's
+    # accuracy against mpmath.  The rounding estimate is eps sqrt(pi/2x) e^-x
+    # per trapezoidal value, carried through the other factor.
     kbar = np.geomspace(1e-7, 40.0, 700)
     s_plus, s_minus = math.sqrt(0.5 * (math.exp(3.0) + 1.0)), math.sqrt(0.5 * (math.exp(-3.0) + 1.0))
     x_a, x_b = kbar * s_plus, kbar * s_minus
@@ -453,16 +460,16 @@ def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, refine,
     k_imag_outer = overlaps._k_imag_outer
 
     def spy(*args, **kwargs):
-        calls.append(args[1].size)
+        calls.append((args[1].size, args[2]))
         return k_imag_outer(*args, **kwargs)
 
     monkeypatch.setattr(overlaps, "_k_imag_outer", spy)
-    product, product_err = overlaps._k_products(q, x_a, x_b, refine, True)
-    assert calls == [x_a.size + x_b.size]
+    product, product_err, rounding = overlaps._k_products(q, x_a, x_b)
+    assert calls == [(x_a.size + x_b.size, 1.5)]
 
     err_a, err_b = np.empty(x_a.size), np.empty(x_b.size)
-    k_a = k_imag_outer(q, x_a, refine, err=err_a)
-    k_b = k_imag_outer(q, x_b, refine, err=err_b)
+    k_a = k_imag_outer(q, x_a, 1.5, err=err_a)
+    k_b = k_imag_outer(q, x_b, 1.5, err=err_b)
     # bounds on how far the merged K values may move: 0 up to x = 4, so
     # there products and bounds must agree bit for bit
     move_a = np.where(x_a > 4.0, 6e-16 * np.exp(-x_a), 0.0)
@@ -470,6 +477,28 @@ def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, refine,
     assert np.all(np.abs(product - k_a * k_b) <= move_a * np.abs(k_b) + np.abs(k_a) * move_b + move_a * move_b)
     want_err = np.abs(k_a) * err_b + err_a * np.abs(k_b) + err_a * err_b
     assert np.all(np.abs(product_err - want_err) <= move_a * err_b + err_a * move_b)
+    eps = np.finfo(float).eps
+    rnd_a, rnd_b = (np.where(x > 4.0, eps * np.sqrt(math.pi / (2.0 * x)) * np.exp(-x), 0.0) for x in (x_a, x_b))
+    want_rounding = np.abs(k_a) * rnd_b + rnd_a * np.abs(k_b)
+    assert np.allclose(rounding, want_rounding, rtol=1e-12, atol=0.0)
+    assert np.all(rounding[(x_a <= 4.0) & (x_b <= 4.0)] == 0.0)
+
+
+def test_finite_t_oracle_refuses_a_window_narrower_than_the_doubles_at_s_one(monkeypatch):
+    # At omega = z = 1 the window is s = 1 +- 4/T.  At T = 1e10 the nodes
+    # still resolve it; from T = 1e12 their rounding shows in the change,
+    # and from T = 1e17, where 8/T is below the spacing of doubles at 1,
+    # every node would be s = 1 (the oracle once returned 0 with change 0
+    # there), so it raises before it builds any node.
+    traj = Trajectory(z=1.0)
+    value, change, target = _overlap_finite_t(1.0, traj, 1.0, traj, 1e10)
+    assert change <= target and abs(value - diag_overlap(1.0, 1.0, 1e10)) <= target
+    for exponent in range(12, 21):
+        T = 10.0**exponent
+        if exponent >= 17:
+            monkeypatch.setattr(overlaps, "_panel_nodes", None)
+        with pytest.raises(QuadratureError, match=re.escape(f"at T = {T:g}")):
+            _overlap_finite_t(1.0, traj, 1.0, traj, T)
 
 
 def test_finite_t_oracle_approaches_diag_with_1_over_M():

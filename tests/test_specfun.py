@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import k_imag, lam
+from oracles import k_imag, lam, stieltjes_roots
 
 from superthermal.specfun import (
     _KSERIES_X,
     _k_imag_outer,
+    _kronrod_rule,
     _overlap_geometry,
     _overlap_of_geometry,
     bessel_j0,
@@ -434,3 +435,36 @@ def test_planck_weight():
             want = float(mp.mpf(omega) / mp.expm1(2 * mp.pi * mp.mpf(omega) * mp.mpf(z)))
         assert want > 0.0
         assert got == pytest.approx(want, rel=1e-12, abs=1e-312)
+
+
+def test_kronrod_rule_embeds_the_16_point_gauss_rule_with_positive_weights():
+    # the Gauss nodes and weights are leggauss(16)'s, bit for bit, at every
+    # other node; the 17 Kronrod nodes interlace them
+    nodes, weights, gauss = _kronrod_rule()
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
+    assert nodes.shape == weights.shape == gauss.shape == (33,)
+    assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0] and nodes[-1] < 1.0
+    assert np.array_equal(nodes[1::2], gl_nodes)
+    assert np.array_equal(gauss[1::2], gl_weights) and np.all(gauss[0::2] == 0.0)
+    assert np.all(weights > 0.0)
+
+
+def test_kronrod_rule_integrates_every_legendre_polynomial_to_degree_49():
+    # The 33-point rule is exact to degree 3 * 16 + 1 = 49: sum_j w_j P_k(x_j)
+    # is 2 at k = 0 and 0 up to k = 49, within the rounding of P_k's
+    # three-term recurrence (about k eps, |P_k| <= 1) and of the 33-term sum
+    # (the weights sum to 2).  At degree 50 it is not exact.
+    nodes, weights, _ = _kronrod_rule()
+    sums = weights @ np.polynomial.legendre.legvander(nodes, 50)
+    degree = np.arange(50)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(sums[:50] - np.where(degree == 0, 2.0, 0.0)) <= 2.0 * (degree + 33) * eps)
+    assert abs(sums[50]) > 1e-6
+
+
+def test_kronrod_nodes_are_the_roots_of_the_stieltjes_polynomial():
+    # against mpmath at 40 digits, from 1/Q_16 (tests/oracles.py), not from
+    # the orthogonality the package solves; each node within 2 eps
+    nodes = _kronrod_rule()[0][0::2]
+    want = np.array([float(root) for root in stieltjes_roots(16)])
+    assert np.all(np.abs(nodes - want) <= 2.0 * np.finfo(float).eps)
