@@ -318,11 +318,14 @@ def test_lambda_quadrature_caps_its_grid():
     (40.0, 5.0, 2.0, 81.3),  # the branch limit binds up to k = 20, then the separation
     (1.4, 0.7, 1.5, 50.0),  # the branch limit binds up to k = 10, then J_0 just ahead of the envelope
 ])
-def test_kbar_grid_linear_panels_take_their_narrowest_limit(nu_max, osc_max, decay_rate, kbar_max):
+@pytest.mark.parametrize("rate_scale", [1.0, 1.5])
+def test_kbar_grid_linear_panels_take_their_narrowest_limit(nu_max, osc_max, decay_rate, kbar_max, rate_scale):
     # The linear panels are counted in closed form; each but the last is as
     # wide as the narrowest of its three limits at its left edge, and the
     # last ends at kbar_max.  A panel's 33 Kronrod weights sum to its width,
-    # and so do its 16 embedded Gauss weights.
+    # and so do its 16 embedded Gauss weights.  Each case runs again with
+    # its three rates 1.5 times faster, on a finer grid.
+    nu_max, osc_max, decay_rate = (rate_scale * rate for rate in (nu_max, osc_max, decay_rate))
     nodes, weights, gauss = overlaps._kbar_grid(
         nu_max=nu_max, osc_max=osc_max, decay_rate=decay_rate, kbar_max=kbar_max, separations=1,
     )
@@ -361,12 +364,15 @@ def test_gl_phase_keeps_the_16_point_error_bound_under_1e_20():
     (1.0, 1e4, 20.0),  # J_0 over the log region's end sets it
     (2.0, 0.5, 0.1),  # a log region cut at kbar_max / 2
 ])
-def test_kbar_grid_log_panels_take_the_phase_budget(nu_max, osc_max, kbar_max):
+@pytest.mark.parametrize("rate_scale", [1.0, 1.5])
+def test_kbar_grid_log_panels_take_the_phase_budget(nu_max, osc_max, kbar_max, rate_scale):
     # The floor panel [1e-7 / 1.5, 1e-7] comes first.  Above it and below
     # k = min(0.1, kbar_max / 2) the panels are equal in log k, as many as
     # _GL_PHASE / (2 nu + k dxbar + 2) takes to cover [log 1e-7, log k_end],
     # and no wider.  A panel's 33 Kronrod weights, and its 16 embedded Gauss
-    # weights, divided by their nodes, sum to its width in log k.
+    # weights, divided by their nodes, sum to its width in log k.  Each case
+    # runs again with nu and dxbar 1.5 times larger, on a finer grid.
+    nu_max, osc_max = rate_scale * nu_max, rate_scale * osc_max
     nodes, weights, gauss = overlaps._kbar_grid(
         nu_max=nu_max, osc_max=osc_max, decay_rate=2.0, kbar_max=kbar_max, separations=1,
     )
@@ -445,15 +451,17 @@ def test_lambda_quadrature_even_in_dxi():
 
 
 @pytest.mark.parametrize("q", [0.0, 1.2, 6.0, 12.0])
-def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, monkeypatch):
+@pytest.mark.parametrize("stretch", [1.0, 1.5])
+def test_k_products_takes_one_order_at_both_argument_sets_in_one_call(q, stretch, monkeypatch):
     # One order takes the series, so both argument sets x_+- = k s_+- go
     # through one K call, at the trapezoidal step over 1.5.  The series sums
     # each value on its own, so below x = 4 the values and their bound are
     # those of two separate calls, bit for bit; above, the trapezoidal bands
     # regroup, which moves K by at most 6e-16 e^-x, twice the rule's
     # accuracy against mpmath.  The rounding estimate is eps sqrt(pi/2x) e^-x
-    # per trapezoidal value, carried through the other factor.
-    kbar = np.geomspace(1e-7, 40.0, 700)
+    # per trapezoidal value, carried through the other factor.  A stretch of
+    # 1.5 moves more of both sets past x = 4.
+    kbar = stretch * np.geomspace(1e-7, 40.0, 700)
     s_plus, s_minus = math.sqrt(0.5 * (math.exp(3.0) + 1.0)), math.sqrt(0.5 * (math.exp(-3.0) + 1.0))
     x_a, x_b = kbar * s_plus, kbar * s_minus
     calls = []
