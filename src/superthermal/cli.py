@@ -83,9 +83,10 @@ from .detector import (
     paper_example,
     reduced_internal,
 )
-from .geometry import TrajectorySet, _number, validate_regime
+from .geometry import TrajectorySet, _eps2T, _number, validate_regime
 from .io import (
     _as_complex,
+    _named,
     _reals,
     _scale_field,
     block_density_to_dict,
@@ -171,8 +172,8 @@ def _get(tree: Mapping[str, Any], path: str, convert: Callable[[Any], Any],
     """Read the field at the dotted ``path`` through ``convert``.
 
     An absent field or section yields ``default``, or is an error without
-    one.  ``TypeError`` and ``ValueError`` from ``convert`` become a
-    :class:`ConfigError` naming ``path``.
+    one.  A ``ValueError`` from ``convert`` becomes a :class:`ConfigError`
+    naming ``path`` (:func:`_field`).
     """
     parts = path.split(".")
     node = tree
@@ -188,23 +189,28 @@ def _get(tree: Mapping[str, Any], path: str, convert: Callable[[Any], Any],
             kind = "field" if depth == len(parts) else "section"
             raise ConfigError(f"{'.'.join(parts[:depth])}: missing required {kind}")
         node = node[key]
+    return _field(path, convert, node)
+
+
+def _field(name: str | None, read: Callable[..., Any], *args) -> Any:
+    """``read(*args)``, a ``ValueError`` from it re-raised as a :class:`ConfigError`
+    named as :func:`~superthermal.io._named` names it (by ``read`` itself for ``None``)."""
     try:
-        return convert(node)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        return _named(name, read, *args) if name else read(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _directory(value: Any) -> Path:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a path, got {type(value).__name__}")
+    return Path(value)
 
 
 def _positive(value: Any) -> float:
     value = _number(value)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"must be positive and finite, got {value}")
-    return value
-
-
-def _unit_interval(value: Any) -> float:
-    value = _number(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"must lie in (0, 1), got {value}")
     return value
 
 
@@ -232,17 +238,12 @@ def build_run_config(raw: Mapping[str, Any]) -> RunConfig:
     """
     freqs = _get(raw, "detector.frequencies", _reals)
     couplings = _get(raw, "detector.couplings", _complex_list, None)
-    try:
-        detector = DetectorSpec(freqs, tuple(couplings) if couplings is not None else None)
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from exc
+    detector = _field("detector", DetectorSpec, freqs, tuple(couplings) if couplings is not None else None)
     if "trajectories" not in raw:
         raise ConfigError("trajectories: missing required section")
-    try:
-        trajectories = parse_trajectories(raw["trajectories"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    eps = _get(raw, "interaction.epsilon", _unit_interval)
+    trajectories = _field(None, parse_trajectories, raw["trajectories"])
+    eps = _get(raw, "interaction.epsilon", _number)
+    _field("interaction.epsilon", _eps2T, eps)
     T_value = _get(raw, "interaction.T", _positive, None)
     if T_value is None:
         T_value = validate_regime(detector, trajectories, eps).t_recommended
@@ -278,7 +279,7 @@ def _write_outputs(tree: Mapping[str, Any], files) -> None:
     into it as ``writer(directory / name, *args)``; called only once every
     result exists.  An ``OSError`` there is a configuration error that
     names the directory, and the file it could not write."""
-    out = _get(tree, "output.directory", Path, Path("."))
+    out = _get(tree, "output.directory", _directory, Path("."))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -334,9 +335,7 @@ def cmd_measure(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     emitted = measured
     if cfg.scale == "absolute":
         # The ground entry |B^dagger A|^2 stays at leading order, as in the joint state.
-        factor = cfg.epsilon**2 * cfg.T
-        if not math.isfinite(factor * float(np.max(np.abs(measured[1:, 1:])))):
-            raise OverflowError(f"epsilon^2 T x measured entry overflows at T = {cfg.T:g}")
+        factor = _eps2T(cfg.epsilon, cfg.T, float(np.max(np.abs(measured[1:, 1:]))))
         emitted = measured.copy()
         emitted[1:, 1:] *= factor
     # The negative-log display is always per unit eps^2 T, the convention
@@ -356,10 +355,7 @@ def _parse_q_list(text: str | None) -> tuple[float, ...]:
     if text is None:
         return _DEFAULT_Q_LIST
     tokens = text.split(",")
-    try:
-        values = tuple(float(tok) + 0.0 for tok in tokens if tok.strip())  # -0 reads as +0
-    except ValueError as exc:
-        raise ConfigError(f"--q: {exc}") from exc
+    values = _field("--q", lambda: tuple(float(tok) + 0.0 for tok in tokens if tok.strip()))  # -0 reads as +0
     if not values:
         raise ConfigError("--q: expected a comma-separated list of values")
     if len(values) < len(tokens):
@@ -424,10 +420,7 @@ def cmd_lambda_grid(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
 def cmd_oracle_validate(tree: Mapping[str, Any], args: argparse.Namespace) -> int:
     """Cross-check closed forms against the quadrature oracles."""
     T_list = _get(tree, "oracle.T_list", _reals, _DEFAULT_T_LIST)
-    try:
-        report = convergence_report(omega=1.0, z=1.0, T_list=T_list)
-    except ValueError as exc:
-        raise ConfigError(f"oracle.T_list: {exc}") from exc
+    report = _field("oracle.T_list", lambda: convergence_report(omega=1.0, z=1.0, T_list=T_list))
     # One row per compared (q, dxi) or T: q, dxi, then dxbar and T as text
     # (T on finite-duration rows only; their pair is omega = 1 on one branch
     # at z = 1).  Rows that share an oracle call repeat its change.
@@ -494,30 +487,16 @@ def _parse_continuum(tree: Mapping[str, Any]):
             f"continuum.amplitude.values: expected {expected} row-major samples, got {len(values)}"
         )
     spacings = _get(tree, "continuum.amplitude.spacings", lambda v: _reals(v, 3), None)
-    try:
-        grid_values = np.array(values, dtype=complex).reshape(x.size, y.size, z.size)
-        amplitude = SmearedAmplitude(x, y, z, grid_values, spacings)
-    except ValueError as exc:
-        raise ConfigError(f"continuum.amplitude: {exc}") from exc
+    grid_values = np.array(values, dtype=complex).reshape(x.size, y.size, z.size)
+    amplitude = _field("continuum.amplitude", SmearedAmplitude, x, y, z, grid_values, spacings)
     omega = np.array(_get(tree, "continuum.coupling.omega", _reals))
     coupling_values = _get(tree, "continuum.coupling.values", _complex_list)
-    if omega.size != len(coupling_values):
-        raise ConfigError("continuum.coupling: omega and values must have equal length")
-    try:
-        coupling = CouplingFunction(omega=omega, values=np.array(coupling_values, dtype=complex))
-    except ValueError as exc:
-        raise ConfigError(f"continuum.coupling: {exc}") from exc
-    try:
-        with np.errstate(over="ignore"):  # an infinite doubled grid is rejected
-            scaled = SmearedAmplitude(
-                2.0 * amplitude.x, 2.0 * amplitude.y, 2.0 * amplitude.z,
-                amplitude.values / math.sqrt(8.0), tuple(2.0 * s for s in amplitude.spacings),
-            )
-        scaled_coupling = CouplingFunction(omega=0.5 * coupling.omega, values=coupling.values)
-    except ValueError as exc:
-        raise ConfigError(
-            f"continuum: rescaled system (lengths doubled, frequencies halved): {exc}"
-        ) from exc
+    coupling = _field("continuum.coupling", CouplingFunction, omega, np.array(coupling_values, dtype=complex))
+    rescaled = "continuum: rescaled system (lengths doubled, frequencies halved)"
+    with np.errstate(over="ignore"):  # an infinite doubled grid is rejected
+        scaled = _field(rescaled, SmearedAmplitude, 2.0 * amplitude.x, 2.0 * amplitude.y, 2.0 * amplitude.z,
+                        amplitude.values / math.sqrt(8.0), tuple(2.0 * s for s in amplitude.spacings))
+    scaled_coupling = _field(rescaled, CouplingFunction, 0.5 * coupling.omega, coupling.values)
 
     def grid_height(value: Any) -> float:
         height = _number(value)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import _bounded_couplings
 from .geometry import Trajectory, delta_xbar, delta_xi
 from .specfun import _planck_factor, _scalar_or_array, lambda_overlap
 
@@ -148,9 +149,10 @@ class SmearedAmplitude:
 class CouplingFunction:
     """Tabulated coupling density ζ(ω), interpolated linearly.
 
-    Samples must satisfy :math:`|\\zeta| \\le 1`; evaluation more than
-    4 ulp outside the tabulated range is a domain error rather than an
-    extrapolation, and arguments within 4 ulp of an end take its value.
+    The grid must be finite, and samples satisfy :math:`|\\zeta| \\le 1` as
+    :class:`~superthermal.detector.DetectorSpec`'s couplings do; evaluation
+    more than 4 ulp outside the tabulated range is a domain error rather
+    than an extrapolation, and arguments within 4 ulp of an end take its value.
     """
 
     omega: np.ndarray
@@ -161,12 +163,13 @@ class CouplingFunction:
         values = np.asarray(self.values, dtype=complex).ravel()
         if omega.size < 2:
             raise ValueError("coupling table needs at least two samples")
+        if not np.all(np.isfinite(omega)):
+            raise ValueError("coupling grid must be finite")
         if not np.all(np.diff(omega) > 0.0):
             raise ValueError("coupling grid must be strictly increasing")
         if omega.shape != values.shape:
             raise ValueError("coupling grid and values differ in length")
-        if np.any(np.abs(values) > 1.0 + 1e-12):
-            raise ValueError("couplings must satisfy |zeta| <= 1")
+        _bounded_couplings(values)
         omega.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "omega", omega)

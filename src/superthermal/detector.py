@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Trajectory, TrajectorySet, _number, branch_separations, coherence_condition
+from .geometry import Trajectory, TrajectorySet, _eps2T, _number, _unit_norm, branch_separations, coherence_condition
 from .specfun import _overlap_geometry, _overlap_of_geometry, planck_weight
 
 __all__ = [
@@ -79,6 +79,13 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-12
 _PSD_TOL = 1e-10
+
+
+def _bounded_couplings(values) -> None:
+    """Refuse couplings past :math:`|\\zeta| \\le 1` (to 1e-12), NaN included:
+    the one coupling bound, of the discrete and the continuum spectrum."""
+    if not np.all(np.abs(np.asarray(values, dtype=complex)) <= 1.0 + 1e-12):
+        raise ValueError("couplings must satisfy |zeta| <= 1")
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,7 @@ class DetectorSpec:
             coup = tuple(_number(c, "couplings", complex, k) for k, c in enumerate(self.couplings))
             if len(coup) != len(freqs):
                 raise ValueError(f"{len(freqs)} frequencies but {len(coup)} couplings")
-            if not all(abs(c) <= 1.0 + 1e-12 for c in coup):  # NaN included
-                raise ValueError("couplings must satisfy |zeta| <= 1")
+            _bounded_couplings(coup)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "couplings", coup)
 
@@ -129,11 +135,7 @@ class MeasurementBasisVector:
         amps = tuple(_number(b, "amplitudes", complex, k) for k, b in enumerate(self.amplitudes))
         if not amps:
             raise ValueError("measurement vector must be non-empty")
-        norm = sum(abs(b) ** 2 for b in amps)
-        if not abs(norm - 1.0) <= 1e-12:  # NaN included
-            raise ValueError(
-                f"measurement amplitudes must satisfy sum |B|^2 = 1, got {norm!r}"
-            )
+        _unit_norm(amps, "measurement amplitudes must satisfy sum |B|^2")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -335,21 +337,14 @@ class BlockDensity:
         semidefinite."""
         if self.scale != "per_eps2T":
             raise ValueError("to_absolute requires a per_eps2T input")
-        if not (0.0 < epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not (T > 0.0 and math.isfinite(T)):
-            raise ValueError("T must be positive and finite")
-        factor = epsilon * epsilon * T
-        peak = factor * self.max_entry
-        if not math.isfinite(peak):
-            raise OverflowError(f"epsilon^2 T x entry overflows at T = {T:g}")
+        factor = _eps2T(epsilon, T, self.max_entry)
         groups = []
         for members, blocks in self._groups:
             blocks = factor * blocks
             blocks.setflags(write=False)
             groups.append((members, blocks))
         return BlockDensity._of_groups(
-            groups, peak, self.traj_count, "absolute", epsilon, T, self.factors, self._ground
+            groups, factor * self.max_entry, self.traj_count, "absolute", epsilon, T, self.factors, self._ground
         )
 
 

@@ -73,6 +73,34 @@ def _number(value, name=None, kind=float, index=None):
     raise ValueError(why)
 
 
+def _unit_norm(values, what: str) -> None:
+    """Refuse amplitudes unless :math:`\\sum |v|^2 = 1` within 1e-12, NaN and
+    a sum past the float range included; ``what`` opens the message."""
+    try:
+        norm = sum(abs(v) ** 2 for v in values)
+    except OverflowError:  # float ** raises where float * would give inf
+        norm = math.inf
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"{what} = 1, got {norm!r}")
+
+
+def _eps2T(epsilon: float, T: float | None = None, peak: float | None = None) -> float | None:
+    r"""``epsilon * epsilon * T``, the one :math:`\varepsilon^2 T` of the package, for
+    ``epsilon`` in (0, 1) and ``T`` positive and finite (``ValueError``; with
+    no ``T``, ``epsilon`` alone is checked); with ``peak``, the largest
+    entry, the factor times it must be finite (``OverflowError``)."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if T is None:
+        return None
+    if not (T > 0.0 and math.isfinite(T)):
+        raise ValueError("T must be positive and finite")
+    factor = epsilon * epsilon * T
+    if peak is not None and not math.isfinite(factor * peak):
+        raise OverflowError(f"epsilon^2 T x entry overflows at T = {T:g}")
+    return factor
+
+
 class WedgeError(ValueError):
     """Raised for Minkowski events outside the right Rindler wedge."""
 
@@ -139,9 +167,7 @@ class TrajectorySet:
         for a, b in zip(keys, keys[1:]):
             if a == b:
                 raise ValueError(f"trajectories must be pairwise distinct; duplicate {a}")
-        norm = sum(abs(t.amplitude) ** 2 for t in trajs)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"branch amplitudes must satisfy sum |A_n|^2 = 1, got {norm!r}")
+        _unit_norm((t.amplitude for t in trajs), "branch amplitudes must satisfy sum |A_n|^2")
         object.__setattr__(self, "trajectories", trajs)
 
     def __len__(self) -> int:
@@ -310,12 +336,8 @@ def validate_regime(det, traj_set: TrajectorySet, epsilon: float, T: float | Non
         from the recommendation) and ``perturbative-bound``
         (:math:`\varepsilon^2 T \cdot \mathrm{peak} > \varepsilon`).
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    frequencies = tuple(det.frequencies)
-    if not frequencies:
-        raise ValueError("detector spectrum is empty")
-    omega_1 = frequencies[0]
+    factor = _eps2T(epsilon, T)
+    omega_1 = det.frequencies[0]
     z_1 = traj_set[0].z
     t_recommended = 1.0 / (epsilon * omega_1) if epsilon * omega_1 > 0.0 else math.inf
     violations: list[str] = []
@@ -339,10 +361,10 @@ def validate_regime(det, traj_set: TrajectorySet, epsilon: float, T: float | Non
                 f"recommended 1/(epsilon*omega_1) = {t_recommended:.6g}; "
                 "first-order perturbation theory degrades"
             )
-        if peak is not None and epsilon * epsilon * T * peak > epsilon:
+        if peak is not None and factor * peak > epsilon:
             violations.append(
                 f"perturbative-bound: epsilon^2 T x entry = "
-                f"{epsilon * epsilon * T * peak:.3e} exceeds epsilon = {epsilon:.3e}; "
+                f"{factor * peak:.3e} exceeds epsilon = {epsilon:.3e}; "
                 "first-order treatment is unreliable for these parameters"
             )
     return RegimeReport(t_recommended=t_recommended, violations=tuple(violations))

@@ -411,10 +411,7 @@ def parse_trajectories(entries: Any) -> TrajectorySet:
         fields = {"x": 0.0, "y": 0.0, "A": None}
         for key, convert in (("z", _number), ("x", _number), ("y", _number), ("A", _as_complex)):
             if key in entry:
-                try:
-                    fields[key] = convert(entry[key])
-                except ValueError as exc:
-                    raise ValueError(f"trajectories[{k}].{key}: {exc}") from exc
+                fields[key] = _named(f"trajectories[{k}].{key}", convert, entry[key])
         positions.append((fields["z"], fields["x"], fields["y"]))
         amplitudes.append(fields["A"])
     given = sum(a is not None for a in amplitudes)

@@ -43,8 +43,6 @@ import numpy as np
 
 from .geometry import Trajectory, coherence_condition, delta_xbar, delta_xi
 from .specfun import (
-    _EPS,
-    _KSERIES_X,
     _PANEL_POINTS,
     _k_imag_outer,
     _overlap_geometry,
@@ -298,21 +296,19 @@ def _kbar_grid(
 
 def _k_products(nu: float, x_a: np.ndarray, x_b: np.ndarray):
     r"""``K_imag`` of order ``nu`` at both argument sets, at the trapezoidal
-    step over 1.5: per node, the products ``K_a K_b``, a bound on the error
-    the K series puts into them, and an estimate of the rounding that the
-    trapezoidal values put into them, :math:`\epsilon K_0(x) \approx
-    \epsilon\sqrt{\pi/2x}\,e^{-x}` each.
+    step over 1.5: per node, the products ``K_a K_b``, and the K series'
+    error bound and the trapezoidal values' rounding estimate carried into
+    them (:func:`~superthermal.specfun._k_imag_outer` reports both per value).
 
     Two distinct sets (each sorted) go through one call on their merged
     arguments, so their trapezoidal bands are set up once.  The series
-    sums each value on its own, so below ``_KSERIES_X`` the values and
+    sums each value on its own, so below its crossover the values and
     bound are those of two calls; above it the bands regroup at rounding
     level."""
 
     def k_at(x):
-        err = np.empty(x.size)
-        k = _k_imag_outer(nu, x, 1.5, err=err)
-        return np.stack([k, err, np.where(x > _KSERIES_X, _EPS * np.sqrt(0.5 * math.pi / x) * np.exp(-x), 0.0)])
+        err, rounding = np.empty(x.size), np.empty(x.size)
+        return np.stack([_k_imag_outer(nu, x, 1.5, err=err, rounding=rounding), err, rounding])
 
     if x_b is x_a:
         (k_a, err_a, rnd_a) = (k_b, err_b, rnd_b) = k_at(x_a)

@@ -234,14 +234,16 @@ def _k_series(nu: float, x: np.ndarray, err: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _k_imag_outer(nu: float, x: np.ndarray, refine: float = 1.0, err: np.ndarray | None = None) -> np.ndarray:
+def _k_imag_outer(nu: float, x: np.ndarray, refine: float = 1.0,
+                  err: np.ndarray | None = None, rounding: np.ndarray | None = None) -> np.ndarray:
     r"""``K_imag`` of order ``nu`` at each ``x``; ``x`` sorted ascending.
 
     The ``x <= _KSERIES_X`` are summed from the power series
     (:func:`_k_series`), which ``refine`` does not change, and ``err`` (of
-    the result's shape), if given, receives the series' error bound there.
-    Everywhere else ``err`` receives 0: the trapezoidal rule's rounding the
-    :math:`\Lambda` oracle estimates from ``x`` itself.
+    the result's shape), if given, receives the series' error bound there
+    and 0 elsewhere; ``rounding``, if given, receives 0 there and elsewhere
+    an estimate of each trapezoidal value's rounding,
+    :math:`\epsilon K_0(x) \approx \epsilon\sqrt{\pi/2x}\,e^{-x}`.
 
     The trapezoidal rule walks the rest in bands ``[x_min, 4 x_min]`` of at
     most ``_KCHUNK`` points.  Each band takes
@@ -269,6 +271,8 @@ def _k_imag_outer(nu: float, x: np.ndarray, refine: float = 1.0, err: np.ndarray
         out[:split] = _k_series(nu, x[:split], None if err is None else err[:split])
     if err is not None:
         err[split:] = 0.0
+    if rounding is not None:
+        rounding[:split] = 0.0
     d, versine = _KSTRIP_D, 1.0 - np.cos(_KSTRIP_D)
     start = split
     while start < x.size:
@@ -284,7 +288,10 @@ def _k_imag_outer(nu: float, x: np.ndarray, refine: float = 1.0, err: np.ndarray
         versine_t = 2.0 * np.sinh(0.5 * t) ** 2
         with np.errstate(under="ignore"):
             env = np.exp(-np.outer(x[cols], versine_t))
-            out[cols] = np.sum(env * coeff, axis=1) * np.exp(-x[cols])
+            decay = np.exp(-x[cols])
+            out[cols] = np.sum(env * coeff, axis=1) * decay
+        if rounding is not None:
+            rounding[cols] = _EPS * np.sqrt(0.5 * math.pi / x[cols]) * decay
         start = stop
     return out
 

@@ -5,6 +5,7 @@ Frozen literals are mpmath assemblies at 40 digits (``tests/oracles.py``).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,44 @@ def test_joint_kernel_is_zero_where_cosh_dxi_overflows():
     low, high = (0.0, 0.0, 1e-10), (0.0, 0.0, 1e300)
     assert continuum_joint_kernel(1e-20, low, high, amp, zeta) == 0.0
     assert continuum_offdiag_coefficient(1e-10, low, high)[0] == 0.0
+
+
+def _amplitude(x=(-0.5, 0.5), values=None, spacings=(1.0, 1.0, 0.5)):
+    """:func:`_uniform_amplitude` with one of its inputs replaced."""
+    values = np.full((len(x), 1, 2), 1.0 / math.sqrt(len(x)), dtype=complex) if values is None else values
+    return SmearedAmplitude(x=np.array(x), y=np.array([0.0]), z=np.array([0.5, 1.0]), values=values, spacings=spacings)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: CouplingFunction(omega=np.array([1.0, 1.0]), values=np.array([1.0, 1.0])),
+                     "coupling grid must be strictly increasing", id="coupling-not-increasing"),
+        pytest.param(lambda: CouplingFunction(omega=np.array([1.0, 2.0, 3.0]), values=np.array([1.0, 1.0])),
+                     "coupling grid and values differ in length", id="coupling-length"),
+        # the bound |zeta| <= 1 is DetectorSpec's, which refuses NaN too
+        pytest.param(lambda: CouplingFunction(omega=np.array([0.5, 2.0]), values=np.array([math.nan, 1.0])),
+                     "couplings must satisfy |zeta| <= 1", id="coupling-nan-sample"),
+        pytest.param(lambda: CouplingFunction(omega=np.array([0.5, 2.0]), values=np.array([complex(1.0, math.nan), 1.0])),
+                     "couplings must satisfy |zeta| <= 1", id="coupling-nan-imaginary-part"),
+        pytest.param(lambda: CouplingFunction(omega=np.array([0.05, math.inf]), values=np.array([1.0, 0.5])),
+                     "coupling grid must be finite", id="coupling-infinite-omega"),
+        pytest.param(lambda: CouplingFunction(omega=np.array([math.nan, 1.0]), values=np.array([1.0, 0.5])),
+                     "coupling grid must be finite", id="coupling-nan-omega"),
+        pytest.param(lambda: _amplitude(x=(-0.5, 0.5, 2.0)), "x axis must be uniformly increasing",
+                     id="amplitude-non-uniform-axis"),
+        pytest.param(lambda: _amplitude(values=np.full((2, 2, 1), 0.5, dtype=complex)),
+                     "values shape (2, 2, 1) != grid shape (2, 1, 2)", id="amplitude-value-shape"),
+        pytest.param(lambda: _amplitude(spacings=(1.0, 0.0, 0.5)), "y spacing must be positive",
+                     id="amplitude-singleton-spacing"),
+        pytest.param(lambda: continuum_joint_kernel(0.0, (-0.5, 0.0, 1.0), (-0.5, 0.0, 1.0),
+                                                    _uniform_amplitude(), _flat_coupling()),
+                     "q must be positive", id="joint-kernel-q"),
+    ],
+)
+def test_continuum_inputs_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_joint_kernel_coupling_domain_error():

@@ -7,6 +7,7 @@ branch pairs at 40 digits).
 
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -108,6 +109,39 @@ def test_measurement_basis_refuses_non_finite_amplitudes(bad):
         MeasurementBasisVector(amplitudes=(bad,))
     with pytest.raises(ValueError, match="^measurement amplitudes must satisfy"):
         MeasurementBasisVector(amplitudes=(0.6, bad))
+
+
+def _dense_state():
+    """One level on one branch, from the dense constructor: a state without factors."""
+    return BlockDensity(ground_block=[[1.0]], excited_block=[[0.1]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: TrajectorySet([]), "TrajectorySet requires at least one trajectory", id="no-trajectory"),
+        pytest.param(lambda: MeasurementBasisVector(()), "measurement vector must be non-empty", id="empty-basis"),
+        # a sum of squares past the float range is refused as a norm, not raised as an overflow
+        pytest.param(lambda: TrajectorySet([Trajectory(z=1.0, amplitude=1e200)]),
+                     "branch amplitudes must satisfy sum |A_n|^2 = 1, got inf", id="branch-norm-overflows"),
+        pytest.param(lambda: MeasurementBasisVector((0.6, 1e200j)),
+                     "measurement amplitudes must satisfy sum |B|^2 = 1, got inf", id="basis-norm-overflows"),
+        pytest.param(lambda: measured_internal(joint_state(*_three_branch_system(), 1e-12),
+                                               MeasurementBasisVector((0.6, 0.8))),
+                     "measurement vector does not match the branch count", id="measured-basis-length"),
+        pytest.param(lambda: measured_internal(_dense_state(), MeasurementBasisVector((1.0,))),
+                     "measured_internal needs the factors of the state", id="measured-dense-state"),
+        pytest.param(lambda: validate_regime(*_three_branch_system(), 1.0),
+                     "epsilon must lie in (0, 1), got 1.0", id="regime-epsilon-one"),
+        pytest.param(lambda: validate_regime(*_three_branch_system(), -0.5, T=10.0),
+                     "epsilon must lie in (0, 1), got -0.5", id="regime-epsilon-negative"),
+        pytest.param(lambda: _dense_state().to_absolute(epsilon=math.nan, T=10.0),
+                     "epsilon must lie in (0, 1), got nan", id="to-absolute-epsilon"),
+    ],
+)
+def test_inputs_outside_the_model_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_measurement_basis_validation():

@@ -10,6 +10,7 @@ in a traceback.
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from superthermal.continuum import (
     continuum_spectrum_slice,
 )
 from superthermal.detector import (
+    BlockDensity,
     DetectorSpec,
     MeasurementBasisVector,
     joint_state,
@@ -572,6 +574,28 @@ def test_block_density_json_shell_layout(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda rho, levels, ts: (BlockDensity(rho.ground_block, rho.excited_block), levels, ts),
+                     "only a state built from its factors can be written as joint_state/3", id="dense-state"),
+        pytest.param(lambda rho, levels, ts: (rho, levels[:-1], ts),
+                     "frequency list does not match the stored level count", id="levels"),
+        pytest.param(lambda rho, levels, ts: (rho, levels, TrajectorySet([Trajectory(z=1.0)])),
+                     "trajectory set does not match the stored branch count", id="branch-count"),
+        pytest.param(lambda rho, levels, ts: (rho, levels, TrajectorySet(
+            Trajectory(z=t.z, x_perp=t.x_perp, amplitude=t.amplitude.conjugate()) for t in ts)),
+                     "trajectory amplitudes do not match the state's", id="amplitudes"),
+    ],
+)
+def test_block_density_to_dict_refuses_a_state_it_cannot_write(change, message):
+    det = DetectorSpec((1.0, 2.0))
+    ts = TrajectorySet([Trajectory(z=0.5, amplitude=0.6 + 0.0j), Trajectory(z=1.0, amplitude=0.48 + 0.64j)])
+    rho = joint_state(det, ts, tol=1e-9)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        block_density_to_dict(*change(rho, det.frequencies, ts))
+
+
+@pytest.mark.parametrize(
     "pairs, overlaps, message",
     [
         ([[0, 1]], [0.5, 0.5], "coherences.overlaps: expected a list of 1 numbers"),
@@ -838,6 +862,28 @@ def test_cli_measure_absolute_scale_keeps_neglog_convention(tmp_path):
     # at leading order, as in the joint state
     assert np.allclose(scaled[1:, 1:], per[1:, 1:] * factor, rtol=1e-15, atol=0)
     assert np.allclose(scaled[0, 0], per[0, 0], rtol=1e-15, atol=0)
+
+
+def test_cli_measure_absolute_scale_is_the_per_unit_matrix_times_eps_eps_T(tmp_path):
+    # At this epsilon, epsilon**2 (libm's pow) is 0.09407579573409314 but the
+    # correctly rounded epsilon * epsilon is 0.09407579573409315.  state,
+    # measure, the joint-state reader and the regime check take the one
+    # factor epsilon * epsilon * T, so every excited cell (re and im) of the
+    # absolute file is its per-unit cell times that factor, bit for bit.
+    eps, T = 0.3067177786403865, 50.0
+    assert eps * eps != eps**2
+    tree = _lattice_tree()
+    tree["interaction"].update(epsilon=eps, T=T)
+    per = _write_config(tmp_path, tree, name="per.json")
+    tree["output"] = {"scale": "absolute"}
+    absolute = _write_config(tmp_path, tree, name="absolute.json")
+    assert main(["measure", "--config", per, "--out", str(tmp_path / "per")]) == 0
+    assert main(["measure", "--config", absolute, "--out", str(tmp_path / "abs")]) == 0
+    per_data, abs_data = (read_json(tmp_path / name / "measured_internal.json") for name in ("per", "abs"))
+    per_cells, abs_cells = (np.array(data["excited_block"], dtype=float) for data in (per_data, abs_data))
+    assert np.count_nonzero(per_cells) > 0
+    assert np.array_equal(abs_cells, per_cells * (eps * eps * T))
+    assert abs_data["ground_block"] == per_data["ground_block"]
 
 
 def test_cli_measure_orthogonal_branch_ground_zero(tmp_path):
@@ -1191,6 +1237,11 @@ def test_offdiag_coefficient_of_an_omega_array_is_the_scalar_calls():
         (lambda t: t["trajectories"][0].update(A=["a", "b"]), "trajectories[0].A"),
         (lambda t: t["detector"].update(couplings=[1.0, math.nan]), "detector.couplings"),
         (lambda t: t["trajectories"][1].update(x=math.nan), "x_perp must be finite"),
+        # a sum of squares past the float range is a norm that fails, not an overflow
+        (lambda t: t.update(trajectories=[{"z": 0.5, "A": 1e200}, {"z": 1.0, "A": 0.0}]),
+         "trajectories: branch amplitudes must satisfy sum |A_n|^2 = 1, got inf"),
+        (lambda t: t.update(measurement={"amplitudes": [1e200, 0.0]}),
+         "measurement.amplitudes: measurement amplitudes must satisfy sum |B|^2 = 1, got inf"),
     ],
 )
 def test_cli_config_errors_name_the_field(tmp_path, capsys, mutate, fragment):
@@ -1232,6 +1283,23 @@ def test_cli_continuum_config_errors_name_the_field(tmp_path, capsys, mutate, fr
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert fragment in err
+
+
+@pytest.mark.parametrize("omega_grid", [[1.0, math.inf], [1.0, 2.0]], ids=["grid-to-inf", "finite-grid"])
+def test_cli_continuum_infinite_coupling_omega_is_a_config_error(tmp_path, capsys, omega_grid):
+    # Python's json reads Infinity.  A coupling table that ends there must be
+    # refused: with an infinite omega_grid the kernel would fail inside the
+    # special functions, and with a finite one interpolating toward inf
+    # would make zeta its first sample everywhere.
+    tree = _continuum_tree()
+    tree["continuum"]["coupling"] = {"omega": [0.05, math.inf], "values": [1.0, 0.5]}
+    tree["continuum"]["omega_grid"] = omega_grid
+    config = _write_config(tmp_path, tree)
+    assert "Infinity" in Path(config).read_text(encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["continuum", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: continuum.coupling: coupling grid must be finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1368,6 +1436,27 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys, z):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+@pytest.mark.parametrize(
+    "make_path, message",
+    [
+        pytest.param(lambda tmp: tmp, "cannot read config file {path}: ", id="a-directory"),
+        pytest.param(lambda tmp: tmp / "missing.json", "cannot read config file {path}: ", id="missing"),
+        pytest.param(lambda tmp: Path(_write_config(tmp, [1.0, 2.0])), "config root must be a JSON object",
+                     id="list-root"),
+        pytest.param(lambda tmp: Path(_write_config(tmp, "text")), "config root must be a JSON object",
+                     id="string-root"),
+    ],
+)
+def test_load_config_refuses_an_unreadable_file_and_a_root_that_is_not_an_object(tmp_path, capsys, make_path, message):
+    path = make_path(tmp_path)
+    message = message.format(path=path)
+    with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}"):
+        cli.load_config(path)
+    assert main(["paper-example", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "detector": [,]\n}', encoding="utf-8")
@@ -1486,7 +1575,7 @@ def _absolute_overflow_tree():
 @pytest.mark.parametrize(
     "make_tree, message",
     [
-        (_absolute_overflow_tree, "epsilon^2 T x"),
+        (_absolute_overflow_tree, "epsilon^2 T x entry overflows at T = 1e+308"),
         (lambda: _planck_overflow_tree("per_eps2T"), "planck_weight overflows"),
         (lambda: _planck_overflow_tree("absolute"), "planck_weight overflows"),
         (_tiny_epsilon_tree, "interaction.T: the default 1/(epsilon*omega_1) overflows"),

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from oracles import finite_t_wightman, lam
 
 from superthermal import overlaps
-from superthermal.detector import paper_example
-from superthermal.geometry import Trajectory, delta_xbar, delta_xi
+from superthermal.detector import DetectorSpec, MeasurementBasisVector, joint_state, measured_internal, paper_example
+from superthermal.geometry import Trajectory, TrajectorySet, delta_xbar, delta_xi
 from superthermal.overlaps import (
     OverlapResult,
     QuadratureError,
@@ -230,6 +230,28 @@ _other = Trajectory(z=1.0)
 def test_finite_duration_path_refuses_a_non_finite_frequency_or_duration(call, name):
     # each used to return inf, a silent zero, or warn before failing
     with pytest.raises(ValueError, match=f"requires a finite {name}, got inf"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: oracle_lambda_quadrature(-1.0, 0.0, 1.0),
+                     "oracle_lambda_quadrature requires q >= 0, got -1.0", id="lambda-oracle-q"),
+        pytest.param(lambda: oracle_lambda_quadrature(1.0, 0.0, [1.0, -0.5]),
+                     "oracle_lambda_quadrature requires dxbar >= 0", id="lambda-oracle-dxbar"),
+        pytest.param(lambda: convergence_report(omega=0.0, z=1.0, T_list=(10.0,)),
+                     "convergence_report requires omega, z > 0", id="report-omega"),
+        pytest.param(lambda: convergence_report(omega=1.0, z=-1.0, T_list=(10.0,)),
+                     "convergence_report requires omega, z > 0", id="report-z"),
+        pytest.param(lambda: overlap_diagnostics(0.0, _traj, 1.0, _other, 10.0),
+                     "the finite-duration overlap requires omega_i, omega_j, T > 0", id="diagnostics-omega_i"),
+        pytest.param(lambda: overlap_diagnostics(2.0, _traj, 1.0, _other, -1.0),
+                     "the finite-duration overlap requires omega_i, omega_j, T > 0", id="diagnostics-T"),
+    ],
+)
+def test_oracles_refuse_inputs_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
@@ -646,6 +668,53 @@ def test_paper_table_is_the_finite_duration_limit():
     closed = paper_example().measured[1:, 1:]
     present = closed != 0.0
     tables = [_paper_table_from_the_oracle(T) for T in (160.0, 320.0, 640.0)]
+    for table in tables:
+        assert np.array_equal(table != 0.0, present)
+    coarse, fine = ((4.0 * tables[k + 1] - tables[k]) / 3.0 for k in (0, 1))
+    assert np.all(np.abs(fine - closed)[present] <= np.abs(fine - coarse)[present])
+
+
+# CI's lattice.json with complex couplings added: complex A, B and zeta,
+# transverse offsets, and shells of three members (q = 2: omega = 1, 2, 4
+# on z = 2, 1, 0.5; q = 3: omega = 2, 3, 6 on z = 1.5, 1, 0.5).
+LATTICE_LEVELS = (1.0, 2.0, 3.0, 4.0, 6.0)
+LATTICE_COUPLINGS = (0.6 + 0.8j, 1.0, -0.5j, 0.8 - 0.6j, -0.3 + 0.4j)
+LATTICE_BRANCHES = (  # z, (x, y), A
+    (0.5, (0.1, 0.0), 0.5 + 0.1j),
+    (1.0, (0.0, 0.3), 0.4 - 0.2j),
+    (1.5, (0.0, 0.0), 0.3 + 0.0j),
+    (2.0, (-0.7, 0.0), 0.6 + 0.3j),
+)
+LATTICE_BASIS = (0.5, 0.5, 0.5j, 0.4 + 0.3j)
+
+
+def _lattice_table_from_the_oracle(T):
+    """The lattice's measured excited matrix at duration T, entry by entry
+    from the finite-duration overlaps of the raw trajectories, as
+    :func:`_paper_table_from_the_oracle` builds the paper's."""
+    branches = [(Trajectory(z=z, x_perp=xy), a, b) for (z, xy, a), b in zip(LATTICE_BRANCHES, LATTICE_BASIS)]
+    return np.array([
+        [sum(b_m.conjugate() * a_n.conjugate() * b_n * a_m * zeta_i.conjugate() * zeta_j
+             * oracle_overlap_finite_t(omega_i, n, omega_j, m, T)
+             for m, a_m, b_m in branches for n, a_n, b_n in branches) / T
+         for omega_i, zeta_i in zip(LATTICE_LEVELS, LATTICE_COUPLINGS)]
+        for omega_j, zeta_j in zip(LATTICE_LEVELS, LATTICE_COUPLINGS)
+    ])
+
+
+def test_lattice_table_is_the_finite_duration_limit():
+    # As for the paper's table: Richardson's rule leaves an O(1/M^2) error
+    # that falls by 16 per doubling of T, so the step R(200) - R(400) is 15
+    # times the error of R(400) and bounds it.  Every misaligned pair has
+    # dq >= 0.5 (all products are multiples of 0.5) and z <= 2, so
+    # C >= T^2/32 > 800 from T = 160: the absent cells are exactly 0.
+    det = DetectorSpec(LATTICE_LEVELS, LATTICE_COUPLINGS)
+    trajectories = TrajectorySet(Trajectory(z=z, x_perp=xy, amplitude=a) for z, xy, a in LATTICE_BRANCHES)
+    rho = joint_state(det, trajectories, tol=0.01)  # lattice.json's epsilon
+    assert max(members.shape[1] for members, _ in rho._groups) == 3
+    closed = measured_internal(rho, MeasurementBasisVector(LATTICE_BASIS))[1:, 1:]
+    present = closed != 0.0
+    tables = [_lattice_table_from_the_oracle(T) for T in (200.0, 400.0, 800.0)]
     for table in tables:
         assert np.array_equal(table != 0.0, present)
     coarse, fine = ((4.0 * tables[k + 1] - tables[k]) / 3.0 for k in (0, 1))

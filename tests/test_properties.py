@@ -14,8 +14,11 @@ leave the overlaps bit for bit and scale every excited entry by exactly
 4^-k.  Conjugating the amplitudes, couplings and measured superposition
 must conjugate the measured matrix bit for bit (up to the sign of a zero
 part) and leave the Planck weights and populations as they are.
-Mirroring x -> -x, or swapping x and y, on every branch must leave the
-pairs, the overlaps and the measured matrix bit for bit.
+Mirroring x -> -x, swapping x and y, or shifting x and y by one dyadic
+constant on a dyadic grid, on every branch, must leave the pairs, the
+overlaps and the measured matrix bit for bit, and so must any input order
+of the trajectories.  Deleting a level that joins no aligned pair must
+leave every other population, pair and overlap bit for bit.
 """
 
 import itertools
@@ -25,7 +28,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import joint_state_dense
 
@@ -409,3 +412,88 @@ def test_swapping_x_and_y_on_every_branch_leaves_the_state_bit_for_bit(case):
     # pairs over 10 decades gave no difference.  So dxbar, Lambda and every
     # entry keep their bits; no ulp bound is needed.
     _assert_same_state(case, lambda x, y: (y, x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=conjugation_cases(), data=st.data())
+def test_permuting_the_input_trajectories_leaves_the_state_bit_for_bit(case, data):
+    # A TrajectorySet sorts its branches by (z, x, y), and no two branches
+    # share that key, so every input order makes the same set, and the same
+    # state to the last bit.
+    det, trajectories, tol, basis = case
+    order = data.draw(st.permutations(trajectories.trajectories))
+    rho, permuted = joint_state(det, trajectories, tol), joint_state(det, TrajectorySet(order), tol)
+    assert permuted.factors.pairs.tobytes() == rho.factors.pairs.tobytes()
+    assert permuted.factors.overlaps.tobytes() == rho.factors.overlaps.tobytes()
+    assert permuted.ground_block.tobytes() == rho.ground_block.tobytes()
+    assert permuted.excited_block.tobytes() == rho.excited_block.tobytes()
+    basis = MeasurementBasisVector(amplitudes=tuple(basis))
+    assert measured_internal(permuted, basis).tobytes() == measured_internal(rho, basis).tobytes()
+
+
+@st.composite
+def spare_level_cases(draw):
+    """A transverse case (one branch per height) and a spare level that
+    joins no aligned pair: an irrational multiple of the lowest frequency,
+    below or above it, whose every product omega z lies more than the
+    tolerance from every other product.  Distinct heights keep its own
+    products apart."""
+    det, trajectories, tol, _ = draw(transverse_cases())
+    heights = trajectories.heights
+    products = [w * z for w in det.frequencies for z in heights]
+    for ratio in draw(st.permutations((math.sqrt(0.5), math.sqrt(2.0), math.sqrt(3.0), math.e, math.pi))):
+        spare = ratio * det.frequencies[0]
+        if all(not coherence_condition(spare, z, w, 1.0, tol) for z in heights for w in products):
+            break
+    else:
+        assume(False)
+    return det, trajectories, tol, spare, _lattice_unit(draw, 1)[0] * draw(st.sampled_from((0.25, 1.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=spare_level_cases())
+def test_deleting_a_level_that_joins_no_pair_leaves_the_rest_bit_for_bit(case):
+    # Every population, Planck weight, overlap and coherence is made entry
+    # by entry from its own composites, so a level in no pair changes none
+    # of the others.  Only the flat indices above it move down by one row
+    # of branches.  (The measured matrix sums its shells in their stacking
+    # order, which the level's singleton shells can change, so it is left
+    # out.)
+    det, trajectories, tol, spare, coupling = case
+    level = sorted(det.frequencies + (spare,)).index(spare)
+    couplings = list(det.couplings)
+    couplings.insert(level, coupling)
+    full_det = DetectorSpec(tuple(sorted(det.frequencies + (spare,))), tuple(couplings))
+    full, rho = joint_state(full_det, trajectories, tol), joint_state(det, trajectories, tol)
+    n = len(trajectories)
+    pairs = full.factors.pairs
+    assert not np.any(pairs // n == level)
+    keep = np.flatnonzero(np.arange(full_det.level_count * n) // n != level)
+    assert (pairs - n * (pairs // n > level)).tobytes() == rho.factors.pairs.tobytes()
+    assert full.factors.overlaps.tobytes() == rho.factors.overlaps.tobytes()
+    assert full.factors.planck_weights[keep].tobytes() == rho.factors.planck_weights.tobytes()
+    assert full.excited_block[np.ix_(keep, keep)].tobytes() == rho.excited_block.tobytes()
+    assert np.delete(reduced_internal(full), level).tobytes() == reduced_internal(rho).tobytes()
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A transverse case with its offsets redrawn on the grid of eighths up
+    to 3 in each direction, and a shift by eighths up to 8."""
+    det, trajectories, tol, basis = draw(transverse_cases())
+    eighths = st.integers(-24, 24).map(lambda k: k / 8.0)
+    grid = TrajectorySet(
+        Trajectory(z=t.z, x_perp=(draw(eighths), draw(eighths)), amplitude=t.amplitude) for t in trajectories
+    )
+    return (det, grid, tol, basis), draw(st.integers(-64, 64)) / 8.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=dyadic_cases())
+def test_a_dyadic_shift_of_every_branch_leaves_the_state_bit_for_bit(case):
+    # Every offset, shift and sum is a multiple of 1/8 below 2^4, so the
+    # shift is exact, every difference x_m - x_n keeps its bits, and the
+    # (z, x, y) order of the branches does not change.  So dxbar, Lambda
+    # and every entry keep their bits; no ulp bound is needed.
+    case, shift = case
+    _assert_same_state(case, lambda x, y: (x + shift, y + shift))

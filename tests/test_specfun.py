@@ -7,6 +7,7 @@ Frozen reference values come from mpmath at 40 decimal digits via
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -278,6 +279,25 @@ def test_lambda_is_zero_at_infinite_transverse_separation():
     for bad in (math.nan, -math.inf, -1.0):
         with pytest.raises(ValueError, match="dxbar"):
             lambda_overlap(1.0, 0.0, bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: planck_weight(math.inf, 1.0), "omega must be finite", id="planck-omega-inf"),
+        pytest.param(lambda: planck_weight([1.0, math.nan], 1.0), "omega must be finite", id="planck-omega-nan"),
+        pytest.param(lambda: planck_weight(-1.0, 1.0), "planck_weight requires omega >= 0", id="planck-omega-negative"),
+        pytest.param(lambda: planck_weight(1.0, 0.0), "planck_weight requires z > 0", id="planck-z-zero"),
+        pytest.param(lambda: bessel_k_imag(1.0, 0.0), "bessel_k_imag requires x > 0", id="k-imag-x-zero"),
+        pytest.param(lambda: bessel_k_imag(1.0, [1.0, -2.0]), "bessel_k_imag requires x > 0", id="k-imag-x-negative"),
+        pytest.param(lambda: lambda_axis_xi(-1.0, 0.5), "lambda_axis_xi requires q >= 0", id="axis-xi-q"),
+        pytest.param(lambda: lambda_axis_xbar(-1.0, 0.5), "lambda_axis_xbar requires q >= 0", id="axis-xbar-q"),
+        pytest.param(lambda: lambda_axis_xbar(1.0, -0.5), "lambda_axis_xbar requires dxbar >= 0", id="axis-xbar-dxbar"),
+    ],
+)
+def test_special_functions_refuse_inputs_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
